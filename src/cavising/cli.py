@@ -271,6 +271,8 @@ def _run_phase_diagram(
                     "J_min": col.J_min,
                     "lambda_c": col.lambda_c,
                     "transition_order": col.transition_order,
+                    "status": col.status,
+                    "message": col.message,
                 }
                 for col in diagram.columns
             ],

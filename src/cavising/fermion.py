@@ -5,30 +5,41 @@ The rotated spin Hamiltonian
     H = -sum_j Omega(j) s^z_j - sum_j J(j) s^y_j s^y_{j+1}
 
 maps under a Jordan-Wigner transformation to a quadratic fermion form
-with a hopping matrix ``A`` and a pairing matrix ``B``.  The string
-operator turns the bond that closes the ring into a boundary term whose
-sign depends on the fermion-parity sector: in the even sector the
-boundary bond is sign-flipped (antiperiodic fermions), in the odd sector
-it is untouched (periodic fermions).
+with a symmetric hopping matrix ``A`` and an antisymmetric pairing
+matrix ``B``.  Only their sum enters, and it is sparse: ``T = A + B`` is
+lower bidiagonal plus one corner,
 
-Normalization: ``A`` and ``B`` carry half the bond strength each, with
-the local fields ``Omega`` on the diagonal of ``A``.  The physical
-single-quasiparticle energies are then *twice* the singular values of
-``A + B``; at ``J = 0`` flipping one spin against its field costs
-``2 Omega(j)``, and the chain ground energy is ``-sum_j Omega(j)``.
+    T[j, j] = Omega(j),   T[j+1, j] = -J(j),   T[0, N-1] = +-J(N-1),
 
-The spectrum is obtained from an SVD of ``A + B`` rather than from the
-squared eigenproblem, which keeps small quasiparticle energies accurate
-and makes the mode pairs ``(Phi_k, Psi_k)`` consistent by construction:
+so :class:`QuadraticForm` stores just those three bands (``A`` is
+``(T + T^T) / 2`` and ``B`` is ``(T - T^T) / 2``).  The string operator
+turns the bond that closes the ring into a boundary term whose sign
+depends on the fermion-parity sector: the corner is ``+J(N-1)`` in the
+even sector (antiperiodic fermions) and ``-J(N-1)`` in the odd sector
+(periodic fermions).
 
-    Phi_k (A + B) = (Lambda_k / 2) Psi_k
-    Psi_k (A - B) = (Lambda_k / 2) Phi_k
+Normalization: the physical single-quasiparticle energies are *twice*
+the singular values of ``T``; at ``J = 0`` flipping one spin against its
+field costs ``2 Omega(j)``, and the chain ground energy is
+``-sum_j Omega(j)``.
 
-(``A - B`` is the transpose of ``A + B``, so the left-singular vectors
-of ``A + B`` are the ``Phi_k`` and the right-singular vectors the
-``Psi_k``.)  The orientation of the pair is not a matter of taste: the
-string-correlator determinants downstream are only valid for this one,
-and it was pinned by checking them against brute-force diagonalization.
+Singular values are taken rather than eigenvalues of the squared
+problem, which keeps small quasiparticle energies accurate.  The
+energy-only path (:func:`quasiparticle_energies`) gets them as the
+positive eigenvalues of the Golub-Kahan 2N-cycle of ``T``, folded into a
+symmetric band of width 2: O(N^2) and no N x N array.  The full solve
+(:func:`solve_quasiparticles`) takes a dense SVD of ``T``, whose
+singular vectors make the mode pairs ``(Phi_k, Psi_k)`` consistent by
+construction:
+
+    Phi_k T   = (Lambda_k / 2) Psi_k
+    Psi_k T^T = (Lambda_k / 2) Phi_k
+
+(the left-singular vectors of ``T`` are the ``Phi_k`` and the
+right-singular vectors the ``Psi_k``).  The orientation of the pair is
+not a matter of taste: the string-correlator determinants downstream are
+only valid for this one, and it was pinned by checking them against
+brute-force diagonalization.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 __all__ = [
     "Sector",
@@ -64,25 +76,42 @@ class Sector(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Hopping (``A``, symmetric) and pairing (``B``, antisymmetric) matrices."""
+    """The matrix ``T = A + B`` as its three nonzero bands.
 
-    A: np.ndarray
-    B: np.ndarray
+    ``diagonal[j] = T[j, j] = Omega(j)``, ``subdiagonal[j] = T[j+1, j]
+    = -J(j)`` and ``corner = T[0, N-1]``, the wrapping bond with the
+    sector sign (:func:`build_quadratic_form` leaves it zero for
+    ``N = 1``, which has no bonds).
+    """
+
+    diagonal: np.ndarray
+    subdiagonal: np.ndarray
+    corner: float
     sector: Sector
 
     def __post_init__(self) -> None:
-        A = np.ascontiguousarray(self.A, dtype=float)
-        B = np.ascontiguousarray(self.B, dtype=float)
-        A.setflags(write=False)
-        B.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
-            raise ValueError("A and B must be square matrices of equal shape")
+        diagonal = np.array(self.diagonal, dtype=float)
+        subdiagonal = np.array(self.subdiagonal, dtype=float)
+        diagonal.setflags(write=False)
+        subdiagonal.setflags(write=False)
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "subdiagonal", subdiagonal)
+        object.__setattr__(self, "corner", float(self.corner))
+        if diagonal.ndim != 1 or diagonal.size == 0 or subdiagonal.shape != (diagonal.size - 1,):
+            raise ValueError("need N >= 1 diagonal and N - 1 subdiagonal entries")
 
     @property
     def N(self) -> int:
-        return self.A.shape[0]
+        return self.diagonal.shape[0]
+
+    @property
+    def T(self) -> np.ndarray:
+        """Dense ``N x N`` copy of ``T``."""
+        N = self.N
+        T = np.diag(self.diagonal)
+        T[np.arange(1, N), np.arange(N - 1)] = self.subdiagonal
+        T[0, N - 1] += self.corner
+        return T
 
 
 @dataclass(frozen=True)
@@ -94,16 +123,15 @@ class QuasiparticleSolution:
     energies : np.ndarray
         Physical quasiparticle energies ``Lambda_k``, ascending and >= 0.
     Phi, Psi : np.ndarray
-        Mode matrices with orthonormal rows, coupled through the quadratic
-        form as in the module docstring (with ``Lambda_k / 2`` because of
-        the halved normalization of ``A`` and ``B``).
+        Mode matrices with orthonormal rows, coupled through ``T`` as in
+        the module docstring.
     sector : Sector
     ground_energy_chain : float
         Chain part of the ground energy in this sector's vacuum,
         ``-(1/2) sum_k Lambda_k``, before any parity bookkeeping.
     vacuum_parity : int
         Fermion parity of the vacuum of this quadratic form: the sign of
-        ``det(A + B)`` (+1 even, -1 odd, 0 when an exact zero mode makes
+        ``det(T)`` (+1 even, -1 odd, 0 when an exact zero mode makes
         the parity indeterminate).
     """
 
@@ -120,43 +148,52 @@ class QuasiparticleSolution:
 
 
 def build_quadratic_form(field, bonds, sector: Sector = Sector.EVEN) -> QuadraticForm:
-    """Assemble ``A`` and ``B`` for the given effective field and bond pattern.
+    """Assemble ``T`` for the given effective field and bond pattern.
 
     ``bonds[j]`` couples sites ``j`` and ``(j+1) % N``.  The bond that
-    wraps the ring (``j = N-1``) enters with an extra minus sign in the
-    even sector.  For ``N = 2`` both bonds act on the same pair of sites
-    and their contributions accumulate.
+    wraps the ring (``j = N-1``) lands in the corner ``T[0, N-1]`` with
+    sign ``+`` in the even sector and ``-`` in the odd one.  For
+    ``N = 2`` both bonds act on the same pair of sites, one below and
+    one above the diagonal.
     """
     N = field.N
     bonds = np.asarray(bonds, dtype=float)
     if bonds.shape != (N,):
         raise ValueError(f"expected {N} bond strengths, got shape {bonds.shape}")
-    A = np.diag(field.Omega).copy()
-    B = np.zeros((N, N))
+    corner = 0.0
     if N >= 2:
-        for j in range(N):
-            k = (j + 1) % N
-            half = 0.5 * bonds[j]
-            if k < j:  # the wrapping bond picks up the sector sign
-                half = -half if sector is Sector.EVEN else half
-            A[j, k] -= half
-            A[k, j] -= half
-            B[j, k] += half
-            B[k, j] -= half
-    return QuadraticForm(A=A, B=B, sector=sector)
+        corner = bonds[-1] if sector is Sector.EVEN else -bonds[-1]
+    return QuadraticForm(
+        diagonal=field.Omega, subdiagonal=-bonds[:-1], corner=corner, sector=sector
+    )
 
 
 def quasiparticle_energies(form: QuadraticForm) -> np.ndarray:
     """Physical spectrum ``Lambda_k`` (ascending) without the mode matrices.
 
-    This is the fast path for energy-only work: a singular-value
-    computation of ``A + B``, skipping the singular vectors.
+    This is the fast path for energy-only work.  The singular values of
+    ``T`` are the positive eigenvalues of the 2N-cycle with edge weights
+    ``Omega(0), -J(0), Omega(1), ..., -J(N-2), Omega(N-1), corner``
+    (Golub-Kahan).  Visiting the cycle as ``0, 2N-1, 1, 2N-2, ...``
+    folds it into a symmetric band of width 2, whose eigenvalues cost
+    O(N^2) instead of the O(N^3) of a dense SVD.
     """
+    N = form.N
+    w = np.empty(2 * N)
+    w[0::2] = form.diagonal
+    w[1:-1:2] = form.subdiagonal
+    w[-1] = form.corner
+    # lower band storage: band[d, i] holds the entry (i + d, i)
+    band = np.zeros((3, 2 * N))
+    band[2, 0:-2:2] = w[: N - 1]
+    band[2, 1:-2:2] = w[2 * N - 2 : N - 1 : -1]
+    band[1, 0] = w[-1]
+    band[1, -2] += w[N - 1]  # the fold; for N = 1 it shares the entry with the corner
     try:
-        s = np.linalg.svd(form.A + form.B, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular value computation failed") from exc
-    return 2.0 * s[::-1]
+        ev = linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise SolverError("banded eigenvalue computation failed") from exc
+    return np.sort(2.0 * np.abs(ev[N:]))
 
 
 def _fix_sign(row: np.ndarray, partner: np.ndarray | None = None) -> None:
@@ -177,7 +214,10 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     modes the relations no longer tie the pair together, so ``Psi_k``
     gets the same rule applied independently.
     """
-    T = form.A + form.B
+    T = form.T
+    # LAPACK may turn an inf into NaN output without reporting failure
+    if not np.isfinite(T).all():
+        raise SolverError("quadratic form has non-finite entries")
     try:
         U, s, Vh = np.linalg.svd(T)
     except np.linalg.LinAlgError as exc:
@@ -189,7 +229,7 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     # independent sign fixing of a Phi/Psi pair is only safe when the
     # singular value is negligible: for any larger s it would desync the
     # pairing by 2s and fail the residual check below
-    scale = np.linalg.norm(form.A, 2)
+    scale = np.linalg.norm(0.5 * (T + T.T), 2)  # the hopping matrix A
     zero_tol = 1e-12 * max(scale, 1.0)
     for k in range(form.N):
         if s[k] > zero_tol:

@@ -380,10 +380,20 @@ class PhaseCell:
 
 @dataclass(frozen=True)
 class PhaseColumn:
+    """One ``J_min`` column: its onset and transition order.
+
+    ``status`` is ``"error"`` when locating the onset failed (a failed
+    sweep point inside the bracket search, or a failed solve during
+    bisection); ``message`` then says why, and the column's cells are
+    still labeled.
+    """
+
     E_z: float
     J_min: float
     lambda_c: float | None
     transition_order: str
+    status: str = "ok"
+    message: str = ""
 
 
 @dataclass(frozen=True)
@@ -418,6 +428,9 @@ def phase_diagram(
     ground state.  The per-``E_z`` crossover is the midpoint between the
     largest ``J_min`` column labeled second order and the smallest
     labeled first order, provided the two groups do not interleave.
+
+    A solver failure while locating one column's onset is recorded on
+    that column (``status == "error"``) and does not stop the others.
     """
     if chain.ising.kind != "rectangular":
         raise ValueError("phase diagrams are built over rectangular profiles")
@@ -439,6 +452,7 @@ def phase_diagram(
 
             lambda_c = None
             t_order = "none"
+            status, message = "ok", ""
             try:
                 if order:
                     cls = classify_transition_order(result, thr)
@@ -447,10 +461,12 @@ def phase_diagram(
                     lambda_c = critical_coupling(result, thr)
             except NoTransitionError:
                 pass
+            except SolverError as exc:
+                status, message = "error", str(exc)
             columns.append(
                 PhaseColumn(
                     E_z=float(E_z), J_min=float(J_min), lambda_c=lambda_c,
-                    transition_order=t_order,
+                    transition_order=t_order, status=status, message=message,
                 )
             )
 

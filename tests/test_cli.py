@@ -178,6 +178,7 @@ class TestPhaseDiagramCommand:
         boundary = load_json(tmp_path / "out" / "boundary.json")
         assert len(boundary["columns"]) == 1
         assert boundary["columns"][0]["transition_order"] == "none"
+        assert boundary["columns"][0]["status"] == "ok"
         assert boundary["crossover"] == [{"E_z": 0.8, "J_min": None}]
 
 

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavising.fermion import (
     Sector,
@@ -50,15 +52,16 @@ class TestAssembly:
                 [-0.20, 0.00, -0.15, 0.00],
             ]
         )
-        np.testing.assert_allclose(form.A, A_ref, atol=1e-15)
-        np.testing.assert_allclose(form.B, B_ref, atol=1e-15)
+        T = form.T
+        np.testing.assert_allclose(0.5 * (T + T.T), A_ref, atol=1e-15)
+        np.testing.assert_allclose(0.5 * (T - T.T), B_ref, atol=1e-15)
 
     def test_wrap_bond_sign_flips_with_sector(self):
         Om = np.array([0.4, 0.5, 0.6, 0.7])
         J = np.array([0.1, 0.2, 0.3, 0.4])
         even = build_quadratic_form(flat_field(Om), J, Sector.EVEN)
         odd = build_quadratic_form(flat_field(Om), J, Sector.ODD)
-        diff = (even.A + even.B) - (odd.A + odd.B)
+        diff = even.T - odd.T
         # only the corner entry T[0, 3] changes, by twice the wrap coupling
         ref = np.zeros((4, 4))
         ref[0, 3] = 2.0 * J[3]
@@ -69,16 +72,17 @@ class TestAssembly:
         # sector twists the second one
         form = build_quadratic_form(flat_field([0.3, 0.7]), [0.2, 0.5], Sector.EVEN)
         T_ref = np.array([[0.3, 0.5], [-0.2, 0.7]])
-        np.testing.assert_allclose(form.A + form.B, T_ref, atol=1e-15)
+        np.testing.assert_allclose(form.T, T_ref, atol=1e-15)
 
-    def test_symmetry(self):
+    def test_bidiagonal_plus_corner(self):
         rng = np.random.default_rng(3)
-        for sector in (Sector.EVEN, Sector.ODD):
+        for sector, sign in ((Sector.EVEN, 1.0), (Sector.ODD, -1.0)):
             Om = rng.uniform(0.1, 1.0, 7)
             J = rng.uniform(0.0, 1.0, 7)
-            form = build_quadratic_form(flat_field(Om), J, sector)
-            np.testing.assert_allclose(form.A, form.A.T, atol=1e-15)
-            np.testing.assert_allclose(form.B, -form.B.T, atol=1e-15)
+            T = build_quadratic_form(flat_field(Om), J, sector).T
+            ref = np.diag(Om) + np.diag(-J[:-1], -1)
+            ref[0, 6] = sign * J[6]
+            np.testing.assert_array_equal(T, ref)
 
     def test_bond_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -116,6 +120,63 @@ class TestSpectrum:
         np.testing.assert_allclose(sol.energies, quasiparticle_energies(form), atol=1e-12)
 
 
+def dense_energies(T):
+    return 2.0 * np.sort(np.linalg.svd(np.asarray(T, dtype=float), compute_uv=False))
+
+
+@st.composite
+def rings(draw):
+    N = draw(st.integers(1, 64))
+    values = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
+    Om = np.array(draw(st.lists(values, min_size=N, max_size=N)))
+    if draw(st.booleans()):
+        J = np.zeros(N)
+    else:
+        J = np.array(draw(st.lists(values, min_size=N, max_size=N)))
+    return Om, J, draw(st.sampled_from(Sector))
+
+
+class TestBandedSpectrum:
+    """The folded Golub-Kahan band against a dense SVD of ``T``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rings())
+    def test_matches_dense_svd(self, ring):
+        Om, J, sector = ring
+        form = build_quadratic_form(flat_field(Om), J, sector)
+        tol = 1e-12 * max(1.0, Om.max() + J.max())
+        np.testing.assert_allclose(
+            quasiparticle_energies(form), dense_energies(form.T), rtol=0, atol=tol
+        )
+
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_one_site(self, sector):
+        form = build_quadratic_form(flat_field([0.7]), [0.4], sector)
+        np.testing.assert_allclose(quasiparticle_energies(form), [1.4], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("sector, sign", [(Sector.EVEN, 1.0), (Sector.ODD, -1.0)])
+    def test_two_and_three_sites(self, sector, sign):
+        cases = [
+            ([0.3, 0.8], [0.2, 0.6], [[0.3, sign * 0.6], [-0.2, 0.8]]),
+            (
+                [0.3, 0.8, 0.5],
+                [0.2, 0.6, 0.9],
+                [[0.3, 0.0, sign * 0.9], [-0.2, 0.8, 0.0], [0.0, -0.6, 0.5]],
+            ),
+        ]
+        for Om, J, T in cases:
+            form = build_quadratic_form(flat_field(Om), J, sector)
+            np.testing.assert_allclose(
+                quasiparticle_energies(form), dense_energies(T), rtol=0, atol=1e-14
+            )
+
+    @pytest.mark.parametrize("N", [2, 3, 8, 33, 200])
+    def test_gap_closes_in_odd_sector(self, N):
+        # periodic fermions at Omega = J carry the k = 0 zero mode
+        form = build_quadratic_form(flat_field(np.full(N, 0.45)), np.full(N, 0.45), Sector.ODD)
+        assert quasiparticle_energies(form)[0] <= 1e-12
+
+
 class TestModeMatrices:
     def test_relations_and_orthogonality(self):
         rng = np.random.default_rng(5)
@@ -126,7 +187,7 @@ class TestModeMatrices:
                 J = rng.uniform(0.0, 1.0, N)
                 form = build_quadratic_form(flat_field(Om), J, sector)
                 sol = solve_quasiparticles(form)
-                T = form.A + form.B
+                T = form.T
                 half = 0.5 * sol.energies[:, None]
                 np.testing.assert_allclose(sol.Phi @ T, half * sol.Psi, atol=1e-10)
                 np.testing.assert_allclose(sol.Psi @ T.T, half * sol.Phi, atol=1e-10)
@@ -192,6 +253,16 @@ class TestFailureModes:
     def test_nan_input_raises_solver_error(self):
         Om = np.array([0.4, np.nan, 0.4])
         form = build_quadratic_form(flat_field(Om), np.full(3, 0.1))
+        with pytest.raises(SolverError):
+            solve_quasiparticles(form)
+        with pytest.raises(SolverError):
+            quasiparticle_energies(form)
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_inf_bond_raises_solver_error(self, wrap):
+        J = np.full(3, 0.1)
+        J[2 if wrap else 1] = np.inf
+        form = build_quadratic_form(flat_field(np.full(3, 0.4)), J)
         with pytest.raises(SolverError):
             solve_quasiparticles(form)
         with pytest.raises(SolverError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cavising import phases
 from cavising.correlation import CorrelationReport
 from cavising.fermion import SolverError
 from cavising.meanfield import SearchSpec
@@ -217,3 +218,41 @@ class TestPhaseDiagram:
             phase_diagram(desk_chain(), (2,), [0.1], [0.001])
         with pytest.raises(ValueError):
             phase_diagram(desk_chain(), (2,), [0.1], [0.001], delta_J=0.025, delta_J_factor=0.25)
+
+    def _flaky_minimizer(self, monkeypatch, fails):
+        real = phases.minimize_phi
+
+        def flaky(chain, modeset, search=None):
+            if fails(chain.ising.J_min, modeset.lambda0):
+                raise SolverError("injected failure")
+            return real(chain, modeset, search)
+
+        monkeypatch.setattr(phases, "minimize_phi", flaky)
+
+    def test_failed_sweep_point_is_isolated_to_its_column(self, monkeypatch):
+        grid = np.linspace(0.15, 0.3, 7)
+        self._flaky_minimizer(monkeypatch, lambda J_min, lam: J_min == 0.001 and lam == grid[4])
+        diagram = phase_diagram(
+            desk_chain(), (2,), grid, (0.001, 0.002), delta_J=0.025, search=QUICK,
+            magnetic=False, order=False,
+        )
+        bad, good = diagram.columns
+        assert (bad.status, bad.lambda_c, bad.transition_order) == ("error", None, "none")
+        assert "injected failure" in bad.message
+        assert good.status == "ok" and good.message == ""
+        assert grid[3] < good.lambda_c < grid[4]
+        assert len(diagram.cells) == 2 * len(grid)
+        failed = [c for c in diagram.cells if c.status != "ok"]
+        assert [(c.J_min, c.lambda0) for c in failed] == [(0.001, grid[4])]
+        assert failed[0].message == "injected failure"
+
+    def test_failed_bisection_point_is_isolated_to_its_column(self, monkeypatch):
+        grid = np.linspace(0.15, 0.3, 7)
+        self._flaky_minimizer(monkeypatch, lambda J_min, lam: lam not in grid)
+        diagram = phase_diagram(
+            desk_chain(), (2,), grid, (0.001,), delta_J=0.025, search=QUICK, magnetic=False,
+        )
+        (col,) = diagram.columns
+        assert (col.status, col.lambda_c, col.message) == ("error", None, "injected failure")
+        assert [c.status for c in diagram.cells] == ["ok"] * len(grid)
+        assert diagram.crossover == ((0.1, None),)
