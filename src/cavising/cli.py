@@ -270,6 +270,7 @@ def _run_phase_diagram(
                     "E_z": col.E_z,
                     "J_min": col.J_min,
                     "lambda_c": col.lambda_c,
+                    "lambda_spinodal": col.lambda_spinodal,
                     "transition_order": col.transition_order,
                     "status": col.status,
                     "message": col.message,

@@ -183,17 +183,46 @@ def quasiparticle_energies(form: QuadraticForm) -> np.ndarray:
     w[0::2] = form.diagonal
     w[1:-1:2] = form.subdiagonal
     w[-1] = form.corner
+    ev = _cycle_eigvals(w)
+    return np.sort(2.0 * np.abs(ev[N:]))
+
+
+def _cycle_eigvals(edge: np.ndarray, node: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues of a symmetric n-cycle matrix, n >= 2, ascending.
+
+    ``edge[i]`` is the weight between rows ``i`` and ``(i + 1) % n`` and
+    ``node`` the diagonal (zero when omitted); for ``n = 2`` both edges
+    land on the same entry and add.  Visiting the rows as ``0, n-1, 1,
+    n-2, ...`` puts every edge within distance 2 of the diagonal, so the
+    matrix folds into a symmetric band of width 2.
+    """
+    n = edge.size
+    m = (n + 1) // 2
     # lower band storage: band[d, i] holds the entry (i + d, i)
-    band = np.zeros((3, 2 * N))
-    band[2, 0:-2:2] = w[: N - 1]
-    band[2, 1:-2:2] = w[2 * N - 2 : N - 1 : -1]
-    band[1, 0] = w[-1]
-    band[1, -2] += w[N - 1]  # the fold; for N = 1 it shares the entry with the corner
+    band = np.zeros((3, n))
+    if node is not None:
+        band[0, 0::2] = node[:m]
+        band[0, 1::2] = node[: m - 1 : -1]
+    band[2, 0 : 2 * m - 2 : 2] = edge[: m - 1]
+    band[2, 1 : 2 * (n // 2) - 1 : 2] = edge[n - 2 : m - 1 : -1]
+    band[1, 0] = edge[-1]
+    band[1, -2] += edge[m - 1]  # the fold, where the two halves of the cycle meet
     try:
-        ev = linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
+        return linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise SolverError("banded eigenvalue computation failed") from exc
-    return np.sort(2.0 * np.abs(ev[N:]))
+
+
+def _hopping_norm(form: QuadraticForm) -> float:
+    """Spectral norm of the hopping matrix ``A = (T + T^T) / 2``.
+
+    ``A`` is a symmetric cyclic tridiagonal, so its eigenvalues come
+    from the same fold as the spectrum, in O(N^2).
+    """
+    if form.N == 1:
+        return abs(form.diagonal[0] + form.corner)
+    edge = 0.5 * np.append(form.subdiagonal, form.corner)
+    return float(np.max(np.abs(_cycle_eigvals(edge, form.diagonal))))
 
 
 def _fix_sign(row: np.ndarray, partner: np.ndarray | None = None) -> None:
@@ -229,7 +258,7 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     # independent sign fixing of a Phi/Psi pair is only safe when the
     # singular value is negligible: for any larger s it would desync the
     # pairing by 2s and fail the residual check below
-    scale = np.linalg.norm(0.5 * (T + T.T), 2)  # the hopping matrix A
+    scale = _hopping_norm(form)
     zero_tol = 1e-12 * max(scale, 1.0)
     for k in range(form.N):
         if s[k] > zero_tol:

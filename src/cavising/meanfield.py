@@ -7,9 +7,14 @@ The energy per site at mode amplitudes ``phi`` is
 with the quasiparticle spectrum taken in the even sector.  The field
 part is exactly quadratic; all structure comes through the dependence of
 the dressed fields ``Omega(j)`` on ``phi``.  Minimization is grid-seeded
-and polished by golden-section line searches, which keeps the search
+and polished by bounded Brent line searches, which keeps the search
 robust on surfaces with several competing minima (the first-order
 regime) without derivative information.
+
+Where ``phi = 0`` stops being a minimum follows from linear response
+alone: the chain sees ``phi`` only through ``Omega(j) = E_z/2 +
+d(j)^2/E_z + O(phi^4)``, so the Hessian of ``e_g`` at the origin needs
+just the undriven polarization (:func:`normal_phase_onset`).
 
 A single amplitude is searched on ``phi >= 0``: the energy is even under
 the joint flip of all amplitudes, so the nonnegative half covers the
@@ -30,8 +35,8 @@ from itertools import product
 import numpy as np
 from scipy import optimize
 
-from .correlation import CorrelationReport, correlation_report
-from .fermion import Sector, build_quadratic_form, quasiparticle_energies
+from .correlation import CorrelationReport, correlation_report, pair_contractions
+from .fermion import Sector, build_quadratic_form, ground_sector, quasiparticle_energies
 from .model import ChainSpec, ModeSet, effective_field
 
 __all__ = [
@@ -40,11 +45,10 @@ __all__ = [
     "StationaryPoint",
     "energy_per_particle",
     "minimize_phi",
+    "normal_phase_onset",
     "stationary_points",
     "order_parameter_residual",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -116,21 +120,9 @@ def energy_per_particle(chain: ChainSpec, modeset: ModeSet, phi) -> float:
     return field_part - float(np.sum(lam)) / (2.0 * chain.N)
 
 
-def _golden_min(f, a: float, b: float, tol: float):
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _bounded_min(f, a: float, b: float, tol: float):
+    res = optimize.minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": tol})
+    return float(res.x), float(res.fun)
 
 
 def _interior_minima(vals: np.ndarray):
@@ -161,11 +153,11 @@ def _minimize_single(f, search: SearchSpec):
     # with both endpoints above its floor, so refine that cell
     # unconditionally; on a rising edge the refinement collapses back to
     # the origin and loses the sort below
-    candidates.append(_golden_min(f, grid[0], grid[1], search.refine_tol))
+    candidates.append(_bounded_min(f, grid[0], grid[1], search.refine_tol))
     for i in _interior_minima(vals):
-        candidates.append(_golden_min(f, grid[i - 1], grid[i + 1], search.refine_tol))
+        candidates.append(_bounded_min(f, grid[i - 1], grid[i + 1], search.refine_tol))
     if vals[-1] < vals[-2]:
-        candidates.append(_golden_min(f, grid[-2], grid[-1], search.refine_tol))
+        candidates.append(_bounded_min(f, grid[-2], grid[-1], search.refine_tol))
     candidates.sort(key=lambda c: c[1])
     x, fx = candidates[0]
     degenerate = any(
@@ -184,13 +176,13 @@ def _line_min(f_along, search: SearchSpec):
     center = search.line_points - 1
     best = [(0.0, vals[center])]
     # same hidden-basin guard as the single-mode scan, on both sides of zero
-    best.append(_golden_min(f_along, grid[center - 1], grid[center + 1], search.refine_tol))
+    best.append(_bounded_min(f_along, grid[center - 1], grid[center + 1], search.refine_tol))
     for i in _interior_minima(vals):
-        best.append(_golden_min(f_along, grid[i - 1], grid[i + 1], search.refine_tol))
+        best.append(_bounded_min(f_along, grid[i - 1], grid[i + 1], search.refine_tol))
     if vals[0] < vals[1]:
-        best.append(_golden_min(f_along, grid[0], grid[1], search.refine_tol))
+        best.append(_bounded_min(f_along, grid[0], grid[1], search.refine_tol))
     if vals[-1] < vals[-2]:
-        best.append(_golden_min(f_along, grid[-2], grid[-1], search.refine_tol))
+        best.append(_bounded_min(f_along, grid[-2], grid[-1], search.refine_tol))
     return min(best, key=lambda c: c[1])
 
 
@@ -277,6 +269,39 @@ def minimize_phi(
     return MeanFieldState(phi=phi, Sigma_x=Sigma_x, e_g=float(e_g), degenerate=degenerate)
 
 
+def normal_phase_onset(chain: ChainSpec, modes) -> float | None:
+    """Smallest ``lambda0`` at which ``phi = 0`` stops being a minimum of ``e_g``.
+
+    At the origin the Hessian of ``e_g`` over the amplitudes of ``modes``
+    is
+
+        H(lambda0) = 2 diag(omega_l + 4 D_l)
+                     - (8 / (N E_z)) sum_j <s^z_j> lambda_l(j) lambda_m(j)
+
+    with ``<s^z_j>`` the polarization of the undriven chain, one fermion
+    solve that does not depend on ``lambda0``.  The couplings scale as
+    ``lambda0`` and ``D_l`` as ``lambda0^2``, so ``H = 2 diag(omega) +
+    lambda0^2 Q`` and the origin destabilizes at ``lambda0^2 = -1/mu``
+    for the most negative eigenvalue ``mu`` of ``Q`` scaled by
+    ``(2 omega)^(-1/2)`` on both sides.  Returns ``None`` when no finite
+    ``lambda0`` does so.
+
+    Along a second-order transition this is the onset itself; a
+    first-order transition condenses below it, and the value is then the
+    spinodal of the normal phase.
+    """
+    unit = ModeSet(modes=tuple(modes), lambda0=1.0, N=chain.N, E_c=chain.E_c)
+    fld = effective_field(chain, unit, np.zeros(unit.n_modes))
+    sz = -np.diag(pair_contractions(ground_sector(fld, chain.bonds())))
+    response = (unit.couplings * sz) @ unit.couplings.T * (8.0 / (chain.N * chain.E_z))
+    Q = 8.0 * np.diag(unit.D) - response
+    scale = 1.0 / np.sqrt(2.0 * unit.frequencies)
+    mu = np.linalg.eigvalsh(scale[:, None] * Q * scale[None, :])[0]
+    if mu >= 0.0:
+        return None
+    return math.sqrt(-1.0 / mu)
+
+
 def stationary_points(
     chain: ChainSpec, modeset: ModeSet, search: SearchSpec | None = None
 ) -> list[StationaryPoint]:
@@ -296,20 +321,20 @@ def stationary_points(
 
     points = []
     for i in _interior_minima(vals):
-        x, fx = _golden_min(f, grid[i - 1], grid[i + 1], search.refine_tol)
+        x, fx = _bounded_min(f, grid[i - 1], grid[i + 1], search.refine_tol)
         points.append((x, fx, "minimum"))
     for i in _interior_minima(-vals):
-        x, fx = _golden_min(lambda t: -f(t), grid[i - 1], grid[i + 1], search.refine_tol)
+        x, fx = _bounded_min(lambda t: -f(t), grid[i - 1], grid[i + 1], search.refine_tol)
         points.append((x, -fx, "maximum"))
     if vals[-1] < vals[-2]:
-        x, fx = _golden_min(f, grid[-2], grid[-1], search.refine_tol)
+        x, fx = _bounded_min(f, grid[-2], grid[-1], search.refine_tol)
         points.append((x, fx, "minimum"))
         _warn_boundary(x, search, grid[1] - grid[0])
 
     # a basin narrower than one grid step can sit inside the first cell
     # with both endpoints above its floor, so probe that cell
     # unconditionally and classify phi = 0 against what the probe found
-    x0, fx0 = _golden_min(f, grid[0], grid[1], search.refine_tol)
+    x0, fx0 = _bounded_min(f, grid[0], grid[1], search.refine_tol)
     zero_rises = vals[1] >= vals[0]
     if x0 > 10 * search.refine_tol and fx0 < vals[0] and fx0 < vals[1]:
         points.append((x0, fx0, "minimum"))

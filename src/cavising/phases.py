@@ -5,9 +5,10 @@ one axis (coupling strength, weak-bond strength, or qubit splitting) and
 the classifiers condense the results into labels:
 
 * field phase: ``normal`` vs ``superradiant`` by the condensate norm;
-* transition order along the coupling axis: a jump test at the refined
-  critical coupling, corroborated by a one-sided slope-ratio probe of
-  the energy envelope and by a scan for coexisting minima (hysteresis);
+* transition order along the coupling axis: a jump test at the critical
+  coupling, found by bisection seeded with the linear-response onset,
+  corroborated by a one-sided slope-ratio probe of the energy envelope
+  and by a scan for coexisting minima (hysteresis);
 * magnetic order of the qubit ring from a correlation report:
   paramagnetic ``P``, ferromagnetic ``F``, or the spatially alternating
   ``FP`` pattern that strong-bond windows imprint.
@@ -19,13 +20,14 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .correlation import correlation_report
 from .fermion import SolverError
-from .meanfield import SearchSpec, minimize_phi, stationary_points
+from .meanfield import SearchSpec, minimize_phi, normal_phase_onset, stationary_points
 from .model import ChainSpec, IsingProfile, ModeSet
 
 __all__ = [
@@ -204,6 +206,11 @@ class _PointCache:
     def energy(self, lam: float) -> float:
         return float(self.state(lam).e_g)
 
+    @cached_property
+    def onset(self) -> float | None:
+        """Linear-response instability of ``phi = 0`` for this context."""
+        return normal_phase_onset(self.ctx.chain, self.ctx.modes)
+
 
 def _onset_bracket(result: SweepResult, thr: Thresholds):
     flags = [_condensed(r, thr) for r in result.records]
@@ -216,6 +223,18 @@ def _onset_bracket(result: SweepResult, thr: Thresholds):
 
 
 def _bisect_onset(cache: _PointCache, lo: float, hi: float, thr: Thresholds):
+    # the linear-response onset only chooses where to probe first: both
+    # probes go through the real minimizer, so a wrong guess costs one
+    # solve and leaves the bracket verified
+    onset = cache.onset
+    if onset is not None:
+        for probe in (onset - 0.4 * thr.critical_tol, onset + 0.4 * thr.critical_tol):
+            if not lo < probe < hi:
+                continue
+            if cache.phi_norm(probe) > thr.field:
+                hi = probe
+                break
+            lo = probe
     while hi - lo > thr.critical_tol:
         mid = 0.5 * (lo + hi)
         if cache.phi_norm(mid) > thr.field:
@@ -225,17 +244,26 @@ def _bisect_onset(cache: _PointCache, lo: float, hi: float, thr: Thresholds):
     return lo, hi
 
 
+def _refine_onset(result: SweepResult, thr: Thresholds, cache: _PointCache | None = None):
+    lo, hi = _onset_bracket(result, thr)
+    if cache is None:
+        cache = _PointCache(result.context, result.axis)
+    lo, hi = _bisect_onset(cache, lo, hi, thr)
+    return lo, hi, cache
+
+
 def critical_coupling(result: SweepResult, thresholds: Thresholds | None = None) -> float:
     """Onset coupling of the condensate, refined by bisection.
 
     The sweep must run along ``lambda0`` and must straddle the onset:
     :class:`NoTransitionError` or :class:`AlreadyCondensedError` report
-    the two ways a grid can miss it.
+    the two ways a grid can miss it.  The bisection first probes just
+    either side of :func:`~cavising.meanfield.normal_phase_onset` when
+    it falls inside the bracket; on a second-order transition those two
+    solves already close the bracket to ``critical_tol``.  Every probe
+    is a full minimization, so the result does not rest on the guess.
     """
-    thr = thresholds or Thresholds()
-    lo, hi = _onset_bracket(result, thr)
-    cache = _PointCache(result.context, result.axis)
-    lo, hi = _bisect_onset(cache, lo, hi, thr)
+    lo, hi, _ = _refine_onset(result, thresholds or Thresholds())
     return 0.5 * (lo + hi)
 
 
@@ -266,17 +294,24 @@ def classify_transition_order(
 
     When the probes contradict the jump verdict the label is
     ``ambiguous`` rather than a coin flip.
+
+    The bracket comes from the bisection of :func:`critical_coupling`,
+    seeded by the linear-response onset; when the probe ``0.4
+    critical_tol`` above that onset has condensed, as on a second-order
+    transition, it is the upper edge where the jump is read.
     """
-    thr = thresholds or Thresholds()
+    return _classify(result, thresholds or Thresholds())
+
+
+def _classify(
+    result: SweepResult, thr: Thresholds, cache: _PointCache | None = None
+) -> TransitionClassification:
     try:
-        lo, hi = _onset_bracket(result, thr)
+        lo, hi, cache = _refine_onset(result, thr, cache)
     except AlreadyCondensedError:
         raise
     except NoTransitionError:
         return TransitionClassification(order="none")
-
-    cache = _PointCache(result.context, result.axis)
-    lo, hi = _bisect_onset(cache, lo, hi, thr)
     lambda_c = 0.5 * (lo + hi)
     jump = cache.phi_norm(hi)
     jump_first = jump > thr.jump
@@ -382,10 +417,13 @@ class PhaseCell:
 class PhaseColumn:
     """One ``J_min`` column: its onset and transition order.
 
-    ``status`` is ``"error"`` when locating the onset failed (a failed
-    sweep point inside the bracket search, or a failed solve during
-    bisection); ``message`` then says why, and the column's cells are
-    still labeled.
+    ``lambda_spinodal`` is :func:`~cavising.meanfield.normal_phase_onset`
+    of the column, where ``phi = 0`` stops being a minimum (``None`` when
+    it never does): the onset itself on a second-order column, above
+    ``lambda_c`` on a first-order one.  ``status`` is ``"error"`` when
+    locating the onset failed (a failed sweep point inside the bracket
+    search, or a failed solve during bisection); ``message`` then says
+    why, and the column's cells are still labeled.
     """
 
     E_z: float
@@ -394,6 +432,7 @@ class PhaseColumn:
     transition_order: str
     status: str = "ok"
     message: str = ""
+    lambda_spinodal: float | None = None
 
 
 @dataclass(frozen=True)
@@ -450,15 +489,18 @@ def phase_diagram(
             ctx = SweepContext(chain=col_chain, modes=modes, search=search)
             result = sweep(ctx, "lambda0", lambda0_values, threads=threads)
 
-            lambda_c = None
+            cache = _PointCache(ctx, "lambda0")
+            lambda_c = lambda_s = None
             t_order = "none"
             status, message = "ok", ""
             try:
+                lambda_s = cache.onset
                 if order:
-                    cls = classify_transition_order(result, thr)
+                    cls = _classify(result, thr, cache)
                     lambda_c, t_order = cls.lambda_c, cls.order
                 else:
-                    lambda_c = critical_coupling(result, thr)
+                    lo, hi, _ = _refine_onset(result, thr, cache)
+                    lambda_c = 0.5 * (lo + hi)
             except NoTransitionError:
                 pass
             except SolverError as exc:
@@ -467,6 +509,7 @@ def phase_diagram(
                 PhaseColumn(
                     E_z=float(E_z), J_min=float(J_min), lambda_c=lambda_c,
                     transition_order=t_order, status=status, message=message,
+                    lambda_spinodal=lambda_s,
                 )
             )
 

@@ -8,6 +8,8 @@ import pytest
 import yaml
 
 from cavising.cli import main
+from cavising.meanfield import normal_phase_onset
+from cavising.model import ChainSpec, IsingProfile
 
 
 def base_model():
@@ -179,6 +181,13 @@ class TestPhaseDiagramCommand:
         assert len(boundary["columns"]) == 1
         assert boundary["columns"][0]["transition_order"] == "none"
         assert boundary["columns"][0]["status"] == "ok"
+        # the onset lies above the grid, but phi = 0 still has a spinodal
+        column_chain = ChainSpec(
+            N=12, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.11, 0.01, 2)
+        )
+        assert boundary["columns"][0]["lambda_spinodal"] == pytest.approx(
+            normal_phase_onset(column_chain, (2,)), rel=1e-12
+        )
         assert boundary["crossover"] == [{"E_z": 0.8, "J_min": None}]
 
 

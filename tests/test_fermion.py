@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavising import fermion
 from cavising.fermion import (
+    QuadraticForm,
     Sector,
     SolverError,
     build_quadratic_form,
@@ -175,6 +177,35 @@ class TestBandedSpectrum:
         # periodic fermions at Omega = J carry the k = 0 zero mode
         form = build_quadratic_form(flat_field(np.full(N, 0.45)), np.full(N, 0.45), Sector.ODD)
         assert quasiparticle_energies(form)[0] <= 1e-12
+
+
+class TestHoppingNorm:
+    """The full solve's tolerance scale ``||(T + T^T) / 2||_2`` from the fold."""
+
+    @staticmethod
+    def dense_norm(T):
+        T = np.asarray(T, dtype=float)
+        return np.linalg.norm(0.5 * (T + T.T), 2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rings())
+    def test_matches_dense_norm(self, ring):
+        Om, J, sector = ring
+        form = build_quadratic_form(flat_field(Om), J, sector)
+        np.testing.assert_allclose(
+            fermion._hopping_norm(form), self.dense_norm(form.T), rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_small_rings(self, sector):
+        for Om, J in (([0.7], [0.4]), ([0.3, 0.8], [0.2, 0.6]), ([0.3, 0.8, 0.5], [0.2, 0.6, 0.9])):
+            form = build_quadratic_form(flat_field(Om), J, sector)
+            np.testing.assert_allclose(
+                fermion._hopping_norm(form), self.dense_norm(form.T), rtol=1e-12, atol=0
+            )
+        # a one-site form with its own corner folds the corner onto the diagonal
+        form = QuadraticForm(diagonal=[0.3], subdiagonal=[], corner=-0.9, sector=sector)
+        assert fermion._hopping_norm(form) == pytest.approx(0.6, rel=1e-12)
 
 
 class TestModeMatrices:

@@ -7,11 +7,12 @@ from cavising.meanfield import (
     SearchSpec,
     energy_per_particle,
     minimize_phi,
+    normal_phase_onset,
     order_parameter_residual,
     stationary_points,
 )
 from cavising.model import ChainSpec, IsingProfile, ModeSet, effective_field
-from cavising.oracle import DenseSpinProblem, exact_ground
+from cavising.oracle import DenseSpinProblem, exact_expectations, exact_ground
 
 
 def desk_chain(J_max=0.026, J_min=0.001):
@@ -136,6 +137,96 @@ class TestMinimize:
         with pytest.warns(RuntimeWarning):
             state = minimize_phi(chain, ms, tight)
         assert state.phi[0] >= 0.015
+
+
+def origin_hessian(chain, modes, lambda0, h=1e-3):
+    """Central-difference Hessian of ``e_g`` at ``phi = 0``."""
+    ms = ModeSet(modes=modes, lambda0=lambda0, N=chain.N, E_c=chain.E_c)
+    n = len(modes)
+    e = lambda phi: energy_per_particle(chain, ms, np.asarray(phi, dtype=float))
+    step = h * np.eye(n)
+    e0 = e(np.zeros(n))
+    H = np.empty((n, n))
+    for a in range(n):
+        H[a, a] = (e(step[a]) - 2.0 * e0 + e(-step[a])) / h**2
+        for b in range(a):
+            H[a, b] = H[b, a] = (
+                e(step[a] + step[b]) - e(step[a] - step[b])
+                - e(step[b] - step[a]) + e(-step[a] - step[b])
+            ) / (4.0 * h**2)
+    return H
+
+
+def uniform_chain(N=200):
+    return ChainSpec(N=N, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.05))
+
+
+class TestNormalPhaseOnset:
+    @pytest.mark.parametrize(
+        "chain, modes",
+        [
+            (desk_chain(), (2,)),
+            (uniform_chain(), (1, 2, 3)),
+            (ChainSpec(N=1, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3)), (1,)),
+            (ChainSpec(N=2, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3)), (1, 2)),
+            (ChainSpec(N=3, E_z=0.6, E_c=8.0, ising=IsingProfile.explicit([0.2, 0.5, 0.1])), (2,)),
+        ],
+    )
+    def test_curvature_changes_sign(self, chain, modes):
+        lam = normal_phase_onset(chain, modes)
+        assert np.linalg.eigvalsh(origin_hessian(chain, modes, lam - 1e-3))[0] > 0.0
+        assert np.linalg.eigvalsh(origin_hessian(chain, modes, lam + 1e-3))[0] < 0.0
+
+    def test_desk_value(self):
+        assert normal_phase_onset(desk_chain(), (2,)) == pytest.approx(DESK_LAMBDA_C, abs=1e-4)
+
+    def test_uniform_ring_modes_share_the_onset(self):
+        chain = uniform_chain()
+        singles = [normal_phase_onset(chain, (l,)) for l in (1, 2, 3)]
+        assert max(singles) - min(singles) <= 1e-9
+        # the cos(l pi j / N) rows overlap under the polarization weights,
+        # so the joint Hessian softens before any diagonal entry does
+        assert normal_phase_onset(chain, (1, 2, 3)) < min(singles)
+
+    @pytest.mark.parametrize("period", [2, 3])
+    def test_windows_select_their_mode(self, period):
+        chain = ChainSpec(
+            N=200, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.35, 0.05, period)
+        )
+        onsets = {l: normal_phase_onset(chain, (l,)) for l in (1, 2, 3)}
+        assert min(onsets, key=onsets.get) == period
+
+    def test_one_site_closed_form(self):
+        # one spin at s^z = +1, lambda_l(0) = lambda0 sqrt(l), D_l = lambda0^2 l / (4 E_c):
+        # H = 2 l + lambda0^2 l (2 / E_c - 8 / E_z)
+        chain = ChainSpec(N=1, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3))
+        for l in (1, 2):
+            assert normal_phase_onset(chain, (l,)) == pytest.approx(
+                (4.0 / 0.8 - 1.0 / 8.0) ** -0.5, rel=1e-12
+            )
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_small_rings_against_brute_force(self, N):
+        # the single-mode root of H with <s^z_j> from exact diagonalization
+        chain = ChainSpec(
+            N=N, E_z=0.6, E_c=8.0, ising=IsingProfile.explicit([0.2, 0.5, 0.1][:N])
+        )
+        problem = DenseSpinProblem(Omega=np.full(N, 0.3), J=chain.bonds())
+        _, state = exact_ground(problem, parity=+1)
+        sz = exact_expectations(problem, state)["sigma_z"]
+        for l in (1, 2):
+            ms = ModeSet(modes=(l,), lambda0=1.0, N=N, E_c=8.0)
+            c = ms.couplings[0]
+            Q = 8.0 * ms.D[0] - 8.0 / (N * 0.6) * float(np.sum(sz * c * c))
+            assert normal_phase_onset(chain, (l,)) == pytest.approx(
+                np.sqrt(-2.0 * l / Q), rel=1e-10
+            )
+
+    def test_none_when_origin_never_destabilizes(self):
+        # a small E_c makes the self-energy D outgrow the response at every lambda0
+        chain = ChainSpec(N=8, E_z=0.8, E_c=0.1, ising=IsingProfile.uniform(0.1))
+        assert normal_phase_onset(chain, (1, 2)) is None
+        assert np.linalg.eigvalsh(origin_hessian(chain, (1, 2), 3.0))[0] > 0.0
 
 
 class TestStationaryPoints:

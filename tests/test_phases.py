@@ -124,6 +124,45 @@ class TestCriticalCoupling:
             critical_coupling(res)
 
 
+class TestOnsetGuess:
+    """The linear-response onset seeds the bisection but never decides it."""
+
+    @pytest.mark.parametrize("offset", [-0.03, 0.03, None])
+    def test_wrong_guess_leaves_the_onset(self, monkeypatch, offset):
+        res = sweep(desk_ctx(), "lambda0", [0.18, 0.28])
+        true = critical_coupling(res)
+        real = phases.normal_phase_onset
+        if offset is None:
+            monkeypatch.setattr(phases, "normal_phase_onset", lambda chain, modes: None)
+        else:
+            guess = real(desk_chain(), (2,)) + offset
+            assert 0.18 < guess < 0.28
+            monkeypatch.setattr(phases, "normal_phase_onset", lambda chain, modes: guess)
+        assert critical_coupling(res) == pytest.approx(true, abs=Thresholds().critical_tol)
+
+    def test_second_order_bisection_needs_few_solves(self, monkeypatch):
+        res = sweep(desk_ctx(), "lambda0", np.linspace(0.15, 0.3, 7))
+        calls = []
+        real = phases.minimize_phi
+
+        def counted(chain, modeset, search=None):
+            calls.append(modeset.lambda0)
+            return real(chain, modeset, search)
+
+        monkeypatch.setattr(phases, "minimize_phi", counted)
+        cls = classify_transition_order(res)
+        assert cls.order == "second"
+        # two probes around the onset, then the two slope probes above it
+        assert len(calls) <= 4
+
+    def test_first_order_spinodal_lies_above_the_onset(self):
+        chain = ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.8, 0.5, 2))
+        ctx = SweepContext(chain=chain, modes=(2,), search=QUICK)
+        cls = classify_transition_order(sweep(ctx, "lambda0", [0.9, 1.0, 1.1]))
+        assert cls.order == "first"
+        assert phases.normal_phase_onset(chain, (2,)) > cls.lambda_c + 0.02
+
+
 class TestTransitionOrder:
     def test_desk_transition_is_second_order(self):
         res = sweep(desk_ctx(), "lambda0", np.linspace(0.15, 0.3, 7))
@@ -204,6 +243,7 @@ class TestPhaseDiagram:
         col = diagram.columns[0]
         assert col.lambda_c == pytest.approx(DESK_LAMBDA_C, abs=1.5e-3)
         assert col.transition_order == "second"
+        assert col.lambda_spinodal == pytest.approx(col.lambda_c, abs=Thresholds().critical_tol)
         for cell in diagram.cells:
             assert cell.status == "ok"
             expected = "NP" if cell.lambda0 < col.lambda_c else "SP"
