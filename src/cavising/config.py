@@ -300,7 +300,7 @@ def _parse_spec_overrides(node, path: str, cls):
             raise ConfigError(f"{path}.{key}: expected a number")
         else:
             kwargs[key] = _number(value, f"{path}.{key}")
-    int_fields = {"coarse_points", "multi_coarse_points", "line_points", "max_cycles", "n_seeds"}
+    int_fields = {"coarse_points", "multi_coarse_points", "line_points", "n_seeds"}
     for key in int_fields & set(kwargs):
         kwargs[key] = int(kwargs[key])
     try:

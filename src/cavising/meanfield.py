@@ -6,22 +6,24 @@ The energy per site at mode amplitudes ``phi`` is
 
 with the quasiparticle spectrum taken in the even sector.  The field
 part is exactly quadratic; all structure comes through the dependence of
-the dressed fields ``Omega(j)`` on ``phi``.  Minimization is grid-seeded
-and polished by bounded Brent line searches, which keeps the search
-robust on surfaces with several competing minima (the first-order
-regime) without derivative information.
+the dressed fields ``Omega(j)`` on ``phi``.  Every search starts from a
+coarse grid, which keeps it robust on surfaces with several competing
+minima (the first-order regime), then refines a single amplitude by
+bounded Brent line searches and several by L-BFGS-B on the analytic
+Hellmann-Feynman gradient.
 
 Where ``phi = 0`` stops being a minimum follows from linear response
 alone: the chain sees ``phi`` only through ``Omega(j) = E_z/2 +
 d(j)^2/E_z + O(phi^4)``, so the Hessian of ``e_g`` at the origin needs
-just the undriven polarization (:func:`normal_phase_onset`).
+just the undriven polarization (:func:`normal_phase_onset`); the same
+Hessian starts the gradient polish off an unstable origin.
 
 A single amplitude is searched on ``phi >= 0``: the energy is even under
 the joint flip of all amplitudes, so the nonnegative half covers the
 physics up to that gauge.  With several modes only the joint flip is a
 symmetry, and the cross terms between condensed modes can favor mixed
 signs; the multi-mode search therefore seeds from the nonnegative box
-but descends over the full sign range, reporting the representative
+but polishes over the full sign range, reporting the representative
 whose dominant amplitude is nonnegative.
 """
 
@@ -57,9 +59,12 @@ class SearchSpec:
 
     ``coarse_points`` seeds the single-mode scan of ``[0, phi_max]``;
     ``multi_coarse_points`` is the per-axis resolution of the product
-    grid that seeds coordinate descent in several modes.  Defaults are
-    sized for production runs; tests and sweeps may pass something
-    slimmer.
+    grid whose ``n_seeds`` best well-separated points each start one
+    gradient polish in several modes.  ``descent_tol`` only sets how far
+    apart two multi-mode minimizers must lie to count as degenerate.
+    ``line_points`` is read by nothing; it stays only so that existing
+    callers that pass it keep working.  Defaults are sized for
+    production runs; tests and sweeps may pass something slimmer.
     """
 
     phi_max: float = 1.5
@@ -68,7 +73,6 @@ class SearchSpec:
     multi_coarse_points: int = 31
     line_points: int = 41
     descent_tol: float = 1e-5
-    max_cycles: int = 40
     n_seeds: int = 4
     degeneracy_tol: float = 1e-9
 
@@ -127,11 +131,7 @@ def _bounded_min(f, a: float, b: float, tol: float):
 
 def _interior_minima(vals: np.ndarray):
     """Indices of strict-then-flat local minima of a sampled curve."""
-    out = []
-    for i in range(1, len(vals) - 1):
-        if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
-            out.append(i)
-    return out
+    return np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
 
 
 def _warn_boundary(x: float, search: SearchSpec, step: float) -> None:
@@ -144,49 +144,62 @@ def _warn_boundary(x: float, search: SearchSpec, step: float) -> None:
         )
 
 
-def _minimize_single(f, search: SearchSpec):
+def _scan(f, search: SearchSpec):
+    """Sample ``[0, phi_max]``; refine the first cell, the interior minima
+    and, when the curve still falls there, the last cell."""
     grid = np.linspace(0.0, search.phi_max, search.coarse_points)
-    step = grid[1] - grid[0]
     vals = np.array([f(x) for x in grid])
-    candidates = [(0.0, vals[0])]
     # a condensate smaller than one grid step hides inside the first cell
     # with both endpoints above its floor, so refine that cell
     # unconditionally; on a rising edge the refinement collapses back to
-    # the origin and loses the sort below
-    candidates.append(_bounded_min(f, grid[0], grid[1], search.refine_tol))
-    for i in _interior_minima(vals):
-        candidates.append(_bounded_min(f, grid[i - 1], grid[i + 1], search.refine_tol))
+    # the origin
+    first = _bounded_min(f, grid[0], grid[1], search.refine_tol)
+    minima = [
+        _bounded_min(f, grid[i - 1], grid[i + 1], search.refine_tol)
+        for i in _interior_minima(vals)
+    ]
     if vals[-1] < vals[-2]:
-        candidates.append(_bounded_min(f, grid[-2], grid[-1], search.refine_tol))
-    candidates.sort(key=lambda c: c[1])
+        minima.append(_bounded_min(f, grid[-2], grid[-1], search.refine_tol))
+    return grid, vals, first, minima
+
+
+def _minimize_single(f, search: SearchSpec):
+    grid, vals, first, minima = _scan(f, search)
+    candidates = sorted([(0.0, vals[0]), first, *minima], key=lambda c: c[1])
     x, fx = candidates[0]
     degenerate = any(
         abs(c[1] - fx) < search.degeneracy_tol and abs(c[0] - x) > 10 * search.refine_tol
         for c in candidates[1:]
     )
-    _warn_boundary(x, search, step)
+    _warn_boundary(x, search, grid[1] - grid[0])
     return np.array([x]), fx, degenerate
 
 
-def _line_min(f_along, search: SearchSpec):
-    # symmetric range: with several modes only the joint sign flip is a
-    # symmetry, so a coordinate may genuinely prefer a negative value
-    grid = np.linspace(-search.phi_max, search.phi_max, 2 * search.line_points - 1)
-    vals = np.array([f_along(x) for x in grid])
-    center = search.line_points - 1
-    best = [(0.0, vals[center])]
-    # same hidden-basin guard as the single-mode scan, on both sides of zero
-    best.append(_bounded_min(f_along, grid[center - 1], grid[center + 1], search.refine_tol))
-    for i in _interior_minima(vals):
-        best.append(_bounded_min(f_along, grid[i - 1], grid[i + 1], search.refine_tol))
-    if vals[0] < vals[1]:
-        best.append(_bounded_min(f_along, grid[0], grid[1], search.refine_tol))
-    if vals[-1] < vals[-2]:
-        best.append(_bounded_min(f_along, grid[-2], grid[-1], search.refine_tol))
-    return min(best, key=lambda c: c[1])
+# the polish stops once the projected gradient falls below this (ftol = 0
+# leaves no other stop); the self-consistency residual is half the
+# gradient, so it ends below 5e-9
+_POLISH_GTOL = 1e-8
 
 
-def _minimize_multi(f, n_modes: int, search: SearchSpec):
+def _energy_and_gradient(phi, chain: ChainSpec, modeset: ModeSet):
+    """``e_g`` and, by Hellmann-Feynman, its gradient from one even-sector solve:
+
+        d e_g / d phi_l = 2 (omega_l + 4 D_l) phi_l - (2/N) sum_j lambda_l(j) sin(theta_j) <s^z_j>
+
+    with ``<s^z_j>`` in the rotated frame, twice the signed residual.
+    """
+    fld = effective_field(chain, modeset, phi)
+    sol = ground_sector(fld, chain.bonds())
+    sz = -np.diag(pair_contractions(sol))
+    stiffness = modeset.frequencies + 4.0 * modeset.D
+    e_g = float(np.sum(stiffness * phi * phi)) + sol.ground_energy_chain / chain.N
+    grad = 2.0 * stiffness * phi - (2.0 / chain.N) * (modeset.couplings @ (np.sin(fld.theta) * sz))
+    return e_g, grad
+
+
+def _minimize_multi(chain: ChainSpec, modeset: ModeSet, search: SearchSpec):
+    f = lambda phi: energy_per_particle(chain, modeset, phi)
+    n_modes = modeset.n_modes
     axis = np.linspace(0.0, search.phi_max, search.multi_coarse_points)
     step = axis[1] - axis[0]
     scored = sorted(
@@ -203,39 +216,27 @@ def _minimize_multi(f, n_modes: int, search: SearchSpec):
     refined = []
     for _, seed in seeds:
         x = np.array(seed)
-        fx = f(x)
-        for _ in range(search.max_cycles):
-            moved = 0.0
-            for axis_i in range(n_modes):
-                def along(t, i=axis_i):
-                    y = x.copy()
-                    y[i] = t
-                    return f(y)
-
-                t_best, f_best = _line_min(along, search)
-                moved = max(moved, abs(t_best - x[axis_i]))
-                x[axis_i] = t_best
-                fx = f_best
-            if moved < search.descent_tol:
-                break
-        # coordinate descent stalls short of stationarity in the curved
-        # valleys where two modes condense together; a simplex polish from
-        # the stalled point restores it to the self-consistency tolerance
+        if not x.any():
+            # the gradient vanishes at phi = 0, so an unstable origin would
+            # hold the polish there; start one grid step down the direction
+            # that softens first, which near a joint onset mixes the modes
+            H = 2.0 * np.diag(modeset.frequencies) + _origin_hessian(chain, modeset)
+            w, v = np.linalg.eigh(H)
+            if w[0] < 0.0:
+                x = step * v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
         res = optimize.minimize(
-            f,
+            _energy_and_gradient,
             x,
-            method="Nelder-Mead",
-            options={
-                "xatol": search.refine_tol,
-                "fatol": 1e-12,
-                "maxiter": 600 * n_modes,
-                "maxfev": 600 * n_modes,
-            },
+            args=(chain, modeset),
+            method="L-BFGS-B",
+            jac=True,
+            bounds=[(-search.phi_max, search.phi_max)] * n_modes,
+            options={"gtol": _POLISH_GTOL, "ftol": 0.0},
         )
-        if res.fun <= fx:
-            x, fx = np.asarray(res.x, dtype=float), float(res.fun)
+        x = np.asarray(res.x, dtype=float)
         if x[np.argmax(np.abs(x))] < 0.0:
             x = -x  # joint flip is exact, keep the dominant amplitude >= 0
+        fx = f(x)
         snapped = np.where(np.abs(x) < 1e-7, 0.0, x)
         if not np.array_equal(snapped, x):
             f_snap = f(snapped)
@@ -258,15 +259,23 @@ def minimize_phi(
 ) -> MeanFieldState:
     """Global minimum of ``e_g``, sign-normalized as described above."""
     search = search or SearchSpec()
-    f = lambda phi: energy_per_particle(chain, modeset, phi)
     if modeset.n_modes == 1:
         # one amplitude: phi >= 0 is exhaustive by the sign-flip symmetry
-        phi, e_g, degenerate = _minimize_single(lambda x: f(np.array([x])), search)
+        f = lambda x: energy_per_particle(chain, modeset, np.array([x]))
+        phi, e_g, degenerate = _minimize_single(f, search)
     else:
-        phi, e_g, degenerate = _minimize_multi(f, modeset.n_modes, search)
+        phi, e_g, degenerate = _minimize_multi(chain, modeset, search)
     phi = np.where(np.abs(phi) < 1e-12, 0.0, phi)
     Sigma_x = phi * (modeset.frequencies + 4.0 * modeset.D)
     return MeanFieldState(phi=phi, Sigma_x=Sigma_x, e_g=float(e_g), degenerate=degenerate)
+
+
+def _origin_hessian(chain: ChainSpec, modeset: ModeSet) -> np.ndarray:
+    """``Q = H - 2 diag(omega)`` of :func:`normal_phase_onset`, at the modes' ``lambda0``."""
+    fld = effective_field(chain, modeset, np.zeros(modeset.n_modes))
+    sz = -np.diag(pair_contractions(ground_sector(fld, chain.bonds())))
+    response = (modeset.couplings * sz) @ modeset.couplings.T * (8.0 / (chain.N * chain.E_z))
+    return 8.0 * np.diag(modeset.D) - response
 
 
 def normal_phase_onset(chain: ChainSpec, modes) -> float | None:
@@ -291,10 +300,7 @@ def normal_phase_onset(chain: ChainSpec, modes) -> float | None:
     spinodal of the normal phase.
     """
     unit = ModeSet(modes=tuple(modes), lambda0=1.0, N=chain.N, E_c=chain.E_c)
-    fld = effective_field(chain, unit, np.zeros(unit.n_modes))
-    sz = -np.diag(pair_contractions(ground_sector(fld, chain.bonds())))
-    response = (unit.couplings * sz) @ unit.couplings.T * (8.0 / (chain.N * chain.E_z))
-    Q = 8.0 * np.diag(unit.D) - response
+    Q = _origin_hessian(chain, unit)
     scale = 1.0 / np.sqrt(2.0 * unit.frequencies)
     mu = np.linalg.eigvalsh(scale[:, None] * Q * scale[None, :])[0]
     if mu >= 0.0:
@@ -316,25 +322,16 @@ def stationary_points(
         raise ValueError("stationary-point enumeration is defined for a single mode")
     search = search or SearchSpec()
     f = lambda x: energy_per_particle(chain, modeset, np.array([x]))
-    grid = np.linspace(0.0, search.phi_max, search.coarse_points)
-    vals = np.array([f(x) for x in grid])
+    grid, vals, (x0, fx0), minima = _scan(f, search)
 
-    points = []
-    for i in _interior_minima(vals):
-        x, fx = _bounded_min(f, grid[i - 1], grid[i + 1], search.refine_tol)
-        points.append((x, fx, "minimum"))
+    points = [(x, fx, "minimum") for x, fx in minima]
     for i in _interior_minima(-vals):
         x, fx = _bounded_min(lambda t: -f(t), grid[i - 1], grid[i + 1], search.refine_tol)
         points.append((x, -fx, "maximum"))
     if vals[-1] < vals[-2]:
-        x, fx = _bounded_min(f, grid[-2], grid[-1], search.refine_tol)
-        points.append((x, fx, "minimum"))
-        _warn_boundary(x, search, grid[1] - grid[0])
+        _warn_boundary(minima[-1][0], search, grid[1] - grid[0])
 
-    # a basin narrower than one grid step can sit inside the first cell
-    # with both endpoints above its floor, so probe that cell
-    # unconditionally and classify phi = 0 against what the probe found
-    x0, fx0 = _bounded_min(f, grid[0], grid[1], search.refine_tol)
+    # classify phi = 0 against what the first-cell probe found
     zero_rises = vals[1] >= vals[0]
     if x0 > 10 * search.refine_tol and fx0 < vals[0] and fx0 < vals[1]:
         points.append((x0, fx0, "minimum"))

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavising.meanfield import (
     SearchSpec,
+    _energy_and_gradient,
     energy_per_particle,
     minimize_phi,
     normal_phase_onset,
@@ -64,6 +67,38 @@ class TestEnergy:
             )
 
 
+@st.composite
+def mean_field_points(draw):
+    N = draw(st.integers(1, 60))
+    bond = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+    J = [0.0] * N if draw(st.booleans()) else draw(st.lists(bond, min_size=N, max_size=N))
+    chain = ChainSpec(
+        N=N, E_z=draw(st.floats(0.2, 1.5)), E_c=8.0, ising=IsingProfile.explicit(J)
+    )
+    modes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    ms = ModeSet(modes=tuple(modes), lambda0=draw(st.floats(0.0, 1.0)), N=N, E_c=8.0)
+    amplitude = st.floats(-0.8, 0.8, allow_nan=False, allow_infinity=False)
+    phi = np.array(draw(st.lists(amplitude, min_size=len(modes), max_size=len(modes))))
+    return chain, ms, phi
+
+
+class TestGradient:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mean_field_points())
+    def test_matches_central_differences(self, point):
+        chain, ms, phi = point
+        e_g, grad = _energy_and_gradient(phi, chain, ms)
+        assert e_g == pytest.approx(energy_per_particle(chain, ms, phi), abs=1e-12)
+        h = 1e-5
+        step = h * np.eye(ms.n_modes)
+        fd = np.array([
+            (energy_per_particle(chain, ms, phi + d) - energy_per_particle(chain, ms, phi - d))
+            / (2.0 * h)
+            for d in step
+        ])
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd))))
+
+
 class TestMinimize:
     def test_zero_coupling_stays_normal(self):
         chain = desk_chain()
@@ -111,7 +146,7 @@ class TestMinimize:
         chain = desk_chain()
         lam = DESK_LAMBDA_C + 0.003
         single = minimize_phi(chain, ModeSet(modes=(2,), lambda0=lam, N=40, E_c=8.0), QUICK)
-        multi_search = SearchSpec(multi_coarse_points=7, line_points=21, n_seeds=2)
+        multi_search = SearchSpec(multi_coarse_points=7, n_seeds=2)
         ms = ModeSet(modes=(1, 2, 3), lambda0=lam, N=40, E_c=8.0)
         multi = minimize_phi(chain, ms, multi_search)
         assert single.phi[0] > 0.01
@@ -126,9 +161,23 @@ class TestMinimize:
     def test_multimode_zero_coupling(self):
         chain = ChainSpec(N=8, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.1))
         ms = ModeSet(modes=(1, 2), lambda0=0.0, N=8, E_c=8.0)
-        search = SearchSpec(multi_coarse_points=5, line_points=11, n_seeds=2)
+        search = SearchSpec(multi_coarse_points=5, n_seeds=2)
         state = minimize_phi(chain, ms, search)
         np.testing.assert_array_equal(state.phi, 0.0)
+
+    def test_polish_leaves_an_unstable_origin(self):
+        # the gradient vanishes at phi = 0, so only the origin Hessian can
+        # show the polish the mixed-mode direction that softens first
+        chain = ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.05))
+        onset = normal_phase_onset(chain, (1, 2, 3))
+        assert onset == pytest.approx(0.61972, abs=1e-5)
+        search = SearchSpec(multi_coarse_points=7, n_seeds=1)
+        below = ModeSet(modes=(1, 2, 3), lambda0=onset - 1e-3, N=40, E_c=8.0)
+        np.testing.assert_array_equal(minimize_phi(chain, below, search).phi, 0.0)
+        above = ModeSet(modes=(1, 2, 3), lambda0=onset + 1e-3, N=40, E_c=8.0)
+        state = minimize_phi(chain, above, search)
+        assert np.all(state.phi > 1e-3)
+        assert float(np.max(order_parameter_residual(chain, above, state.phi))) < 1e-4
 
     def test_boundary_warning(self):
         chain = desk_chain()
@@ -249,6 +298,29 @@ class TestStationaryPoints:
         assert len(winners) == 1
         assert winners[0].phi > 0.02
         assert winners[0].kind == "minimum"
+
+    @pytest.mark.parametrize(
+        "chain, lambda0, n_minima",
+        [
+            (desk_chain(), DESK_LAMBDA_C - 0.06, 1),
+            (desk_chain(), DESK_LAMBDA_C + 0.06, 1),
+            # first-order column: the origin and the condensate are both minima
+            (
+                ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.8, 0.5, 2)),
+                1.0,
+                2,
+            ),
+        ],
+    )
+    def test_global_point_is_the_minimizer(self, chain, lambda0, n_minima):
+        ms = ModeSet(modes=(2,), lambda0=lambda0, N=chain.N, E_c=chain.E_c)
+        pts = stationary_points(chain, ms, QUICK)
+        assert sum(p.kind == "minimum" for p in pts) == n_minima
+        winners = [p for p in pts if p.is_global]
+        assert len(winners) == 1
+        state = minimize_phi(chain, ms, QUICK)
+        assert state.phi[0] == pytest.approx(winners[0].phi, abs=1e-12)
+        assert state.e_g == pytest.approx(winners[0].e_g, abs=1e-12)
 
     def test_multimode_rejected(self):
         chain = desk_chain()
