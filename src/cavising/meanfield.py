@@ -16,7 +16,11 @@ Where ``phi = 0`` stops being a minimum follows from linear response
 alone: the chain sees ``phi`` only through ``Omega(j) = E_z/2 +
 d(j)^2/E_z + O(phi^4)``, so the Hessian of ``e_g`` at the origin needs
 just the undriven polarization (:func:`normal_phase_onset`); the same
-Hessian starts the gradient polish off an unstable origin.
+Hessian starts the gradient polish off an unstable origin.  Where a
+single-mode condensate first ties ``phi = 0``, which is the onset of a
+first-order transition, follows from one scan of the energy at unit
+coupling, since ``lambda0`` enters only through ``lambda0 phi`` and the
+quadratic field part (``_crossing_onset``).
 
 A single amplitude is searched on ``phi >= 0``: the energy is even under
 the joint flip of all amplitudes, so the nonnegative half covers the
@@ -306,6 +310,40 @@ def normal_phase_onset(chain: ChainSpec, modes) -> float | None:
     if mu >= 0.0:
         return None
     return math.sqrt(-1.0 / mu)
+
+
+def _crossing_onset(
+    chain: ChainSpec, mode: int, s_max: float, search: SearchSpec
+) -> float | None:
+    """Smallest ``lambda0`` at which a condensate in ``mode`` ties ``phi = 0``.
+
+    With ``s = lambda0 phi`` the single-mode energy is ``e(phi) = (omega /
+    lambda0^2 + 4 D_1) s^2 + g(s)``, with ``D_1`` the self-energy at
+    ``lambda0 = 1`` and a chain part ``g`` that does not depend on
+    ``lambda0``.  So with ``u(s) = e_1(s) - e_1(0)`` at ``lambda0 = 1``,
+    ``e(phi) < e(0)`` exactly when ``lambda0 > s sqrt(omega / (omega s^2 -
+    u(s)))``, and the global minimizer leaves ``phi = 0`` at the smallest
+    such value over ``s``: one scan of ``u`` on ``coarse_points`` points of
+    ``(0, s_max]``, its best sample refined, with no loop over ``lambda0``.
+    Returns ``None`` when ``omega s^2 - u(s) <= 0`` at every sample.
+
+    On a first-order transition this is the onset; on a second-order one
+    the smallest value sits at ``s -> 0``, so the scan returns a value at
+    or above :func:`normal_phase_onset`.
+    """
+    unit = ModeSet(modes=(mode,), lambda0=1.0, N=chain.N, E_c=chain.E_c)
+    omega = float(unit.frequencies[0])
+    e0 = energy_per_particle(chain, unit, np.zeros(1))
+    # lambda(s) rises with u(s)/s^2, which stays finite as s -> 0
+    ratio = lambda s: (energy_per_particle(chain, unit, np.array([s])) - e0) / (s * s)
+    grid = np.linspace(0.0, s_max, search.coarse_points + 1)[1:]
+    vals = np.array([ratio(s) for s in grid])
+    i = int(np.argmin(vals))
+    if vals[i] >= omega:
+        return None
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    _, r = _bounded_min(ratio, lo, hi, search.refine_tol)
+    return math.sqrt(omega / (omega - min(r, vals[i])))
 
 
 def stationary_points(

@@ -6,7 +6,10 @@ the classifiers condense the results into labels:
 
 * field phase: ``normal`` vs ``superradiant`` by the condensate norm;
 * transition order along the coupling axis: a jump test at the critical
-  coupling, found by bisection seeded with the linear-response onset,
+  coupling, found by bisection seeded with two guesses, the
+  linear-response onset (exact on a second-order transition) and, for a
+  single mode, the coupling at which a condensate first ties ``phi = 0``
+  on one ``lambda0``-free energy scan (exact on a first-order one),
   corroborated by a one-sided slope-ratio probe of the energy envelope
   and by a scan for coexisting minima (hysteresis);
 * magnetic order of the qubit ring from a correlation report:
@@ -27,7 +30,13 @@ import numpy as np
 
 from .correlation import correlation_report
 from .fermion import SolverError
-from .meanfield import SearchSpec, minimize_phi, normal_phase_onset, stationary_points
+from .meanfield import (
+    SearchSpec,
+    _crossing_onset,
+    minimize_phi,
+    normal_phase_onset,
+    stationary_points,
+)
 from .model import ChainSpec, IsingProfile, ModeSet
 
 __all__ = [
@@ -222,19 +231,29 @@ def _onset_bracket(result: SweepResult, thr: Thresholds):
     return result.records[first - 1].value, result.records[first].value
 
 
-def _bisect_onset(cache: _PointCache, lo: float, hi: float, thr: Thresholds):
-    # the linear-response onset only chooses where to probe first: both
-    # probes go through the real minimizer, so a wrong guess costs one
-    # solve and leaves the bracket verified
-    onset = cache.onset
-    if onset is not None:
-        for probe in (onset - 0.4 * thr.critical_tol, onset + 0.4 * thr.critical_tol):
+def _probe_guess(cache: _PointCache, guess, lo: float, hi: float, thr: Thresholds):
+    # a guess only chooses where to probe first: both probes go through
+    # the real minimizer, so a wrong guess costs one solve and leaves the
+    # bracket verified
+    if guess is not None:
+        for probe in (guess - 0.4 * thr.critical_tol, guess + 0.4 * thr.critical_tol):
             if not lo < probe < hi:
                 continue
             if cache.phi_norm(probe) > thr.field:
-                hi = probe
-                break
+                return lo, probe
             lo = probe
+    return lo, hi
+
+
+def _bisect_onset(cache: _PointCache, lo: float, hi: float, thr: Thresholds):
+    lo, hi = _probe_guess(cache, cache.onset, lo, hi, thr)
+    ctx = cache.ctx
+    if hi - lo > thr.critical_tol and len(ctx.modes) == 1:
+        # a first-order onset lies below the linear-response one; the
+        # condensates in the bracket have s = lambda0 phi <= hi phi_max
+        search = ctx.search or SearchSpec()
+        crossing = _crossing_onset(ctx.chain, ctx.modes[0], hi * search.phi_max, search)
+        lo, hi = _probe_guess(cache, crossing, lo, hi, thr)
     while hi - lo > thr.critical_tol:
         mid = 0.5 * (lo + hi)
         if cache.phi_norm(mid) > thr.field:
@@ -260,8 +279,14 @@ def critical_coupling(result: SweepResult, thresholds: Thresholds | None = None)
     the two ways a grid can miss it.  The bisection first probes just
     either side of :func:`~cavising.meanfield.normal_phase_onset` when
     it falls inside the bracket; on a second-order transition those two
-    solves already close the bracket to ``critical_tol``.  Every probe
-    is a full minimization, so the result does not rest on the guess.
+    solves already close the bracket to ``critical_tol``.  When they do
+    not and the context has one mode, it next probes either side of the
+    coupling at which a condensate first ties ``phi = 0``, read off one
+    scan of the energy at unit coupling with ``s = lambda0 phi`` up to
+    the bracket's upper edge times ``phi_max``; on a first-order
+    transition those two solves close it.  Every probe is a full
+    minimization, so the result does not rest on either guess, and a
+    wrong guess costs one solve before the bisection goes on.
     """
     lo, hi, _ = _refine_onset(result, thresholds or Thresholds())
     return 0.5 * (lo + hi)
@@ -296,9 +321,11 @@ def classify_transition_order(
     ``ambiguous`` rather than a coin flip.
 
     The bracket comes from the bisection of :func:`critical_coupling`,
-    seeded by the linear-response onset; when the probe ``0.4
-    critical_tol`` above that onset has condensed, as on a second-order
-    transition, it is the upper edge where the jump is read.
+    seeded by the linear-response onset and then, for one mode, by the
+    energy-crossing onset; the probe ``0.4 critical_tol`` above whichever
+    guess closed the bracket (the first on a second-order transition,
+    the second on a first-order one) is the upper edge where the jump is
+    read.
     """
     return _classify(result, thresholds or Thresholds())
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cavising.meanfield import (
     SearchSpec,
+    _crossing_onset,
     _energy_and_gradient,
     energy_per_particle,
     minimize_phi,
@@ -276,6 +277,36 @@ class TestNormalPhaseOnset:
         chain = ChainSpec(N=8, E_z=0.8, E_c=0.1, ising=IsingProfile.uniform(0.1))
         assert normal_phase_onset(chain, (1, 2)) is None
         assert np.linalg.eigvalsh(origin_hessian(chain, (1, 2), 3.0))[0] > 0.0
+
+
+class TestCrossingOnset:
+    @pytest.mark.parametrize(
+        "chain, mode",
+        [
+            (desk_chain(), 2),
+            (uniform_chain(), 1),
+            (ChainSpec(N=1, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3)), 1),
+            (ChainSpec(N=2, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3)), 1),
+            (ChainSpec(N=2, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3)), 2),
+            (ChainSpec(N=3, E_z=0.6, E_c=8.0, ising=IsingProfile.explicit([0.2, 0.5, 0.1])), 2),
+        ],
+    )
+    def test_second_order_lies_at_or_above_linear_response(self, chain, mode):
+        # the smallest crossing of a second-order curve sits at s -> 0,
+        # which the scan of (0, s_max] only approaches from above
+        lam = normal_phase_onset(chain, (mode,))
+        crossing = _crossing_onset(chain, mode, 1.2 * lam * QUICK.phi_max, QUICK)
+        assert lam - 1e-12 <= crossing < lam + 0.01
+
+    def test_first_order_lies_below_linear_response(self):
+        chain = ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.8, 0.5, 2))
+        crossing = _crossing_onset(chain, 2, 1.1 * QUICK.phi_max, QUICK)
+        assert crossing < normal_phase_onset(chain, (2,)) - 0.02
+
+    def test_none_when_origin_never_destabilizes(self):
+        chain = ChainSpec(N=8, E_z=0.8, E_c=0.1, ising=IsingProfile.uniform(0.1))
+        for mode in (1, 2):
+            assert _crossing_onset(chain, mode, 3.0 * QUICK.phi_max, QUICK) is None
 
 
 class TestStationaryPoints:

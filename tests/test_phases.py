@@ -37,6 +37,18 @@ def desk_ctx():
     return SweepContext(chain=desk_chain(), modes=(2,), search=QUICK)
 
 
+def first_order_chain():
+    return ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.8, 0.5, 2))
+
+
+def first_order_ctx():
+    return SweepContext(chain=first_order_chain(), modes=(2,), search=QUICK)
+
+
+# straddles the first-order onset near 0.9944 of the column above
+FIRST_ORDER_GRID = [0.9, 1.0, 1.1]
+
+
 def synthetic_report(xi, sz):
     xi = np.asarray(xi, dtype=float)
     sz = np.asarray(sz, dtype=float)
@@ -125,23 +137,33 @@ class TestCriticalCoupling:
 
 
 class TestOnsetGuess:
-    """The linear-response onset seeds the bisection but never decides it."""
+    """The linear-response onset and the crossing seed the bisection but never decide it."""
 
-    @pytest.mark.parametrize("offset", [-0.03, 0.03, None])
-    def test_wrong_guess_leaves_the_onset(self, monkeypatch, offset):
-        res = sweep(desk_ctx(), "lambda0", [0.18, 0.28])
+    # the guess each column is seeded with, and a sweep whose bracket holds
+    # the guess ± 0.03; in the first-order bracket the spinodal near 1.03
+    # is probed first, and the crossing inside what that leaves
+    COLUMNS = {
+        "second": (desk_ctx, [0.18, 0.28], "normal_phase_onset"),
+        "first": (first_order_ctx, [0.9, 1.1], "_crossing_onset"),
+    }
+
+    @pytest.mark.parametrize(
+        "column, offset",
+        [pytest.param("second", off, id=str(off)) for off in (-0.03, 0.03, None)]
+        + [pytest.param("first", off, id=f"first-order-{off}") for off in (-0.03, 0.03, None)],
+    )
+    def test_wrong_guess_leaves_the_onset(self, monkeypatch, column, offset):
+        make_ctx, grid, guesser = self.COLUMNS[column]
+        res = sweep(make_ctx(), "lambda0", grid)
         true = critical_coupling(res)
-        real = phases.normal_phase_onset
-        if offset is None:
-            monkeypatch.setattr(phases, "normal_phase_onset", lambda chain, modes: None)
-        else:
-            guess = real(desk_chain(), (2,)) + offset
-            assert 0.18 < guess < 0.28
-            monkeypatch.setattr(phases, "normal_phase_onset", lambda chain, modes: guess)
+        guess = None
+        if offset is not None:
+            guess = true + offset
+            assert grid[0] < guess < grid[-1]
+        monkeypatch.setattr(phases, guesser, lambda *args: guess)
         assert critical_coupling(res) == pytest.approx(true, abs=Thresholds().critical_tol)
 
-    def test_second_order_bisection_needs_few_solves(self, monkeypatch):
-        res = sweep(desk_ctx(), "lambda0", np.linspace(0.15, 0.3, 7))
+    def _count_solves(self, monkeypatch):
         calls = []
         real = phases.minimize_phi
 
@@ -150,17 +172,37 @@ class TestOnsetGuess:
             return real(chain, modeset, search)
 
         monkeypatch.setattr(phases, "minimize_phi", counted)
+        return calls
+
+    def test_second_order_bisection_needs_few_solves(self, monkeypatch):
+        res = sweep(desk_ctx(), "lambda0", np.linspace(0.15, 0.3, 7))
+        calls = self._count_solves(monkeypatch)
         cls = classify_transition_order(res)
         assert cls.order == "second"
         # two probes around the onset, then the two slope probes above it
         assert len(calls) <= 4
 
-    def test_first_order_spinodal_lies_above_the_onset(self):
-        chain = ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.8, 0.5, 2))
-        ctx = SweepContext(chain=chain, modes=(2,), search=QUICK)
-        cls = classify_transition_order(sweep(ctx, "lambda0", [0.9, 1.0, 1.1]))
+    def test_first_order_bisection_needs_few_solves(self, monkeypatch):
+        res = sweep(first_order_ctx(), "lambda0", FIRST_ORDER_GRID)
+        calls = self._count_solves(monkeypatch)
+        cls = classify_transition_order(res)
         assert cls.order == "first"
-        assert phases.normal_phase_onset(chain, (2,)) > cls.lambda_c + 0.02
+        # two probes around the crossing, two slope probes, one spare for
+        # the linear-response probe when the spinodal falls in the bracket
+        assert len(calls) <= 5
+
+    def test_crossing_matches_pure_bisection(self, monkeypatch):
+        res = sweep(first_order_ctx(), "lambda0", FIRST_ORDER_GRID)
+        crossing = phases._crossing_onset(first_order_chain(), 2, 1.0 * QUICK.phi_max, QUICK)
+        monkeypatch.setattr(phases, "normal_phase_onset", lambda *args: None)
+        monkeypatch.setattr(phases, "_crossing_onset", lambda *args: None)
+        bisected = critical_coupling(res, Thresholds(critical_tol=1e-7))
+        assert bisected == pytest.approx(crossing, abs=5e-7)
+
+    def test_first_order_spinodal_lies_above_the_onset(self):
+        cls = classify_transition_order(sweep(first_order_ctx(), "lambda0", FIRST_ORDER_GRID))
+        assert cls.order == "first"
+        assert phases.normal_phase_onset(first_order_chain(), (2,)) > cls.lambda_c + 0.02
 
 
 class TestTransitionOrder:
