@@ -271,6 +271,7 @@ def _run_phase_diagram(
                     "J_min": col.J_min,
                     "lambda_c": col.lambda_c,
                     "lambda_spinodal": col.lambda_spinodal,
+                    "lambda_crossing": col.lambda_crossing,
                     "transition_order": col.transition_order,
                     "status": col.status,
                     "message": col.message,

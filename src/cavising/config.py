@@ -292,14 +292,9 @@ def _parse_spec_overrides(node, path: str, cls):
     _check_keys(node, allowed, path)
     kwargs = {}
     for key, value in node.items():
-        if key == "hysteresis_offsets":
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{path}.{key}: expected a list")
-            kwargs[key] = tuple(_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(value))
-        elif isinstance(value, bool):
+        if isinstance(value, bool):
             raise ConfigError(f"{path}.{key}: expected a number")
-        else:
-            kwargs[key] = _number(value, f"{path}.{key}")
+        kwargs[key] = _number(value, f"{path}.{key}")
     int_fields = {"coarse_points", "multi_coarse_points", "line_points", "n_seeds"}
     for key in int_fields & set(kwargs):
         kwargs[key] = int(kwargs[key])

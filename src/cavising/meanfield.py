@@ -16,11 +16,13 @@ Where ``phi = 0`` stops being a minimum follows from linear response
 alone: the chain sees ``phi`` only through ``Omega(j) = E_z/2 +
 d(j)^2/E_z + O(phi^4)``, so the Hessian of ``e_g`` at the origin needs
 just the undriven polarization (:func:`normal_phase_onset`); the same
-Hessian starts the gradient polish off an unstable origin.  Where a
-single-mode condensate first ties ``phi = 0``, which is the onset of a
-first-order transition, follows from one scan of the energy at unit
-coupling, since ``lambda0`` enters only through ``lambda0 phi`` and the
-quadratic field part (``_crossing_onset``).
+Hessian starts the gradient polish off an unstable origin.  A single
+mode sees ``lambda0`` only through ``s = lambda0 phi`` and the quadratic
+field part, so one scan of the energy at unit coupling serves a whole
+column of couplings (``_UnitCurve``): each minimization re-scores its
+samples before refining on the exact energy, and where a condensate
+first ties ``phi = 0``, the onset of a first-order transition, is read
+off the same samples (``_crossing_onset``).
 
 A single amplitude is searched on ``phi >= 0``: the energy is even under
 the joint flip of all amplitudes, so the nonnegative half covers the
@@ -41,7 +43,7 @@ from itertools import product
 import numpy as np
 from scipy import optimize
 
-from .correlation import CorrelationReport, correlation_report, pair_contractions
+from .correlation import CorrelationReport, correlation_report
 from .fermion import Sector, build_quadratic_form, ground_sector, quasiparticle_energies
 from .model import ChainSpec, ModeSet, effective_field
 
@@ -148,11 +150,14 @@ def _warn_boundary(x: float, search: SearchSpec, step: float) -> None:
         )
 
 
-def _scan(f, search: SearchSpec):
-    """Sample ``[0, phi_max]``; refine the first cell, the interior minima
-    and, when the curve still falls there, the last cell."""
+def _sample(f, search: SearchSpec):
     grid = np.linspace(0.0, search.phi_max, search.coarse_points)
-    vals = np.array([f(x) for x in grid])
+    return grid, np.array([f(x) for x in grid])
+
+
+def _refine(f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec):
+    """Refine samples of ``[0, phi_max]``: the first cell, the interior
+    minima and, if the curve still falls there, the last cell to ``phi_max``."""
     # a condensate smaller than one grid step hides inside the first cell
     # with both endpoints above its floor, so refine that cell
     # unconditionally; on a rising edge the refinement collapses back to
@@ -163,12 +168,12 @@ def _scan(f, search: SearchSpec):
         for i in _interior_minima(vals)
     ]
     if vals[-1] < vals[-2]:
-        minima.append(_bounded_min(f, grid[-2], grid[-1], search.refine_tol))
-    return grid, vals, first, minima
+        minima.append(_bounded_min(f, grid[-2], search.phi_max, search.refine_tol))
+    return first, minima
 
 
-def _minimize_single(f, search: SearchSpec):
-    grid, vals, first, minima = _scan(f, search)
+def _minimize_single(f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec):
+    first, minima = _refine(f, grid, vals, search)
     candidates = sorted([(0.0, vals[0]), first, *minima], key=lambda c: c[1])
     x, fx = candidates[0]
     degenerate = any(
@@ -179,10 +184,58 @@ def _minimize_single(f, search: SearchSpec):
     return np.array([x]), fx, degenerate
 
 
+def _state(modeset: ModeSet, phi: np.ndarray, e_g: float, degenerate: bool) -> MeanFieldState:
+    phi = np.where(np.abs(phi) < 1e-12, 0.0, phi)
+    Sigma_x = phi * (modeset.frequencies + 4.0 * modeset.D)
+    return MeanFieldState(phi=phi, Sigma_x=Sigma_x, e_g=float(e_g), degenerate=degenerate)
+
+
+class _UnitCurve:
+    """One mode's energy ``e_1(s)`` at unit coupling, sampled once for a column of ``lambda0``.
+
+    With ``s = lambda0 phi`` the energy at any ``lambda0`` is ``e_1(s) +
+    omega s^2 (1/lambda0^2 - 1)``, so samples spaced ``lam_lo phi_max /
+    (coarse_points - 1)`` re-score into a grid on ``[0, phi_max]`` at every
+    ``lambda0 >= lam_lo`` at least as fine as :func:`minimize_phi`'s.  They
+    are added lazily up to ``lambda0 phi_max``, both arrays replaced in one
+    assignment, so threads sharing a curve only ever read whole ones.
+    """
+
+    def __init__(self, chain: ChainSpec, mode: int, search: SearchSpec, lam_lo: float):
+        self.chain, self.mode, self.search, self.lam_lo = chain, mode, search, lam_lo
+        unit = ModeSet(modes=(mode,), lambda0=1.0, N=chain.N, E_c=chain.E_c)
+        self.omega = float(unit.frequencies[0])
+        self.energy = lambda x: energy_per_particle(chain, unit, np.array([x]))
+        self.step = lam_lo * search.phi_max / (search.coarse_points - 1)
+        self._samples = (np.zeros(0), np.zeros(0))
+
+    def samples(self, s_max: float):
+        """``s`` and ``e_1(s)`` on the samples up to ``s_max``, give or take rounding."""
+        n = int(s_max / self.step + 1e-9) + 1
+        s, e = self._samples
+        if s.size < n:
+            new = np.arange(s.size, n) * self.step
+            self._samples = s, e = np.append(s, new), np.append(e, [self.energy(x) for x in new])
+        return s[:n], e[:n]
+
+    def minimize(self, lam: float) -> MeanFieldState:
+        """:func:`minimize_phi` at ``lam >= lam_lo``, refining re-scored samples exactly."""
+        modeset = ModeSet(modes=(self.mode,), lambda0=lam, N=self.chain.N, E_c=self.chain.E_c)
+        s, e = self.samples(lam * self.search.phi_max)
+        vals = e + self.omega * s * s * (1.0 / (lam * lam) - 1.0)
+        f = lambda x: energy_per_particle(self.chain, modeset, np.array([x]))
+        return _state(modeset, *_minimize_single(f, s / lam, vals, self.search))
+
+
 # the polish stops once the projected gradient falls below this (ftol = 0
 # leaves no other stop); the self-consistency residual is half the
 # gradient, so it ends below 5e-9
 _POLISH_GTOL = 1e-8
+
+
+def _rotated_polarization(sol) -> np.ndarray:
+    """``<s^z_j>`` in the rotated frame, ``-diag(G)`` without forming ``G``."""
+    return np.einsum("kj,kj->j", sol.Psi, sol.Phi)
 
 
 def _energy_and_gradient(phi, chain: ChainSpec, modeset: ModeSet):
@@ -194,7 +247,7 @@ def _energy_and_gradient(phi, chain: ChainSpec, modeset: ModeSet):
     """
     fld = effective_field(chain, modeset, phi)
     sol = ground_sector(fld, chain.bonds())
-    sz = -np.diag(pair_contractions(sol))
+    sz = _rotated_polarization(sol)
     stiffness = modeset.frequencies + 4.0 * modeset.D
     e_g = float(np.sum(stiffness * phi * phi)) + sol.ground_energy_chain / chain.N
     grad = 2.0 * stiffness * phi - (2.0 / chain.N) * (modeset.couplings @ (np.sin(fld.theta) * sz))
@@ -266,18 +319,14 @@ def minimize_phi(
     if modeset.n_modes == 1:
         # one amplitude: phi >= 0 is exhaustive by the sign-flip symmetry
         f = lambda x: energy_per_particle(chain, modeset, np.array([x]))
-        phi, e_g, degenerate = _minimize_single(f, search)
-    else:
-        phi, e_g, degenerate = _minimize_multi(chain, modeset, search)
-    phi = np.where(np.abs(phi) < 1e-12, 0.0, phi)
-    Sigma_x = phi * (modeset.frequencies + 4.0 * modeset.D)
-    return MeanFieldState(phi=phi, Sigma_x=Sigma_x, e_g=float(e_g), degenerate=degenerate)
+        return _state(modeset, *_minimize_single(f, *_sample(f, search), search))
+    return _state(modeset, *_minimize_multi(chain, modeset, search))
 
 
 def _origin_hessian(chain: ChainSpec, modeset: ModeSet) -> np.ndarray:
     """``Q = H - 2 diag(omega)`` of :func:`normal_phase_onset`, at the modes' ``lambda0``."""
     fld = effective_field(chain, modeset, np.zeros(modeset.n_modes))
-    sz = -np.diag(pair_contractions(ground_sector(fld, chain.bonds())))
+    sz = _rotated_polarization(ground_sector(fld, chain.bonds()))
     response = (modeset.couplings * sz) @ modeset.couplings.T * (8.0 / (chain.N * chain.E_z))
     return 8.0 * np.diag(modeset.D) - response
 
@@ -313,7 +362,7 @@ def normal_phase_onset(chain: ChainSpec, modes) -> float | None:
 
 
 def _crossing_onset(
-    chain: ChainSpec, mode: int, s_max: float, search: SearchSpec
+    chain: ChainSpec, mode: int, s_max: float, search: SearchSpec, curve: _UnitCurve | None = None
 ) -> float | None:
     """Smallest ``lambda0`` at which a condensate in ``mode`` ties ``phi = 0``.
 
@@ -323,27 +372,26 @@ def _crossing_onset(
     ``lambda0``.  So with ``u(s) = e_1(s) - e_1(0)`` at ``lambda0 = 1``,
     ``e(phi) < e(0)`` exactly when ``lambda0 > s sqrt(omega / (omega s^2 -
     u(s)))``, and the global minimizer leaves ``phi = 0`` at the smallest
-    such value over ``s``: one scan of ``u`` on ``coarse_points`` points of
-    ``(0, s_max]``, its best sample refined, with no loop over ``lambda0``.
-    Returns ``None`` when ``omega s^2 - u(s) <= 0`` at every sample.
+    such value over ``s``: the samples of ``u`` on ``(0, s_max]``, the
+    best one refined, with no loop over ``lambda0``.  They come from
+    ``curve`` unless it is coarser there than ``s_max / (coarse_points -
+    1)``.  Returns ``None`` when ``omega s^2 - u(s) <= 0`` at every sample.
 
     On a first-order transition this is the onset; on a second-order one
     the smallest value sits at ``s -> 0``, so the scan returns a value at
     or above :func:`normal_phase_onset`.
     """
-    unit = ModeSet(modes=(mode,), lambda0=1.0, N=chain.N, E_c=chain.E_c)
-    omega = float(unit.frequencies[0])
-    e0 = energy_per_particle(chain, unit, np.zeros(1))
+    if curve is None or s_max < curve.lam_lo * search.phi_max:
+        curve = _UnitCurve(chain, mode, search, s_max / search.phi_max)
+    s, e = curve.samples(s_max)
     # lambda(s) rises with u(s)/s^2, which stays finite as s -> 0
-    ratio = lambda s: (energy_per_particle(chain, unit, np.array([s])) - e0) / (s * s)
-    grid = np.linspace(0.0, s_max, search.coarse_points + 1)[1:]
-    vals = np.array([ratio(s) for s in grid])
+    ratio = lambda x: (curve.energy(x) - e[0]) / (x * x)
+    s, vals = s[1:], (e[1:] - e[0]) / s[1:] ** 2
     i = int(np.argmin(vals))
-    if vals[i] >= omega:
+    if vals[i] >= curve.omega:
         return None
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    _, r = _bounded_min(ratio, lo, hi, search.refine_tol)
-    return math.sqrt(omega / (omega - min(r, vals[i])))
+    _, r = _bounded_min(ratio, s[max(i - 1, 0)], s[min(i + 1, s.size - 1)], search.refine_tol)
+    return math.sqrt(curve.omega / (curve.omega - min(r, vals[i])))
 
 
 def stationary_points(
@@ -360,7 +408,8 @@ def stationary_points(
         raise ValueError("stationary-point enumeration is defined for a single mode")
     search = search or SearchSpec()
     f = lambda x: energy_per_particle(chain, modeset, np.array([x]))
-    grid, vals, (x0, fx0), minima = _scan(f, search)
+    grid, vals = _sample(f, search)
+    (x0, fx0), minima = _refine(f, grid, vals, search)
 
     points = [(x, fx, "minimum") for x, fx in minima]
     for i in _interior_minima(-vals):

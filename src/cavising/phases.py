@@ -1,17 +1,18 @@
 """Parameter sweeps, transition location, and phase labeling.
 
 The sweep machinery minimizes the mean-field energy point by point along
-one axis (coupling strength, weak-bond strength, or qubit splitting) and
-the classifiers condense the results into labels:
+one axis (coupling strength, weak-bond strength, or qubit splitting; on
+one mode along the coupling, all of a column re-scores one unit-coupling
+scan) and the classifiers condense the results into labels:
 
 * field phase: ``normal`` vs ``superradiant`` by the condensate norm;
 * transition order along the coupling axis: a jump test at the critical
   coupling, found by bisection seeded with two guesses, the
-  linear-response onset (exact on a second-order transition) and, for a
-  single mode, the coupling at which a condensate first ties ``phi = 0``
-  on one ``lambda0``-free energy scan (exact on a first-order one),
-  corroborated by a one-sided slope-ratio probe of the energy envelope
-  and by a scan for coexisting minima (hysteresis);
+  linear-response onset or spinodal (exact on a second-order transition)
+  and, for a single mode, the crossing onset where a condensate first ties
+  ``phi = 0`` (exact on a first-order one), corroborated by a one-sided
+  slope-ratio probe of the energy envelope and by hysteresis, a crossing
+  below the spinodal;
 * magnetic order of the qubit ring from a correlation report:
   paramagnetic ``P``, ferromagnetic ``F``, or the spatially alternating
   ``FP`` pattern that strong-bond windows imprint.
@@ -22,6 +23,7 @@ Labels compose as ``N``/``S`` prefix plus magnetic order, e.g. ``SFP``.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -30,13 +32,8 @@ import numpy as np
 
 from .correlation import correlation_report
 from .fermion import SolverError
-from .meanfield import (
-    SearchSpec,
-    _crossing_onset,
-    minimize_phi,
-    normal_phase_onset,
-    stationary_points,
-)
+from .meanfield import SearchSpec, _crossing_onset, _UnitCurve, minimize_phi, normal_phase_onset
+from .meanfield import stationary_points  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .model import ChainSpec, IsingProfile, ModeSet
 
 __all__ = [
@@ -76,8 +73,6 @@ class Thresholds:
     jump: float = 0.02
     slope_delta: float = 4e-3
     slope_ratio: float = 0.75
-    hysteresis_offsets: tuple = (-0.02, -0.01, -0.005, 0.005, 0.01, 0.02)
-    phi_separation: float = 0.02
     xi: float = 5.0
     sigma_z: float = 0.8
     oscillation: float = 0.3
@@ -158,10 +153,9 @@ def _point(ctx: SweepContext, axis: str, value: float):
     return chain, ModeSet(modes=ctx.modes, lambda0=lam, N=chain.N, E_c=chain.E_c)
 
 
-def _solve_record(ctx: SweepContext, axis: str, value: float) -> SweepRecord:
+def _solve_record(solve, value: float) -> SweepRecord:
     try:
-        chain, modeset = _point(ctx, axis, value)
-        state = minimize_phi(chain, modeset, ctx.search)
+        state = solve(value)
     except (SolverError, ValueError) as exc:
         return SweepRecord(
             value=float(value), phi=None, Sigma_x=None, e_g=None, degenerate=False,
@@ -178,14 +172,25 @@ def _solve_record(ctx: SweepContext, axis: str, value: float) -> SweepRecord:
 
 
 def sweep(ctx: SweepContext, axis: str, values: Sequence[float], threads: int = 1) -> SweepResult:
-    """Minimize along one axis; failed points are recorded, not fatal."""
+    """Minimize along one axis; failed points are recorded, not fatal.
+
+    One mode along ``lambda0``: every point re-scores one unit-coupling curve.
+    """
     values = [float(v) for v in values]
+    return _sweep(_PointCache(ctx, axis, values), values, threads)
+
+
+def _sweep(cache: _PointCache, values: list, threads: int) -> SweepResult:
     if threads > 1:
+        if cache.curve is not None and values:
+            # the workers only read the curve; a failed sample fails its points
+            with suppress(SolverError):
+                cache.curve.samples(max(values) * cache.curve.search.phi_max)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda v: _solve_record(ctx, axis, v), values))
+            records = list(pool.map(lambda v: _solve_record(cache.state, v), values))
     else:
-        records = [_solve_record(ctx, axis, v) for v in values]
-    return SweepResult(axis=axis, records=tuple(records), context=ctx)
+        records = [_solve_record(cache.state, v) for v in values]
+    return SweepResult(axis=cache.axis, records=tuple(records), context=cache.ctx)
 
 
 def _condensed(record: SweepRecord, thr: Thresholds) -> bool:
@@ -195,19 +200,29 @@ def _condensed(record: SweepRecord, thr: Thresholds) -> bool:
 
 
 class _PointCache:
-    """Memoized minimize-at-lambda0 evaluations used by the refiners."""
+    """Memoized minimizations along one sweep axis.
 
-    def __init__(self, ctx: SweepContext, axis: str):
-        if axis != "lambda0":
-            raise ValueError("transition refinement is defined along the lambda0 axis")
-        self.ctx = ctx
+    One mode along ``lambda0``: from the smallest positive value up, every
+    coupling and the ``crossing`` onset read one :class:`_UnitCurve`;
+    everything else goes through :func:`minimize_phi`.
+    """
+
+    def __init__(self, ctx: SweepContext, axis: str, values: Sequence[float] = ()):
+        self.ctx, self.axis = ctx, axis
         self._states: dict[float, object] = {}
+        self.curve = self.crossing = None
+        lam_lo = min((v for v in values if v > 0), default=0.0)
+        if axis == "lambda0" and len(ctx.modes) == 1 and lam_lo > 0:
+            self.curve = _UnitCurve(ctx.chain, ctx.modes[0], ctx.search or SearchSpec(), lam_lo)
 
-    def state(self, lam: float):
-        if lam not in self._states:
-            chain, modeset = _point(self.ctx, "lambda0", lam)
-            self._states[lam] = minimize_phi(chain, modeset, self.ctx.search)
-        return self._states[lam]
+    def state(self, value: float):
+        if value not in self._states:
+            if self.curve is not None and value >= self.curve.lam_lo:
+                self._states[value] = self.curve.minimize(value)
+            else:
+                chain, modeset = _point(self.ctx, self.axis, value)
+                self._states[value] = minimize_phi(chain, modeset, self.ctx.search)
+        return self._states[value]
 
     def phi_norm(self, lam: float) -> float:
         return float(np.max(np.abs(self.state(lam).phi)))
@@ -248,12 +263,14 @@ def _probe_guess(cache: _PointCache, guess, lo: float, hi: float, thr: Threshold
 def _bisect_onset(cache: _PointCache, lo: float, hi: float, thr: Thresholds):
     lo, hi = _probe_guess(cache, cache.onset, lo, hi, thr)
     ctx = cache.ctx
-    if hi - lo > thr.critical_tol and len(ctx.modes) == 1:
+    if len(ctx.modes) == 1:
         # a first-order onset lies below the linear-response one; the
         # condensates in the bracket have s = lambda0 phi <= hi phi_max
         search = ctx.search or SearchSpec()
-        crossing = _crossing_onset(ctx.chain, ctx.modes[0], hi * search.phi_max, search)
-        lo, hi = _probe_guess(cache, crossing, lo, hi, thr)
+        s_max = hi * search.phi_max
+        cache.crossing = _crossing_onset(ctx.chain, ctx.modes[0], s_max, search, cache.curve)
+        if hi - lo > thr.critical_tol:
+            lo, hi = _probe_guess(cache, cache.crossing, lo, hi, thr)
     while hi - lo > thr.critical_tol:
         mid = 0.5 * (lo + hi)
         if cache.phi_norm(mid) > thr.field:
@@ -266,7 +283,9 @@ def _bisect_onset(cache: _PointCache, lo: float, hi: float, thr: Thresholds):
 def _refine_onset(result: SweepResult, thr: Thresholds, cache: _PointCache | None = None):
     lo, hi = _onset_bracket(result, thr)
     if cache is None:
-        cache = _PointCache(result.context, result.axis)
+        if result.axis != "lambda0":
+            raise ValueError("transition refinement is defined along the lambda0 axis")
+        cache = _PointCache(result.context, result.axis, result.values())
     lo, hi = _bisect_onset(cache, lo, hi, thr)
     return lo, hi, cache
 
@@ -281,11 +300,12 @@ def critical_coupling(result: SweepResult, thresholds: Thresholds | None = None)
     it falls inside the bracket; on a second-order transition those two
     solves already close the bracket to ``critical_tol``.  When they do
     not and the context has one mode, it next probes either side of the
-    coupling at which a condensate first ties ``phi = 0``, read off one
-    scan of the energy at unit coupling with ``s = lambda0 phi`` up to
-    the bracket's upper edge times ``phi_max``; on a first-order
+    coupling at which a condensate first ties ``phi = 0``, read off the
+    column's scan of the energy at unit coupling with ``s = lambda0 phi``
+    up to the bracket's upper edge times ``phi_max``; on a first-order
     transition those two solves close it.  Every probe is a full
-    minimization, so the result does not rest on either guess, and a
+    minimization (on one mode, that scan re-scored and then refined on the
+    exact energy), so the result does not rest on either guess, and a
     wrong guess costs one solve before the bisection goes on.
     """
     lo, hi, _ = _refine_onset(result, thresholds or Thresholds())
@@ -309,15 +329,16 @@ def classify_transition_order(
     Primary signal: the condensate amplitude at the upper edge of the
     bisection bracket; a second-order onset has barely left zero there
     while a first-order one arrives with a finite jump.  Two
-    corroborating probes run on top:
+    corroborators back it:
 
     * the ratio of one-sided difference quotients of the energy envelope
       at shrinking offsets above the onset (a kink gives ratio ~1, a
       smooth quadratic departure gives ~1/2);
-    * coexistence of well-separated stable minima at couplings near the
-      onset (single-mode contexts only).
+    * hysteresis (single-mode contexts only): the crossing onset lies
+      more than ``critical_tol`` below the spinodal, so between the two
+      ``phi = 0`` is a local minimum while a condensate is global.
 
-    When the probes contradict the jump verdict the label is
+    When the corroborators contradict the jump verdict the label is
     ``ambiguous`` rather than a coin flip.
 
     The bracket comes from the bisection of :func:`critical_coupling`,
@@ -352,19 +373,9 @@ def _classify(
 
     hysteresis: bool | None = None
     if len(result.context.modes) == 1:
-        hysteresis = False
-        for off in thr.hysteresis_offsets:
-            lam = lambda_c + off
-            if lam <= 0:
-                continue
-            chain, modeset = _point(result.context, "lambda0", lam)
-            minima = [
-                p.phi for p in stationary_points(chain, modeset, result.context.search)
-                if p.kind == "minimum"
-            ]
-            if len(minima) >= 2 and max(minima) - min(minima) > thr.phi_separation:
-                hysteresis = True
-                break
+        # between crossing and spinodal phi = 0 is local, a condensate global
+        lam_s, lam_x = cache.onset, cache.crossing
+        hysteresis = lam_x is not None and (lam_s is None or lam_s - lam_x > thr.critical_tol)
 
     corroborators = [slope_first] if hysteresis is None else [slope_first, hysteresis]
     if jump_first and any(corroborators):
@@ -447,7 +458,9 @@ class PhaseColumn:
     ``lambda_spinodal`` is :func:`~cavising.meanfield.normal_phase_onset`
     of the column, where ``phi = 0`` stops being a minimum (``None`` when
     it never does): the onset itself on a second-order column, above
-    ``lambda_c`` on a first-order one.  ``status`` is ``"error"`` when
+    ``lambda_c`` on a first-order one.  ``lambda_crossing`` is the crossing
+    onset the single-mode bisection read (else ``None``): the onset itself
+    on a first-order column.  ``status`` is ``"error"`` when
     locating the onset failed (a failed sweep point inside the bracket
     search, or a failed solve during bisection); ``message`` then says
     why, and the column's cells are still labeled.
@@ -460,6 +473,7 @@ class PhaseColumn:
     status: str = "ok"
     message: str = ""
     lambda_spinodal: float | None = None
+    lambda_crossing: float | None = None
 
 
 @dataclass(frozen=True)
@@ -504,6 +518,7 @@ def phase_diagram(
         raise ValueError("give exactly one of delta_J or delta_J_factor")
     thr = thresholds or Thresholds()
     modes = tuple(int(m) for m in modes)
+    lambda0_values = [float(v) for v in lambda0_values]
 
     cells = []
     columns = []
@@ -514,9 +529,8 @@ def phase_diagram(
             profile = IsingProfile.rectangular(J_min + dJ, J_min, chain.ising.period)
             col_chain = replace(chain, E_z=float(E_z), ising=profile)
             ctx = SweepContext(chain=col_chain, modes=modes, search=search)
-            result = sweep(ctx, "lambda0", lambda0_values, threads=threads)
-
-            cache = _PointCache(ctx, "lambda0")
+            cache = _PointCache(ctx, "lambda0", lambda0_values)
+            result = _sweep(cache, lambda0_values, threads)
             lambda_c = lambda_s = None
             t_order = "none"
             status, message = "ok", ""
@@ -536,7 +550,7 @@ def phase_diagram(
                 PhaseColumn(
                     E_z=float(E_z), J_min=float(J_min), lambda_c=lambda_c,
                     transition_order=t_order, status=status, message=message,
-                    lambda_spinodal=lambda_s,
+                    lambda_spinodal=lambda_s, lambda_crossing=cache.crossing,
                 )
             )
 

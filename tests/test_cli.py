@@ -188,6 +188,8 @@ class TestPhaseDiagramCommand:
         assert boundary["columns"][0]["lambda_spinodal"] == pytest.approx(
             normal_phase_onset(column_chain, (2,)), rel=1e-12
         )
+        # no onset was bracketed, so the bisection read no crossing
+        assert boundary["columns"][0]["lambda_crossing"] is None
         assert boundary["crossover"] == [{"E_z": 0.8, "J_min": None}]
 
 

@@ -309,17 +309,11 @@ class TestOverridesAndOutput:
 
     def test_thresholds_override(self, tmp_path):
         raw = base_config()
-        raw["thresholds"] = {"xi": 7.0, "hysteresis_offsets": [0.005, 0.01]}
+        raw["thresholds"] = {"xi": 7.0, "slope_ratio": 0.7}
         cfg = load(tmp_path, raw)
         assert cfg.thresholds.xi == 7.0
-        assert cfg.thresholds.hysteresis_offsets == (0.005, 0.01)
+        assert cfg.thresholds.slope_ratio == 0.7
         assert cfg.thresholds.jump == 0.02
-
-    def test_offsets_must_be_a_list(self, tmp_path):
-        raw = base_config()
-        raw["thresholds"] = {"hysteresis_offsets": 0.01}
-        with pytest.raises(ConfigError, match="expected a list"):
-            load(tmp_path, raw)
 
     def test_output_format_is_checked(self, tmp_path):
         raw = base_config()

@@ -1,14 +1,21 @@
 """Energy surface and amplitude search."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavising.correlation import pair_contractions
+from cavising.fermion import ground_sector
 from cavising.meanfield import (
     SearchSpec,
     _crossing_onset,
+    _UnitCurve,
     _energy_and_gradient,
+    _rotated_polarization,
     energy_per_particle,
     minimize_phi,
     normal_phase_onset,
@@ -98,6 +105,67 @@ class TestGradient:
             for d in step
         ])
         assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd))))
+
+
+class TestRotatedPolarization:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(mean_field_points())
+    def test_matches_contraction_diagonal(self, point):
+        chain, ms, phi = point
+        sol = ground_sector(effective_field(chain, ms, phi), chain.bonds())
+        np.testing.assert_allclose(
+            _rotated_polarization(sol), -np.diag(pair_contractions(sol)), rtol=0.0, atol=1e-13
+        )
+
+
+@st.composite
+def unit_scaling_points(draw):
+    N = draw(st.integers(1, 60))
+    bond = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+    chain = ChainSpec(
+        N=N, E_z=draw(st.floats(0.2, 1.5)), E_c=8.0,
+        ising=IsingProfile.explicit(draw(st.lists(bond, min_size=N, max_size=N))),
+    )
+    return chain, draw(st.integers(1, 4)), draw(st.floats(1e-3, 2.0)), draw(st.floats(0.0, 1.5))
+
+
+class TestUnitScaling:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(unit_scaling_points())
+    def test_energy_is_the_unit_curve_rescored(self, point):
+        # e(phi; lambda0) = e_1(s) + omega s^2 (1/lambda0^2 - 1) with s = lambda0 phi
+        chain, mode, lam, phi = point
+        ms = ModeSet(modes=(mode,), lambda0=lam, N=chain.N, E_c=8.0)
+        unit = ModeSet(modes=(mode,), lambda0=1.0, N=chain.N, E_c=8.0)
+        s = lam * phi
+        e = energy_per_particle(chain, ms, [phi])
+        rescored = energy_per_particle(chain, unit, [s]) + ms.frequencies[0] * s * s * (
+            1.0 / lam**2 - 1.0
+        )
+        assert abs(e - rescored) <= 1e-12 * max(1.0, abs(e))
+
+
+class TestUnitCurve:
+    def test_threads_read_whole_samples(self):
+        # more threads than cores extend one curve at once; every read must
+        # be the serial curve up to its own s_max
+        chain = ChainSpec(N=8, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3))
+        search = SearchSpec(coarse_points=11)
+        s_ref, e_ref = _UnitCurve(chain, 1, search, 0.2).samples(3.0)
+        shared = _UnitCurve(chain, 1, search, 0.2)
+        s_maxes = np.random.default_rng(0).permutation(np.linspace(0.3, 3.0, 40))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(shared.samples, s_max) for s_max in s_maxes]
+                reads = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for s_max, (s, e) in zip(s_maxes, reads):
+            assert s[-1] <= s_max + 1e-9 < s[-1] + shared.step
+            np.testing.assert_array_equal(s, s_ref[: s.size])
+            np.testing.assert_array_equal(e, e_ref[: s.size])
 
 
 class TestMinimize:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from cavising import phases
+from cavising import meanfield, phases
 from cavising.correlation import CorrelationReport
 from cavising.fermion import SolverError
-from cavising.meanfield import SearchSpec
-from cavising.model import ChainSpec, IsingProfile
+from cavising.meanfield import SearchSpec, minimize_phi, stationary_points
+from cavising.model import ChainSpec, IsingProfile, ModeSet
 from cavising.phases import (
     AlreadyCondensedError,
     NoTransitionError,
@@ -164,14 +164,16 @@ class TestOnsetGuess:
         assert critical_coupling(res) == pytest.approx(true, abs=Thresholds().critical_tol)
 
     def _count_solves(self, monkeypatch):
+        # every single-mode solve of a lambda0 column re-scores its unit curve
         calls = []
-        real = phases.minimize_phi
+        real = meanfield._UnitCurve.minimize
 
-        def counted(chain, modeset, search=None):
-            calls.append(modeset.lambda0)
-            return real(chain, modeset, search)
+        def counted(curve, lam):
+            calls.append(lam)
+            return real(curve, lam)
 
-        monkeypatch.setattr(phases, "minimize_phi", counted)
+        monkeypatch.setattr(meanfield._UnitCurve, "minimize", counted)
+        monkeypatch.setattr(phases, "minimize_phi", None)  # no solve may bypass the curve
         return calls
 
     def test_second_order_bisection_needs_few_solves(self, monkeypatch):
@@ -205,7 +207,49 @@ class TestOnsetGuess:
         assert phases.normal_phase_onset(first_order_chain(), (2,)) > cls.lambda_c + 0.02
 
 
+class TestColumnRoute:
+    """Every single-mode solve of a lambda0 column re-scores one unit-coupling curve."""
+
+    # each column's sweep plus couplings just either side of its onset
+    COLUMNS = {
+        "second": (desk_ctx, [0.15, 0.175, 0.2, 0.225, 0.25, 0.275, 0.3, 0.2244, 0.2264]),
+        "first": (first_order_ctx, FIRST_ORDER_GRID + [0.9934, 0.9954]),
+    }
+
+    @pytest.mark.parametrize("column", ["second", "first"])
+    def test_agrees_with_minimize_phi(self, column):
+        make_ctx, lams = self.COLUMNS[column]
+        ctx = make_ctx()
+        cache = phases._PointCache(ctx, "lambda0", lams[:-2])
+        assert cache.curve is not None
+        field = Thresholds().field
+        for lam in lams:
+            state = cache.state(lam)
+            ref = minimize_phi(
+                ctx.chain, ModeSet(modes=ctx.modes, lambda0=lam, N=40, E_c=8.0), QUICK
+            )
+            assert (state.phi[0] > field) == (ref.phi[0] > field)
+            assert state.phi[0] == pytest.approx(ref.phi[0], abs=10 * QUICK.refine_tol)
+            assert state.e_g <= ref.e_g + 1e-12
+
+
 class TestTransitionOrder:
+    @pytest.mark.parametrize(
+        "make_ctx, grid, expected",
+        [(desk_ctx, np.linspace(0.15, 0.3, 7), False), (first_order_ctx, FIRST_ORDER_GRID, True)],
+    )
+    def test_gap_verdict_matches_the_offset_scan(self, make_ctx, grid, expected):
+        # the hysteresis scan the spinodal-crossing gap replaced: two
+        # minima more than 0.02 apart at any of six couplings near the onset
+        ctx = make_ctx()
+        cls = classify_transition_order(sweep(ctx, "lambda0", grid))
+        scanned = False
+        for off in (-0.02, -0.01, -0.005, 0.005, 0.01, 0.02):
+            ms = ModeSet(modes=ctx.modes, lambda0=cls.lambda_c + off, N=40, E_c=8.0)
+            minima = [p.phi for p in stationary_points(ctx.chain, ms, QUICK) if p.kind == "minimum"]
+            scanned = scanned or (len(minima) >= 2 and max(minima) - min(minima) > 0.02)
+        assert cls.hysteresis is scanned is expected
+
     def test_desk_transition_is_second_order(self):
         res = sweep(desk_ctx(), "lambda0", np.linspace(0.15, 0.3, 7))
         cls = classify_transition_order(res)
@@ -286,6 +330,8 @@ class TestPhaseDiagram:
         assert col.lambda_c == pytest.approx(DESK_LAMBDA_C, abs=1.5e-3)
         assert col.transition_order == "second"
         assert col.lambda_spinodal == pytest.approx(col.lambda_c, abs=Thresholds().critical_tol)
+        # second order: the crossing scan approaches the spinodal from above
+        assert col.lambda_spinodal - 1e-12 <= col.lambda_crossing < col.lambda_c + 0.01
         for cell in diagram.cells:
             assert cell.status == "ok"
             expected = "NP" if cell.lambda0 < col.lambda_c else "SP"
@@ -302,14 +348,15 @@ class TestPhaseDiagram:
             phase_diagram(desk_chain(), (2,), [0.1], [0.001], delta_J=0.025, delta_J_factor=0.25)
 
     def _flaky_minimizer(self, monkeypatch, fails):
-        real = phases.minimize_phi
+        # the per-lambda0 solve of a single-mode column
+        real = meanfield._UnitCurve.minimize
 
-        def flaky(chain, modeset, search=None):
-            if fails(chain.ising.J_min, modeset.lambda0):
+        def flaky(curve, lam):
+            if fails(curve.chain.ising.J_min, lam):
                 raise SolverError("injected failure")
-            return real(chain, modeset, search)
+            return real(curve, lam)
 
-        monkeypatch.setattr(phases, "minimize_phi", flaky)
+        monkeypatch.setattr(meanfield._UnitCurve, "minimize", flaky)
 
     def test_failed_sweep_point_is_isolated_to_its_column(self, monkeypatch):
         grid = np.linspace(0.15, 0.3, 7)
