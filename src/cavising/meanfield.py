@@ -361,10 +361,8 @@ def normal_phase_onset(chain: ChainSpec, modes) -> float | None:
     return math.sqrt(-1.0 / mu)
 
 
-def _crossing_onset(
-    chain: ChainSpec, mode: int, s_max: float, search: SearchSpec, curve: _UnitCurve | None = None
-) -> float | None:
-    """Smallest ``lambda0`` at which a condensate in ``mode`` ties ``phi = 0``.
+def _crossing_onset(curve: _UnitCurve, s_max: float) -> float | None:
+    """Smallest ``lambda0`` at which a condensate in ``curve``'s mode ties ``phi = 0``.
 
     With ``s = lambda0 phi`` the single-mode energy is ``e(phi) = (omega /
     lambda0^2 + 4 D_1) s^2 + g(s)``, with ``D_1`` the self-energy at
@@ -373,16 +371,20 @@ def _crossing_onset(
     ``e(phi) < e(0)`` exactly when ``lambda0 > s sqrt(omega / (omega s^2 -
     u(s)))``, and the global minimizer leaves ``phi = 0`` at the smallest
     such value over ``s``: the samples of ``u`` on ``(0, s_max]``, the
-    best one refined, with no loop over ``lambda0``.  They come from
-    ``curve`` unless it is coarser there than ``s_max / (coarse_points -
-    1)``.  Returns ``None`` when ``omega s^2 - u(s) <= 0`` at every sample.
+    best one refined, with no loop over ``lambda0``.  Chain, mode and
+    search come from ``curve``, and so do the samples, so the onset search
+    of a sweep reuses the column's curve; only when ``curve`` is coarser
+    there than ``s_max / (coarse_points - 1)`` does a finer fresh curve
+    sample ``(0, s_max]``.  Returns ``None`` when ``omega s^2 - u(s) <= 0``
+    at every sample.
 
     On a first-order transition this is the onset; on a second-order one
     the smallest value sits at ``s -> 0``, so the scan returns a value at
     or above :func:`normal_phase_onset`.
     """
-    if curve is None or s_max < curve.lam_lo * search.phi_max:
-        curve = _UnitCurve(chain, mode, search, s_max / search.phi_max)
+    search = curve.search
+    if s_max < curve.lam_lo * search.phi_max:
+        curve = _UnitCurve(curve.chain, curve.mode, search, s_max / search.phi_max)
     s, e = curve.samples(s_max)
     # lambda(s) rises with u(s)/s^2, which stays finite as s -> 0
     ratio = lambda x: (curve.energy(x) - e[0]) / (x * x)

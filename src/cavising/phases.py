@@ -3,7 +3,9 @@
 The sweep machinery minimizes the mean-field energy point by point along
 one axis (coupling strength, weak-bond strength, or qubit splitting; on
 one mode along the coupling, all of a column re-scores one unit-coupling
-scan) and the classifiers condense the results into labels:
+scan) and the classifiers condense the results into labels.  A sweep's
+result keeps the memoized solver that produced it, and every onset search
+on that result reuses it, so a column is sampled once:
 
 * field phase: ``normal`` vs ``superradiant`` by the condensate norm;
 * transition order along the coupling axis: a jump test at the critical
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -33,7 +35,6 @@ import numpy as np
 from .correlation import correlation_report
 from .fermion import SolverError
 from .meanfield import SearchSpec, _crossing_onset, _UnitCurve, minimize_phi, normal_phase_onset
-from .meanfield import stationary_points  # noqa: F401  (perfbench/tracer.py wraps it here)
 from .model import ChainSpec, IsingProfile, ModeSet
 
 __all__ = [
@@ -110,9 +111,18 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The records of one sweep and the solver that produced them.
+
+    The private ``_solver`` memoizes the sweep's minimizations (on one mode
+    along ``lambda0``, the column's unit-coupling curve); the onset searches
+    of :func:`critical_coupling` and :func:`classify_transition_order` on
+    this result reuse it instead of sampling the column again.
+    """
+
     axis: str
     records: tuple
     context: SweepContext
+    _solver: _PointCache = field(compare=False, repr=False)
 
     def values(self) -> np.ndarray:
         return np.array([r.value for r in self.records])
@@ -174,23 +184,22 @@ def _solve_record(solve, value: float) -> SweepRecord:
 def sweep(ctx: SweepContext, axis: str, values: Sequence[float], threads: int = 1) -> SweepResult:
     """Minimize along one axis; failed points are recorded, not fatal.
 
-    One mode along ``lambda0``: every point re-scores one unit-coupling curve.
+    One mode along ``lambda0``: every point re-scores one unit-coupling
+    curve.  The result keeps the memoized solver, so the onset searches on
+    it reuse the sweep's solves and curve.
     """
     values = [float(v) for v in values]
-    return _sweep(_PointCache(ctx, axis, values), values, threads)
-
-
-def _sweep(cache: _PointCache, values: list, threads: int) -> SweepResult:
+    solver = _PointCache(ctx, axis, values)
     if threads > 1:
-        if cache.curve is not None and values:
+        if solver.curve is not None and values:
             # the workers only read the curve; a failed sample fails its points
             with suppress(SolverError):
-                cache.curve.samples(max(values) * cache.curve.search.phi_max)
+                solver.curve.samples(max(values) * solver.curve.search.phi_max)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda v: _solve_record(cache.state, v), values))
+            records = list(pool.map(lambda v: _solve_record(solver.state, v), values))
     else:
-        records = [_solve_record(cache.state, v) for v in values]
-    return SweepResult(axis=cache.axis, records=tuple(records), context=cache.ctx)
+        records = [_solve_record(solver.state, v) for v in values]
+    return SweepResult(axis=axis, records=tuple(records), context=ctx, _solver=solver)
 
 
 def _condensed(record: SweepRecord, thr: Thresholds) -> bool:
@@ -200,14 +209,14 @@ def _condensed(record: SweepRecord, thr: Thresholds) -> bool:
 
 
 class _PointCache:
-    """Memoized minimizations along one sweep axis.
+    """Memoized minimizations along one sweep axis, kept by its :class:`SweepResult`.
 
     One mode along ``lambda0``: from the smallest positive value up, every
     coupling and the ``crossing`` onset read one :class:`_UnitCurve`;
     everything else goes through :func:`minimize_phi`.
     """
 
-    def __init__(self, ctx: SweepContext, axis: str, values: Sequence[float] = ()):
+    def __init__(self, ctx: SweepContext, axis: str, values: Sequence[float]):
         self.ctx, self.axis = ctx, axis
         self._states: dict[float, object] = {}
         self.curve = self.crossing = None
@@ -237,16 +246,17 @@ class _PointCache:
 
 
 def _onset_bracket(result: SweepResult, thr: Thresholds):
-    flags = [_condensed(r, thr) for r in result.records]
-    if not any(flags):
-        raise NoTransitionError("no transition in the swept range")
-    first = flags.index(True)
-    if first == 0:
-        raise AlreadyCondensedError("already condensed at the low end of the sweep")
-    return result.records[first - 1].value, result.records[first].value
+    # records past the first condensed one cannot move the bracket, so a
+    # failure there does not void it
+    for i, record in enumerate(result.records):
+        if _condensed(record, thr):
+            if i == 0:
+                raise AlreadyCondensedError("already condensed at the low end of the sweep")
+            return result.records[i - 1].value, record.value
+    raise NoTransitionError("no transition in the swept range")
 
 
-def _probe_guess(cache: _PointCache, guess, lo: float, hi: float, thr: Thresholds):
+def _probe_guess(solver: _PointCache, guess, lo: float, hi: float, thr: Thresholds):
     # a guess only chooses where to probe first: both probes go through
     # the real minimizer, so a wrong guess costs one solve and leaves the
     # bracket verified
@@ -254,40 +264,32 @@ def _probe_guess(cache: _PointCache, guess, lo: float, hi: float, thr: Threshold
         for probe in (guess - 0.4 * thr.critical_tol, guess + 0.4 * thr.critical_tol):
             if not lo < probe < hi:
                 continue
-            if cache.phi_norm(probe) > thr.field:
+            if solver.phi_norm(probe) > thr.field:
                 return lo, probe
             lo = probe
     return lo, hi
 
 
-def _bisect_onset(cache: _PointCache, lo: float, hi: float, thr: Thresholds):
-    lo, hi = _probe_guess(cache, cache.onset, lo, hi, thr)
-    ctx = cache.ctx
-    if len(ctx.modes) == 1:
+def _refine_onset(result: SweepResult, thr: Thresholds):
+    """Bisection bracket ``(lo, hi)`` of the onset, solved with ``result``'s solver."""
+    lo, hi = _onset_bracket(result, thr)
+    if result.axis != "lambda0":
+        raise ValueError("transition refinement is defined along the lambda0 axis")
+    solver = result._solver
+    lo, hi = _probe_guess(solver, solver.onset, lo, hi, thr)
+    if solver.curve is not None:
         # a first-order onset lies below the linear-response one; the
         # condensates in the bracket have s = lambda0 phi <= hi phi_max
-        search = ctx.search or SearchSpec()
-        s_max = hi * search.phi_max
-        cache.crossing = _crossing_onset(ctx.chain, ctx.modes[0], s_max, search, cache.curve)
+        solver.crossing = _crossing_onset(solver.curve, hi * solver.curve.search.phi_max)
         if hi - lo > thr.critical_tol:
-            lo, hi = _probe_guess(cache, cache.crossing, lo, hi, thr)
+            lo, hi = _probe_guess(solver, solver.crossing, lo, hi, thr)
     while hi - lo > thr.critical_tol:
         mid = 0.5 * (lo + hi)
-        if cache.phi_norm(mid) > thr.field:
+        if solver.phi_norm(mid) > thr.field:
             hi = mid
         else:
             lo = mid
     return lo, hi
-
-
-def _refine_onset(result: SweepResult, thr: Thresholds, cache: _PointCache | None = None):
-    lo, hi = _onset_bracket(result, thr)
-    if cache is None:
-        if result.axis != "lambda0":
-            raise ValueError("transition refinement is defined along the lambda0 axis")
-        cache = _PointCache(result.context, result.axis, result.values())
-    lo, hi = _bisect_onset(cache, lo, hi, thr)
-    return lo, hi, cache
 
 
 def critical_coupling(result: SweepResult, thresholds: Thresholds | None = None) -> float:
@@ -295,20 +297,20 @@ def critical_coupling(result: SweepResult, thresholds: Thresholds | None = None)
 
     The sweep must run along ``lambda0`` and must straddle the onset:
     :class:`NoTransitionError` or :class:`AlreadyCondensedError` report
-    the two ways a grid can miss it.  The bisection first probes just
-    either side of :func:`~cavising.meanfield.normal_phase_onset` when
-    it falls inside the bracket; on a second-order transition those two
-    solves already close the bracket to ``critical_tol``.  When they do
-    not and the context has one mode, it next probes either side of the
+    the two ways a grid can miss it.  The bisection reuses the sweep's
+    solver (and, on one mode, its unit-coupling curve), and first probes
+    just either side of :func:`~cavising.meanfield.normal_phase_onset`
+    when it falls inside the bracket; on a second-order transition those
+    two solves already close the bracket to ``critical_tol``.  When they
+    do not and the context has one mode, it next probes either side of the
     coupling at which a condensate first ties ``phi = 0``, read off the
-    column's scan of the energy at unit coupling with ``s = lambda0 phi``
-    up to the bracket's upper edge times ``phi_max``; on a first-order
-    transition those two solves close it.  Every probe is a full
-    minimization (on one mode, that scan re-scored and then refined on the
-    exact energy), so the result does not rest on either guess, and a
-    wrong guess costs one solve before the bisection goes on.
+    column's curve up to the bracket's upper edge times ``phi_max``; on a
+    first-order transition those two solves close it.  Every probe is a
+    full minimization (on one mode, the curve re-scored and then refined
+    on the exact energy), so the result does not rest on either guess,
+    and a wrong guess costs one solve before the bisection goes on.
     """
-    lo, hi, _ = _refine_onset(result, thresholds or Thresholds())
+    lo, hi = _refine_onset(result, thresholds or Thresholds())
     return 0.5 * (lo + hi)
 
 
@@ -341,40 +343,36 @@ def classify_transition_order(
     When the corroborators contradict the jump verdict the label is
     ``ambiguous`` rather than a coin flip.
 
-    The bracket comes from the bisection of :func:`critical_coupling`,
-    seeded by the linear-response onset and then, for one mode, by the
-    energy-crossing onset; the probe ``0.4 critical_tol`` above whichever
-    guess closed the bracket (the first on a second-order transition,
-    the second on a first-order one) is the upper edge where the jump is
-    read.
+    The bracket comes from the bisection of :func:`critical_coupling` on
+    the sweep's own solver, seeded by the linear-response onset and then,
+    for one mode, by the energy-crossing onset; the probe ``0.4
+    critical_tol`` above whichever guess closed the bracket (the first on
+    a second-order transition, the second on a first-order one) is the
+    upper edge where the jump is read.
     """
-    return _classify(result, thresholds or Thresholds())
-
-
-def _classify(
-    result: SweepResult, thr: Thresholds, cache: _PointCache | None = None
-) -> TransitionClassification:
+    thr = thresholds or Thresholds()
     try:
-        lo, hi, cache = _refine_onset(result, thr, cache)
+        lo, hi = _refine_onset(result, thr)
     except AlreadyCondensedError:
         raise
     except NoTransitionError:
         return TransitionClassification(order="none")
+    solver = result._solver
     lambda_c = 0.5 * (lo + hi)
-    jump = cache.phi_norm(hi)
+    jump = solver.phi_norm(hi)
     jump_first = jump > thr.jump
 
     delta = thr.slope_delta
-    e0 = cache.energy(hi)
-    g_full = (cache.energy(hi + delta) - e0) / delta
-    g_half = (cache.energy(hi + 0.5 * delta) - e0) / (0.5 * delta)
+    e0 = solver.energy(hi)
+    g_full = (solver.energy(hi + delta) - e0) / delta
+    g_half = (solver.energy(hi + 0.5 * delta) - e0) / (0.5 * delta)
     ratio = 0.5 if abs(g_full) < 1e-15 else g_half / g_full
     slope_first = ratio > thr.slope_ratio
 
     hysteresis: bool | None = None
     if len(result.context.modes) == 1:
         # between crossing and spinodal phi = 0 is local, a condensate global
-        lam_s, lam_x = cache.onset, cache.crossing
+        lam_s, lam_x = solver.onset, solver.crossing
         hysteresis = lam_x is not None and (lam_s is None or lam_s - lam_x > thr.critical_tol)
 
     corroborators = [slope_first] if hysteresis is None else [slope_first, hysteresis]
@@ -501,16 +499,19 @@ def phase_diagram(
 ) -> PhaseDiagram:
     """Label a (J_min, lambda0) grid, optionally stacked over E_z.
 
-    Each ``J_min`` column is swept in ``lambda0``; the column's onset is
-    refined into a boundary point and, when ``order`` is set, classified
-    for its transition order.  Cell labels combine the local field phase
-    with (when ``magnetic`` is set) the magnetic order of the solved
-    ground state.  The per-``E_z`` crossover is the midpoint between the
+    Each ``J_min`` column is a :func:`sweep` in ``lambda0`` whose onset
+    :func:`critical_coupling` refines into a boundary point, or, when
+    ``order`` is set, :func:`classify_transition_order` refines and
+    classifies; both reuse the sweep's solver.  Cell labels combine the
+    local field phase with (when ``magnetic`` is set) the magnetic order
+    of the solved ground state.  The per-``E_z`` crossover is the midpoint between the
     largest ``J_min`` column labeled second order and the smallest
     labeled first order, provided the two groups do not interleave.
 
     A solver failure while locating one column's onset is recorded on
-    that column (``status == "error"``) and does not stop the others.
+    that column (``status == "error"``) and does not stop the others; a
+    failed sweep point above the column's first condensed one leaves the
+    onset alone and only its own cell unlabeled.
     """
     if chain.ising.kind != "rectangular":
         raise ValueError("phase diagrams are built over rectangular profiles")
@@ -529,19 +530,18 @@ def phase_diagram(
             profile = IsingProfile.rectangular(J_min + dJ, J_min, chain.ising.period)
             col_chain = replace(chain, E_z=float(E_z), ising=profile)
             ctx = SweepContext(chain=col_chain, modes=modes, search=search)
-            cache = _PointCache(ctx, "lambda0", lambda0_values)
-            result = _sweep(cache, lambda0_values, threads)
+            result = sweep(ctx, "lambda0", lambda0_values, threads)
+            solver = result._solver
             lambda_c = lambda_s = None
             t_order = "none"
             status, message = "ok", ""
             try:
-                lambda_s = cache.onset
+                lambda_s = solver.onset
                 if order:
-                    cls = _classify(result, thr, cache)
+                    cls = classify_transition_order(result, thr)
                     lambda_c, t_order = cls.lambda_c, cls.order
                 else:
-                    lo, hi, _ = _refine_onset(result, thr, cache)
-                    lambda_c = 0.5 * (lo + hi)
+                    lambda_c = critical_coupling(result, thr)
             except NoTransitionError:
                 pass
             except SolverError as exc:
@@ -550,36 +550,29 @@ def phase_diagram(
                 PhaseColumn(
                     E_z=float(E_z), J_min=float(J_min), lambda_c=lambda_c,
                     transition_order=t_order, status=status, message=message,
-                    lambda_spinodal=lambda_s, lambda_crossing=cache.crossing,
+                    lambda_spinodal=lambda_s, lambda_crossing=solver.crossing,
                 )
             )
 
             for rec in result.records:
-                if rec.status != "ok":
-                    cells.append(
-                        PhaseCell(
-                            E_z=float(E_z), J_min=float(J_min), J_max=float(J_min + dJ),
-                            lambda0=rec.value, phi=None, e_g=None, label=None,
-                            status="error", message=rec.message,
+                label = None
+                if rec.status == "ok":
+                    field_phase = "superradiant" if _condensed(rec, thr) else "normal"
+                    mag = "undetermined"
+                    if magnetic:
+                        modeset = ModeSet(
+                            modes=modes, lambda0=rec.value, N=col_chain.N, E_c=col_chain.E_c
                         )
-                    )
-                    continue
-                condensed = max(abs(p) for p in rec.phi) > thr.field
-                field_phase = "superradiant" if condensed else "normal"
-                mag = "undetermined"
-                if magnetic:
-                    modeset = ModeSet(
-                        modes=modes, lambda0=rec.value, N=col_chain.N, E_c=col_chain.E_c
-                    )
-                    report = correlation_report(
-                        col_chain, modeset, np.array(rec.phi), n_max=n_max
-                    )
-                    mag = classify_magnetic_order(report, col_chain, thr)
+                        report = correlation_report(
+                            col_chain, modeset, np.array(rec.phi), n_max=n_max
+                        )
+                        mag = classify_magnetic_order(report, col_chain, thr)
+                    label = PhaseLabel(field_phase, t_order, mag)
                 cells.append(
                     PhaseCell(
                         E_z=float(E_z), J_min=float(J_min), J_max=float(J_min + dJ),
-                        lambda0=rec.value, phi=rec.phi, e_g=rec.e_g,
-                        label=PhaseLabel(field_phase, t_order, mag), status="ok",
+                        lambda0=rec.value, phi=rec.phi, e_g=rec.e_g, label=label,
+                        status=rec.status, message=rec.message,
                     )
                 )
 

@@ -363,18 +363,29 @@ class TestCrossingOnset:
         # the smallest crossing of a second-order curve sits at s -> 0,
         # which the scan of (0, s_max] only approaches from above
         lam = normal_phase_onset(chain, (mode,))
-        crossing = _crossing_onset(chain, mode, 1.2 * lam * QUICK.phi_max, QUICK)
+        curve = _UnitCurve(chain, mode, QUICK, 1.2 * lam)
+        crossing = _crossing_onset(curve, 1.2 * lam * QUICK.phi_max)
         assert lam - 1e-12 <= crossing < lam + 0.01
 
     def test_first_order_lies_below_linear_response(self):
         chain = ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.8, 0.5, 2))
-        crossing = _crossing_onset(chain, 2, 1.1 * QUICK.phi_max, QUICK)
+        crossing = _crossing_onset(_UnitCurve(chain, 2, QUICK, 1.1), 1.1 * QUICK.phi_max)
         assert crossing < normal_phase_onset(chain, (2,)) - 0.02
+
+    def test_coarse_curve_is_resampled_finer(self):
+        # a curve coarser than s_max / (coarse_points - 1) hands the scan
+        # to a fresh one sampled on (0, s_max]
+        chain = ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.8, 0.5, 2))
+        coarse = _UnitCurve(chain, 2, QUICK, 2.0)
+        fine = _UnitCurve(chain, 2, QUICK, 1.1)
+        s_max = fine.lam_lo * QUICK.phi_max
+        assert _crossing_onset(coarse, s_max) == _crossing_onset(fine, s_max)
+        assert coarse._samples[0].size == 0  # the coarse curve was never sampled
 
     def test_none_when_origin_never_destabilizes(self):
         chain = ChainSpec(N=8, E_z=0.8, E_c=0.1, ising=IsingProfile.uniform(0.1))
         for mode in (1, 2):
-            assert _crossing_onset(chain, mode, 3.0 * QUICK.phi_max, QUICK) is None
+            assert _crossing_onset(_UnitCurve(chain, mode, QUICK, 3.0), 3.0 * QUICK.phi_max) is None
 
 
 class TestStationaryPoints:

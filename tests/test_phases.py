@@ -1,5 +1,7 @@
 """Sweeps, transition orders, and phase labels."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -154,13 +156,14 @@ class TestOnsetGuess:
     )
     def test_wrong_guess_leaves_the_onset(self, monkeypatch, column, offset):
         make_ctx, grid, guesser = self.COLUMNS[column]
-        res = sweep(make_ctx(), "lambda0", grid)
-        true = critical_coupling(res)
+        true = critical_coupling(sweep(make_ctx(), "lambda0", grid))
         guess = None
         if offset is not None:
             guess = true + offset
             assert grid[0] < guess < grid[-1]
         monkeypatch.setattr(phases, guesser, lambda *args: guess)
+        # a fresh sweep: the first one's solver holds the true spinodal and solves
+        res = sweep(make_ctx(), "lambda0", grid)
         assert critical_coupling(res) == pytest.approx(true, abs=Thresholds().critical_tol)
 
     def _count_solves(self, monkeypatch):
@@ -195,7 +198,8 @@ class TestOnsetGuess:
 
     def test_crossing_matches_pure_bisection(self, monkeypatch):
         res = sweep(first_order_ctx(), "lambda0", FIRST_ORDER_GRID)
-        crossing = phases._crossing_onset(first_order_chain(), 2, 1.0 * QUICK.phi_max, QUICK)
+        curve = meanfield._UnitCurve(first_order_chain(), 2, QUICK, 1.0)
+        crossing = phases._crossing_onset(curve, 1.0 * QUICK.phi_max)
         monkeypatch.setattr(phases, "normal_phase_onset", lambda *args: None)
         monkeypatch.setattr(phases, "_crossing_onset", lambda *args: None)
         bisected = critical_coupling(res, Thresholds(critical_tol=1e-7))
@@ -205,6 +209,48 @@ class TestOnsetGuess:
         cls = classify_transition_order(sweep(first_order_ctx(), "lambda0", FIRST_ORDER_GRID))
         assert cls.order == "first"
         assert phases.normal_phase_onset(first_order_chain(), (2,)) > cls.lambda_c + 0.02
+
+
+class TestSharedSolver:
+    """The onset searches on a sweep reuse the solver that produced it."""
+
+    @pytest.mark.parametrize(
+        "make_ctx, grid",
+        [(desk_ctx, np.linspace(0.15, 0.3, 7)), (first_order_ctx, FIRST_ORDER_GRID)],
+    )
+    def test_one_unit_curve_per_column(self, monkeypatch, make_ctx, grid):
+        built = []
+        real = meanfield._UnitCurve.__init__
+
+        def counted(curve, *args):
+            built.append(args)
+            real(curve, *args)
+
+        monkeypatch.setattr(meanfield._UnitCurve, "__init__", counted)
+        res = sweep(make_ctx(), "lambda0", grid)
+        critical_coupling(res)
+        classify_transition_order(res)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "chain, delta_J, grid",
+        [
+            (desk_chain(), 0.025, np.linspace(0.15, 0.3, 7)),
+            (first_order_chain(), 0.3, FIRST_ORDER_GRID),
+        ],
+    )
+    def test_phase_diagram_column_is_sweep_then_classify(self, chain, delta_J, grid):
+        J_min = chain.ising.J_min
+        (col,) = phase_diagram(
+            chain, (2,), grid, (J_min,), delta_J=delta_J, search=QUICK, magnetic=False
+        ).columns
+        profile = IsingProfile.rectangular(J_min + delta_J, J_min, 2)
+        ctx = SweepContext(chain=replace(chain, ising=profile), modes=(2,), search=QUICK)
+        res = sweep(ctx, "lambda0", grid)
+        cls = classify_transition_order(res)
+        assert (col.lambda_c, col.transition_order) == (cls.lambda_c, cls.order)
+        solver = res._solver
+        assert (col.lambda_spinodal, col.lambda_crossing) == (solver.onset, solver.crossing)
 
 
 class TestColumnRoute:
@@ -374,6 +420,19 @@ class TestPhaseDiagram:
         failed = [c for c in diagram.cells if c.status != "ok"]
         assert [(c.J_min, c.lambda0) for c in failed] == [(0.001, grid[4])]
         assert failed[0].message == "injected failure"
+
+    def test_failed_point_past_the_onset_keeps_the_column(self, monkeypatch):
+        # 0.3 lies two points above the first condensed one and cannot move the bracket
+        grid = np.linspace(0.15, 0.3, 7)
+        self._flaky_minimizer(monkeypatch, lambda J_min, lam: lam == grid[6])
+        diagram = phase_diagram(
+            desk_chain(), (2,), grid, (0.001,), delta_J=0.025, search=QUICK, magnetic=False,
+        )
+        (col,) = diagram.columns
+        assert (col.status, col.message, col.transition_order) == ("ok", "", "second")
+        assert col.lambda_c == pytest.approx(DESK_LAMBDA_C, abs=1.5e-3)
+        assert [c.status for c in diagram.cells] == ["ok"] * 6 + ["error"]
+        assert (diagram.cells[-1].label, diagram.cells[-1].message) == (None, "injected failure")
 
     def test_failed_bisection_point_is_isolated_to_its_column(self, monkeypatch):
         grid = np.linspace(0.15, 0.3, 7)
