@@ -15,12 +15,28 @@ against brute-force diagonalization, and they hold for the even-sector
 vacuum only, which is the sector the ground-state pipeline always
 produces.
 
+The blocks are windows of one matrix.  With ``H[a, b] = G[a, b + 1]``
+(indices mod N), ``rho(j, n) = seam * det H[j:j+n, j:j+n]``: the ``n``-th
+leading principal minor of the window of ``H`` that starts at site ``j``.
+The leftward correlator ``rho(j - n, n)`` is the same kind of minor, of the
+window that starts at ``j - n``.  So one table ``R[s, n - 1]`` of leading
+minors, one row per window start ``s``, serves every correlator.  It comes
+from one pivot-free elimination run on all N windows at once: step ``n``
+eliminates column ``n`` of every window, and the running product of the
+pivots is the ``n``-th leading minor of each.  ``G`` is orthogonal, so
+its entries are at most 1 in size; a pivot far below that has lost its
+digits to cancellation (a minor that vanishes exactly comes out as
+rounding noise), and its window takes the rest of its row from
+:func:`yy_correlation`, LAPACK's pivoted LU determinant.
+
 Decay lengths are extracted per site by walking ``rho`` outward until it
 falls below ``rho(j, 1)/e`` and interpolating the crossing on a log
 scale.  Sites whose nearest-neighbour correlator is already negligible
 are flagged ``uncorrelated`` (length 0); sites where no crossing occurs
 within the probed range are flagged ``saturated`` and get the range
-itself as their length.
+itself as their length.  The rightward and leftward walks of every site
+advance in lockstep with the elimination, which stops at the first depth
+by which all of them have ended; short-ranged rings pay a step or two.
 """
 
 from __future__ import annotations
@@ -44,6 +60,8 @@ __all__ = [
 
 _NEGLIGIBLE = 1e-12
 _LOG_FLOOR = 1e-300
+_PIVOT_BAR = 1e-5
+_FIRST_WIDTH = 8
 
 
 def pair_contractions(sol: QuasiparticleSolution) -> np.ndarray:
@@ -55,7 +73,9 @@ def yy_correlation(G: np.ndarray, j: int, n: int) -> float:
     """Two-point correlator ``<sy_j sy_{j+n}>`` with ``1 <= n <= N-1``.
 
     ``G`` must come from an even-sector solution; pairs that wrap the
-    seam (``j % N + n >= N``) carry the antiperiodic minus sign.
+    seam (``j % N + n >= N``) carry the antiperiodic minus sign.  One
+    determinant per call: the reference for the batched table, and its
+    fallback.
     """
     N = G.shape[0]
     if not 1 <= n <= N - 1:
@@ -68,11 +88,86 @@ def yy_correlation(G: np.ndarray, j: int, n: int) -> float:
 
 
 def yy_table(G: np.ndarray, n_max: int) -> dict[tuple[int, int], float]:
-    """Dense table ``{(j, n): rho}`` for all sites and ``n = 1 .. n_max``."""
+    """Dense table ``{(j, n): rho}`` for all sites and ``n = 1 .. n_max``.
+
+    The full batched elimination, without the early stop of the report.
+    """
+    return _as_dict(_window_minors(G, n_max))
+
+
+def _as_dict(R: np.ndarray) -> dict[tuple[int, int], float]:
+    N, depth = R.shape
+    keys = ((j, n) for j in range(N) for n in range(1, depth + 1))
+    return dict(zip(keys, R.ravel().tolist()))
+
+
+def _window_minors(G: np.ndarray, n_max: int, stop_early: bool = False) -> np.ndarray:
+    """Table ``R[s, n - 1] = rho(s, n)`` of every window minor up to ``n_max``.
+
+    One pivot-free elimination runs on all ``N`` windows at once, one step
+    per ``n``; the running product of the pivots is each window's leading
+    minor.  A window whose pivot falls below ``_PIVOT_BAR`` in size takes
+    the rest of its row from :func:`yy_correlation`.  With ``stop_early``
+    the table ends at the first ``n`` by which every rightward and leftward
+    walk of :func:`_decay_length` has crossed ``rho(1)/e`` or was
+    uncorrelated from the start.  Widening the block as the walks go deeper
+    leaves each entry's arithmetic as in the full run, so tables of any
+    depth agree bit for bit where they overlap.
+    """
     N = G.shape[0]
-    return {
-        (j, n): yy_correlation(G, j, n) for j in range(N) for n in range(1, min(n_max, N - 1) + 1)
-    }
+    m = max(min(n_max, N - 1), 0)
+    # H[a, b] = G[a, b + 1] padded periodically: window s is the diagonal
+    # block P[s:s + m, s:s + m]; columns[c, i, s] is its entry (i, c)
+    P = np.pad(np.roll(G, -1, axis=1), ((0, m), (0, m)), mode="wrap")
+    rs, cs = P.strides
+    columns = np.lib.stride_tricks.as_strided(P, shape=(m, m, N), strides=(cs, rs, rs + cs))
+
+    R = np.empty((N, m))
+    sites = np.arange(N)
+    minor = np.ones(N)
+    broken = np.zeros(N, dtype=bool)
+    A = np.empty((m, m, N))  # eliminated in place; columns are copied in as needed
+    width = 0
+    for k in range(m):
+        if k == width:
+            # early walks read few columns: start narrow, double, and catch
+            # the new columns up with the steps already taken
+            done, width = width, min(m, max(2 * width, _FIRST_WIDTH)) if stop_early else m
+            A[done:width] = columns[done:width]
+            for t in range(done):
+                _eliminate(A[:width], t, broken, done)
+        pivot = A[k, k]
+        broken |= np.abs(pivot) <= _PIVOT_BAR
+        minor *= np.where(broken, 1.0, pivot)
+        R[:, k] = np.where(sites + k + 1 >= N, -minor, minor)  # the seam sign
+        for s in np.flatnonzero(broken):
+            R[s, k] = yy_correlation(G, s, k + 1)
+        if stop_early:
+            r = np.abs(R[:, k])
+            if k == 0:
+                # the walks still open, by start site; the leftward walk
+                # from j reads window j - n at depth n
+                target = r / math.e
+                right = r > _NEGLIGIBLE
+                left = np.roll(right, 1)
+            else:
+                right &= r > target
+                left &= np.roll(r, k + 1) > np.roll(target, 1)
+            if not (right.any() or left.any()):
+                return R[:, : k + 1]
+        _eliminate(A[:width], k, broken, k + 1)
+    return R
+
+
+def _eliminate(A: np.ndarray, t: int, broken: np.ndarray, first: int) -> None:
+    """Step ``t`` of the elimination on the columns from ``first`` on, in place.
+
+    One column at a time keeps the temporaries at one column of every
+    window.  Broken windows keep their entries.
+    """
+    mult = np.where(broken, 0.0, A[t, t + 1 :] / np.where(broken, 1.0, A[t, t]))
+    for c in range(first, len(A)):
+        A[c, t + 1 :] -= mult * A[c, t]
 
 
 def _decay_length(r_of_n, n_max: int) -> tuple[float, str]:
@@ -116,9 +211,10 @@ def correlation_lengths(rho, j: int, n_max: int):
 class CorrelationReport:
     """Site-resolved observables of one ground-state solution.
 
-    ``rho`` holds every correlator evaluated while measuring the decay
-    lengths, keyed by ``(j, n)`` with ``j`` already reduced mod N; use
-    :func:`yy_table` for an exhaustive grid.
+    ``rho`` holds every window minor the decay-length walks computed, keyed
+    by ``(j, n)`` with ``j`` already reduced mod N: all sites, for ``n`` up to
+    the depth at which the last walk ended.  Its values equal
+    :func:`yy_table`'s bit for bit; use that for an exhaustive grid.
     """
 
     G: np.ndarray
@@ -152,7 +248,7 @@ def correlation_report(
     """Solve the chain at mode amplitudes ``phi`` and measure everything.
 
     ``n_max`` defaults to ``N // 2``; pass a smaller value to cap the
-    determinant sizes when only coarse length information is needed.  A
+    window sizes when only coarse length information is needed.  A
     pre-computed ``solution`` short-circuits the fermion solve.
     """
     fld = effective_field(chain, modeset, phi)
@@ -170,7 +266,7 @@ def correlation_report(
     sz_lab = np.cos(fld.theta) * sz_rot
     sx_lab = np.sin(fld.theta) * sz_rot
 
-    cache: dict[tuple[int, int], float] = {}
+    cache = _as_dict(_window_minors(G, n_max, stop_early=True))
 
     def rho(jj: int, nn: int) -> float:
         key = (jj % N, nn)

@@ -212,13 +212,15 @@ class _PointCache:
     """Memoized minimizations along one sweep axis, kept by its :class:`SweepResult`.
 
     One mode along ``lambda0``: from the smallest positive value up, every
-    coupling and the ``crossing`` onset read one :class:`_UnitCurve`;
-    everything else goes through :func:`minimize_phi`.
+    coupling and the ``crossing`` onset read one :class:`_UnitCurve`, and
+    the crossing is refined once per bracket edge, which every onset search
+    on the result shares; everything else goes through :func:`minimize_phi`.
     """
 
     def __init__(self, ctx: SweepContext, axis: str, values: Sequence[float]):
         self.ctx, self.axis = ctx, axis
         self._states: dict[float, object] = {}
+        self._crossings: dict[float, float | None] = {}
         self.curve = self.crossing = None
         lam_lo = min((v for v in values if v > 0), default=0.0)
         if axis == "lambda0" and len(ctx.modes) == 1 and lam_lo > 0:
@@ -238,6 +240,13 @@ class _PointCache:
 
     def energy(self, lam: float) -> float:
         return float(self.state(lam).e_g)
+
+    def crossing_below(self, s_max: float) -> float | None:
+        """The curve's first-order onset among ``s <= s_max``, refined once per ``s_max``."""
+        if s_max not in self._crossings:
+            self._crossings[s_max] = _crossing_onset(self.curve, s_max)
+        self.crossing = self._crossings[s_max]
+        return self.crossing
 
     @cached_property
     def onset(self) -> float | None:
@@ -280,9 +289,9 @@ def _refine_onset(result: SweepResult, thr: Thresholds):
     if solver.curve is not None:
         # a first-order onset lies below the linear-response one; the
         # condensates in the bracket have s = lambda0 phi <= hi phi_max
-        solver.crossing = _crossing_onset(solver.curve, hi * solver.curve.search.phi_max)
+        crossing = solver.crossing_below(hi * solver.curve.search.phi_max)
         if hi - lo > thr.critical_tol:
-            lo, hi = _probe_guess(solver, solver.crossing, lo, hi, thr)
+            lo, hi = _probe_guess(solver, crossing, lo, hi, thr)
     while hi - lo > thr.critical_tol:
         mid = 0.5 * (lo + hi)
         if solver.phi_norm(mid) > thr.field:

@@ -1,10 +1,14 @@
 """Wick-contraction observables against brute force and closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cavising import correlation
 from cavising.correlation import (
     correlation_lengths,
     correlation_report,
@@ -169,3 +173,147 @@ class TestReport:
         rep = correlation_report(chain, ms, [0.0])
         assert rep.sigma_z_rot[0] == pytest.approx(1.0, abs=1e-12)
         assert rep.flags_r == ("uncorrelated",)
+
+
+# bond ranges in units of E_z; the gap closes at J = E_z / 2
+REGIMES = {
+    "P": (0.0, 0.15),
+    "deep P": (0.0, 0.005),  # rho falls below 1e-15 within a few sites
+    "F": (0.7, 1.5),
+}
+
+
+@st.composite
+def dressed_rings(draw):
+    """A ring in one magnetic regime at a random coupling and amplitude."""
+    N = draw(st.integers(2, 40))
+    regime = draw(st.sampled_from(["P", "deep P", "F", "FP"]))
+    E_z = draw(st.floats(0.4, 1.2))
+
+    def bonds(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=N, max_size=N)))
+
+    if regime == "FP":
+        # windows of strong bonds between paramagnetic ones
+        period = draw(st.integers(1, 3))
+        strong = (np.arange(N) // period) % 2 == 0
+        J = np.where(strong, bonds(*REGIMES["F"]), bonds(*REGIMES["P"]))
+    else:
+        J = bonds(*REGIMES[regime])
+    chain = ChainSpec(N=N, E_z=E_z, E_c=8.0, ising=IsingProfile.explicit(J * E_z))
+    ms = ModeSet(modes=(1,), lambda0=draw(st.floats(0.0, 0.8)), N=N, E_c=8.0)
+    return chain, ms, np.array([draw(st.floats(-0.5, 0.5))])
+
+
+def det_walks(G, n_max):
+    """Every site's decay lengths from one determinant per correlator.
+
+    Also returns the table a report must hold to serve those walks: every
+    site, up to the deepest ``n`` any of them read.
+    """
+    depth = 0
+
+    def rho(j, n):
+        nonlocal depth
+        depth = max(depth, n)
+        return yy_correlation(G, j, n)
+
+    walks = [correlation_lengths(rho, j, n_max) for j in range(G.shape[0])]
+    return walks, {(j, n) for j in range(G.shape[0]) for n in range(1, depth + 1)}
+
+
+class TestWindowMinors:
+    """The batched elimination against one LAPACK determinant per correlator."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(dressed_rings())
+    def test_matches_determinants(self, ring):
+        chain, ms, phi = ring
+        rep = correlation_report(chain, ms, phi)
+        table = yy_table(rep.G, chain.N - 1)
+        for (j, n), value in table.items():
+            ref = yy_correlation(rep.G, j, n)
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (j, n)
+        assert all(table[key] == value for key, value in rep.rho.items())
+        walks, keys = det_walks(rep.G, rep.n_max)
+        assert set(rep.rho) == keys
+        assert rep.flags_r == tuple(w[3] for w in walks)
+        assert rep.flags_l == tuple(w[4] for w in walks)
+        np.testing.assert_allclose(rep.xi_r, [w[0] for w in walks], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(rep.xi_l, [w[1] for w in walks], rtol=0, atol=1e-9)
+
+    def test_report_and_table_agree_bit_for_bit(self):
+        # a window ring: short walks on weak bonds, saturated ones on strong
+        chain = ChainSpec(N=60, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.9, 0.1, 3))
+        ms = ModeSet(modes=(2,), lambda0=0.4, N=60, E_c=8.0)
+        rep = correlation_report(chain, ms, [0.2], n_max=25)
+        table = yy_table(rep.G, rep.n_max)
+        assert all(table[key] == value for key, value in rep.rho.items())
+        # the elimination stopped where the deepest walk ended
+        _, keys = det_walks(rep.G, rep.n_max)
+        assert set(rep.rho) == keys
+        assert 1 < max(n for _, n in keys) < rep.n_max
+
+    def test_vanishing_leading_minor_falls_back(self, monkeypatch):
+        # an orthogonal G whose window at site 0 has H[0, 0] = G[0, 1] = 0
+        rng = np.random.default_rng(43)
+        Q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+        c, s = Q[0, 1], Q[0, 2]
+        r = math.hypot(c, s)
+        rot = np.eye(7)
+        rot[1:3, 1:3] = [[s / r, c / r], [-c / r, s / r]]
+        G = Q @ rot
+        assert G[0, 1] == pytest.approx(0.0, abs=1e-16)
+        fallbacks = []
+        real = correlation.yy_correlation
+
+        def counted(G, j, n):
+            fallbacks.append((j, n))
+            return real(G, j, n)
+
+        monkeypatch.setattr(correlation, "yy_correlation", counted)
+        table = yy_table(G, 6)
+        # window 0 takes its whole row from det; (1, 6) is the minor
+        # complementary to G[0, 1] in the orthogonal G, so it vanishes too
+        assert sorted(fallbacks) == [(0, n) for n in range(1, 7)] + [(1, 6)]
+        for (j, n), value in table.items():
+            assert value == pytest.approx(real(G, j, n), abs=1e-12)
+        # the window's later minors are not zero: the fallback is needed
+        assert abs(table[(0, 2)]) > 1e-3
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_smallest_rings_against_brute_force(self, N):
+        chain = ChainSpec(
+            N=N, E_z=0.7, E_c=8.0, ising=IsingProfile.explicit([0.5, 0.3, 0.8][:N])
+        )
+        ms = ModeSet(modes=(1,), lambda0=0.4, N=N, E_c=8.0)
+        rep = correlation_report(chain, ms, [0.3], n_max=N - 1)
+        fld = effective_field(chain, ms, [0.3])
+        problem = DenseSpinProblem(Omega=fld.Omega, J=chain.bonds())
+        _, state = exact_ground(problem, parity=+1)
+        pairs = [(j, n) for j in range(N) for n in range(1, N)]
+        ref = exact_expectations(problem, state, pairs=pairs, theta=fld.theta)
+        assert rep.n_max == N - 1
+        table = yy_table(rep.G, N - 1)
+        for key in pairs:
+            assert table[key] == pytest.approx(ref["yy"][key], abs=1e-10)
+        for key, value in rep.rho.items():
+            assert value == pytest.approx(ref["yy"][key], abs=1e-10)
+        walks, keys = det_walks(rep.G, N - 1)
+        assert set(rep.rho) == keys
+        assert rep.flags_r == tuple(w[3] for w in walks)
+        assert rep.flags_l == tuple(w[4] for w in walks)
+
+    def test_decoupled_ring_is_uncorrelated_without_warnings(self):
+        # J = 0: G = -1, so every window's first pivot G[j, j + 1] is 0
+        chain = ChainSpec(N=12, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.0))
+        ms = ModeSet(modes=(1,), lambda0=0.3, N=12, E_c=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = correlation_report(chain, ms, [0.2], n_max=6)
+            table = yy_table(rep.G, 6)
+        assert rep.flags_r == rep.flags_l == ("uncorrelated",) * 12
+        np.testing.assert_array_equal(rep.xi_rl, 0.0)
+        assert max(abs(v) for v in table.values()) <= 1e-12

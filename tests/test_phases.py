@@ -233,6 +233,25 @@ class TestSharedSolver:
         assert len(built) == 1
 
     @pytest.mark.parametrize(
+        "make_ctx, grid",
+        [(desk_ctx, np.linspace(0.15, 0.3, 7)), (first_order_ctx, FIRST_ORDER_GRID)],
+    )
+    def test_second_search_costs_no_energy(self, monkeypatch, make_ctx, grid):
+        # the crossing below the bracket edge is refined by the first search only
+        res = sweep(make_ctx(), "lambda0", grid)
+        first = critical_coupling(res)
+        calls = []
+        real = meanfield.quasiparticle_energies
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "quasiparticle_energies", counted)
+        assert critical_coupling(res) == first
+        assert calls == []
+
+    @pytest.mark.parametrize(
         "chain, delta_J, grid",
         [
             (desk_chain(), 0.025, np.linspace(0.15, 0.3, 7)),
