@@ -212,7 +212,9 @@ def _run_correlations(cfg: RunConfig, task: CorrelationsTask, out_dir: Path, fmt
         rows,
         fmt,
     )
-    table = correlation.yy_table(report.G, report.n_max)
+    # walks that went all the way down left the full table in the report
+    depth = max((n for _, n in report.rho), default=0)
+    table = report.rho if depth == report.n_max else correlation.yy_table(report.G, report.n_max)
     rho_rows = [(j, n, float(v)) for (j, n), v in sorted(table.items())]
     _write_table(out_dir, "rho", ("j", "n", "rho"), rho_rows, fmt)
     print(

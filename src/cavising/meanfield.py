@@ -20,9 +20,10 @@ Hessian starts the gradient polish off an unstable origin.  A single
 mode sees ``lambda0`` only through ``s = lambda0 phi`` and the quadratic
 field part, so one scan of the energy at unit coupling serves a whole
 column of couplings (``_UnitCurve``): each minimization re-scores its
-samples before refining on the exact energy, and where a condensate
-first ties ``phi = 0``, the onset of a first-order transition, is read
-off the same samples (``_crossing_onset``).
+samples and refines in ``s`` on the column's memoized unit energy, so
+couplings share their line-search probes, and where a condensate first
+ties ``phi = 0``, the onset of a first-order transition, is read off the
+same samples (``_crossing_onset``).
 
 A single amplitude is searched on ``phi >= 0``: the energy is even under
 the joint flip of all amplitudes, so the nonnegative half covers the
@@ -155,32 +156,38 @@ def _sample(f, search: SearchSpec):
     return grid, np.array([f(x) for x in grid])
 
 
-def _refine(f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec):
-    """Refine samples of ``[0, phi_max]``: the first cell, the interior
-    minima and, if the curve still falls there, the last cell to ``phi_max``."""
+def _refine(f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: float = 1.0):
+    """Refine samples of ``[0, scale phi_max]``: the first cell, the interior
+    minima and, if the curve still falls there, the last cell to its end.
+
+    ``f``, ``grid`` and the results are in units of ``scale phi``, and the
+    tolerance is ``refine_tol`` in ``phi``.
+    """
     # a condensate smaller than one grid step hides inside the first cell
     # with both endpoints above its floor, so refine that cell
     # unconditionally; on a rising edge the refinement collapses back to
     # the origin
-    first = _bounded_min(f, grid[0], grid[1], search.refine_tol)
-    minima = [
-        _bounded_min(f, grid[i - 1], grid[i + 1], search.refine_tol)
-        for i in _interior_minima(vals)
-    ]
+    tol = scale * search.refine_tol
+    first = _bounded_min(f, grid[0], grid[1], tol)
+    minima = [_bounded_min(f, grid[i - 1], grid[i + 1], tol) for i in _interior_minima(vals)]
     if vals[-1] < vals[-2]:
-        minima.append(_bounded_min(f, grid[-2], search.phi_max, search.refine_tol))
+        minima.append(_bounded_min(f, grid[-2], scale * search.phi_max, tol))
     return first, minima
 
 
-def _minimize_single(f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec):
-    first, minima = _refine(f, grid, vals, search)
+def _minimize_single(
+    f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: float = 1.0
+):
+    """Best of the origin and :func:`_refine`'s minima, returned in ``phi``."""
+    first, minima = _refine(f, grid, vals, search, scale)
     candidates = sorted([(0.0, vals[0]), first, *minima], key=lambda c: c[1])
     x, fx = candidates[0]
     degenerate = any(
-        abs(c[1] - fx) < search.degeneracy_tol and abs(c[0] - x) > 10 * search.refine_tol
+        abs(c[1] - fx) < search.degeneracy_tol and abs(c[0] - x) / scale > 10 * search.refine_tol
         for c in candidates[1:]
     )
-    _warn_boundary(x, search, grid[1] - grid[0])
+    x /= scale
+    _warn_boundary(x, search, (grid[1] - grid[0]) / scale)
     return np.array([x]), fx, degenerate
 
 
@@ -191,7 +198,7 @@ def _state(modeset: ModeSet, phi: np.ndarray, e_g: float, degenerate: bool) -> M
 
 
 class _UnitCurve:
-    """One mode's energy ``e_1(s)`` at unit coupling, sampled once for a column of ``lambda0``.
+    """One mode's energy ``e_1(s)`` at unit coupling, shared by a column of ``lambda0``.
 
     With ``s = lambda0 phi`` the energy at any ``lambda0`` is ``e_1(s) +
     omega s^2 (1/lambda0^2 - 1)``, so samples spaced ``lam_lo phi_max /
@@ -199,15 +206,25 @@ class _UnitCurve:
     ``lambda0 >= lam_lo`` at least as fine as :func:`minimize_phi`'s.  They
     are added lazily up to ``lambda0 phi_max``, both arrays replaced in one
     assignment, so threads sharing a curve only ever read whole ones.
+    Every ``e_1(s)`` is memoized by ``s``: refined in ``s``, the couplings
+    of a column share their cells (the first is ``[0, s_1]`` for all), so
+    bounded Brent probes recur and are paid once.
     """
 
     def __init__(self, chain: ChainSpec, mode: int, search: SearchSpec, lam_lo: float):
         self.chain, self.mode, self.search, self.lam_lo = chain, mode, search, lam_lo
-        unit = ModeSet(modes=(mode,), lambda0=1.0, N=chain.N, E_c=chain.E_c)
-        self.omega = float(unit.frequencies[0])
-        self.energy = lambda x: energy_per_particle(chain, unit, np.array([x]))
+        self._unit = ModeSet(modes=(mode,), lambda0=1.0, N=chain.N, E_c=chain.E_c)
+        self.omega = float(self._unit.frequencies[0])
         self.step = lam_lo * search.phi_max / (search.coarse_points - 1)
         self._samples = (np.zeros(0), np.zeros(0))
+        self._memo: dict[float, float] = {}
+
+    def energy(self, s: float) -> float:
+        """``e_1(s)``, computed once per ``s``; the values are deterministic, so
+        threads that race on one key store the same number."""
+        if s not in self._memo:
+            self._memo[s] = energy_per_particle(self.chain, self._unit, np.array([s]))
+        return self._memo[s]
 
     def samples(self, s_max: float):
         """``s`` and ``e_1(s)`` on the samples up to ``s_max``, give or take rounding."""
@@ -219,12 +236,13 @@ class _UnitCurve:
         return s[:n], e[:n]
 
     def minimize(self, lam: float) -> MeanFieldState:
-        """:func:`minimize_phi` at ``lam >= lam_lo``, refining re-scored samples exactly."""
+        """:func:`minimize_phi` at ``lam >= lam_lo``, refined in ``s`` on the memoized ``e_1``."""
         modeset = ModeSet(modes=(self.mode,), lambda0=lam, N=self.chain.N, E_c=self.chain.E_c)
         s, e = self.samples(lam * self.search.phi_max)
-        vals = e + self.omega * s * s * (1.0 / (lam * lam) - 1.0)
-        f = lambda x: energy_per_particle(self.chain, modeset, np.array([x]))
-        return _state(modeset, *_minimize_single(f, s / lam, vals, self.search))
+        tilt = 1.0 / (lam * lam) - 1.0
+        f = lambda x: self.energy(x) + self.omega * x * x * tilt
+        vals = e + self.omega * s * s * tilt
+        return _state(modeset, *_minimize_single(f, s, vals, self.search, lam))
 
 
 # the polish stops once the projected gradient falls below this (ftol = 0

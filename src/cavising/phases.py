@@ -192,7 +192,9 @@ def sweep(ctx: SweepContext, axis: str, values: Sequence[float], threads: int = 
     solver = _PointCache(ctx, axis, values)
     if threads > 1:
         if solver.curve is not None and values:
-            # the workers only read the curve; a failed sample fails its points
+            # the workers read these samples and share the curve's memo, whose
+            # values do not depend on who stores them; a failed sample fails
+            # its points
             with suppress(SolverError):
                 solver.curve.samples(max(values) * solver.curve.search.phi_max)
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -316,8 +318,9 @@ def critical_coupling(result: SweepResult, thresholds: Thresholds | None = None)
     column's curve up to the bracket's upper edge times ``phi_max``; on a
     first-order transition those two solves close it.  Every probe is a
     full minimization (on one mode, the curve re-scored and then refined
-    on the exact energy), so the result does not rest on either guess,
-    and a wrong guess costs one solve before the bisection goes on.
+    in ``s = lambda0 phi`` on its memoized unit energy), so the result
+    does not rest on either guess, and a wrong guess costs one solve
+    before the bisection goes on.
     """
     lo, hi = _refine_onset(result, thresholds or Thresholds())
     return 0.5 * (lo + hi)

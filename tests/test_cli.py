@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import yaml
 
+from cavising import correlation
 from cavising.cli import main
-from cavising.meanfield import normal_phase_onset
-from cavising.model import ChainSpec, IsingProfile
+from cavising.meanfield import SearchSpec, minimize_phi, normal_phase_onset
+from cavising.model import ChainSpec, IsingProfile, ModeSet
 
 
 def base_model():
@@ -147,6 +148,35 @@ class TestCorrelations:
         assert header == ["j", "n", "rho"]
         assert len(rows) == 12 * 4
         assert sorted({int(r[1]) for r in rows}) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("J, saturated", [(0.1, False), (1.0, True)])
+    def test_rho_table_equals_yy_table(self, tmp_path, monkeypatch, J, saturated):
+        # a ferromagnetic ring's walks reach n_max, so the report already holds
+        # the full table; the paramagnet's stop early and take a second pass
+        raw = solve_config(tmp_path)
+        raw["model"]["ising"]["J"] = J
+        raw["task"] = {"kind": "correlations", "n_max": 4}
+        raw["output"]["format"] = "json"  # exact floats, where CSV keeps 12 digits
+        cfg = write_config(tmp_path, raw)
+        real = correlation.yy_table
+        tables = []
+
+        def spied(G, n_max):
+            tables.append(n_max)
+            return real(G, n_max)
+
+        monkeypatch.setattr(correlation, "yy_table", spied)
+        assert main(["correlations", "--config", cfg]) == 0
+        assert tables == ([] if saturated else [4])
+
+        chain = ChainSpec(N=12, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(J))
+        modeset = ModeSet(modes=(2,), lambda0=0.3, N=12, E_c=8.0)
+        state = minimize_phi(chain, modeset, SearchSpec(coarse_points=41))
+        report = correlation.correlation_report(chain, modeset, state.phi, n_max=4)
+        expected = real(report.G, 4)
+        written = load_json(tmp_path / "out" / "rho.json")
+        assert {(r["j"], r["n"]): r["rho"] for r in written} == expected
+        assert [(r["j"], r["n"]) for r in written] == sorted(expected)
 
 
 class TestPhaseDiagramCommand:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavising import meanfield
 from cavising.correlation import pair_contractions
 from cavising.fermion import ground_sector
 from cavising.meanfield import (
@@ -118,6 +119,27 @@ class TestRotatedPolarization:
         )
 
 
+class TestSymmetries:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mean_field_points())
+    def test_energy_is_even_under_the_joint_flip(self, point):
+        chain, ms, phi = point
+        e = energy_per_particle(chain, ms, phi)
+        assert abs(energy_per_particle(chain, ms, -phi) - e) <= 1e-14 * max(1.0, abs(e))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mean_field_points())
+    def test_decoupled_ring_is_minus_the_mean_field(self, point):
+        # with J = 0 each site is a free spin in Omega(j): the chain part of
+        # e_g is -mean(Omega) at any amplitudes
+        chain, ms, phi = point
+        chain = ChainSpec(N=chain.N, E_z=chain.E_z, E_c=8.0, ising=IsingProfile.uniform(0.0))
+        field_part = float(np.sum((ms.frequencies + 4.0 * ms.D) * phi * phi))
+        chain_part = energy_per_particle(chain, ms, phi) - field_part
+        Omega = effective_field(chain, ms, phi).Omega
+        assert abs(chain_part + float(np.mean(Omega))) <= 1e-13
+
+
 @st.composite
 def unit_scaling_points(draw):
     N = draw(st.integers(1, 60))
@@ -166,6 +188,65 @@ class TestUnitCurve:
             assert s[-1] <= s_max + 1e-9 < s[-1] + shared.step
             np.testing.assert_array_equal(s, s_ref[: s.size])
             np.testing.assert_array_equal(e, e_ref[: s.size])
+
+    @pytest.mark.parametrize(
+        "chain, mode, lam_lo, lams",
+        [
+            (desk_chain(), 2, 0.15, (0.3, 0.175, 0.23, 0.15, 0.25, 0.2)),
+            (
+                ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.8, 0.5, 2)),
+                2,
+                0.9,
+                (1.1, 0.9934, 0.9, 0.9954, 1.0),
+            ),
+        ],
+    )
+    def test_memo_leaves_no_trace_of_call_order(self, chain, mode, lam_lo, lams):
+        # the memo only holds exact energies, so a curve used at other
+        # couplings first returns the fresh curve's state bit for bit
+        shared = _UnitCurve(chain, mode, QUICK, lam_lo)
+        for lam in lams:
+            got = shared.minimize(lam)
+            fresh = _UnitCurve(chain, mode, QUICK, lam_lo).minimize(lam)
+            np.testing.assert_array_equal(got.phi, fresh.phi)
+            assert (got.e_g, got.degenerate) == (fresh.e_g, fresh.degenerate)
+
+    def test_threads_share_the_memo(self):
+        # more threads than cores minimize on one curve at once, racing on
+        # its samples and memo; each state must be the fresh serial one
+        lams = np.linspace(0.15, 0.3, 16)
+        fresh = [_UnitCurve(desk_chain(), 2, QUICK, 0.15).minimize(lam) for lam in lams]
+        shared = _UnitCurve(desk_chain(), 2, QUICK, 0.15)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(shared.minimize, lam) for lam in lams]
+                states = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, ref in zip(states, fresh):
+            np.testing.assert_array_equal(got.phi, ref.phi)
+            assert got.e_g == ref.e_g
+
+    def test_second_normal_coupling_pays_only_new_samples(self, monkeypatch):
+        # refined in s, every coupling's first cell is [0, s_1]: a second
+        # normal-phase coupling finds all its first-cell probes memoized
+        curve = _UnitCurve(desk_chain(), 2, QUICK, 0.15)
+        assert curve.minimize(0.15).phi[0] == 0.0
+        calls = []
+        real = meanfield.quasiparticle_energies
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "quasiparticle_energies", counted)
+        before = curve.samples(0.15 * QUICK.phi_max)[0].size
+        assert curve.minimize(0.175).phi[0] == 0.0
+        after = curve.samples(0.175 * QUICK.phi_max)[0].size
+        assert after > before
+        assert len(calls) == after - before
 
 
 class TestMinimize:
