@@ -60,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the YAML/JSON run config")
         p.add_argument("--out", help="output directory (overrides output.dir)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
         p.add_argument("--format", choices=("csv", "json"), help="overrides output.format")
         if name == "solve":
             p.add_argument(
@@ -155,9 +154,9 @@ def _sweep_context(cfg: RunConfig, task) -> phases.SweepContext:
     )
 
 
-def _run_sweep(cfg: RunConfig, task: SweepTask, out_dir: Path, fmt: str, threads: int) -> None:
+def _run_sweep(cfg: RunConfig, task: SweepTask, out_dir: Path, fmt: str) -> None:
     ctx = _sweep_context(cfg, task)
-    result = phases.sweep(ctx, task.axis, task.values, threads=threads)
+    result = phases.sweep(ctx, task.axis, task.values)
     rows = []
     for rec in result.records:
         if rec.status != "ok":
@@ -223,9 +222,7 @@ def _run_correlations(cfg: RunConfig, task: CorrelationsTask, out_dir: Path, fmt
     )
 
 
-def _run_phase_diagram(
-    cfg: RunConfig, task: PhaseDiagramTask, out_dir: Path, fmt: str, threads: int
-) -> None:
+def _run_phase_diagram(cfg: RunConfig, task: PhaseDiagramTask, out_dir: Path, fmt: str) -> None:
     diagram = phases.phase_diagram(
         cfg.chain,
         cfg.modes,
@@ -239,7 +236,6 @@ def _run_phase_diagram(
         n_max=task.n_max,
         magnetic=task.magnetic,
         order=task.order,
-        threads=threads,
     )
     rows = [
         (
@@ -371,8 +367,6 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"task.kind is {cfg.task.kind!r} but the subcommand was {args.command!r}"
             )
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -385,11 +379,11 @@ def main(argv=None) -> int:
         if isinstance(task, SolveTask):
             _run_solve(cfg, task, out_dir, fmt, args)
         elif isinstance(task, SweepTask):
-            _run_sweep(cfg, task, out_dir, fmt, args.threads)
+            _run_sweep(cfg, task, out_dir, fmt)
         elif isinstance(task, CorrelationsTask):
             _run_correlations(cfg, task, out_dir, fmt)
         elif isinstance(task, PhaseDiagramTask):
-            _run_phase_diagram(cfg, task, out_dir, fmt, args.threads)
+            _run_phase_diagram(cfg, task, out_dir, fmt)
         else:
             _run_validate(cfg, task, out_dir)
     except ConfigError as exc:

@@ -16,7 +16,7 @@ import yaml
 
 from .meanfield import SearchSpec
 from .model import ChainSpec, IsingProfile
-from .phases import Thresholds
+from .phases import _AXES, Thresholds
 
 __all__ = [
     "ConfigError",
@@ -216,7 +216,7 @@ def _parse_task(node, path: str):
     if kind == "sweep":
         _check_keys(node, ("kind", "axis", "values", "delta_J", "delta_J_factor"), path)
         axis = _string(_get(node, "axis", path), f"{path}.axis")
-        if axis not in ("lambda0", "J_min", "E_z"):
+        if axis not in _AXES:
             raise ConfigError(f"{path}.axis: must be lambda0, J_min or E_z")
         task = SweepTask(
             axis=axis,
@@ -288,14 +288,15 @@ def _parse_task(node, path: str):
 def _parse_spec_overrides(node, path: str, cls):
     """Build a SearchSpec/Thresholds from a partial mapping of overrides."""
     node = _mapping(node, path)
-    allowed = {f.name for f in fields(cls)}
+    # SearchSpec.line_points is read by nothing, so no config may set it
+    allowed = {f.name for f in fields(cls)} - {"line_points"}
     _check_keys(node, allowed, path)
     kwargs = {}
     for key, value in node.items():
         if isinstance(value, bool):
             raise ConfigError(f"{path}.{key}: expected a number")
         kwargs[key] = _number(value, f"{path}.{key}")
-    int_fields = {"coarse_points", "multi_coarse_points", "line_points", "n_seeds"}
+    int_fields = {"coarse_points", "multi_coarse_points", "n_seeds"}
     for key in int_fields & set(kwargs):
         kwargs[key] = int(kwargs[key])
     try:

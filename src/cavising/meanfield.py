@@ -69,8 +69,9 @@ class SearchSpec:
     grid whose ``n_seeds`` best well-separated points each start one
     gradient polish in several modes.  ``descent_tol`` only sets how far
     apart two multi-mode minimizers must lie to count as degenerate.
-    ``line_points`` is read by nothing; it stays only so that existing
-    callers that pass it keep working.  Defaults are sized for
+    ``line_points`` is read by nothing and a config may not set it; it
+    stays only so that existing callers that pass it keep working, until
+    the next benchmark change.  Defaults are sized for
     production runs; tests and sweeps may pass something slimmer.
     """
 
@@ -204,11 +205,10 @@ class _UnitCurve:
     omega s^2 (1/lambda0^2 - 1)``, so samples spaced ``lam_lo phi_max /
     (coarse_points - 1)`` re-score into a grid on ``[0, phi_max]`` at every
     ``lambda0 >= lam_lo`` at least as fine as :func:`minimize_phi`'s.  They
-    are added lazily up to ``lambda0 phi_max``, both arrays replaced in one
-    assignment, so threads sharing a curve only ever read whole ones.
-    Every ``e_1(s)`` is memoized by ``s``: refined in ``s``, the couplings
-    of a column share their cells (the first is ``[0, s_1]`` for all), so
-    bounded Brent probes recur and are paid once.
+    are added lazily up to ``lambda0 phi_max``.  Every ``e_1(s)`` is
+    memoized by ``s``: refined in ``s``, the couplings of a column share
+    their cells (the first is ``[0, s_1]`` for all), so bounded Brent
+    probes recur and are paid once.
     """
 
     def __init__(self, chain: ChainSpec, mode: int, search: SearchSpec, lam_lo: float):
@@ -216,12 +216,11 @@ class _UnitCurve:
         self._unit = ModeSet(modes=(mode,), lambda0=1.0, N=chain.N, E_c=chain.E_c)
         self.omega = float(self._unit.frequencies[0])
         self.step = lam_lo * search.phi_max / (search.coarse_points - 1)
-        self._samples = (np.zeros(0), np.zeros(0))
+        self._s = self._e = np.zeros(0)
         self._memo: dict[float, float] = {}
 
     def energy(self, s: float) -> float:
-        """``e_1(s)``, computed once per ``s``; the values are deterministic, so
-        threads that race on one key store the same number."""
+        """``e_1(s)``, computed once per ``s``."""
         if s not in self._memo:
             self._memo[s] = energy_per_particle(self.chain, self._unit, np.array([s]))
         return self._memo[s]
@@ -229,11 +228,11 @@ class _UnitCurve:
     def samples(self, s_max: float):
         """``s`` and ``e_1(s)`` on the samples up to ``s_max``, give or take rounding."""
         n = int(s_max / self.step + 1e-9) + 1
-        s, e = self._samples
-        if s.size < n:
-            new = np.arange(s.size, n) * self.step
-            self._samples = s, e = np.append(s, new), np.append(e, [self.energy(x) for x in new])
-        return s[:n], e[:n]
+        if self._s.size < n:
+            new = np.arange(self._s.size, n) * self.step
+            self._s = np.append(self._s, new)
+            self._e = np.append(self._e, [self.energy(x) for x in new])
+        return self._s[:n], self._e[:n]
 
     def minimize(self, lam: float) -> MeanFieldState:
         """:func:`minimize_phi` at ``lam >= lam_lo``, refined in ``s`` on the memoized ``e_1``."""

@@ -24,8 +24,6 @@ Labels compose as ``N``/``S`` prefix plus magnetic order, e.g. ``SFP``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
@@ -128,8 +126,11 @@ class SweepResult:
         return np.array([r.value for r in self.records])
 
 
+_AXES = ("lambda0", "J_min", "E_z")
+
+
 def _point(ctx: SweepContext, axis: str, value: float):
-    """Chain and mode set at one sweep point."""
+    """Chain and mode set at one sweep point on one of the ``_AXES``."""
     chain = ctx.chain
     if axis == "lambda0":
         lam = value
@@ -145,7 +146,7 @@ def _point(ctx: SweepContext, axis: str, value: float):
         profile = IsingProfile.rectangular(value + dJ, value, chain.ising.period)
         chain = replace(chain, ising=profile)
         lam = ctx.lambda0
-    elif axis == "E_z":
+    else:
         chain = replace(chain, E_z=value)
         if ctx.delta_J_factor is not None:
             if chain.ising.kind != "rectangular":
@@ -156,8 +157,6 @@ def _point(ctx: SweepContext, axis: str, value: float):
             )
             chain = replace(chain, ising=profile)
         lam = ctx.lambda0
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
     if lam is None:
         raise ValueError(f"sweeping {axis!r} needs a fixed lambda0 in the context")
     return chain, ModeSet(modes=ctx.modes, lambda0=lam, N=chain.N, E_c=chain.E_c)
@@ -181,26 +180,20 @@ def _solve_record(solve, value: float) -> SweepRecord:
     )
 
 
-def sweep(ctx: SweepContext, axis: str, values: Sequence[float], threads: int = 1) -> SweepResult:
+def sweep(ctx: SweepContext, axis: str, values: Sequence[float]) -> SweepResult:
     """Minimize along one axis; failed points are recorded, not fatal.
 
-    One mode along ``lambda0``: every point re-scores one unit-coupling
-    curve.  The result keeps the memoized solver, so the onset searches on
-    it reuse the sweep's solves and curve.
+    ``axis`` is one of ``"lambda0"``, ``"J_min"`` and ``"E_z"``; any other
+    raises ``ValueError`` before a point is solved.  One mode along
+    ``lambda0``: every point re-scores one unit-coupling curve.  The result
+    keeps the memoized solver, so the onset searches on it reuse the
+    sweep's solves and curve.
     """
+    if axis not in _AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_AXES}")
     values = [float(v) for v in values]
     solver = _PointCache(ctx, axis, values)
-    if threads > 1:
-        if solver.curve is not None and values:
-            # the workers read these samples and share the curve's memo, whose
-            # values do not depend on who stores them; a failed sample fails
-            # its points
-            with suppress(SolverError):
-                solver.curve.samples(max(values) * solver.curve.search.phi_max)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda v: _solve_record(solver.state, v), values))
-    else:
-        records = [_solve_record(solver.state, v) for v in values]
+    records = [_solve_record(solver.state, v) for v in values]
     return SweepResult(axis=axis, records=tuple(records), context=ctx, _solver=solver)
 
 
@@ -524,7 +517,12 @@ def phase_diagram(
     that column (``status == "error"``) and does not stop the others; a
     failed sweep point above the column's first condensed one leaves the
     onset alone and only its own cell unlabeled.
+
+    Columns are solved serially.  ``threads`` accepts only 1 and goes at
+    the next benchmark change; any other value raises ``ValueError``.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1 (columns are solved serially), got {threads!r}")
     if chain.ising.kind != "rectangular":
         raise ValueError("phase diagrams are built over rectangular profiles")
     if (delta_J is None) == (delta_J_factor is None):
@@ -542,7 +540,7 @@ def phase_diagram(
             profile = IsingProfile.rectangular(J_min + dJ, J_min, chain.ising.period)
             col_chain = replace(chain, E_z=float(E_z), ising=profile)
             ctx = SweepContext(chain=col_chain, modes=modes, search=search)
-            result = sweep(ctx, "lambda0", lambda0_values, threads)
+            result = sweep(ctx, "lambda0", lambda0_values)
             solver = result._solver
             lambda_c = lambda_s = None
             t_order = "none"

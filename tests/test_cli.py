@@ -272,10 +272,12 @@ class TestUsage:
         assert main(["--help"]) == 0
         assert "solve" in capsys.readouterr().out
 
-    def test_threads_must_be_positive(self, tmp_path, capsys):
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        # sweeps run serially; there is no worker-thread option
         cfg = write_config(tmp_path, solve_config(tmp_path))
-        assert main(["solve", "--config", cfg, "--threads", "0"]) == 1
-        assert "--threads" in capsys.readouterr().err
+        assert main(["solve", "--config", cfg, "--threads", "2"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_config(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.yaml")

@@ -289,9 +289,10 @@ class TestOverridesAndOutput:
         assert cfg.search.phi_max == 1.0
         assert cfg.search.refine_tol == 1e-6
 
-    def test_search_unknown_field(self, tmp_path):
+    @pytest.mark.parametrize("key", ["grid_points", "line_points"])
+    def test_search_unknown_field(self, tmp_path, key):
         raw = base_config()
-        raw["search"] = {"grid_points": 61}
+        raw["search"] = {key: 61}
         with pytest.raises(ConfigError, match=r"search: unknown key\(s\)"):
             load(tmp_path, raw)
 

@@ -1,8 +1,5 @@
 """Energy surface and amplitude search."""
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,27 +165,6 @@ class TestUnitScaling:
 
 
 class TestUnitCurve:
-    def test_threads_read_whole_samples(self):
-        # more threads than cores extend one curve at once; every read must
-        # be the serial curve up to its own s_max
-        chain = ChainSpec(N=8, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3))
-        search = SearchSpec(coarse_points=11)
-        s_ref, e_ref = _UnitCurve(chain, 1, search, 0.2).samples(3.0)
-        shared = _UnitCurve(chain, 1, search, 0.2)
-        s_maxes = np.random.default_rng(0).permutation(np.linspace(0.3, 3.0, 40))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(shared.samples, s_max) for s_max in s_maxes]
-                reads = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for s_max, (s, e) in zip(s_maxes, reads):
-            assert s[-1] <= s_max + 1e-9 < s[-1] + shared.step
-            np.testing.assert_array_equal(s, s_ref[: s.size])
-            np.testing.assert_array_equal(e, e_ref[: s.size])
-
     @pytest.mark.parametrize(
         "chain, mode, lam_lo, lams",
         [
@@ -210,24 +186,6 @@ class TestUnitCurve:
             fresh = _UnitCurve(chain, mode, QUICK, lam_lo).minimize(lam)
             np.testing.assert_array_equal(got.phi, fresh.phi)
             assert (got.e_g, got.degenerate) == (fresh.e_g, fresh.degenerate)
-
-    def test_threads_share_the_memo(self):
-        # more threads than cores minimize on one curve at once, racing on
-        # its samples and memo; each state must be the fresh serial one
-        lams = np.linspace(0.15, 0.3, 16)
-        fresh = [_UnitCurve(desk_chain(), 2, QUICK, 0.15).minimize(lam) for lam in lams]
-        shared = _UnitCurve(desk_chain(), 2, QUICK, 0.15)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(shared.minimize, lam) for lam in lams]
-                states = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for got, ref in zip(states, fresh):
-            np.testing.assert_array_equal(got.phi, ref.phi)
-            assert got.e_g == ref.e_g
 
     def test_second_normal_coupling_pays_only_new_samples(self, monkeypatch):
         # refined in s, every coupling's first cell is [0, s_1]: a second
@@ -461,7 +419,7 @@ class TestCrossingOnset:
         fine = _UnitCurve(chain, 2, QUICK, 1.1)
         s_max = fine.lam_lo * QUICK.phi_max
         assert _crossing_onset(coarse, s_max) == _crossing_onset(fine, s_max)
-        assert coarse._samples[0].size == 0  # the coarse curve was never sampled
+        assert coarse._s.size == 0  # the coarse curve was never sampled
 
     def test_none_when_origin_never_destabilizes(self):
         chain = ChainSpec(N=8, E_z=0.8, E_c=0.1, ising=IsingProfile.uniform(0.1))

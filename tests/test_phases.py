@@ -85,12 +85,10 @@ class TestSweep:
         res = sweep(desk_ctx(), "lambda0", [])
         assert res.records == ()
 
-    def test_threaded_sweep_is_deterministic(self):
-        grid = np.linspace(0.1, 0.3, 6)
-        seq = sweep(desk_ctx(), "lambda0", grid, threads=1)
-        par = sweep(desk_ctx(), "lambda0", grid, threads=3)
-        for a, b in zip(seq.records, par.records):
-            assert a == b
+    def test_unknown_axis_is_rejected(self):
+        # a misspelled axis is the caller's error, not a column of failed points
+        with pytest.raises(ValueError, match="lamda0"):
+            sweep(desk_ctx(), "lamda0", [0.1, 0.2])
 
     def test_per_point_failures_are_recorded(self):
         ctx = SweepContext(
@@ -411,6 +409,10 @@ class TestPhaseDiagram:
             phase_diagram(desk_chain(), (2,), [0.1], [0.001])
         with pytest.raises(ValueError):
             phase_diagram(desk_chain(), (2,), [0.1], [0.001], delta_J=0.025, delta_J_factor=0.25)
+
+    def test_columns_are_serial(self):
+        with pytest.raises(ValueError, match="threads"):
+            phase_diagram(desk_chain(), (2,), [0.1], [0.001], delta_J=0.025, threads=2)
 
     def _flaky_minimizer(self, monkeypatch, fails):
         # the per-lambda0 solve of a single-mode column
