@@ -23,11 +23,14 @@ the singular values of ``T``; at ``J = 0`` flipping one spin against its
 field costs ``2 Omega(j)``, and the chain ground energy is
 ``-sum_j Omega(j)``.
 
-Singular values are taken rather than eigenvalues of the squared
-problem, which keeps small quasiparticle energies accurate.  The
-energy-only path (:func:`quasiparticle_energies`) gets them as the
-positive eigenvalues of the Golub-Kahan 2N-cycle of ``T``, folded into a
-symmetric band of width 2: O(N^2) and no N x N array.  The full solve
+The energy-only path (:func:`quasiparticle_energies`) squares the
+problem for the bulk of the spectrum: the eigenvalues of ``T^T T``, a
+symmetric N-cycle folded into a band of width 2, are the squared
+singular values, in O(N^2) and with no N x N array.  Squaring loses the
+relative accuracy of small singular values, so the modes near zero
+(below a bar far under the top of the spectrum) are taken instead as
+positive eigenvalues of the Golub-Kahan 2N-cycle of ``T``, folded the
+same way and resolved by bisection for just those few.  The full solve
 (:func:`solve_quasiparticles`) takes a dense SVD of ``T``, whose
 singular vectors make the mode pairs ``(Phi_k, Psi_k)`` consistent by
 construction:
@@ -63,6 +66,10 @@ __all__ = [
 ]
 
 _SIGN_EPS = 1e-12
+# eigenvalues of T^T T below this fraction of the largest are recomputed from
+# the Golub-Kahan fold: squaring leaves a singular value s an absolute error of
+# about eps * s_max^2 / s, which above the bar stays near 1e-14 * s_max
+_SQUARED_EPS = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -171,30 +178,47 @@ def build_quadratic_form(field, bonds, sector: Sector = Sector.EVEN) -> Quadrati
 def quasiparticle_energies(form: QuadraticForm) -> np.ndarray:
     """Physical spectrum ``Lambda_k`` (ascending) without the mode matrices.
 
-    This is the fast path for energy-only work.  The singular values of
-    ``T`` are the positive eigenvalues of the 2N-cycle with edge weights
-    ``Omega(0), -J(0), Omega(1), ..., -J(N-2), Omega(N-1), corner``
-    (Golub-Kahan).  Visiting the cycle as ``0, 2N-1, 1, 2N-2, ...``
-    folds it into a symmetric band of width 2, whose eigenvalues cost
-    O(N^2) instead of the O(N^3) of a dense SVD.
+    This is the fast path for energy-only work.  The bulk comes from the
+    eigenvalues of ``T^T T``: an N-cycle with diagonal ``Omega(j)^2 +
+    off(j)^2`` and edges ``off(j) Omega(j+1)``, where ``off`` is the
+    subdiagonal followed by the corner, folded into a symmetric band of
+    width 2 in O(N^2).  Eigenvalues below ``_SQUARED_EPS`` of the largest
+    have lost their relative accuracy to the squaring; those ``k`` modes
+    are recomputed as the ``k`` smallest positive eigenvalues of the
+    Golub-Kahan 2N-cycle with edge weights ``Omega(0), -J(0), Omega(1),
+    ..., -J(N-2), Omega(N-1), corner``, by bisection on the same fold.
     """
     N = form.N
+    if N == 1:
+        return np.array([2.0 * abs(form.diagonal[0] + form.corner)])
     w = np.empty(2 * N)
     w[0::2] = form.diagonal
     w[1:-1:2] = form.subdiagonal
     w[-1] = form.corner
-    ev = _cycle_eigvals(w)
-    return np.sort(2.0 * np.abs(ev[N:]))
+    # an exact power-of-two scale keeps the squares clear of underflow and overflow
+    scale = 2.0 ** np.frexp(np.max(np.abs(w)))[1]
+    w /= scale
+    Om, off = w[0::2], w[1::2]
+    ev = _cycle_eigvals(off * np.roll(Om, -1), Om**2 + off**2)
+    energies = 2.0 * scale * np.sqrt(np.maximum(ev, 0.0))
+    k = int(np.count_nonzero(ev < _SQUARED_EPS * ev[-1]))
+    if k:
+        energies[:k] = 2.0 * scale * np.abs(_cycle_eigvals(w, select_range=(N, N + k - 1)))
+    return np.sort(energies)
 
 
-def _cycle_eigvals(edge: np.ndarray, node: np.ndarray | None = None) -> np.ndarray:
+def _cycle_eigvals(
+    edge: np.ndarray, node: np.ndarray | None = None, select_range: tuple[int, int] | None = None
+) -> np.ndarray:
     """Eigenvalues of a symmetric n-cycle matrix, n >= 2, ascending.
 
     ``edge[i]`` is the weight between rows ``i`` and ``(i + 1) % n`` and
     ``node`` the diagonal (zero when omitted); for ``n = 2`` both edges
     land on the same entry and add.  Visiting the rows as ``0, n-1, 1,
     n-2, ...`` puts every edge within distance 2 of the diagonal, so the
-    matrix folds into a symmetric band of width 2.
+    matrix folds into a symmetric band of width 2.  With ``select_range
+    = (lo, hi)`` only the eigenvalues of those ascending indices are
+    computed, by bisection.
     """
     n = edge.size
     m = (n + 1) // 2
@@ -207,8 +231,11 @@ def _cycle_eigvals(edge: np.ndarray, node: np.ndarray | None = None) -> np.ndarr
     band[2, 1 : 2 * (n // 2) - 1 : 2] = edge[n - 2 : m - 1 : -1]
     band[1, 0] = edge[-1]
     band[1, -2] += edge[m - 1]  # the fold, where the two halves of the cycle meet
+    select = "a" if select_range is None else "i"
     try:
-        return linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
+        return linalg.eigvals_banded(
+            band, lower=True, overwrite_a_band=True, select=select, select_range=select_range
+        )
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise SolverError("banded eigenvalue computation failed") from exc
 

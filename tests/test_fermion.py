@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavising import fermion
@@ -138,18 +138,87 @@ def rings(draw):
     return Om, J, draw(st.sampled_from(Sector))
 
 
+def golub_kahan_energies(form):
+    """Every mode from the 2N Golub-Kahan fold: the reference for the squared route.
+
+    The positive half is taken by bisection; the full-spectrum solver
+    loses a mode of 0.75 by 2e-9 once subnormal bonds enter the fold.
+    """
+    N = form.N
+    if N == 1:
+        return np.array([2.0 * abs(form.diagonal[0] + form.corner)])
+    w = np.empty(2 * N)
+    w[0::2] = form.diagonal
+    w[1::2] = np.append(form.subdiagonal, form.corner)
+    return np.sort(2.0 * np.abs(fermion._cycle_eigvals(w, select_range=(N, 2 * N - 1))))
+
+
+@st.composite
+def windowed_rings(draw):
+    """Random rings, and rings whose strong bond window carries near-zero edge modes."""
+    if not draw(st.booleans()):
+        return draw(rings())
+    N = draw(st.integers(3, 64))
+    window = N // 3
+    start = draw(st.integers(0, N - 1))
+    Om = np.array(draw(st.lists(st.floats(0.3, 0.6), min_size=N, max_size=N)))
+    J = np.array(draw(st.lists(st.floats(0.0, 0.3), min_size=N, max_size=N)))
+    strong = draw(st.lists(st.floats(2.0, 4.0), min_size=window, max_size=window))
+    J[(start + np.arange(window)) % N] = strong
+    return Om, J, draw(st.sampled_from(Sector))
+
+
 class TestBandedSpectrum:
-    """The folded Golub-Kahan band against a dense SVD of ``T``."""
+    """The energy-only spectrum against a dense SVD of ``T`` and the full Golub-Kahan fold.
+
+    Bare squaring would leave the near-zero edge modes of a strong
+    window at about 1e-8; only the Golub-Kahan correction holds the
+    per-mode bound.
+    """
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(rings())
+    @given(windowed_rings())
+    @example((np.array([0.7]), np.array([0.4]), Sector.EVEN))
+    @example((np.array([0.7]), np.array([0.4]), Sector.ODD))
+    @example((np.array([0.3, 0.8]), np.array([0.2, 0.6]), Sector.EVEN))
+    @example((np.array([0.3, 0.8]), np.array([0.2, 0.6]), Sector.ODD))
+    @example((np.array([0.3, 0.8, 0.5]), np.array([3.0, 0.1, 0.1]), Sector.EVEN))
+    @example((np.full(3, 0.45), np.full(3, 0.45), Sector.ODD))
+    # a mode just above a bar of 1e-6 would miss the per-mode bound by 3e-13
+    @example(
+        (
+            np.r_[np.zeros(47), 0.0078125, 1.0, 1.0, 0.0625, 1.0, 1.0],
+            np.r_[np.zeros(47), 1.5, 1.25, 0.00390625, 1.0, 1.0, 1.0],
+            Sector.EVEN,
+        )
+    )
     def test_matches_dense_svd(self, ring):
         Om, J, sector = ring
         form = build_quadratic_form(flat_field(Om), J, sector)
-        tol = 1e-12 * max(1.0, Om.max() + J.max())
-        np.testing.assert_allclose(
-            quasiparticle_energies(form), dense_energies(form.T), rtol=0, atol=tol
-        )
+        got = quasiparticle_energies(form)
+        dense = dense_energies(form.T)
+        scale = max(1.0, Om.max() + J.max())
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12 * scale)
+        assert abs(got.sum() - dense.sum()) <= 1e-13 * dense.sum()
+        np.testing.assert_allclose(got, golub_kahan_energies(form), rtol=0, atol=1e-13 * scale)
+
+    def test_correction_runs_only_below_the_bar(self, monkeypatch):
+        selects = []
+        real = fermion.linalg.eigvals_banded
+
+        def spy(*args, **kwargs):
+            selects.append(kwargs.get("select", "a"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fermion.linalg, "eigvals_banded", spy)
+        J = np.full(60, 0.1)
+        J[:20] = 3.0
+        quasiparticle_energies(build_quadratic_form(flat_field(np.full(60, 0.45)), J))
+        assert selects == ["a", "i"]
+        selects.clear()
+        gapped = build_quadratic_form(flat_field(np.full(60, 0.45)), np.full(60, 0.3))
+        quasiparticle_energies(gapped)
+        assert selects == ["a"]
 
     @pytest.mark.parametrize("sector", list(Sector))
     def test_one_site(self, sector):

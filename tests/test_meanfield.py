@@ -239,6 +239,16 @@ class TestMinimize:
         resid = order_parameter_residual(chain, ms, state.phi)
         assert float(np.max(resid)) < 1e-4
 
+    def test_edge_modes_keep_the_minimum_self_consistent(self):
+        # the worst point of acceptance criterion 7: the strong bonds carry
+        # near-zero edge modes, whose squared-spectrum noise alone moves the
+        # minimum enough to raise the residual to about 4e-6
+        chain = ChainSpec(N=200, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.6, 0.3, 2))
+        ms = ModeSet(modes=(2,), lambda0=0.8, N=200, E_c=8.0)
+        state = minimize_phi(chain, ms, QUICK)
+        assert state.phi[0] > 0.1
+        assert float(np.max(order_parameter_residual(chain, ms, state.phi))) <= 1e-7
+
     def test_residual_nonzero_off_stationarity(self):
         chain = desk_chain()
         ms = ModeSet(modes=(2,), lambda0=DESK_LAMBDA_C + 0.06, N=40, E_c=8.0)
