@@ -10,20 +10,26 @@ the dressed fields ``Omega(j)`` on ``phi``.  Every search starts from a
 coarse grid, which keeps it robust on surfaces with several competing
 minima (the first-order regime), then refines a single amplitude by
 bounded Brent line searches and several by L-BFGS-B on the analytic
-Hellmann-Feynman gradient.
+Hellmann-Feynman gradient.  A single-amplitude condensate smaller than
+one grid step can hide only in the first cell, off an unstable origin and
+below a first sample that lies higher again; that cell is line-searched
+only then, or where the origin's stability is not known
+(:func:`stationary_points`, or a failed spinodal solve), and otherwise
+yields an endpoint.
 
 Where ``phi = 0`` stops being a minimum follows from linear response
 alone: the chain sees ``phi`` only through ``Omega(j) = E_z/2 +
 d(j)^2/E_z + O(phi^4)``, so the Hessian of ``e_g`` at the origin needs
 just the undriven polarization (:func:`normal_phase_onset`); the same
-Hessian starts the gradient polish off an unstable origin.  A single
-mode sees ``lambda0`` only through ``s = lambda0 phi`` and the quadratic
-field part, so one scan of the energy at unit coupling serves a whole
-column of couplings (``_UnitCurve``): each minimization re-scores its
-samples and refines in ``s`` on the column's memoized unit energy, so
-couplings share their line-search probes, and where a condensate first
-ties ``phi = 0``, the onset of a first-order transition, is read off the
-same samples (``_crossing_onset``).
+Hessian starts the gradient polish off an unstable origin, and on one
+mode the spinodal it gives, ``phi = 0`` stable below it, settles the
+first grid cell.  A single mode sees ``lambda0`` only through ``s =
+lambda0 phi`` and the quadratic field part, so one scan of the energy at
+unit coupling serves a whole column of couplings (``_UnitCurve``): each
+minimization re-scores its samples and refines in ``s`` on the column's
+memoized unit energy, so couplings share their line-search probes, and
+where a condensate first ties ``phi = 0``, the onset of a first-order
+transition, is read off the same samples (``_crossing_onset``).
 
 A single amplitude is searched on ``phi >= 0``: the energy is even under
 the joint flip of all amplitudes, so the nonnegative half covers the
@@ -39,13 +45,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 from scipy import optimize
 
 from .correlation import CorrelationReport, correlation_report
-from .fermion import Sector, build_quadratic_form, ground_sector, quasiparticle_energies
+from .fermion import (
+    Sector, SolverError, build_quadratic_form, ground_sector, quasiparticle_energies,
+)
 from .model import ChainSpec, ModeSet, effective_field
 
 __all__ = [
@@ -157,19 +166,30 @@ def _sample(f, search: SearchSpec):
     return grid, np.array([f(x) for x in grid])
 
 
-def _refine(f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: float = 1.0):
+def _refine(
+    f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: float = 1.0,
+    stable: bool | None = None, eps: float = 0.0,
+):
     """Refine samples of ``[0, scale phi_max]``: the first cell, the interior
     minima and, if the curve still falls there, the last cell to its end.
 
     ``f``, ``grid`` and the results are in units of ``scale phi``, and the
-    tolerance is ``refine_tol`` in ``phi``.
+    tolerance is ``refine_tol`` in ``phi``.  ``stable`` says whether ``phi =
+    0`` is a local minimum (``None``: not known); ``eps`` is how far below
+    the first sample an unstable origin's falling edge is probed.
     """
     # a condensate smaller than one grid step hides inside the first cell
-    # with both endpoints above its floor, so refine that cell
-    # unconditionally; on a rising edge the refinement collapses back to
-    # the origin
+    # with both endpoints above its floor, which needs an unstable origin
+    # and a curve that rises again by s_1; a stable origin leaves the cell
+    # to its endpoints, and so does a curve still falling just below s_1.
+    # Only that hiding place, or an origin not known, is line-searched.
     tol = scale * search.refine_tol
-    first = _bounded_min(f, grid[0], grid[1], tol)
+    if stable:
+        first = (grid[0], vals[0]) if vals[1] >= vals[0] else (grid[1], vals[1])
+    elif stable is not None and vals[1] < vals[0] and f(grid[1] - eps) >= vals[1]:
+        first = (grid[1], vals[1])
+    else:
+        first = _bounded_min(f, grid[0], grid[1], tol)
     minima = [_bounded_min(f, grid[i - 1], grid[i + 1], tol) for i in _interior_minima(vals)]
     if vals[-1] < vals[-2]:
         minima.append(_bounded_min(f, grid[-2], scale * search.phi_max, tol))
@@ -177,10 +197,11 @@ def _refine(f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: fl
 
 
 def _minimize_single(
-    f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: float = 1.0
+    f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: float = 1.0,
+    stable: bool | None = None, eps: float = 0.0,
 ):
     """Best of the origin and :func:`_refine`'s minima, returned in ``phi``."""
-    first, minima = _refine(f, grid, vals, search, scale)
+    first, minima = _refine(f, grid, vals, search, scale, stable, eps)
     candidates = sorted([(0.0, vals[0]), first, *minima], key=lambda c: c[1])
     x, fx = candidates[0]
     degenerate = any(
@@ -207,8 +228,11 @@ class _UnitCurve:
     ``lambda0 >= lam_lo`` at least as fine as :func:`minimize_phi`'s.  They
     are added lazily up to ``lambda0 phi_max``.  Every ``e_1(s)`` is
     memoized by ``s``: refined in ``s``, the couplings of a column share
-    their cells (the first is ``[0, s_1]`` for all), so bounded Brent
-    probes recur and are paid once.
+    their cells, so a probe of the same ``s`` is paid once.  The first cell
+    ``[0, s_1]`` needs a line search only where ``phi = 0`` is unstable,
+    ``lambda0 >= spinodal``, and the curve rises again by ``s_1``; where it
+    still falls, one probe at the column's fixed ``s_1 - lam_lo
+    refine_tol`` tells, and every other coupling takes an endpoint.
     """
 
     def __init__(self, chain: ChainSpec, mode: int, search: SearchSpec, lam_lo: float):
@@ -218,6 +242,23 @@ class _UnitCurve:
         self.step = lam_lo * search.phi_max / (search.coarse_points - 1)
         self._s = self._e = np.zeros(0)
         self._memo: dict[float, float] = {}
+
+    @cached_property
+    def _spinodal(self):
+        return _onset_or_error(self.chain, (self.mode,))
+
+    @property
+    def spinodal(self) -> float | None:
+        """:func:`normal_phase_onset` of the mode, one full solve on first use.
+
+        A failed solve raises its :class:`SolverError` here every time; the
+        minimizations then line-search every first cell, as if the origin's
+        stability were not known.
+        """
+        lam_s, exc = self._spinodal
+        if exc is not None:
+            raise exc
+        return lam_s
 
     def energy(self, s: float) -> float:
         """``e_1(s)``, computed once per ``s``."""
@@ -241,7 +282,9 @@ class _UnitCurve:
         tilt = 1.0 / (lam * lam) - 1.0
         f = lambda x: self.energy(x) + self.omega * x * x * tilt
         vals = e + self.omega * s * s * tilt
-        return _state(modeset, *_minimize_single(f, s, vals, self.search, lam))
+        stable = _origin_stable(self._spinodal, lam)
+        eps = self.lam_lo * self.search.refine_tol
+        return _state(modeset, *_minimize_single(f, s, vals, self.search, lam, stable, eps))
 
 
 # the polish stops once the projected gradient falls below this (ftol = 0
@@ -336,7 +379,11 @@ def minimize_phi(
     if modeset.n_modes == 1:
         # one amplitude: phi >= 0 is exhaustive by the sign-flip symmetry
         f = lambda x: energy_per_particle(chain, modeset, np.array([x]))
-        return _state(modeset, *_minimize_single(f, *_sample(f, search), search))
+        stable = _origin_stable(_onset_or_error(chain, modeset.modes), modeset.lambda0)
+        grid, vals = _sample(f, search)
+        return _state(
+            modeset, *_minimize_single(f, grid, vals, search, 1.0, stable, search.refine_tol)
+        )
     return _state(modeset, *_minimize_multi(chain, modeset, search))
 
 
@@ -376,6 +423,25 @@ def normal_phase_onset(chain: ChainSpec, modes) -> float | None:
     if mu >= 0.0:
         return None
     return math.sqrt(-1.0 / mu)
+
+
+def _onset_or_error(chain: ChainSpec, modes):
+    """``(normal_phase_onset, None)``, or ``(None, the error)`` when its solve fails."""
+    try:
+        return normal_phase_onset(chain, modes), None
+    except SolverError as exc:
+        return None, exc
+
+
+def _origin_stable(onset, lam: float) -> bool | None:
+    """Whether ``phi = 0`` is a local minimum at ``lam``, from :func:`_onset_or_error`.
+
+    ``None`` when the solve failed; with no finite onset every coupling is stable.
+    """
+    lam_s, exc = onset
+    if exc is not None:
+        return None
+    return lam_s is None or lam < lam_s
 
 
 def _crossing_onset(curve: _UnitCurve, s_max: float) -> float | None:

@@ -185,9 +185,10 @@ def sweep(ctx: SweepContext, axis: str, values: Sequence[float]) -> SweepResult:
 
     ``axis`` is one of ``"lambda0"``, ``"J_min"`` and ``"E_z"``; any other
     raises ``ValueError`` before a point is solved.  One mode along
-    ``lambda0``: every point re-scores one unit-coupling curve.  The result
-    keeps the memoized solver, so the onset searches on it reuse the
-    sweep's solves and curve.
+    ``lambda0``: every point re-scores one unit-coupling curve, whose
+    spinodal (one full solve, also the bisection's first guess) settles
+    each point's first grid cell.  The result keeps the memoized solver,
+    so the onset searches on it reuse the sweep's solves and curve.
     """
     if axis not in _AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_AXES}")
@@ -245,7 +246,9 @@ class _PointCache:
 
     @cached_property
     def onset(self) -> float | None:
-        """Linear-response instability of ``phi = 0`` for this context."""
+        """Linear-response instability of ``phi = 0`` for this context (the curve's, if any)."""
+        if self.curve is not None:
+            return self.curve.spinodal
         return normal_phase_onset(self.ctx.chain, self.ctx.modes)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cavising import meanfield
 from cavising.correlation import pair_contractions
-from cavising.fermion import ground_sector
+from cavising.fermion import SolverError, ground_sector
 from cavising.meanfield import (
     SearchSpec,
     _crossing_onset,
@@ -164,6 +164,52 @@ class TestUnitScaling:
         assert abs(e - rescored) <= 1e-12 * max(1.0, abs(e))
 
 
+def line_searched_first_cell(curve, lam):
+    """``curve.minimize(lam)`` with the first cell always line-searched: the rule's oracle.
+
+    Returns ``phi``, ``e_g`` and the degeneracy flag.
+    """
+    search = curve.search
+    s, e = curve.samples(lam * search.phi_max)
+    tilt = 1.0 / lam**2 - 1.0
+    f = lambda x: curve.energy(x) + curve.omega * x * x * tilt
+    vals = e + curve.omega * s * s * tilt
+    cells = [(s[0], s[1])] + [(s[i - 1], s[i + 1]) for i in meanfield._interior_minima(vals)]
+    if vals[-1] < vals[-2]:
+        cells.append((s[-2], lam * search.phi_max))
+    tol = lam * search.refine_tol
+    candidates = [(0.0, vals[0])] + [meanfield._bounded_min(f, a, b, tol) for a, b in cells]
+    x, fx = min(candidates, key=lambda c: c[1])
+    degenerate = any(
+        abs(fc - fx) < search.degeneracy_tol and abs(xc - x) / lam > 10 * search.refine_tol
+        for xc, fc in candidates
+    )
+    return x / lam, fx, degenerate
+
+
+def first_order_chain():
+    return ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.8, 0.5, 2))
+
+
+def stiff_chain():
+    # a small E_c makes the self-energy D outgrow the response at every lambda0
+    return ChainSpec(N=8, E_z=0.8, E_c=0.1, ising=IsingProfile.uniform(0.1))
+
+
+class CountedEnergy:
+    """Records the unit-coupling amplitude ``s`` of every energy the curve computes."""
+
+    def __init__(self, monkeypatch):
+        self.s = []
+        real = meanfield.energy_per_particle
+
+        def counted(chain, modeset, phi):
+            self.s.append(float(phi[0]))
+            return real(chain, modeset, phi)
+
+        monkeypatch.setattr(meanfield, "energy_per_particle", counted)
+
+
 class TestUnitCurve:
     @pytest.mark.parametrize(
         "chain, mode, lam_lo, lams",
@@ -188,10 +234,10 @@ class TestUnitCurve:
             assert (got.e_g, got.degenerate) == (fresh.e_g, fresh.degenerate)
 
     def test_second_normal_coupling_pays_only_new_samples(self, monkeypatch):
-        # refined in s, every coupling's first cell is [0, s_1]: a second
-        # normal-phase coupling finds all its first-cell probes memoized
+        # below the spinodal phi = 0 is a local minimum and the first cell
+        # takes an endpoint: a normal coupling pays its samples and nothing
+        # else, the first of a fresh curve included
         curve = _UnitCurve(desk_chain(), 2, QUICK, 0.15)
-        assert curve.minimize(0.15).phi[0] == 0.0
         calls = []
         real = meanfield.quasiparticle_energies
 
@@ -200,11 +246,75 @@ class TestUnitCurve:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(meanfield, "quasiparticle_energies", counted)
+        assert curve.minimize(0.15).phi[0] == 0.0
         before = curve.samples(0.15 * QUICK.phi_max)[0].size
+        assert len(calls) == before
         assert curve.minimize(0.175).phi[0] == 0.0
         after = curve.samples(0.175 * QUICK.phi_max)[0].size
         assert after > before
-        assert len(calls) == after - before
+        assert len(calls) == after
+
+    @pytest.mark.parametrize(
+        "chain, lam_lo, lams",
+        [(desk_chain(), 0.15, (0.25, 0.3, 0.275)), (first_order_chain(), 0.9, (1.05, 1.1))],
+    )
+    def test_falling_condensed_couplings_share_one_first_cell_probe(
+        self, monkeypatch, chain, lam_lo, lams
+    ):
+        # above the spinodal a curve still falling just below s_1 ends the
+        # first cell there; the probe sits at the same s for every coupling
+        curve = _UnitCurve(chain, 2, QUICK, lam_lo)
+        assert curve.spinodal < min(lams)
+        energies = CountedEnergy(monkeypatch)
+        for lam in lams:
+            s, e = curve.samples(lam * QUICK.phi_max)
+            assert e[1] + curve.omega * s[1] ** 2 * (1.0 / lam**2 - 1.0) < e[0]
+            assert curve.minimize(lam).phi[0] > 0.02
+        s_1 = curve.step
+        assert [x for x in energies.s if 0.0 < x < s_1] == [s_1 - lam_lo * QUICK.refine_tol]
+
+    @pytest.mark.parametrize("chain, lam_lo", [(desk_chain(), 0.15), (first_order_chain(), 0.9)])
+    @pytest.mark.parametrize("offset", [-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2])
+    def test_first_cell_rule_matches_the_line_search(self, chain, lam_lo, offset):
+        # at the spinodal the first cell changes hands: stable origin,
+        # hidden condensate and falling edge all keep the line search's answer
+        lam = normal_phase_onset(chain, (2,)) * (1.0 + offset)
+        state = _UnitCurve(chain, 2, QUICK, lam_lo).minimize(lam)
+        phi, e_g, degenerate = line_searched_first_cell(_UnitCurve(chain, 2, QUICK, lam_lo), lam)
+        assert state.phi[0] == pytest.approx(phi, abs=QUICK.refine_tol)
+        assert state.e_g == pytest.approx(e_g, abs=1e-12)
+        assert state.degenerate == degenerate
+
+    def test_failed_spinodal_solve_line_searches_the_first_cell(self, monkeypatch):
+        def failing(*args):
+            raise SolverError("injected failure")
+
+        monkeypatch.setattr(meanfield, "normal_phase_onset", failing)
+        curve = _UnitCurve(desk_chain(), 2, QUICK, 0.15)
+        for lam in (0.15, 0.2254, 0.2255, 0.3):
+            state = curve.minimize(lam)
+            phi, e_g, degenerate = line_searched_first_cell(curve, lam)
+            assert (state.phi[0], state.e_g, state.degenerate) == (phi, e_g, degenerate)
+        with pytest.raises(SolverError, match="injected failure"):
+            curve.spinodal
+        # minimize_phi falls back alike
+        ms = ModeSet(modes=(2,), lambda0=0.3, N=40, E_c=8.0)
+        state = minimize_phi(desk_chain(), ms, QUICK)
+        assert state.phi[0] == pytest.approx(curve.minimize(0.3).phi[0], abs=QUICK.refine_tol)
+
+    def test_no_finite_spinodal_counts_every_coupling_stable(self, monkeypatch):
+        lams = (0.5, 1.0, 3.0)
+        oracle = _UnitCurve(stiff_chain(), 1, QUICK, 0.5)
+        expected = [line_searched_first_cell(oracle, lam) for lam in lams]
+        curve = _UnitCurve(stiff_chain(), 1, QUICK, 0.5)
+        assert curve.spinodal is None
+        energies = CountedEnergy(monkeypatch)
+        for lam, (phi, e_g, degenerate) in zip(lams, expected):
+            state = curve.minimize(lam)
+            assert (state.phi[0], state.e_g, state.degenerate) == (0.0, e_g, degenerate)
+            assert phi == 0.0
+        # the curve only rises: every coupling pays its new samples, nothing else
+        assert energies.s == list(curve.samples(3.0 * QUICK.phi_max)[0])
 
 
 class TestMinimize:

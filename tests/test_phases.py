@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavising import meanfield, phases
+from cavising import fermion, meanfield, phases
 from cavising.correlation import CorrelationReport
 from cavising.fermion import SolverError
 from cavising.meanfield import SearchSpec, minimize_phi, stationary_points
@@ -143,7 +143,7 @@ class TestOnsetGuess:
     # the guess ± 0.03; in the first-order bracket the spinodal near 1.03
     # is probed first, and the crossing inside what that leaves
     COLUMNS = {
-        "second": (desk_ctx, [0.18, 0.28], "normal_phase_onset"),
+        "second": (desk_ctx, [0.18, 0.28], "onset"),
         "first": (first_order_ctx, [0.9, 1.1], "_crossing_onset"),
     }
 
@@ -159,7 +159,11 @@ class TestOnsetGuess:
         if offset is not None:
             guess = true + offset
             assert grid[0] < guess < grid[-1]
-        monkeypatch.setattr(phases, guesser, lambda *args: guess)
+        if guesser == "onset":
+            # the spinodal as a guess only: the curve's first cells keep the true one
+            monkeypatch.setattr(phases._PointCache, "onset", property(lambda solver: guess))
+        else:
+            monkeypatch.setattr(phases, guesser, lambda *args: guess)
         # a fresh sweep: the first one's solver holds the true spinodal and solves
         res = sweep(make_ctx(), "lambda0", grid)
         assert critical_coupling(res) == pytest.approx(true, abs=Thresholds().critical_tol)
@@ -198,7 +202,7 @@ class TestOnsetGuess:
         res = sweep(first_order_ctx(), "lambda0", FIRST_ORDER_GRID)
         curve = meanfield._UnitCurve(first_order_chain(), 2, QUICK, 1.0)
         crossing = phases._crossing_onset(curve, 1.0 * QUICK.phi_max)
-        monkeypatch.setattr(phases, "normal_phase_onset", lambda *args: None)
+        monkeypatch.setattr(phases._PointCache, "onset", property(lambda solver: None))
         monkeypatch.setattr(phases, "_crossing_onset", lambda *args: None)
         bisected = critical_coupling(res, Thresholds(critical_tol=1e-7))
         assert bisected == pytest.approx(crossing, abs=5e-7)
@@ -248,6 +252,29 @@ class TestSharedSolver:
         monkeypatch.setattr(meanfield, "quasiparticle_energies", counted)
         assert critical_coupling(res) == first
         assert calls == []
+
+    def test_phase_column_pass_solves_one_spinodal_per_column(self, monkeypatch):
+        # the inputs of the benchmark's phase-column workload at seed 1; the
+        # curve's first cells read the spinodal the bisection is seeded with
+        solves = []
+        real = fermion.solve_quasiparticles
+
+        def counted(form):
+            solves.append(form)
+            return real(form)
+
+        monkeypatch.setattr(fermion, "solve_quasiparticles", counted)
+        chain = ChainSpec(
+            N=200, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.5007, 0.2007, 2)
+        )
+        grid = np.linspace(0.5928831922543927, 1.0728831922543927, 4)
+        diagram = phase_diagram(
+            chain, (2,), grid, (0.2007, 0.527), delta_J=0.3, search=QUICK, n_max=40
+        )
+        assert [c.transition_order for c in diagram.columns] == ["second", "first"]
+        # one spinodal per column and one correlation report per cell
+        assert len(diagram.cells) == 8
+        assert len(solves) == 10
 
     @pytest.mark.parametrize(
         "chain, delta_J, grid",
@@ -454,6 +481,29 @@ class TestPhaseDiagram:
         assert col.lambda_c == pytest.approx(DESK_LAMBDA_C, abs=1.5e-3)
         assert [c.status for c in diagram.cells] == ["ok"] * 6 + ["error"]
         assert (diagram.cells[-1].label, diagram.cells[-1].message) == (None, "injected failure")
+
+    def test_failed_spinodal_solve_fails_no_sweep_point(self, monkeypatch):
+        # without the spinodal the curve line-searches every first cell, so
+        # only the onset search of the column fails
+        grid = np.linspace(0.15, 0.3, 7)
+        kwargs = dict(delta_J=0.025, search=QUICK, magnetic=False)
+        good = phase_diagram(desk_chain(), (2,), grid, (0.001,), **kwargs)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            raise SolverError("injected failure")
+
+        monkeypatch.setattr(meanfield, "normal_phase_onset", failing)
+        diagram = phase_diagram(desk_chain(), (2,), grid, (0.001,), **kwargs)
+        (col,) = diagram.columns
+        assert (col.status, col.message, col.lambda_c) == ("error", "injected failure", None)
+        assert len(calls) == 1  # the failure is kept, not solved again per coupling
+        for cell, ref in zip(diagram.cells, good.cells, strict=True):
+            assert cell.status == "ok"
+            assert cell.label.field_phase == ref.label.field_phase
+            assert cell.phi[0] == pytest.approx(ref.phi[0], abs=QUICK.refine_tol)
+            assert cell.e_g == pytest.approx(ref.e_g, abs=1e-12)
 
     def test_failed_bisection_point_is_isolated_to_its_column(self, monkeypatch):
         grid = np.linspace(0.15, 0.3, 7)
