@@ -291,14 +291,12 @@ def _parse_spec_overrides(node, path: str, cls):
     # SearchSpec.line_points is read by nothing, so no config may set it
     allowed = {f.name for f in fields(cls)} - {"line_points"}
     _check_keys(node, allowed, path)
+    int_fields = {"coarse_points", "multi_coarse_points", "n_seeds"}
     kwargs = {}
     for key, value in node.items():
-        if isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}: expected a number")
-        kwargs[key] = _number(value, f"{path}.{key}")
-    int_fields = {"coarse_points", "multi_coarse_points", "n_seeds"}
-    for key in int_fields & set(kwargs):
-        kwargs[key] = int(kwargs[key])
+        where = f"{path}.{key}"
+        number = _number(value, where)
+        kwargs[key] = _integer(value, where) if key in int_fields else number
     try:
         return cls(**kwargs)
     except ValueError as exc:

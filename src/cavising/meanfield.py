@@ -38,6 +38,11 @@ symmetry, and the cross terms between condensed modes can favor mixed
 signs; the multi-mode search therefore seeds from the nonnegative box
 but polishes over the full sign range, reporting the representative
 whose dominant amplitude is nonnegative.
+
+``scipy.optimize`` is imported by the line search and the polish
+themselves, on first use: energies, onsets and the spectrum need only
+``scipy.linalg``, and importing the optimizer costs more than a large-ring
+energy does.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy import optimize
 
 from .correlation import CorrelationReport, correlation_report
 from .fermion import (
@@ -98,6 +102,12 @@ class SearchSpec:
             raise ValueError("phi_max must be positive")
         if self.coarse_points < 3 or self.multi_coarse_points < 3 or self.line_points < 3:
             raise ValueError("grids need at least 3 points")
+        if self.n_seeds < 1:
+            raise ValueError("n_seeds must be at least 1")
+        if self.refine_tol <= 0 or self.descent_tol <= 0:
+            raise ValueError("refine_tol and descent_tol must be positive")
+        if self.degeneracy_tol < 0:
+            raise ValueError("degeneracy_tol must not be negative")
 
 
 @dataclass(frozen=True)
@@ -142,6 +152,8 @@ def energy_per_particle(chain: ChainSpec, modeset: ModeSet, phi) -> float:
 
 
 def _bounded_min(f, a: float, b: float, tol: float):
+    from scipy import optimize
+
     res = optimize.minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": tol})
     return float(res.x), float(res.fun)
 
@@ -315,6 +327,8 @@ def _energy_and_gradient(phi, chain: ChainSpec, modeset: ModeSet):
 
 
 def _minimize_multi(chain: ChainSpec, modeset: ModeSet, search: SearchSpec):
+    from scipy import optimize
+
     f = lambda phi: energy_per_particle(chain, modeset, phi)
     n_modes = modeset.n_modes
     axis = np.linspace(0.0, search.phi_max, search.multi_coarse_points)

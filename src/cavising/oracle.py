@@ -6,7 +6,9 @@ states only introduces an overall minus sign (s^y = i K with K real),
 the Hamiltonian is assembled as a real symmetric matrix.
 
 Dense diagonalization is used up to 10 sites, a sparse Lanczos solve up
-to the hard cap of 14; anything larger is refused.  Basis convention:
+to the hard cap of 14; anything larger is refused.  ``scipy.sparse`` is
+imported only on that Lanczos path, so importing this module, or a dense
+solve, does not load it.  Basis convention:
 bit ``j`` of the index selects site ``j``, with bit value 0 meaning spin
 up (s^z = +1).
 """
@@ -16,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = ["DenseSpinProblem", "exact_ground", "exact_expectations"]
 
@@ -89,7 +89,9 @@ def _hamiltonian_dense(problem: DenseSpinProblem) -> np.ndarray:
     return H
 
 
-def _hamiltonian_sparse(problem: DenseSpinProblem) -> sp.csr_matrix:
+def _hamiltonian_sparse(problem: DenseSpinProblem):
+    import scipy.sparse as sp
+
     dim = 1 << problem.N
     basis = np.arange(dim)
     rows = [basis]
@@ -135,6 +137,8 @@ def exact_ground(problem: DenseSpinProblem, parity: int | None = None):
         evals, evecs = np.linalg.eigh(H)
         apply = lambda v: H @ v
     else:
+        import scipy.sparse.linalg as spla
+
         H = _hamiltonian_sparse(problem)
         k = min(8, (1 << N) - 2)
         evals, evecs = spla.eigsh(H, k=k, which="SA")

@@ -308,6 +308,13 @@ class TestOverridesAndOutput:
         with pytest.raises(ConfigError, match="expected a number"):
             load(tmp_path, raw)
 
+    @pytest.mark.parametrize("key", ["coarse_points", "multi_coarse_points", "n_seeds"])
+    def test_search_rejects_non_integer_counts(self, tmp_path, key):
+        raw = base_config()
+        raw["search"] = {key: 60.5}
+        with pytest.raises(ConfigError, match=f"search.{key}: expected an integer"):
+            load(tmp_path, raw)
+
     def test_thresholds_override(self, tmp_path):
         raw = base_config()
         raw["thresholds"] = {"xi": 7.0, "slope_ratio": 0.7}

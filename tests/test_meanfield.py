@@ -606,3 +606,16 @@ class TestSearchSpec:
             SearchSpec(coarse_points=2)
         with pytest.raises(ValueError):
             SearchSpec(line_points=1)
+        # n_seeds = 0 would polish every well-separated grid point, a
+        # negative refine_tol runs every Brent search to its iteration cap
+        for bad in (
+            {"n_seeds": 0},
+            {"refine_tol": 0.0},
+            {"refine_tol": -1.0},
+            {"descent_tol": 0.0},
+            {"descent_tol": -1e-5},
+            {"degeneracy_tol": -1e-9},
+        ):
+            with pytest.raises(ValueError):
+                SearchSpec(**bad)
+        assert SearchSpec(n_seeds=1, degeneracy_tol=0.0).degeneracy_tol == 0.0
