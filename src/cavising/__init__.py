@@ -11,7 +11,6 @@ amplitudes; :mod:`cavising.phases` sweeps parameters and labels phases;
 
 from .correlation import (
     CorrelationReport,
-    correlation_lengths,
     correlation_report,
     pair_contractions,
     yy_correlation,

@@ -126,6 +126,15 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _n_max(node, path: str) -> int | None:
+    if "n_max" not in node:
+        return None
+    n_max = _integer(node["n_max"], f"{path}.n_max")
+    if n_max < 1:
+        raise ConfigError(f"{path}.n_max: must be at least 1")
+    return n_max
+
+
 def _boolean(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{path}: expected a boolean")
@@ -256,16 +265,14 @@ def _parse_task(node, path: str):
             ),
             magnetic=_boolean(_get(node, "magnetic", path, True), f"{path}.magnetic"),
             order=_boolean(_get(node, "order", path, True), f"{path}.order"),
-            n_max=(None if "n_max" not in node else _integer(node["n_max"], f"{path}.n_max")),
+            n_max=_n_max(node, path),
         )
         if (task.delta_J is None) == (task.delta_J_factor is None):
             raise ConfigError(f"{path}: give exactly one of delta_J or delta_J_factor")
         return task
     if kind == "correlations":
         _check_keys(node, ("kind", "n_max"), path)
-        return CorrelationsTask(
-            n_max=(None if "n_max" not in node else _integer(node["n_max"], f"{path}.n_max"))
-        )
+        return CorrelationsTask(n_max=_n_max(node, path))
     if kind == "validate":
         _check_keys(
             node,

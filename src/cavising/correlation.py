@@ -29,14 +29,16 @@ digits to cancellation (a minor that vanishes exactly comes out as
 rounding noise), and its window takes the rest of its row from
 :func:`yy_correlation`, LAPACK's pivoted LU determinant.
 
-Decay lengths are extracted per site by walking ``rho`` outward until it
-falls below ``rho(j, 1)/e`` and interpolating the crossing on a log
-scale.  Sites whose nearest-neighbour correlator is already negligible
+Each site has a rightward and a leftward decay length: how far ``|rho|``
+walks outward before it falls to ``|rho(j, 1)|/e``, with the crossing
+interpolated on a log scale.  All 2N walks advance in lockstep with the
+elimination, which records the depth at which each one closes and stops
+at the first depth by which all of them have; short-ranged rings pay a
+step or two.  The report then reads every length off the table at those
+depths.  Sites whose nearest-neighbour correlator is already negligible
 are flagged ``uncorrelated`` (length 0); sites where no crossing occurs
 within the probed range are flagged ``saturated`` and get the range
-itself as their length.  The rightward and leftward walks of every site
-advance in lockstep with the elimination, which stops at the first depth
-by which all of them have ended; short-ranged rings pay a step or two.
+itself as their length.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "pair_contractions",
     "yy_correlation",
     "yy_table",
-    "correlation_lengths",
     "correlation_report",
 ]
 
@@ -92,7 +93,7 @@ def yy_table(G: np.ndarray, n_max: int) -> dict[tuple[int, int], float]:
 
     The full batched elimination, without the early stop of the report.
     """
-    return _as_dict(_window_minors(G, n_max))
+    return _as_dict(_window_minors(G, n_max)[0])
 
 
 def _as_dict(R: np.ndarray) -> dict[tuple[int, int], float]:
@@ -101,18 +102,25 @@ def _as_dict(R: np.ndarray) -> dict[tuple[int, int], float]:
     return dict(zip(keys, R.ravel().tolist()))
 
 
-def _window_minors(G: np.ndarray, n_max: int, stop_early: bool = False) -> np.ndarray:
+def _window_minors(
+    G: np.ndarray, n_max: int, stop_early: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Table ``R[s, n - 1] = rho(s, n)`` of every window minor up to ``n_max``.
 
     One pivot-free elimination runs on all ``N`` windows at once, one step
     per ``n``; the running product of the pivots is each window's leading
     minor.  A window whose pivot falls below ``_PIVOT_BAR`` in size takes
-    the rest of its row from :func:`yy_correlation`.  With ``stop_early``
-    the table ends at the first ``n`` by which every rightward and leftward
-    walk of :func:`_decay_length` has crossed ``rho(1)/e`` or was
-    uncorrelated from the start.  Widening the block as the walks go deeper
-    leaves each entry's arithmetic as in the full run, so tables of any
-    depth agree bit for bit where they overlap.
+    the rest of its row from :func:`yy_correlation`.
+
+    Alongside the table come the closing depths of the ``2N`` decay-length
+    walks, indexed as in :func:`_walk_reads`: a walk closes at the first
+    depth ``k`` (column ``k`` of ``R``) where its ``|rho|`` falls to
+    ``|rho(1)|/e`` or below, and at ``k = 0`` if ``|rho(1)|`` is already
+    negligible; a walk open at every depth closes at ``min(n_max, N - 1)``.
+    With ``stop_early`` the table ends at the first depth by which every
+    walk has closed.  Widening the block as the walks go deeper leaves each
+    entry's arithmetic as in the full run, so tables of any depth agree bit
+    for bit where they overlap.
     """
     N = G.shape[0]
     m = max(min(n_max, N - 1), 0)
@@ -124,6 +132,8 @@ def _window_minors(G: np.ndarray, n_max: int, stop_early: bool = False) -> np.nd
 
     R = np.empty((N, m))
     sites = np.arange(N)
+    walks = np.arange(2 * N)
+    depth = np.zeros(2 * N, dtype=int)
     minor = np.ones(N)
     broken = np.zeros(N, dtype=bool)
     A = np.empty((m, m, N))  # eliminated in place; columns are copied in as needed
@@ -142,21 +152,28 @@ def _window_minors(G: np.ndarray, n_max: int, stop_early: bool = False) -> np.nd
         R[:, k] = np.where(sites + k + 1 >= N, -minor, minor)  # the seam sign
         for s in np.flatnonzero(broken):
             R[s, k] = yy_correlation(G, s, k + 1)
-        if stop_early:
-            r = np.abs(R[:, k])
-            if k == 0:
-                # the walks still open, by start site; the leftward walk
-                # from j reads window j - n at depth n
-                target = r / math.e
-                right = r > _NEGLIGIBLE
-                left = np.roll(right, 1)
-            else:
-                right &= r > target
-                left &= np.roll(r, k + 1) > np.roll(target, 1)
-            if not (right.any() or left.any()):
-                return R[:, : k + 1]
+        # the crossing rule: a walk stays open while |rho| exceeds its target
+        r = _walk_reads(R, walks, k)
+        if k == 0:
+            target = r / math.e
+            open_ = r > _NEGLIGIBLE
+        else:
+            open_ &= r > target
+        depth += open_
+        if stop_early and not open_.any():
+            return R[:, : k + 1], depth
         _eliminate(A[:width], k, broken, k + 1)
-    return R
+    return R, depth
+
+
+def _walk_reads(R: np.ndarray, walks: np.ndarray, k) -> np.ndarray:
+    """``|rho|`` that the given walks read at depth ``k`` (column ``k`` of ``R``).
+
+    Walk ``j < N`` runs rightward from site ``j`` and reads window ``j``;
+    walk ``N + j`` runs leftward from site ``j`` and reads window ``j - k - 1``.
+    """
+    N = R.shape[0]
+    return np.abs(R[(walks - (walks >= N) * (k + 1)) % N, k])
 
 
 def _eliminate(A: np.ndarray, t: int, broken: np.ndarray, first: int) -> None:
@@ -170,51 +187,18 @@ def _eliminate(A: np.ndarray, t: int, broken: np.ndarray, first: int) -> None:
         A[c, t + 1 :] -= mult * A[c, t]
 
 
-def _decay_length(r_of_n, n_max: int) -> tuple[float, str]:
-    r_prev = abs(r_of_n(1))
-    if r_prev <= _NEGLIGIBLE:
-        return 0.0, "uncorrelated"
-    target = r_prev / math.e
-    for n in range(2, n_max + 1):
-        r = abs(r_of_n(n))
-        if r <= target:
-            r = max(r, _LOG_FLOOR)
-            frac = (math.log(r_prev) - math.log(target)) / (math.log(r_prev) - math.log(r))
-            return float(n - 1) + frac, "ok"
-        r_prev = r
-    return float(n_max), "saturated"
-
-
-def correlation_lengths(rho, j: int, n_max: int):
-    """Rightward, leftward and averaged decay lengths at site ``j``.
-
-    Parameters
-    ----------
-    rho : callable
-        Accessor ``rho(j, n)`` returning the two-point correlator; it must
-        accept any integer ``j`` (indices are taken mod N by the caller's
-        closure).
-    j : int
-    n_max : int
-        Largest separation probed before declaring saturation.
-
-    Returns
-    -------
-    (xi_r, xi_l, xi_rl, flag_r, flag_l)
-    """
-    xi_r, flag_r = _decay_length(lambda n: rho(j, n), n_max)
-    xi_l, flag_l = _decay_length(lambda n: rho(j - n, n), n_max)
-    return xi_r, xi_l, 0.5 * (xi_r + xi_l), flag_r, flag_l
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """Site-resolved observables of one ground-state solution.
 
-    ``rho`` holds every window minor the decay-length walks computed, keyed
-    by ``(j, n)`` with ``j`` already reduced mod N: all sites, for ``n`` up to
-    the depth at which the last walk ended.  Its values equal
+    ``rho`` holds every window minor the decay-length walks read, keyed by
+    ``(j, n)`` with ``j`` already reduced mod N: all sites, for ``n`` up to
+    the depth at which the last walk closed.  Its values equal
     :func:`yy_table`'s bit for bit; use that for an exhaustive grid.
+    ``xi_r``/``flags_r`` and ``xi_l``/``flags_l`` are the rightward and
+    leftward decay lengths and their flags (``ok``, ``uncorrelated`` or
+    ``saturated``), computed from ``rho`` and the walks' closing depths;
+    ``xi_rl`` is their mean.
     """
 
     G: np.ndarray
@@ -247,47 +231,42 @@ def correlation_report(
 ) -> CorrelationReport:
     """Solve the chain at mode amplitudes ``phi`` and measure everything.
 
-    ``n_max`` defaults to ``N // 2``; pass a smaller value to cap the
-    window sizes when only coarse length information is needed.  A
+    ``n_max`` defaults to ``N // 2``; pass a smaller value, at least 1, to
+    cap the window sizes when only coarse length information is needed.  A
     pre-computed ``solution`` short-circuits the fermion solve.
     """
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     fld = effective_field(chain, modeset, phi)
     if solution is None:
         solution = ground_sector(fld, chain.bonds(), both_sectors=both_sectors)
     if solution.sector is not Sector.EVEN:
         raise ValueError("string correlators are defined on the even-sector solution")
     N = chain.N
-    if n_max is None:
-        n_max = max(N // 2, 1)
-    n_max = min(n_max, N - 1) if N > 1 else 0
+    n_max = min(max(N // 2, 1) if n_max is None else n_max, N - 1)
 
     G = pair_contractions(solution)
     sz_rot = -np.diag(G).copy()
     sz_lab = np.cos(fld.theta) * sz_rot
     sx_lab = np.sin(fld.theta) * sz_rot
 
-    cache = _as_dict(_window_minors(G, n_max, stop_early=True))
-
-    def rho(jj: int, nn: int) -> float:
-        key = (jj % N, nn)
-        if key not in cache:
-            cache[key] = yy_correlation(G, key[0], nn)
-        return cache[key]
-
-    xi_r = np.zeros(N)
-    xi_l = np.zeros(N)
-    xi_rl = np.zeros(N)
-    flags_r = []
-    flags_l = []
-    if N > 1:
-        for j in range(N):
-            r, l, rl, fr, fl = correlation_lengths(rho, j, n_max)
-            xi_r[j], xi_l[j], xi_rl[j] = r, l, rl
-            flags_r.append(fr)
-            flags_l.append(fl)
-    else:
-        flags_r.append("uncorrelated")
-        flags_l.append("uncorrelated")
+    R, depth = _window_minors(G, n_max, stop_early=True)
+    # a walk that closed at depth k in [1, n_max) crossed rho(1)/e between
+    # n = k and n = k + 1: interpolate on a log scale.  math.log, not np.log,
+    # which differs from it in the last bit on rare inputs
+    crossed = np.flatnonzero((depth > 0) & (depth < n_max))
+    k = depth[crossed]
+    r_prev = _walk_reads(R, crossed, k - 1)
+    target = _walk_reads(R, crossed, np.zeros_like(k)) / math.e
+    r = np.maximum(_walk_reads(R, crossed, k), _LOG_FLOOR)
+    log_prev, log_target, log_r = (
+        np.array([math.log(x) for x in v.tolist()]) for v in (r_prev, target, r)
+    )
+    xi = np.where(depth == 0, 0.0, float(n_max))
+    xi[crossed] = k + (log_prev - log_target) / (log_prev - log_r)
+    flags = np.where(depth == 0, "uncorrelated", np.where(depth == n_max, "saturated", "ok"))
+    xi_r, xi_l = xi[:N], xi[N:]
+    xi_rl = 0.5 * (xi_r + xi_l)
 
     for a in (G, sz_rot, sz_lab, sx_lab, xi_r, xi_l, xi_rl):
         a.setflags(write=False)
@@ -296,12 +275,12 @@ def correlation_report(
         sigma_z_rot=sz_rot,
         sigma_z_lab=sz_lab,
         sigma_x_lab=sx_lab,
-        rho=cache,
+        rho=_as_dict(R),
         xi_r=xi_r,
         xi_l=xi_l,
         xi_rl=xi_rl,
-        flags_r=tuple(flags_r),
-        flags_l=tuple(flags_l),
+        flags_r=tuple(flags[:N].tolist()),
+        flags_l=tuple(flags[N:].tolist()),
         n_max=n_max,
         field=fld,
         solution=solution,

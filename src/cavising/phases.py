@@ -512,9 +512,11 @@ def phase_diagram(
     ``order`` is set, :func:`classify_transition_order` refines and
     classifies; both reuse the sweep's solver.  Cell labels combine the
     local field phase with (when ``magnetic`` is set) the magnetic order
-    of the solved ground state.  The per-``E_z`` crossover is the midpoint between the
-    largest ``J_min`` column labeled second order and the smallest
-    labeled first order, provided the two groups do not interleave.
+    of the solved ground state, whose correlation report probes
+    separations up to ``n_max`` (at least 1, checked before anything is
+    solved).  The per-``E_z`` crossover is the midpoint between the largest
+    ``J_min`` column labeled second order and the smallest labeled first
+    order, provided the two groups do not interleave.
 
     A solver failure while locating one column's onset is recorded on
     that column (``status == "error"``) and does not stop the others; a
@@ -530,6 +532,8 @@ def phase_diagram(
         raise ValueError("phase diagrams are built over rectangular profiles")
     if (delta_J is None) == (delta_J_factor is None):
         raise ValueError("give exactly one of delta_J or delta_J_factor")
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     thr = thresholds or Thresholds()
     modes = tuple(int(m) for m in modes)
     lambda0_values = [float(v) for v in lambda0_values]

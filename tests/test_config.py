@@ -277,6 +277,15 @@ class TestTaskBlock:
         raw["task"] = {"kind": "solve", "spectrum": True}
         with pytest.raises(ConfigError, match=r"task: unknown key\(s\) 'spectrum'"):
             load(tmp_path, raw)
+        # a known key out of range: a report must probe at least one separation
+        for task in (
+            {"kind": "correlations", "n_max": 0},
+            {"kind": "phase-diagram", "lambda0": [0.2], "J_min": [0.1], "delta_J": 0.3,
+             "n_max": -3},
+        ):
+            raw["task"] = task
+            with pytest.raises(ConfigError, match=r"task.n_max: must be at least 1"):
+                load(tmp_path, raw)
 
 
 class TestOverridesAndOutput:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cavising import correlation
 from cavising.correlation import (
-    correlation_lengths,
     correlation_report,
     pair_contractions,
     yy_correlation,
@@ -166,6 +165,10 @@ class TestReport:
         odd = solve_quasiparticles(build_quadratic_form(fld, chain.bonds(), Sector.ODD))
         with pytest.raises(ValueError):
             correlation_report(chain, ms, [0.0], solution=odd)
+        # nor a report that probes no separation
+        for n_max in (0, -3):
+            with pytest.raises(ValueError, match="n_max"):
+                correlation_report(chain, ms, [0.0], n_max=n_max)
 
     def test_single_site_chain(self):
         chain = ChainSpec(N=1, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.0))
@@ -205,6 +208,42 @@ def dressed_rings(draw):
     return chain, ms, np.array([draw(st.floats(-0.5, 0.5))])
 
 
+def decay_length(r_of_n, n_max):
+    """Scalar walk: the first ``n`` with ``|rho(n)| <= |rho(1)|/e``, log-interpolated."""
+    r_prev = abs(r_of_n(1))
+    if r_prev <= 1e-12:
+        return 0.0, "uncorrelated"
+    target = r_prev / math.e
+    for n in range(2, n_max + 1):
+        r = abs(r_of_n(n))
+        if r <= target:
+            r = max(r, 1e-300)
+            frac = (math.log(r_prev) - math.log(target)) / (math.log(r_prev) - math.log(r))
+            return float(n - 1) + frac, "ok"
+        r_prev = r
+    return float(n_max), "saturated"
+
+
+def correlation_lengths(rho, j, n_max):
+    """Oracle for one site: ``(xi_r, xi_l, xi_rl, flag_r, flag_l)`` from ``rho(j, n)``."""
+    xi_r, flag_r = decay_length(lambda n: rho(j, n), n_max)
+    xi_l, flag_l = decay_length(lambda n: rho(j - n, n), n_max)
+    return xi_r, xi_l, 0.5 * (xi_r + xi_l), flag_r, flag_l
+
+
+def assert_lengths_match_oracle(rep):
+    """The oracle walked over the report's own ``rho`` gives its lengths bit for bit."""
+    walks = [
+        correlation_lengths(lambda j, n: rep.rho[(j % rep.N, n)], j, rep.n_max)
+        for j in range(rep.N)
+    ]
+    assert rep.xi_r.tolist() == [w[0] for w in walks]
+    assert rep.xi_l.tolist() == [w[1] for w in walks]
+    assert rep.xi_rl.tolist() == [w[2] for w in walks]
+    assert rep.flags_r == tuple(w[3] for w in walks)
+    assert rep.flags_l == tuple(w[4] for w in walks)
+
+
 def det_walks(G, n_max):
     """Every site's decay lengths from one determinant per correlator.
 
@@ -241,6 +280,7 @@ class TestWindowMinors:
         assert rep.flags_l == tuple(w[4] for w in walks)
         np.testing.assert_allclose(rep.xi_r, [w[0] for w in walks], rtol=0, atol=1e-9)
         np.testing.assert_allclose(rep.xi_l, [w[1] for w in walks], rtol=0, atol=1e-9)
+        assert_lengths_match_oracle(rep)
 
     def test_report_and_table_agree_bit_for_bit(self):
         # a window ring: short walks on weak bonds, saturated ones on strong
@@ -253,6 +293,17 @@ class TestWindowMinors:
         _, keys = det_walks(rep.G, rep.n_max)
         assert set(rep.rho) == keys
         assert 1 < max(n for _, n in keys) < rep.n_max
+        assert_lengths_match_oracle(rep)
+        # at n_max = 1 every walk is correlated and saturates at once
+        rep_1 = correlation_report(chain, ms, [0.2], n_max=1)
+        assert_lengths_match_oracle(rep_1)
+        assert rep_1.flags_r == rep_1.flags_l == ("saturated",) * 60
+        np.testing.assert_array_equal(rep_1.xi_rl, 1.0)
+        # the closing depths end the table: one column past the deepest,
+        # unless a walk saturated and the table runs to n_max
+        for n_max in (rep.n_max, rep_1.n_max):
+            R, depth = correlation._window_minors(rep.G, n_max, stop_early=True)
+            assert R.shape[1] == min(1 + depth.max(), n_max)
 
     def test_vanishing_leading_minor_falls_back(self, monkeypatch):
         # an orthogonal G whose window at site 0 has H[0, 0] = G[0, 1] = 0
@@ -305,6 +356,7 @@ class TestEdgeCases:
         assert set(rep.rho) == keys
         assert rep.flags_r == tuple(w[3] for w in walks)
         assert rep.flags_l == tuple(w[4] for w in walks)
+        assert_lengths_match_oracle(rep)
 
     def test_decoupled_ring_is_uncorrelated_without_warnings(self):
         # J = 0: G = -1, so every window's first pivot G[j, j + 1] is 0

@@ -436,6 +436,11 @@ class TestPhaseDiagram:
             phase_diagram(desk_chain(), (2,), [0.1], [0.001])
         with pytest.raises(ValueError):
             phase_diagram(desk_chain(), (2,), [0.1], [0.001], delta_J=0.025, delta_J_factor=0.25)
+        with pytest.raises(ValueError, match="n_max"):
+            # rejected up front, even where no report would read it
+            phase_diagram(
+                desk_chain(), (2,), [0.1], [0.001], delta_J=0.025, n_max=0, magnetic=False
+            )
 
     def test_columns_are_serial(self):
         with pytest.raises(ValueError, match="threads"):
