@@ -252,13 +252,13 @@ def _hopping_norm(form: QuadraticForm) -> float:
     return float(np.max(np.abs(_cycle_eigvals(edge, form.diagonal))))
 
 
-def _fix_sign(row: np.ndarray, partner: np.ndarray | None = None) -> None:
-    idx = np.flatnonzero(np.abs(row) > _SIGN_EPS)
-    i = idx[0] if idx.size else int(np.argmax(np.abs(row)))
-    if row[i] < 0:
-        row *= -1.0
-        if partner is not None:
-            partner *= -1.0
+def _leading_signs(rows: np.ndarray) -> np.ndarray:
+    """``-1.0`` for each row whose first entry above ``_SIGN_EPS`` in size (its
+    largest, if none is) is negative, else ``1.0``."""
+    size = np.abs(rows)
+    big = size > _SIGN_EPS
+    lead = np.where(big.any(axis=1), big.argmax(axis=1), size.argmax(axis=1))
+    return np.where(rows[np.arange(rows.shape[0]), lead] < 0, -1.0, 1.0)
 
 
 def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
@@ -287,12 +287,9 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     # pairing by 2s and fail the residual check below
     scale = _hopping_norm(form)
     zero_tol = 1e-12 * max(scale, 1.0)
-    for k in range(form.N):
-        if s[k] > zero_tol:
-            _fix_sign(Phi[k], Psi[k])
-        else:
-            _fix_sign(Phi[k])
-            _fix_sign(Psi[k])
+    flip = _leading_signs(Phi)
+    Phi *= flip[:, None]
+    Psi *= np.where(s > zero_tol, flip, _leading_signs(Psi))[:, None]
 
     resid = max(
         np.max(np.abs(Phi @ T - s[:, None] * Psi)),

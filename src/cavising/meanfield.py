@@ -17,6 +17,16 @@ only then, or where the origin's stability is not known
 (:func:`stationary_points`, or a failed spinodal solve), and otherwise
 yields an endpoint.
 
+The single-amplitude grid is pruned by a lower bound that costs O(N):
+the singular values of the fermion matrix sum to at most its column
+norms, so ``e_g(phi) >= (omega + 4 D) phi^2 - S(phi)`` with ``S`` the mean
+column norm (:func:`_column_norm_mean`), some 0.02-0.07 below ``e_g`` on
+the rings of a phase diagram.  A sample is computed, and a cell refined,
+only where the bound leaves room for a minimum within ``degeneracy_tol``
+of the lowest energy found, so the minimizer, its energy, the degeneracy
+flag and the boundary warning are those of the full scan, bit for bit;
+:func:`stationary_points`, which also wants the maxima, scans in full.
+
 Where ``phi = 0`` stops being a minimum follows from linear response
 alone: the chain sees ``phi`` only through ``Omega(j) = E_z/2 +
 d(j)^2/E_z + O(phi^4)``, so the Hessian of ``e_g`` at the origin needs
@@ -173,22 +183,51 @@ def _warn_boundary(x: float, search: SearchSpec, step: float) -> None:
         )
 
 
-def _sample(f, search: SearchSpec):
-    grid = np.linspace(0.0, search.phi_max, search.coarse_points)
-    return grid, np.array([f(x) for x in grid])
+# the pruned scan's allowance for rounding, relative to the largest terms of
+# the energy on the scan; the energies and the bound carry some 1e-15 of them
+_ROUND_RTOL = 1e-8
+
+
+def _column_norm_mean(chain: ChainSpec, coupling: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``S(x) = (1/N) sum_j sqrt(E_z^2/4 + J_j^2 + 4 lambda_j^2 x^2)`` at each amplitude ``x``.
+
+    For one mode with couplings ``lambda_j``, column ``j`` of ``T`` holds
+    ``Omega(j)`` and the bond ``J_j``, and the singular values of ``T`` sum
+    to at most its column norms, so ``e_g(x) >= (omega + 4 D) x^2 - S(x)``.
+    ``S`` is convex in ``x``.
+    """
+    c = 0.25 * chain.E_z**2 + chain.bonds() ** 2
+    return np.sqrt(c[:, None] + 4.0 * (coupling**2)[:, None] * x**2).mean(axis=0)
+
+
+def _cell_bounds(a: float, x: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Lower bounds of ``a x^2 - S(x)`` on the cells ``[x[max(k - 1, 0)], x[k + 1]]``.
+
+    ``S`` is convex, so on a cell it lies under its chord, and ``a x^2``
+    minus the chord is a parabola, least at its vertex or an end.
+    """
+    k = np.arange(x.size - 1)
+    lo, up = np.maximum(k - 1, 0), k + 1
+    slope = (S[up] - S[lo]) / (x[up] - x[lo])
+    y = np.clip(0.5 * slope / a, x[lo], x[up])
+    return a * y * y - S[lo] - slope * (y - x[lo])
 
 
 def _refine(
     f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: float = 1.0,
-    stable: bool | None = None, eps: float = 0.0,
+    stable: bool | None = None, eps: float = 0.0, live=lambda k: True,
 ):
-    """Refine samples of ``[0, scale phi_max]``: the first cell, the interior
-    minima and, if the curve still falls there, the last cell to its end.
+    """Minima of the live cells of ``[0, scale phi_max]``: the first cell, the
+    interior minima and, if the curve still falls there, the last cell to its end.
 
-    ``f``, ``grid`` and the results are in units of ``scale phi``, and the
-    tolerance is ``refine_tol`` in ``phi``.  ``stable`` says whether ``phi =
-    0`` is a local minimum (``None``: not known); ``eps`` is how far below
-    the first sample an unstable origin's falling edge is probed.
+    Cell ``k`` is ``[grid[k - 1], grid[k + 1]]``, clipped to the first and
+    last sample and, for the last, ending at ``scale phi_max``; ``live(k)``
+    says whether it can hold a winning minimum, and every sample of a live
+    cell is in ``vals``.  ``f``, ``grid`` and the results are in units of
+    ``scale phi``, and the tolerance is ``refine_tol`` in ``phi``.  ``stable``
+    says whether ``phi = 0`` is a local minimum (``None``: not known);
+    ``eps`` is how far below the first sample an unstable origin's falling
+    edge is probed.
     """
     # a condensate smaller than one grid step hides inside the first cell
     # with both endpoints above its floor, which needs an unstable origin
@@ -196,25 +235,66 @@ def _refine(
     # to its endpoints, and so does a curve still falling just below s_1.
     # Only that hiding place, or an origin not known, is line-searched.
     tol = scale * search.refine_tol
-    if stable:
-        first = (grid[0], vals[0]) if vals[1] >= vals[0] else (grid[1], vals[1])
-    elif stable is not None and vals[1] < vals[0] and f(grid[1] - eps) >= vals[1]:
-        first = (grid[1], vals[1])
-    else:
-        first = _bounded_min(f, grid[0], grid[1], tol)
-    minima = [_bounded_min(f, grid[i - 1], grid[i + 1], tol) for i in _interior_minima(vals)]
-    if vals[-1] < vals[-2]:
+    minima = []
+    if live(0):
+        if stable:
+            minima.append((grid[0], vals[0]) if vals[1] >= vals[0] else (grid[1], vals[1]))
+        elif stable is not None and vals[1] < vals[0] and f(grid[1] - eps) >= vals[1]:
+            minima.append((grid[1], vals[1]))
+        else:
+            minima.append(_bounded_min(f, grid[0], grid[1], tol))
+    minima += [
+        _bounded_min(f, grid[i - 1], grid[i + 1], tol) for i in _interior_minima(vals) if live(i)
+    ]
+    if vals[-1] < vals[-2] and live(grid.size - 1):
         minima.append(_bounded_min(f, grid[-2], scale * search.phi_max, tol))
-    return first, minima
+    return minima
 
 
 def _minimize_single(
-    f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: float = 1.0,
-    stable: bool | None = None, eps: float = 0.0,
+    f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: float,
+    stable: bool | None, eps: float, a: float, chain_bound,
 ):
-    """Best of the origin and :func:`_refine`'s minima, returned in ``phi``."""
-    first, minima = _refine(f, grid, vals, search, scale, stable, eps)
-    candidates = sorted([(0.0, vals[0]), first, *minima], key=lambda c: c[1])
+    """Best of the origin and :func:`_refine`'s minima, returned in ``phi``.
+
+    ``f >= a x^2 - chain_bound(x)`` (:func:`_column_norm_mean` in the units
+    of ``grid``).  ``vals`` holds ``f`` on ``grid`` where known, NaN
+    elsewhere, and gains the samples computed here: lowest point bound
+    first, and only those of a cell whose bound is within
+    ``degeneracy_tol`` plus a rounding allowance of the lowest value
+    computed so far.  Only such cells are refined.  Every candidate a dead
+    cell could give then lies above the best one by more than
+    ``degeneracy_tol``, which leaves the minimizer and the degeneracy flag
+    those of the full scan, unless the best candidate ends above the
+    lowest value by more than the rounding allowance; every cell is then
+    taken live.
+    """
+    ends = np.append(grid, max(grid[-1], scale * search.phi_max))
+    S = chain_bound(ends)
+    cells = _cell_bounds(a, ends, S)
+    rounding = _ROUND_RTOL * (a * ends[-1] ** 2 + S[-1])
+    padded = np.concatenate(([np.inf], cells, [np.inf]))
+    near = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+    if np.isnan(vals[0]):
+        vals[0] = f(grid[0])
+    low = np.nanmin(vals)
+
+    def value(t):
+        nonlocal low
+        v = f(t)
+        low = min(low, v)
+        return v
+
+    order = np.argsort(a * grid * grid - S[:-1], kind="stable")
+    for margin in (search.degeneracy_tol + 2.0 * rounding, math.inf):
+        for i in order:
+            if np.isnan(vals[i]) and near[i] <= low + margin:
+                vals[i] = value(grid[i])
+        live = lambda k: cells[k] <= low + margin
+        minima = _refine(value, grid, vals, search, scale, stable, eps, live)
+        candidates = sorted([(0.0, vals[0]), *minima], key=lambda c: c[1])
+        if candidates[0][1] <= low + rounding:
+            break
     x, fx = candidates[0]
     degenerate = any(
         abs(c[1] - fx) < search.degeneracy_tol and abs(c[0] - x) / scale > 10 * search.refine_tol
@@ -237,22 +317,23 @@ class _UnitCurve:
     With ``s = lambda0 phi`` the energy at any ``lambda0`` is ``e_1(s) +
     omega s^2 (1/lambda0^2 - 1)``, so samples spaced ``lam_lo phi_max /
     (coarse_points - 1)`` re-score into a grid on ``[0, phi_max]`` at every
-    ``lambda0 >= lam_lo`` at least as fine as :func:`minimize_phi`'s.  They
-    are added lazily up to ``lambda0 phi_max``.  Every ``e_1(s)`` is
-    memoized by ``s``: refined in ``s``, the couplings of a column share
-    their cells, so a probe of the same ``s`` is paid once.  The first cell
-    ``[0, s_1]`` needs a line search only where ``phi = 0`` is unstable,
-    ``lambda0 >= spinodal``, and the curve rises again by ``s_1``; where it
-    still falls, one probe at the column's fixed ``s_1 - lam_lo
-    refine_tol`` tells, and every other coupling takes an endpoint.
+    ``lambda0 >= lam_lo`` at least as fine as :func:`minimize_phi`'s.  Every
+    ``e_1(s)`` is memoized by ``s`` and computed only when a coupling needs
+    it: a sample only where the lower bound ``(omega / lambda0^2 + 4 D_1)
+    s^2 - S(s)`` (:func:`_column_norm_mean` at unit coupling) leaves its
+    cell live, and refined in ``s``, the couplings of a column share their
+    cells, so a probe of the same ``s`` is paid once.  The first cell ``[0,
+    s_1]`` needs a line search only where ``phi = 0`` is unstable, ``lambda0
+    >= spinodal``, and the curve rises again by ``s_1``; where it still
+    falls, one probe at the column's fixed ``s_1 - lam_lo refine_tol``
+    tells, and every other coupling takes an endpoint.
     """
 
     def __init__(self, chain: ChainSpec, mode: int, search: SearchSpec, lam_lo: float):
         self.chain, self.mode, self.search, self.lam_lo = chain, mode, search, lam_lo
         self._unit = ModeSet(modes=(mode,), lambda0=1.0, N=chain.N, E_c=chain.E_c)
-        self.omega = float(self._unit.frequencies[0])
+        self.omega, self.D = float(self._unit.frequencies[0]), float(self._unit.D[0])
         self.step = lam_lo * search.phi_max / (search.coarse_points - 1)
-        self._s = self._e = np.zeros(0)
         self._memo: dict[float, float] = {}
 
     @cached_property
@@ -279,13 +360,14 @@ class _UnitCurve:
         return self._memo[s]
 
     def samples(self, s_max: float):
-        """``s`` and ``e_1(s)`` on the samples up to ``s_max``, give or take rounding."""
-        n = int(s_max / self.step + 1e-9) + 1
-        if self._s.size < n:
-            new = np.arange(self._s.size, n) * self.step
-            self._s = np.append(self._s, new)
-            self._e = np.append(self._e, [self.energy(x) for x in new])
-        return self._s[:n], self._e[:n]
+        """``s`` on the samples up to ``s_max``, give or take rounding, and
+        ``e_1(s)`` where it is known (NaN elsewhere); computes nothing."""
+        s = np.arange(int(s_max / self.step + 1e-9) + 1) * self.step
+        return s, np.array([self._memo.get(x, np.nan) for x in s.tolist()])
+
+    def bound(self, s: np.ndarray) -> np.ndarray:
+        """:func:`_column_norm_mean` at unit coupling: ``e_1 >= (omega + 4 D) s^2 - bound``."""
+        return _column_norm_mean(self.chain, self._unit.couplings[0], s)
 
     def minimize(self, lam: float) -> MeanFieldState:
         """:func:`minimize_phi` at ``lam >= lam_lo``, refined in ``s`` on the memoized ``e_1``."""
@@ -296,7 +378,10 @@ class _UnitCurve:
         vals = e + self.omega * s * s * tilt
         stable = _origin_stable(self._spinodal, lam)
         eps = self.lam_lo * self.search.refine_tol
-        return _state(modeset, *_minimize_single(f, s, vals, self.search, lam, stable, eps))
+        a = self.omega / (lam * lam) + 4.0 * self.D
+        return _state(
+            modeset, *_minimize_single(f, s, vals, self.search, lam, stable, eps, a, self.bound)
+        )
 
 
 # the polish stops once the projected gradient falls below this (ftol = 0
@@ -388,16 +473,23 @@ def _minimize_multi(chain: ChainSpec, modeset: ModeSet, search: SearchSpec):
 def minimize_phi(
     chain: ChainSpec, modeset: ModeSet, search: SearchSpec | None = None
 ) -> MeanFieldState:
-    """Global minimum of ``e_g``, sign-normalized as described above."""
+    """Global minimum of ``e_g``, sign-normalized as described above.
+
+    One mode scans ``[0, phi_max]`` on ``coarse_points`` samples, computing
+    only those that the bound ``(omega + 4 D) phi^2 - S(phi)`` of
+    :func:`_column_norm_mean` leaves in a live cell.
+    """
     search = search or SearchSpec()
     if modeset.n_modes == 1:
         # one amplitude: phi >= 0 is exhaustive by the sign-flip symmetry
         f = lambda x: energy_per_particle(chain, modeset, np.array([x]))
         stable = _origin_stable(_onset_or_error(chain, modeset.modes), modeset.lambda0)
-        grid, vals = _sample(f, search)
-        return _state(
-            modeset, *_minimize_single(f, grid, vals, search, 1.0, stable, search.refine_tol)
-        )
+        grid = np.linspace(0.0, search.phi_max, search.coarse_points)
+        vals = np.full(grid.size, np.nan)
+        a = float(modeset.frequencies[0] + 4.0 * modeset.D[0])
+        bound = lambda x: _column_norm_mean(chain, modeset.couplings[0], x)
+        found = _minimize_single(f, grid, vals, search, 1.0, stable, search.refine_tol, a, bound)
+        return _state(modeset, *found)
     return _state(modeset, *_minimize_multi(chain, modeset, search))
 
 
@@ -468,12 +560,15 @@ def _crossing_onset(curve: _UnitCurve, s_max: float) -> float | None:
     ``e(phi) < e(0)`` exactly when ``lambda0 > s sqrt(omega / (omega s^2 -
     u(s)))``, and the global minimizer leaves ``phi = 0`` at the smallest
     such value over ``s``: the samples of ``u`` on ``(0, s_max]``, the
-    best one refined, with no loop over ``lambda0``.  Chain, mode and
-    search come from ``curve``, and so do the samples, so the onset search
-    of a sweep reuses the column's curve; only when ``curve`` is coarser
-    there than ``s_max / (coarse_points - 1)`` does a finer fresh curve
-    sample ``(0, s_max]``.  Returns ``None`` when ``omega s^2 - u(s) <= 0``
-    at every sample.
+    best one refined, with no loop over ``lambda0``.  The curve's bound
+    gives ``u(s) / s^2 >= omega + 4 D_1 - (S(s) + e_1(0)) / s^2``, so only
+    the samples whose floor does not lie above the lowest ratio found are
+    computed, lowest floor first; the least ratio and its sample are those
+    of the full scan.  Chain, mode and search come from ``curve``, and so
+    do the samples, so the onset search of a sweep reuses the column's
+    curve; only when ``curve`` is coarser there than ``s_max /
+    (coarse_points - 1)`` does a finer fresh curve sample ``(0, s_max]``.
+    Returns ``None`` when ``omega s^2 - u(s) <= 0`` at every sample.
 
     On a first-order transition this is the onset; on a second-order one
     the smallest value sits at ``s -> 0``, so the scan returns a value at
@@ -483,10 +578,23 @@ def _crossing_onset(curve: _UnitCurve, s_max: float) -> float | None:
     if s_max < curve.lam_lo * search.phi_max:
         curve = _UnitCurve(curve.chain, curve.mode, search, s_max / search.phi_max)
     s, e = curve.samples(s_max)
-    # lambda(s) rises with u(s)/s^2, which stays finite as s -> 0
+    e[0] = curve.energy(s[0])
+    # lambda(s) rises with u(s)/s^2, which stays finite as s -> 0 and is at
+    # least omega + 4 D_1 - (S(s) + e_1(0)) / s^2: a sample whose floor lies
+    # above the lowest ratio so far, give or take rounding, is not the least
     ratio = lambda x: (curve.energy(x) - e[0]) / (x * x)
-    s, vals = s[1:], (e[1:] - e[0]) / s[1:] ** 2
-    i = int(np.argmin(vals))
+    S = curve.bound(s)
+    a = curve.omega + 4.0 * curve.D
+    s, S, s2 = s[1:], S[1:], s[1:] ** 2
+    vals = (e[1:] - e[0]) / s2
+    floor = a - (S + e[0]) / s2
+    slack = 2.0 * _ROUND_RTOL * (a * s2[-1] + S[-1]) / s2
+    low = np.fmin.reduce(vals, initial=np.inf)
+    for i in np.argsort(floor, kind="stable"):
+        if np.isnan(vals[i]) and floor[i] <= low + slack[i]:
+            vals[i] = (curve.energy(s[i]) - e[0]) / s2[i]
+            low = min(low, vals[i])
+    i = int(np.nanargmin(vals))
     if vals[i] >= curve.omega:
         return None
     _, r = _bounded_min(ratio, s[max(i - 1, 0)], s[min(i + 1, s.size - 1)], search.refine_tol)
@@ -507,8 +615,9 @@ def stationary_points(
         raise ValueError("stationary-point enumeration is defined for a single mode")
     search = search or SearchSpec()
     f = lambda x: energy_per_particle(chain, modeset, np.array([x]))
-    grid, vals = _sample(f, search)
-    (x0, fx0), minima = _refine(f, grid, vals, search)
+    grid = np.linspace(0.0, search.phi_max, search.coarse_points)
+    vals = np.array([f(x) for x in grid])
+    (x0, fx0), *minima = _refine(f, grid, vals, search)
 
     points = [(x, fx, "minimum") for x, fx in minima]
     for i in _interior_minima(-vals):

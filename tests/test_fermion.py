@@ -277,6 +277,25 @@ class TestHoppingNorm:
         assert fermion._hopping_norm(form) == pytest.approx(0.6, rel=1e-12)
 
 
+def fix_signs_row_by_row(Phi, Psi, s, zero_tol):
+    """The sign rule one row at a time: the oracle of the solver's batched rule."""
+
+    def fix(row, partner=None):
+        idx = np.flatnonzero(np.abs(row) > fermion._SIGN_EPS)
+        i = idx[0] if idx.size else int(np.argmax(np.abs(row)))
+        if row[i] < 0:
+            row *= -1.0
+            if partner is not None:
+                partner *= -1.0
+
+    for k in range(s.size):
+        if s[k] > zero_tol:
+            fix(Phi[k], Psi[k])
+        else:
+            fix(Phi[k])
+            fix(Psi[k])
+
+
 class TestModeMatrices:
     def test_relations_and_orthogonality(self):
         rng = np.random.default_rng(5)
@@ -300,6 +319,20 @@ class TestModeMatrices:
         b = solve_quasiparticles(form)
         np.testing.assert_array_equal(a.Phi, b.Phi)
         np.testing.assert_array_equal(a.Psi, b.Psi)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rings())
+    @example((np.full(6, 0.4), np.full(6, 0.4), Sector.ODD))  # an exact zero mode
+    def test_signs_match_the_row_by_row_rule(self, ring):
+        Om, J, sector = ring
+        form = build_quadratic_form(flat_field(Om), J, sector)
+        U, s, Vh = np.linalg.svd(form.T)
+        Phi, Psi, s = U.T[::-1].copy(), Vh[::-1].copy(), s[::-1]
+        fix_signs_row_by_row(Phi, Psi, s, 1e-12 * max(fermion._hopping_norm(form), 1.0))
+        sol = solve_quasiparticles(form)
+        assert np.array_equal(sol.Phi, Phi) and np.array_equal(sol.Psi, Psi)
+        assert not (np.signbit(sol.Phi) ^ np.signbit(Phi)).any()
+        assert not (np.signbit(sol.Psi) ^ np.signbit(Psi)).any()
 
 
 class TestParityBookkeeping:

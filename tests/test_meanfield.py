@@ -1,5 +1,7 @@
 """Energy surface and amplitude search."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from cavising import meanfield
 from cavising.correlation import pair_contractions
-from cavising.fermion import SolverError, ground_sector
+from cavising.fermion import Sector, SolverError, build_quadratic_form, ground_sector
 from cavising.meanfield import (
     SearchSpec,
     _crossing_onset,
@@ -22,6 +24,7 @@ from cavising.meanfield import (
 )
 from cavising.model import ChainSpec, IsingProfile, ModeSet, effective_field
 from cavising.oracle import DenseSpinProblem, exact_expectations, exact_ground
+from cavising.phases import SweepContext, classify_transition_order, sweep
 
 
 def desk_chain(J_max=0.026, J_min=0.001):
@@ -164,27 +167,139 @@ class TestUnitScaling:
         assert abs(e - rescored) <= 1e-12 * max(1.0, abs(e))
 
 
-def line_searched_first_cell(curve, lam):
-    """``curve.minimize(lam)`` with the first cell always line-searched: the rule's oracle.
+@st.composite
+def bound_points(draw, max_N=40):
+    """One mode on a ring; N = 1, 2, 3 and J = 0 come up often."""
+    N = draw(st.one_of(st.integers(1, 3), st.integers(4, max_N)))
+    bond = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
+    J = [0.0] * N if draw(st.booleans()) else draw(st.lists(bond, min_size=N, max_size=N))
+    E_c = draw(st.floats(0.5, 10.0))
+    chain = ChainSpec(
+        N=N, E_z=draw(st.floats(0.05, 2.0)), E_c=E_c, ising=IsingProfile.explicit(J)
+    )
+    lam = draw(st.floats(0.0, 2.0))
+    return chain, ModeSet(modes=(draw(st.integers(1, 4)),), lambda0=lam, N=N, E_c=E_c)
 
-    Returns ``phi``, ``e_g`` and the degeneracy flag.
+
+def column_norm_mean(chain, ms, x):
+    return meanfield._column_norm_mean(chain, ms.couplings[0], np.asarray(x, dtype=float))
+
+
+class TestEnergyBound:
+    """``e_g(phi) >= (omega + 4 D) phi^2 - S(phi)``, the bound the scan skips samples by."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bound_points(), st.floats(0.0, 2.0))
+    def test_energy_is_at_least_the_bound(self, point, phi):
+        # a decoupled ring has a diagonal T and meets the bound
+        chain, ms = point
+        field_part = (ms.frequencies[0] + 4.0 * ms.D[0]) * phi * phi
+        S = column_norm_mean(chain, ms, [phi])[0]
+        e = energy_per_particle(chain, ms, [phi])
+        assert e >= field_part - S - 1e-13 * (field_part + S)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        bound_points(),
+        st.floats(0.0, 2.0),
+        st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=5),
+    )
+    def test_cell_bound_lies_under_the_bound_on_its_cell(self, point, start, widths):
+        chain, ms = point
+        a = ms.frequencies[0] + 4.0 * ms.D[0]
+        x = start + np.cumsum([0.0, *widths])
+        S = column_norm_mean(chain, ms, x)
+        cells = meanfield._cell_bounds(a, x, S)
+        assert cells.shape == (len(widths),)
+        slack = 1e-13 * (a * x[-1] ** 2 + S[-1])
+        for k, cell in enumerate(cells):
+            fine = np.linspace(x[max(k - 1, 0)], x[k + 1], 201)
+            assert cell <= np.min(a * fine * fine - column_norm_mean(chain, ms, fine)) + slack
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bound_points(), st.floats(-2.0, 2.0))
+    def test_singular_values_sum_to_at_most_the_column_norms(self, point, phi):
+        # dense SVD shares nothing with the banded spectrum; for N >= 2 the
+        # column norms of T are the terms of S, and N = 1 has no corner
+        chain, ms = point
+        fld = effective_field(chain, ms, [phi])
+        for sector in Sector:
+            T = build_quadratic_form(fld, chain.bonds(), sector).T
+            columns = float(np.linalg.norm(T, axis=0).sum())
+            assert np.linalg.svd(T, compute_uv=False).sum() <= columns * (1.0 + 1e-13)
+            assert columns <= chain.N * column_norm_mean(chain, ms, [phi])[0] * (1.0 + 1e-13)
+
+
+def full_scan(f, grid, search, scale=1.0, stable=None, eps=0.0):
+    """The single-mode scan with every sample computed: the pruned scan's oracle.
+
+    ``f`` and ``grid`` are in units of ``scale phi``.  The first cell takes
+    an endpoint where ``stable`` decides it and is line-searched otherwise
+    (``stable=None`` always); every interior minimum and a still falling
+    last cell are line-searched.  Returns ``phi``, ``e_g``, the degeneracy
+    flag and whether the minimizer sits on the ``phi_max`` boundary.
     """
-    search = curve.search
-    s, e = curve.samples(lam * search.phi_max)
-    tilt = 1.0 / lam**2 - 1.0
-    f = lambda x: curve.energy(x) + curve.omega * x * x * tilt
-    vals = e + curve.omega * s * s * tilt
-    cells = [(s[0], s[1])] + [(s[i - 1], s[i + 1]) for i in meanfield._interior_minima(vals)]
+    vals = np.array([f(x) for x in grid])
+    tol = scale * search.refine_tol
+    if stable:
+        first = (grid[0], vals[0]) if vals[1] >= vals[0] else (grid[1], vals[1])
+    elif stable is not None and vals[1] < vals[0] and f(grid[1] - eps) >= vals[1]:
+        first = (grid[1], vals[1])
+    else:
+        first = meanfield._bounded_min(f, grid[0], grid[1], tol)
+    inner = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
+    cells = [(grid[i - 1], grid[i + 1]) for i in inner]
     if vals[-1] < vals[-2]:
-        cells.append((s[-2], lam * search.phi_max))
-    tol = lam * search.refine_tol
-    candidates = [(0.0, vals[0])] + [meanfield._bounded_min(f, a, b, tol) for a, b in cells]
+        cells.append((grid[-2], scale * search.phi_max))
+    candidates = [(0.0, vals[0]), first] + [
+        meanfield._bounded_min(f, a, b, tol) for a, b in cells
+    ]
     x, fx = min(candidates, key=lambda c: c[1])
     degenerate = any(
-        abs(fc - fx) < search.degeneracy_tol and abs(xc - x) / lam > 10 * search.refine_tol
+        abs(fc - fx) < search.degeneracy_tol and abs(xc - x) / scale > 10 * search.refine_tol
         for xc, fc in candidates
     )
-    return x / lam, fx, degenerate
+    step = (grid[1] - grid[0]) / scale
+    return x / scale, fx, degenerate, x / scale > search.phi_max - 0.5 * step
+
+
+def curve_scan(curve, lam, stable):
+    """:func:`full_scan` of ``curve`` at ``lam``: ``curve.minimize(lam)``'s oracle."""
+    search = curve.search
+    tilt = 1.0 / lam**2 - 1.0
+    f = lambda x: curve.energy(x) + curve.omega * x * x * tilt
+    s = curve.samples(lam * search.phi_max)[0]
+    return full_scan(f, s, search, lam, stable, curve.lam_lo * search.refine_tol)
+
+
+def phi_scan(chain, ms, search, stable):
+    """:func:`full_scan` of one mode on ``[0, phi_max]``: single-mode ``minimize_phi``'s oracle."""
+    f = lambda x: energy_per_particle(chain, ms, np.array([x]))
+    grid = np.linspace(0.0, search.phi_max, search.coarse_points)
+    return full_scan(f, grid, search, 1.0, stable, search.refine_tol)
+
+
+def crossing_scan(curve, s_max):
+    """``_crossing_onset`` with every sample of ``(0, s_max]`` computed: its oracle."""
+    search = curve.search
+    if s_max < curve.lam_lo * search.phi_max:
+        curve = _UnitCurve(curve.chain, curve.mode, search, s_max / search.phi_max)
+    s = curve.samples(s_max)[0]
+    e = np.array([curve.energy(x) for x in s])
+    ratio = lambda x: (curve.energy(x) - e[0]) / (x * x)
+    s, vals = s[1:], (e[1:] - e[0]) / s[1:] ** 2
+    i = int(np.argmin(vals))
+    if vals[i] >= curve.omega:
+        return None
+    _, r = meanfield._bounded_min(
+        ratio, s[max(i - 1, 0)], s[min(i + 1, s.size - 1)], search.refine_tol
+    )
+    return np.sqrt(curve.omega / (curve.omega - min(r, vals[i])))
+
+
+def known(e):
+    """How many samples of a curve are computed."""
+    return int(np.count_nonzero(~np.isnan(e)))
 
 
 def first_order_chain():
@@ -247,11 +362,11 @@ class TestUnitCurve:
 
         monkeypatch.setattr(meanfield, "quasiparticle_energies", counted)
         assert curve.minimize(0.15).phi[0] == 0.0
-        before = curve.samples(0.15 * QUICK.phi_max)[0].size
+        before = known(curve.samples(0.15 * QUICK.phi_max)[1])
         assert len(calls) == before
         assert curve.minimize(0.175).phi[0] == 0.0
-        after = curve.samples(0.175 * QUICK.phi_max)[0].size
-        assert after > before
+        after = known(curve.samples(0.175 * QUICK.phi_max)[1])
+        assert after >= before
         assert len(calls) == after
 
     @pytest.mark.parametrize(
@@ -267,8 +382,9 @@ class TestUnitCurve:
         assert curve.spinodal < min(lams)
         energies = CountedEnergy(monkeypatch)
         for lam in lams:
-            s, e = curve.samples(lam * QUICK.phi_max)
-            assert e[1] + curve.omega * s[1] ** 2 * (1.0 / lam**2 - 1.0) < e[0]
+            s_1 = curve.step
+            tilt = 1.0 / lam**2 - 1.0
+            assert curve.energy(s_1) + curve.omega * s_1**2 * tilt < curve.energy(0.0)
             assert curve.minimize(lam).phi[0] > 0.02
         s_1 = curve.step
         assert [x for x in energies.s if 0.0 < x < s_1] == [s_1 - lam_lo * QUICK.refine_tol]
@@ -280,7 +396,7 @@ class TestUnitCurve:
         # hidden condensate and falling edge all keep the line search's answer
         lam = normal_phase_onset(chain, (2,)) * (1.0 + offset)
         state = _UnitCurve(chain, 2, QUICK, lam_lo).minimize(lam)
-        phi, e_g, degenerate = line_searched_first_cell(_UnitCurve(chain, 2, QUICK, lam_lo), lam)
+        phi, e_g, degenerate, _ = curve_scan(_UnitCurve(chain, 2, QUICK, lam_lo), lam, None)
         assert state.phi[0] == pytest.approx(phi, abs=QUICK.refine_tol)
         assert state.e_g == pytest.approx(e_g, abs=1e-12)
         assert state.degenerate == degenerate
@@ -293,7 +409,7 @@ class TestUnitCurve:
         curve = _UnitCurve(desk_chain(), 2, QUICK, 0.15)
         for lam in (0.15, 0.2254, 0.2255, 0.3):
             state = curve.minimize(lam)
-            phi, e_g, degenerate = line_searched_first_cell(curve, lam)
+            phi, e_g, degenerate, _ = curve_scan(curve, lam, None)
             assert (state.phi[0], state.e_g, state.degenerate) == (phi, e_g, degenerate)
         with pytest.raises(SolverError, match="injected failure"):
             curve.spinodal
@@ -305,16 +421,153 @@ class TestUnitCurve:
     def test_no_finite_spinodal_counts_every_coupling_stable(self, monkeypatch):
         lams = (0.5, 1.0, 3.0)
         oracle = _UnitCurve(stiff_chain(), 1, QUICK, 0.5)
-        expected = [line_searched_first_cell(oracle, lam) for lam in lams]
+        expected = [curve_scan(oracle, lam, None) for lam in lams]
         curve = _UnitCurve(stiff_chain(), 1, QUICK, 0.5)
         assert curve.spinodal is None
         energies = CountedEnergy(monkeypatch)
-        for lam, (phi, e_g, degenerate) in zip(lams, expected):
+        for lam, (phi, e_g, degenerate, _) in zip(lams, expected):
             state = curve.minimize(lam)
             assert (state.phi[0], state.e_g, state.degenerate) == (0.0, e_g, degenerate)
             assert phi == 0.0
-        # the curve only rises: every coupling pays its new samples, nothing else
-        assert energies.s == list(curve.samples(3.0 * QUICK.phi_max)[0])
+        # the curve only rises: every coupling pays new samples, nothing else
+        s, e = curve.samples(3.0 * QUICK.phi_max)
+        assert sorted(energies.s) == list(s[~np.isnan(e)])
+
+
+def outcome(minimize, *args):
+    """``minimize(*args)`` as ``phi``, ``e_g``, the degeneracy flag and whether
+    the ``phi_max`` boundary warning was raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state = minimize(*args)
+    boundary = any(issubclass(w.category, RuntimeWarning) for w in caught)
+    return state.phi[0], state.e_g, state.degenerate, boundary
+
+
+def as_state(phi, e_g, degenerate, boundary):
+    """A :func:`full_scan` result the way the state rounds it."""
+    return 0.0 if abs(phi) < 1e-12 else phi, float(e_g), degenerate, bool(boundary)
+
+
+class TestPrunedScan:
+    """Skipping the samples the bound rules out leaves the full scan's answers, bit for bit."""
+
+    def assert_column(self, chain, mode, search, lams, stable):
+        curve = _UnitCurve(chain, mode, search, min(lams))
+        for lam in lams:
+            oracle = _UnitCurve(chain, mode, search, min(lams))
+            expected = as_state(*curve_scan(oracle, lam, stable(lam)))
+            assert outcome(curve.minimize, lam) == expected
+            ms = ModeSet(modes=(mode,), lambda0=lam, N=chain.N, E_c=chain.E_c)
+            expected = as_state(*phi_scan(chain, ms, search, stable(lam)))
+            assert outcome(minimize_phi, chain, ms, search) == expected
+
+    @pytest.mark.parametrize(
+        "chain, mode",
+        [
+            (desk_chain(), 2),
+            (first_order_chain(), 2),
+            (ChainSpec(N=1, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3)), 1),
+            (ChainSpec(N=2, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3)), 2),
+            (ChainSpec(N=3, E_z=0.6, E_c=8.0, ising=IsingProfile.explicit([0.2, 0.5, 0.1])), 2),
+            # a decoupled ring meets the bound: only the rounding allowance is left
+            (ChainSpec(N=3, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.0)), 1),
+        ],
+    )
+    def test_column_matches_the_full_scan(self, chain, mode):
+        lam_s = normal_phase_onset(chain, (mode,))
+        lams = [lam_s * f for f in (0.8, 0.98, 0.999, 1.001, 1.05, 1.3, 2.0)]
+        self.assert_column(chain, mode, QUICK, lams, lambda lam: lam < lam_s)
+
+    def test_stable_column_matches_the_full_scan(self):
+        assert normal_phase_onset(stiff_chain(), (1,)) is None
+        self.assert_column(stiff_chain(), 1, QUICK, (0.5, 1.0, 3.0), lambda lam: True)
+
+    def test_degenerate_double_minimum(self):
+        # at the crossing onset phi = 0 ties the condensate
+        chain = first_order_chain()
+        lam = _crossing_onset(_UnitCurve(chain, 2, QUICK, 0.9), 0.9 * QUICK.phi_max)
+        assert lam < normal_phase_onset(chain, (2,))
+        assert curve_scan(_UnitCurve(chain, 2, QUICK, 0.9), lam, True)[2]
+        self.assert_column(chain, 2, QUICK, (lam,), lambda lam: True)
+
+    def test_phi_max_boundary_hit(self):
+        chain = desk_chain()
+        lam = DESK_LAMBDA_C + 0.08
+        tight = SearchSpec(phi_max=0.02, coarse_points=21)
+        ms = ModeSet(modes=(2,), lambda0=lam, N=40, E_c=8.0)
+        assert phi_scan(chain, ms, tight, False)[3]
+        self.assert_column(chain, 2, tight, (lam,), lambda lam: False)
+
+    def test_failed_spinodal_solve(self, monkeypatch):
+        def failing(*args):
+            raise SolverError("injected failure")
+
+        monkeypatch.setattr(meanfield, "normal_phase_onset", failing)
+        lams = (0.15, 0.2254, 0.2255, 0.3)
+        self.assert_column(desk_chain(), 2, QUICK, lams, lambda lam: None)
+
+    def test_all_cells_live_when_a_sample_undercuts_every_candidate(self):
+        # a dip at one sample, which no line search meets, leaves the lowest
+        # value computed far below every candidate, and the cells it ruled
+        # out hold the global minimum near 1.2
+        search = SearchSpec(phi_max=1.5, coarse_points=31)
+        grid = np.linspace(0.0, 1.5, 31)
+        f = lambda x: min((x - 0.52) ** 2, (x - 1.2) ** 2 - 0.1) - 0.3 * (x == grid[10])
+        # 0.25 (x - 0.52)^2 - 0.3 lies under f on [0, 1.5]
+        a, chain_bound = 0.25, lambda x: 0.26 * x + 0.2324
+        assert min(f(x) - a * x * x + chain_bound(x) for x in np.linspace(0, 1.5, 3001)) >= 0
+        vals = np.full(grid.size, np.nan)
+        phi, e_g, degenerate = meanfield._minimize_single(
+            f, grid, vals, search, 1.0, None, 0.0, a, chain_bound
+        )
+        assert (phi[0], e_g, degenerate, False) == full_scan(f, grid, search)
+        assert phi[0] == pytest.approx(1.2, abs=1e-5)
+
+    def test_cells_within_the_degeneracy_tolerance_stay_live(self):
+        # the second well lies 0.29 above the first and its cells are bounded
+        # from 0.18 above it: only the degeneracy_tol in the margin keeps
+        # them live and the flag set
+        search = SearchSpec(phi_max=1.5, coarse_points=31, degeneracy_tol=0.35)
+        grid = np.linspace(0.0, 1.5, 31)
+        a, chain_bound = 1.0, lambda x: x
+        f = lambda x: x * x - x + min(
+            0.02 + 3.0 * (x - 0.5) ** 2, 0.01 + 5.0 * (x - 1.1) ** 2
+        )
+        expected = full_scan(f, grid, search)
+        assert expected[2]
+        vals = np.full(grid.size, np.nan)
+        phi, e_g, degenerate = meanfield._minimize_single(
+            f, grid, vals, search, 1.0, None, 0.0, a, chain_bound
+        )
+        assert (phi[0], e_g, degenerate, False) == expected
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(bound_points(max_N=12))
+    def test_random_rings_match_the_full_scan(self, point):
+        chain, ms = point
+        search = SearchSpec(coarse_points=21)
+        lam_s = normal_phase_onset(chain, ms.modes)
+        stable = lam_s is None or ms.lambda0 < lam_s
+        expected = as_state(*phi_scan(chain, ms, search, stable))
+        assert outcome(minimize_phi, chain, ms, search) == expected
+
+    def test_pinned_count_of_a_column(self, monkeypatch):
+        # the first-order column of the bisection tests: 8 sweep points, a
+        # crossing, the bisection and its slope probes
+        calls = []
+        real = meanfield.quasiparticle_energies
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "quasiparticle_energies", counted)
+        ctx = SweepContext(chain=first_order_chain(), modes=(2,), search=QUICK)
+        cls = classify_transition_order(sweep(ctx, "lambda0", np.linspace(0.9, 1.1, 8)))
+        assert cls.order == "first"
+        # 148 with every sample of the scan computed
+        assert len(calls) == 104
 
 
 class TestMinimize:
@@ -539,12 +792,34 @@ class TestCrossingOnset:
         fine = _UnitCurve(chain, 2, QUICK, 1.1)
         s_max = fine.lam_lo * QUICK.phi_max
         assert _crossing_onset(coarse, s_max) == _crossing_onset(fine, s_max)
-        assert coarse._s.size == 0  # the coarse curve was never sampled
+        assert coarse._memo == {}  # the coarse curve was never sampled
 
     def test_none_when_origin_never_destabilizes(self):
         chain = ChainSpec(N=8, E_z=0.8, E_c=0.1, ising=IsingProfile.uniform(0.1))
         for mode in (1, 2):
             assert _crossing_onset(_UnitCurve(chain, mode, QUICK, 3.0), 3.0 * QUICK.phi_max) is None
+
+    @pytest.mark.parametrize(
+        "chain, mode, lam_lo, s_max",
+        [
+            (desk_chain(), 2, 0.15, 0.3 * QUICK.phi_max),
+            (first_order_chain(), 2, 0.9, 0.9 * QUICK.phi_max),
+            (first_order_chain(), 2, 0.9, 1.1 * QUICK.phi_max),
+            # a coarse curve hands the scan to a finer fresh one
+            (first_order_chain(), 2, 2.0, 1.1 * QUICK.phi_max),
+            (stiff_chain(), 1, 3.0, 3.0 * QUICK.phi_max),
+            (ChainSpec(N=1, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3)), 1, 1.0, 1.5),
+            (ChainSpec(N=2, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3)), 2, 1.0, 1.5),
+            (ChainSpec(N=3, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.0)), 1, 1.0, 1.5),
+        ],
+    )
+    def test_matches_the_full_scan(self, chain, mode, lam_lo, s_max):
+        curve = _UnitCurve(chain, mode, QUICK, lam_lo)
+        expected = crossing_scan(_UnitCurve(chain, mode, QUICK, lam_lo), s_max)
+        assert _crossing_onset(curve, s_max) == expected
+        # and again on a curve that the column's minimizations sampled
+        curve.minimize(s_max / QUICK.phi_max)
+        assert _crossing_onset(curve, s_max) == expected
 
 
 class TestStationaryPoints:

@@ -256,14 +256,20 @@ class TestSharedSolver:
     def test_phase_column_pass_solves_one_spinodal_per_column(self, monkeypatch):
         # the inputs of the benchmark's phase-column workload at seed 1; the
         # curve's first cells read the spinodal the bisection is seeded with
-        solves = []
+        solves, energies = [], []
         real = fermion.solve_quasiparticles
+        real_energies = meanfield.quasiparticle_energies
 
         def counted(form):
             solves.append(form)
             return real(form)
 
+        def counted_energies(form):
+            energies.append(form)
+            return real_energies(form)
+
         monkeypatch.setattr(fermion, "solve_quasiparticles", counted)
+        monkeypatch.setattr(meanfield, "quasiparticle_energies", counted_energies)
         chain = ChainSpec(
             N=200, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.5007, 0.2007, 2)
         )
@@ -275,6 +281,8 @@ class TestSharedSolver:
         # one spinodal per column and one correlation report per cell
         assert len(diagram.cells) == 8
         assert len(solves) == 10
+        # the samples the energy bound rules out are skipped: 348 without
+        assert len(energies) == 211
 
     @pytest.mark.parametrize(
         "chain, delta_J, grid",
