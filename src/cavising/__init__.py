@@ -30,11 +30,9 @@ from .fermion import (
 from .meanfield import (
     MeanFieldState,
     SearchSpec,
-    StationaryPoint,
     energy_per_particle,
     minimize_phi,
     order_parameter_residual,
-    stationary_points,
 )
 from .model import (
     ChainSpec,

@@ -9,13 +9,14 @@ part is exactly quadratic; all structure comes through the dependence of
 the dressed fields ``Omega(j)`` on ``phi``.  Every search starts from a
 coarse grid, which keeps it robust on surfaces with several competing
 minima (the first-order regime), then refines a single amplitude by
-bounded Brent line searches and several by L-BFGS-B on the analytic
+Brent line searches seeded from the samples and probes already computed
+(:func:`_line_min`) and several by L-BFGS-B on the analytic
 Hellmann-Feynman gradient.  A single-amplitude condensate smaller than
 one grid step can hide only in the first cell, off an unstable origin and
 below a first sample that lies higher again; that cell is line-searched
-only then, or where the origin's stability is not known
-(:func:`stationary_points`, or a failed spinodal solve), and otherwise
-yields an endpoint.
+only then, starting from an even fit whose curvature the spinodal gives,
+or where the origin's stability is not known (a failed spinodal solve),
+and otherwise yields an endpoint.
 
 The single-amplitude grid is pruned by a lower bound that costs O(N):
 the singular values of the fermion matrix sum to at most its column
@@ -23,9 +24,9 @@ norms, so ``e_g(phi) >= (omega + 4 D) phi^2 - S(phi)`` with ``S`` the mean
 column norm (:func:`_column_norm_mean`), some 0.02-0.07 below ``e_g`` on
 the rings of a phase diagram.  A sample is computed, and a cell refined,
 only where the bound leaves room for a minimum within ``degeneracy_tol``
-of the lowest energy found, so the minimizer, its energy, the degeneracy
-flag and the boundary warning are those of the full scan, bit for bit;
-:func:`stationary_points`, which also wants the maxima, scans in full.
+of the lowest energy found, so every cell that could win is refined as
+the full scan would refine it: the degeneracy flag and the boundary
+warning are the full scan's, and the minimizer is, to ``refine_tol``.
 
 Where ``phi = 0`` stops being a minimum follows from linear response
 alone: the chain sees ``phi`` only through ``Omega(j) = E_z/2 +
@@ -39,7 +40,8 @@ unit coupling serves a whole column of couplings (``_UnitCurve``): each
 minimization re-scores its samples and refines in ``s`` on the column's
 memoized unit energy, so couplings share their line-search probes, and
 where a condensate first ties ``phi = 0``, the onset of a first-order
-transition, is read off the same samples (``_crossing_onset``).
+transition, is read off the same samples (``_crossing_onset``).  A
+single-mode :func:`minimize_phi` is such a curve with one coupling.
 
 A single amplitude is searched on ``phi >= 0``: the energy is even under
 the joint flip of all amplitudes, so the nonnegative half covers the
@@ -49,17 +51,17 @@ signs; the multi-mode search therefore seeds from the nonnegative box
 but polishes over the full sign range, reporting the representative
 whose dominant amplitude is nonnegative.
 
-``scipy.optimize`` is imported by the line search and the polish
-themselves, on first use: energies, onsets and the spectrum need only
-``scipy.linalg``, and importing the optimizer costs more than a large-ring
-energy does.
+``scipy.optimize`` is imported by the multi-mode polish alone, on first
+use: energies, onsets, the spectrum and every single-mode search need
+only ``scipy.linalg``, and importing the optimizer costs more than a
+large-ring energy does (some 19 MB and 0.45 s).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 
@@ -74,11 +76,9 @@ from .model import ChainSpec, ModeSet, effective_field
 __all__ = [
     "SearchSpec",
     "MeanFieldState",
-    "StationaryPoint",
     "energy_per_particle",
     "minimize_phi",
     "normal_phase_onset",
-    "stationary_points",
     "order_parameter_residual",
 ]
 
@@ -144,14 +144,6 @@ class MeanFieldState:
         object.__setattr__(self, "Sigma_x", Sigma_x)
 
 
-@dataclass(frozen=True)
-class StationaryPoint:
-    phi: float
-    e_g: float
-    kind: str  # "minimum" | "maximum"
-    is_global: bool
-
-
 def energy_per_particle(chain: ChainSpec, modeset: ModeSet, phi) -> float:
     """Mean-field energy per site at amplitudes ``phi`` (even sector)."""
     fld = effective_field(chain, modeset, phi)
@@ -161,11 +153,123 @@ def energy_per_particle(chain: ChainSpec, modeset: ModeSet, phi) -> float:
     return field_part - float(np.sum(lam)) / (2.0 * chain.N)
 
 
-def _bounded_min(f, a: float, b: float, tol: float):
-    from scipy import optimize
+# the share of a bracket's longer side that a golden-section step takes
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# a line search gives up after this many probes, as scipy's does: a refine_tol
+# below the rounding of s could leave its closing step where it stands
+_MAX_PROBES = 500
+# a parabolic step shorter than this share of the tolerance is not taken: the
+# best point is then that close to the vertex, and the bracket is closed instead
+_SETTLED = 1e-2
 
-    res = optimize.minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": tol})
-    return float(res.x), float(res.fun)
+
+def _line_min(f, lo: float, hi: float, known: dict, tol: float, pinned=False):
+    """``(x, f(x))`` with ``x`` within ``tol`` of the minimizer of ``f`` on ``[lo, hi]``.
+
+    Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973), seeded from ``known``, a map of points already
+    computed to their values, at least one of them in the cell.  It starts
+    from the best known point in the cell, bracketed by the nearest known
+    points on either side; the first step is the vertex of the parabola
+    through it and its two nearest known neighbours.  A best point within
+    ``tol`` of a cell end is confirmed with one probe ``tol`` inside, and an
+    end that no known point separates from the best one is computed.
+    Parabolic steps are taken down to a hundredth of ``tol``; the search
+    stops only once the best point ``x`` and its bracket ``[a, b]`` satisfy
+    ``max(x - a, b - x) <= tol``, so for ``f`` unimodal on the cell the
+    minimizer lies within ``tol`` of ``x``.
+
+    Every function searched here is even in ``x`` with ``lo >= 0`` (an
+    energy along ``s``, or a ratio of them), so the parabolas are fitted in
+    ``x^2``, which such a function follows closely down to the origin, and
+    ``lo = 0`` never takes the one-probe end rule: with ``f'(0) = 0`` the
+    drop over ``tol`` is lost to rounding.  ``pinned``: ``f`` falls off
+    ``lo`` (an unstable origin), so ``lo`` is never the answer.  ``f`` is
+    called once per probe.
+    """
+    pts = dict(known)
+
+    def value(u):
+        pts[u] = f(u)
+        return pts[u]
+
+    def best():
+        inside = sorted(p for p in pts if lo <= p <= hi and not (pinned and p == lo))
+        return min(inside, key=pts.__getitem__)
+
+    x, probed = best(), set()
+    while True:
+        if hi - x <= tol < x - lo:
+            end, u = hi, x - tol
+        elif lo > 0.0 and x - lo <= tol < hi - x:
+            end, u = lo, x + tol
+        else:
+            end = None
+        if end is not None and end not in probed:
+            probed.add(end)
+            if value(u) >= pts[x]:
+                return x, pts[x]
+            x = u
+            continue
+        far = [
+            end for end in (lo, hi)
+            if end not in pts and abs(end - x) > tol
+            and not any(min(x, end) < p < max(x, end) for p in pts)
+        ]
+        if not far:
+            break
+        value(far[0])
+        x = best()
+
+    fx = pts[x]
+    a = max((p for p in pts if lo <= p < x), default=lo)
+    b = min((p for p in pts if x < p <= hi), default=hi)
+    near = sorted((p for p in pts if p != x), key=lambda p: abs(p - x))[:2]
+    w, v = sorted(near + [x] * (2 - len(near)), key=pts.__getitem__)
+    fw, fv = pts[w], pts[v]
+    d = e = 2.0 * (b - a)  # lets the first step be the parabola's
+    floor = _SETTLED * tol
+    reach = tol + 4.0 * math.ulp(hi)  # x + tol - x may round above tol
+    for _ in range(_MAX_PROBES):
+        if max(x - a, b - x) <= reach:
+            break
+        m = 0.5 * (a + b)
+        golden = True
+        if abs(e) > floor:
+            prev, e = e, d
+            r = (x * x - w * w) * (fx - fv)
+            q = (x * x - v * v) * (fx - fw)
+            p = (x * x - v * v) * q - (x * x - w * w) * r
+            q = 2.0 * (q - r)
+            t = x * x - p / q if q else -1.0
+            u = math.sqrt(t) if t >= 0.0 else math.nan
+            if a < u < b and abs(u - x) < 0.5 * abs(prev):
+                golden = False
+                d = u - x
+        if golden:
+            e = (a - x) if x >= m else (b - x)
+            d = _GOLDEN * e
+        if abs(d) < floor or x + d - a < floor or b - x - d < floor:
+            # the parabola has settled: close the wider side of the bracket
+            d = tol if b - x >= x - a else -tol
+        u = x + d
+        fu = value(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _interior_minima(vals: np.ndarray):
@@ -213,98 +317,6 @@ def _cell_bounds(a: float, x: np.ndarray, S: np.ndarray) -> np.ndarray:
     return a * y * y - S[lo] - slope * (y - x[lo])
 
 
-def _refine(
-    f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: float = 1.0,
-    stable: bool | None = None, eps: float = 0.0, live=lambda k: True,
-):
-    """Minima of the live cells of ``[0, scale phi_max]``: the first cell, the
-    interior minima and, if the curve still falls there, the last cell to its end.
-
-    Cell ``k`` is ``[grid[k - 1], grid[k + 1]]``, clipped to the first and
-    last sample and, for the last, ending at ``scale phi_max``; ``live(k)``
-    says whether it can hold a winning minimum, and every sample of a live
-    cell is in ``vals``.  ``f``, ``grid`` and the results are in units of
-    ``scale phi``, and the tolerance is ``refine_tol`` in ``phi``.  ``stable``
-    says whether ``phi = 0`` is a local minimum (``None``: not known);
-    ``eps`` is how far below the first sample an unstable origin's falling
-    edge is probed.
-    """
-    # a condensate smaller than one grid step hides inside the first cell
-    # with both endpoints above its floor, which needs an unstable origin
-    # and a curve that rises again by s_1; a stable origin leaves the cell
-    # to its endpoints, and so does a curve still falling just below s_1.
-    # Only that hiding place, or an origin not known, is line-searched.
-    tol = scale * search.refine_tol
-    minima = []
-    if live(0):
-        if stable:
-            minima.append((grid[0], vals[0]) if vals[1] >= vals[0] else (grid[1], vals[1]))
-        elif stable is not None and vals[1] < vals[0] and f(grid[1] - eps) >= vals[1]:
-            minima.append((grid[1], vals[1]))
-        else:
-            minima.append(_bounded_min(f, grid[0], grid[1], tol))
-    minima += [
-        _bounded_min(f, grid[i - 1], grid[i + 1], tol) for i in _interior_minima(vals) if live(i)
-    ]
-    if vals[-1] < vals[-2] and live(grid.size - 1):
-        minima.append(_bounded_min(f, grid[-2], scale * search.phi_max, tol))
-    return minima
-
-
-def _minimize_single(
-    f, grid: np.ndarray, vals: np.ndarray, search: SearchSpec, scale: float,
-    stable: bool | None, eps: float, a: float, chain_bound,
-):
-    """Best of the origin and :func:`_refine`'s minima, returned in ``phi``.
-
-    ``f >= a x^2 - chain_bound(x)`` (:func:`_column_norm_mean` in the units
-    of ``grid``).  ``vals`` holds ``f`` on ``grid`` where known, NaN
-    elsewhere, and gains the samples computed here: lowest point bound
-    first, and only those of a cell whose bound is within
-    ``degeneracy_tol`` plus a rounding allowance of the lowest value
-    computed so far.  Only such cells are refined.  Every candidate a dead
-    cell could give then lies above the best one by more than
-    ``degeneracy_tol``, which leaves the minimizer and the degeneracy flag
-    those of the full scan, unless the best candidate ends above the
-    lowest value by more than the rounding allowance; every cell is then
-    taken live.
-    """
-    ends = np.append(grid, max(grid[-1], scale * search.phi_max))
-    S = chain_bound(ends)
-    cells = _cell_bounds(a, ends, S)
-    rounding = _ROUND_RTOL * (a * ends[-1] ** 2 + S[-1])
-    padded = np.concatenate(([np.inf], cells, [np.inf]))
-    near = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
-    if np.isnan(vals[0]):
-        vals[0] = f(grid[0])
-    low = np.nanmin(vals)
-
-    def value(t):
-        nonlocal low
-        v = f(t)
-        low = min(low, v)
-        return v
-
-    order = np.argsort(a * grid * grid - S[:-1], kind="stable")
-    for margin in (search.degeneracy_tol + 2.0 * rounding, math.inf):
-        for i in order:
-            if np.isnan(vals[i]) and near[i] <= low + margin:
-                vals[i] = value(grid[i])
-        live = lambda k: cells[k] <= low + margin
-        minima = _refine(value, grid, vals, search, scale, stable, eps, live)
-        candidates = sorted([(0.0, vals[0]), *minima], key=lambda c: c[1])
-        if candidates[0][1] <= low + rounding:
-            break
-    x, fx = candidates[0]
-    degenerate = any(
-        abs(c[1] - fx) < search.degeneracy_tol and abs(c[0] - x) / scale > 10 * search.refine_tol
-        for c in candidates[1:]
-    )
-    x /= scale
-    _warn_boundary(x, search, (grid[1] - grid[0]) / scale)
-    return np.array([x]), fx, degenerate
-
-
 def _state(modeset: ModeSet, phi: np.ndarray, e_g: float, degenerate: bool) -> MeanFieldState:
     phi = np.where(np.abs(phi) < 1e-12, 0.0, phi)
     Sigma_x = phi * (modeset.frequencies + 4.0 * modeset.D)
@@ -315,18 +327,23 @@ class _UnitCurve:
     """One mode's energy ``e_1(s)`` at unit coupling, shared by a column of ``lambda0``.
 
     With ``s = lambda0 phi`` the energy at any ``lambda0`` is ``e_1(s) +
-    omega s^2 (1/lambda0^2 - 1)``, so samples spaced ``lam_lo phi_max /
+    omega (phi^2 - s^2)``, so samples spaced ``lam_lo phi_max /
     (coarse_points - 1)`` re-score into a grid on ``[0, phi_max]`` at every
-    ``lambda0 >= lam_lo`` at least as fine as :func:`minimize_phi`'s.  Every
-    ``e_1(s)`` is memoized by ``s`` and computed only when a coupling needs
-    it: a sample only where the lower bound ``(omega / lambda0^2 + 4 D_1)
-    s^2 - S(s)`` (:func:`_column_norm_mean` at unit coupling) leaves its
-    cell live, and refined in ``s``, the couplings of a column share their
-    cells, so a probe of the same ``s`` is paid once.  The first cell ``[0,
-    s_1]`` needs a line search only where ``phi = 0`` is unstable, ``lambda0
-    >= spinodal``, and the curve rises again by ``s_1``; where it still
-    falls, one probe at the column's fixed ``s_1 - lam_lo refine_tol``
-    tells, and every other coupling takes an endpoint.
+    ``lambda0 >= lam_lo`` at least as fine as ``coarse_points`` even steps.
+    Every ``e_1(s)`` is memoized by ``s`` and computed only when a coupling
+    needs it: a sample only where the lower bound ``(omega + 4 D_1
+    lambda0^2) phi^2 - S(s)`` (:func:`_column_norm_mean` at unit coupling)
+    leaves its cell live, and refined in ``s``, the couplings of a column
+    share their cells, so a probe of the same ``s`` is paid once, and every
+    line search (:func:`_line_min`) starts from the memoized values in and
+    around its cell.  The first cell ``[0, s_1]`` needs a line search only
+    where ``phi = 0`` is unstable, ``lambda0 >= spinodal``, and the curve
+    rises again by ``s_1``; where it still falls, one probe at the column's
+    fixed ``s_1 - lam_lo refine_tol`` tells, and every other coupling takes
+    an endpoint.  That line search starts from the vertex of ``e(0) + c_2
+    s^2 + c_4 s^4``, an even fit with ``c_2 = omega (1/lambda0^2 -
+    1/spinodal^2)``, the curvature the spinodal gives, and ``c_4`` through
+    ``s_1``.
     """
 
     def __init__(self, chain: ChainSpec, mode: int, search: SearchSpec, lam_lo: float):
@@ -362,7 +379,8 @@ class _UnitCurve:
     def samples(self, s_max: float):
         """``s`` on the samples up to ``s_max``, give or take rounding, and
         ``e_1(s)`` where it is known (NaN elsewhere); computes nothing."""
-        s = np.arange(int(s_max / self.step + 1e-9) + 1) * self.step
+        n = int(s_max / self.step + 1e-9) if self.step > 0.0 else 0
+        s = np.arange(n + 1) * self.step
         return s, np.array([self._memo.get(x, np.nan) for x in s.tolist()])
 
     def bound(self, s: np.ndarray) -> np.ndarray:
@@ -372,16 +390,107 @@ class _UnitCurve:
     def minimize(self, lam: float) -> MeanFieldState:
         """:func:`minimize_phi` at ``lam >= lam_lo``, refined in ``s`` on the memoized ``e_1``."""
         modeset = ModeSet(modes=(self.mode,), lambda0=lam, N=self.chain.N, E_c=self.chain.E_c)
-        s, e = self.samples(lam * self.search.phi_max)
-        tilt = 1.0 / (lam * lam) - 1.0
-        f = lambda x: self.energy(x) + self.omega * x * x * tilt
-        vals = e + self.omega * s * s * tilt
-        stable = _origin_stable(self._spinodal, lam)
-        eps = self.lam_lo * self.search.refine_tol
-        a = self.omega / (lam * lam) + 4.0 * self.D
-        return _state(
-            modeset, *_minimize_single(f, s, vals, self.search, lam, stable, eps, a, self.bound)
+        return _state(modeset, *self._scan(lam))
+
+    def _scan(self, lam: float):
+        """``phi``, ``e_g`` and the degeneracy flag at ``lam``: the best of the
+        origin and :meth:`_refine`'s minima.
+
+        ``e_g >= a phi^2 - S(s)`` with ``a = omega + 4 D_1 lam^2``.  The
+        samples are computed lowest point bound first, and only those of a
+        cell whose bound is within ``degeneracy_tol`` plus a rounding
+        allowance of the lowest value computed so far.  Only such cells are
+        refined.  Every candidate a dead cell could give then lies above the
+        best one by more than ``degeneracy_tol``, which leaves the minimizer
+        and the degeneracy flag those of the full scan: the lowest value
+        computed is a sample at an interior minimum of the samples, the
+        origin, a falling last sample or a probe of a line search, and every
+        line search starts from the best point known in its cell, so the best
+        candidate is never above it.
+        """
+        search, omega = self.search, self.omega
+        s, e = self.samples(lam * search.phi_max)
+        if s.size < 2:
+            # one step of s underflows: the chain cannot see the coupling
+            return np.zeros(1), self.energy(0.0), False
+        rescore = lambda x, ex: ex + omega * ((x / lam) ** 2 - x * x)
+        vals = rescore(s, e)
+        ends = np.append(s, max(s[-1], lam * search.phi_max))
+        phi = ends / lam
+        S = self.bound(ends)
+        a = omega + 4.0 * self.D * lam * lam
+        cells = _cell_bounds(a, phi, S)
+        rounding = _ROUND_RTOL * (a * phi[-1] ** 2 + S[-1])
+        padded = np.concatenate(([np.inf], cells, [np.inf]))
+        near = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+        if np.isnan(vals[0]):
+            vals[0] = self.energy(0.0)
+        low = np.nanmin(vals)
+
+        def value(x):
+            nonlocal low
+            v = rescore(x, self.energy(x))
+            low = min(low, v)
+            return v
+
+        seen = lambda: {x: rescore(x, ex) for x, ex in self._memo.items()}
+        margin = search.degeneracy_tol + 2.0 * rounding
+        for i in np.argsort(a * phi[:-1] ** 2 - S[:-1], kind="stable"):
+            if np.isnan(vals[i]) and near[i] <= low + margin:
+                vals[i] = value(s[i])
+        live = lambda k: cells[k] <= low + margin
+        minima = self._refine(value, seen, lam, ends, vals, live)
+        candidates = [(0.0, vals[0]), *minima]
+        x, fx = min(candidates, key=lambda c: c[1])
+        degenerate = any(
+            abs(c[1] - fx) < search.degeneracy_tol and abs(c[0] - x) / lam > 10 * search.refine_tol
+            for c in candidates
         )
+        _warn_boundary(x / lam, search, phi[1] - phi[0])
+        return np.array([x / lam]), fx, degenerate
+
+    def _refine(self, f, seen, lam: float, ends: np.ndarray, vals: np.ndarray, live):
+        """Minima of the live cells of ``[0, ends[-1]]``: the first cell, the
+        interior minima and, if the curve still falls there, the last cell to its end.
+
+        Cell ``k`` is ``[ends[k - 1], ends[k + 1]]``, clipped to the first
+        sample and, for the last, ending at ``ends[-1]``; ``live(k)`` says
+        whether it can hold a winning minimum, and every sample of a live
+        cell is in ``vals``.  ``f`` is the energy at ``lam`` in ``s``, and
+        ``seen()`` maps every ``s`` computed so far to it.
+        """
+        # a condensate smaller than one grid step hides inside the first cell
+        # with both endpoints above its floor, which needs an unstable origin
+        # and a curve that rises again by s_1; a stable origin leaves the cell
+        # to its endpoints, and so does a curve still falling just below s_1.
+        # Only that hiding place, or an origin not known, is line-searched.
+        search, s = self.search, ends[:-1]
+        tol = lam * search.refine_tol
+        minima = []
+        if live(0):
+            stable = _origin_stable(self._spinodal, lam)
+            if stable:
+                minima.append((s[0], vals[0]) if vals[1] >= vals[0] else (s[1], vals[1]))
+            elif (
+                stable is not None and vals[1] < vals[0]
+                and f(s[1] - self.lam_lo * search.refine_tol) >= vals[1]
+            ):
+                minima.append((s[1], vals[1]))
+            else:
+                if stable is False:
+                    # e is even in s: start from the vertex of e(0) + c2 s^2 + c4 s^4
+                    t1 = s[1] * s[1]
+                    c2 = self.omega * ((1.0 / lam) ** 2 - (1.0 / self.spinodal) ** 2)
+                    c4 = (vals[1] - vals[0] - c2 * t1) / (t1 * t1)
+                    if c2 < 0.0 < c4 and -c2 < 2.0 * c4 * t1:
+                        f(math.sqrt(-0.5 * c2 / c4))
+                minima.append(_line_min(f, 0.0, s[1], seen(), tol, pinned=stable is False))
+        for i in _interior_minima(vals):
+            if live(i):
+                minima.append(_line_min(f, s[i - 1], s[i + 1], seen(), tol))
+        if vals[-1] < vals[-2] and live(s.size - 1):
+            minima.append(_line_min(f, s[-2], ends[-1], seen(), tol))
+        return minima
 
 
 # the polish stops once the projected gradient falls below this (ftol = 0
@@ -475,21 +584,22 @@ def minimize_phi(
 ) -> MeanFieldState:
     """Global minimum of ``e_g``, sign-normalized as described above.
 
-    One mode scans ``[0, phi_max]`` on ``coarse_points`` samples, computing
-    only those that the bound ``(omega + 4 D) phi^2 - S(phi)`` of
-    :func:`_column_norm_mean` leaves in a live cell.
+    One mode is a :class:`_UnitCurve` of its own at ``lambda0``: the pruned
+    scan of ``[0, phi_max]`` on ``coarse_points`` samples, computing only
+    those that the bound ``(omega + 4 D) phi^2 - S(phi)`` of
+    :func:`_column_norm_mean` leaves in a live cell, then seeded line
+    searches, and the mode's spinodal (one full solve) only if the first
+    cell is live.  Several modes take the grid and the L-BFGS-B polish.
     """
     search = search or SearchSpec()
     if modeset.n_modes == 1:
-        # one amplitude: phi >= 0 is exhaustive by the sign-flip symmetry
-        f = lambda x: energy_per_particle(chain, modeset, np.array([x]))
-        stable = _origin_stable(_onset_or_error(chain, modeset.modes), modeset.lambda0)
-        grid = np.linspace(0.0, search.phi_max, search.coarse_points)
-        vals = np.full(grid.size, np.nan)
-        a = float(modeset.frequencies[0] + 4.0 * modeset.D[0])
-        bound = lambda x: _column_norm_mean(chain, modeset.couplings[0], x)
-        found = _minimize_single(f, grid, vals, search, 1.0, stable, search.refine_tol, a, bound)
-        return _state(modeset, *found)
+        # one amplitude: phi >= 0 is exhaustive by the sign-flip symmetry; the
+        # curve reads E_c, which sets D, from its chain: give it the mode set's
+        if modeset.N != chain.N:
+            raise ValueError("mode set was built for a different chain size")
+        lam = modeset.lambda0
+        curve = _UnitCurve(replace(chain, E_c=modeset.E_c), modeset.modes[0], search, lam)
+        return curve.minimize(lam)
     return _state(modeset, *_minimize_multi(chain, modeset, search))
 
 
@@ -597,52 +707,10 @@ def _crossing_onset(curve: _UnitCurve, s_max: float) -> float | None:
     i = int(np.nanargmin(vals))
     if vals[i] >= curve.omega:
         return None
-    _, r = _bounded_min(ratio, s[max(i - 1, 0)], s[min(i + 1, s.size - 1)], search.refine_tol)
-    return math.sqrt(curve.omega / (curve.omega - min(r, vals[i])))
-
-
-def stationary_points(
-    chain: ChainSpec, modeset: ModeSet, search: SearchSpec | None = None
-) -> list[StationaryPoint]:
-    """All stationary points of the single-mode energy curve on ``[0, phi_max]``.
-
-    Minima and maxima are both located (maxima by minimizing ``-e_g``),
-    which exposes the barrier structure needed to diagnose metastability.
-    ``phi = 0`` is always stationary by symmetry and is classified from
-    the local slope.  Multi-mode surfaces are not enumerated.
-    """
-    if modeset.n_modes != 1:
-        raise ValueError("stationary-point enumeration is defined for a single mode")
-    search = search or SearchSpec()
-    f = lambda x: energy_per_particle(chain, modeset, np.array([x]))
-    grid = np.linspace(0.0, search.phi_max, search.coarse_points)
-    vals = np.array([f(x) for x in grid])
-    (x0, fx0), *minima = _refine(f, grid, vals, search)
-
-    points = [(x, fx, "minimum") for x, fx in minima]
-    for i in _interior_minima(-vals):
-        x, fx = _bounded_min(lambda t: -f(t), grid[i - 1], grid[i + 1], search.refine_tol)
-        points.append((x, -fx, "maximum"))
-    if vals[-1] < vals[-2]:
-        _warn_boundary(minima[-1][0], search, grid[1] - grid[0])
-
-    # classify phi = 0 against what the first-cell probe found
-    zero_rises = vals[1] >= vals[0]
-    if x0 > 10 * search.refine_tol and fx0 < vals[0] and fx0 < vals[1]:
-        points.append((x0, fx0, "minimum"))
-        zero_rises = f(0.5 * x0) > vals[0]
-    points.append((0.0, vals[0], "minimum" if zero_rises else "maximum"))
-
-    deduped = []
-    for x, fx, kind in sorted(points):
-        if deduped and abs(x - deduped[-1][0]) < 10 * search.refine_tol:
-            continue
-        deduped.append((x, fx, kind))
-    e_best = min(fx for _, fx, kind in deduped if kind == "minimum")
-    return [
-        StationaryPoint(phi=x, e_g=fx, kind=kind, is_global=(kind == "minimum" and fx <= e_best))
-        for x, fx, kind in deduped
-    ]
+    known = {x: (ex - e[0]) / (x * x) for x, ex in curve._memo.items() if x > 0.0}
+    lo, hi = s[max(i - 1, 0)], s[min(i + 1, s.size - 1)]
+    _, r = _line_min(ratio, lo, hi, known, search.refine_tol)
+    return math.sqrt(curve.omega / (curve.omega - r))
 
 
 def order_parameter_residual(

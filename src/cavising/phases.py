@@ -218,9 +218,15 @@ class _PointCache:
         self._states: dict[float, object] = {}
         self._crossings: dict[float, float | None] = {}
         self.curve = self.crossing = None
-        lam_lo = min((v for v in values if v > 0), default=0.0)
+        search = ctx.search or SearchSpec()
+        # the curve's samples are lam_lo phi_max / (coarse_points - 1) apart; a
+        # coupling so small that this underflows to 0 is left to minimize_phi
+        lam_lo = min(
+            (v for v in values if v * search.phi_max / (search.coarse_points - 1) > 0.0),
+            default=0.0,
+        )
         if axis == "lambda0" and len(ctx.modes) == 1 and lam_lo > 0:
-            self.curve = _UnitCurve(ctx.chain, ctx.modes[0], ctx.search or SearchSpec(), lam_lo)
+            self.curve = _UnitCurve(ctx.chain, ctx.modes[0], search, lam_lo)
 
     def state(self, value: float):
         if value not in self._states:

@@ -8,7 +8,7 @@ import pytest
 from cavising import fermion, meanfield, phases
 from cavising.correlation import CorrelationReport
 from cavising.fermion import SolverError
-from cavising.meanfield import SearchSpec, minimize_phi, stationary_points
+from cavising.meanfield import SearchSpec, energy_per_particle, minimize_phi
 from cavising.model import ChainSpec, IsingProfile, ModeSet
 from cavising.phases import (
     AlreadyCondensedError,
@@ -281,8 +281,9 @@ class TestSharedSolver:
         # one spinodal per column and one correlation report per cell
         assert len(diagram.cells) == 8
         assert len(solves) == 10
-        # the samples the energy bound rules out are skipped: 348 without
-        assert len(energies) == 211
+        # line searches seeded from the samples and probes already computed:
+        # 211 with scipy's bounded Brent, 348 without the energy bound's pruning
+        assert len(energies) == 147
 
     @pytest.mark.parametrize(
         "chain, delta_J, grid",
@@ -307,6 +308,14 @@ class TestSharedSolver:
 
 class TestColumnRoute:
     """Every single-mode solve of a lambda0 column re-scores one unit-coupling curve."""
+
+    def test_coupling_too_small_to_step_stays_off_the_curve(self):
+        # 1e-323 phi_max / 60 underflows to 0: a curve from there would sample
+        # nothing, and every coupling of the column would read phi = 0
+        res = sweep(desk_ctx(), "lambda0", [1e-323, 0.3])
+        assert res._solver.curve.lam_lo == 0.3
+        ref = minimize_phi(desk_chain(), ModeSet(modes=(2,), lambda0=0.3, N=40, E_c=8.0), QUICK)
+        assert [r.phi[0] for r in res.records] == [0.0, ref.phi[0]]
 
     # each column's sweep plus couplings just either side of its onset
     COLUMNS = {
@@ -337,15 +346,18 @@ class TestTransitionOrder:
         [(desk_ctx, np.linspace(0.15, 0.3, 7), False), (first_order_ctx, FIRST_ORDER_GRID, True)],
     )
     def test_gap_verdict_matches_the_offset_scan(self, make_ctx, grid, expected):
-        # the hysteresis scan the spinodal-crossing gap replaced: two
+        # the hysteresis scan the spinodal-crossing gap replaced: two sampled
         # minima more than 0.02 apart at any of six couplings near the onset
         ctx = make_ctx()
         cls = classify_transition_order(sweep(ctx, "lambda0", grid))
+        phi = np.linspace(0.0, QUICK.phi_max, QUICK.coarse_points)
         scanned = False
         for off in (-0.02, -0.01, -0.005, 0.005, 0.01, 0.02):
             ms = ModeSet(modes=ctx.modes, lambda0=cls.lambda_c + off, N=40, E_c=8.0)
-            minima = [p.phi for p in stationary_points(ctx.chain, ms, QUICK) if p.kind == "minimum"]
-            scanned = scanned or (len(minima) >= 2 and max(minima) - min(minima) > 0.02)
+            e = np.array([energy_per_particle(ctx.chain, ms, [x]) for x in phi])
+            padded = np.concatenate(([np.inf], e, [np.inf]))
+            minima = phi[(e < padded[:-2]) & (e <= padded[2:])]
+            scanned = scanned or (minima.size >= 2 and float(np.ptp(minima)) > 0.02)
         assert cls.hysteresis is scanned is expected
 
     def test_desk_transition_is_second_order(self):
