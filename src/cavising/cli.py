@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import correlation, fermion, meanfield, oracle, phases
 from .config import (
+    _FORMATS,
     ConfigError,
     CorrelationsTask,
     PhaseDiagramTask,
@@ -35,7 +37,7 @@ from .config import (
     ValidateTask,
     load_run_config,
 )
-from .model import EffectiveField, ModeSet, effective_field
+from .model import EffectiveField, effective_field
 
 __all__ = ["main", "ValidationFailure"]
 
@@ -50,18 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Mean-field phases of a qubit ring coupled to resonator modes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "minimize the photon amplitudes at one parameter point"),
-        ("sweep", "minimize along one parameter axis"),
-        ("phase-diagram", "label a (J_min, lambda0) grid"),
-        ("correlations", "site-resolved observables at one parameter point"),
-        ("validate", "cross-check the solver against brute force on small chains"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the YAML/JSON run config")
         p.add_argument("--out", help="output directory (overrides output.dir)")
-        p.add_argument("--format", choices=("csv", "json"), help="overrides output.format")
-        if name == "solve":
+        p.add_argument("--format", choices=_FORMATS, help="overrides output.format")
+        if name == SolveTask.kind:
             p.add_argument(
                 "--dump-spectrum",
                 action="store_true",
@@ -109,17 +105,9 @@ def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
     return path
 
 
-def _modeset(cfg: RunConfig, lambda0: float | None = None) -> ModeSet:
-    lam = cfg.lambda0 if lambda0 is None else lambda0
-    if lam is None:
-        raise ConfigError("model.lambda0: required for this task")
-    return ModeSet(modes=cfg.modes, lambda0=lam, N=cfg.chain.N, E_c=cfg.chain.E_c)
-
-
-def _run_solve(cfg: RunConfig, task: SolveTask, out_dir: Path, fmt: str, args) -> None:
-    modeset = _modeset(cfg)
-    state = meanfield.minimize_phi(cfg.chain, modeset, cfg.search)
-    fld = effective_field(cfg.chain, modeset, state.phi)
+def _run_solve(cfg: RunConfig, task: SolveTask, out_dir: Path, fmt: str) -> None:
+    state = meanfield.minimize_phi(cfg.chain, cfg.modeset, cfg.search)
+    fld = effective_field(cfg.chain, cfg.modeset, state.phi)
     sol = fermion.ground_sector(fld, cfg.chain.bonds(), both_sectors=task.both_sectors)
     _write_json(
         out_dir / "state.json",
@@ -137,26 +125,14 @@ def _run_solve(cfg: RunConfig, task: SolveTask, out_dir: Path, fmt: str, args) -
             "generated_at": _timestamp(),
         },
     )
-    if getattr(args, "dump_spectrum", False) or task.dump_spectrum:
+    if task.dump_spectrum:
         rows = [(k, float(lam)) for k, lam in enumerate(sol.energies)]
         _write_table(out_dir, "spectrum", ("k", "Lambda"), rows, fmt)
     print(f"e_gg = {state.e_g:.10g}  phi_g = {np.array2string(state.phi, precision=6)}")
 
 
-def _sweep_context(cfg: RunConfig, task) -> phases.SweepContext:
-    return phases.SweepContext(
-        chain=cfg.chain,
-        modes=cfg.modes,
-        lambda0=cfg.lambda0,
-        search=cfg.search,
-        delta_J=getattr(task, "delta_J", None),
-        delta_J_factor=getattr(task, "delta_J_factor", None),
-    )
-
-
 def _run_sweep(cfg: RunConfig, task: SweepTask, out_dir: Path, fmt: str) -> None:
-    ctx = _sweep_context(cfg, task)
-    result = phases.sweep(ctx, task.axis, task.values)
+    result = phases.sweep(task.context(cfg), task.axis, task.values)
     rows = []
     for rec in result.records:
         if rec.status != "ok":
@@ -189,9 +165,8 @@ def _run_sweep(cfg: RunConfig, task: SweepTask, out_dir: Path, fmt: str) -> None
 
 
 def _run_correlations(cfg: RunConfig, task: CorrelationsTask, out_dir: Path, fmt: str) -> None:
-    modeset = _modeset(cfg)
-    state = meanfield.minimize_phi(cfg.chain, modeset, cfg.search)
-    report = correlation.correlation_report(cfg.chain, modeset, state.phi, n_max=task.n_max)
+    state = meanfield.minimize_phi(cfg.chain, cfg.modeset, cfg.search)
+    report = correlation.correlation_report(cfg.chain, cfg.modeset, state.phi, n_max=task.n_max)
     rows = [
         (
             j,
@@ -288,7 +263,7 @@ def _flat_field(Omega: np.ndarray) -> EffectiveField:
     return EffectiveField(Omega=np.asarray(Omega, float), theta=np.zeros(len(Omega)))
 
 
-def _run_validate(cfg: RunConfig, task: ValidateTask, out_dir: Path) -> None:
+def _run_validate(cfg: RunConfig, task: ValidateTask, out_dir: Path, fmt: str) -> None:
     rng = np.random.default_rng(task.seed)
     worst = {"energy": 0.0, "sigma_z": 0.0, "rho": 0.0}
     instances = []
@@ -344,12 +319,15 @@ def _run_validate(cfg: RunConfig, task: ValidateTask, out_dir: Path) -> None:
         raise ValidationFailure("brute-force cross-check exceeded tolerance")
 
 
-_TASK_COMMANDS = {
-    SolveTask: "solve",
-    SweepTask: "sweep",
-    PhaseDiagramTask: "phase-diagram",
-    CorrelationsTask: "correlations",
-    ValidateTask: "validate",
+# task kind -> (subcommand help, runner); the subcommands are the task kinds
+_COMMANDS = {
+    SolveTask.kind: ("minimize the photon amplitudes at one parameter point", _run_solve),
+    SweepTask.kind: ("minimize along one parameter axis", _run_sweep),
+    PhaseDiagramTask.kind: ("label a (J_min, lambda0) grid", _run_phase_diagram),
+    CorrelationsTask.kind: ("site-resolved observables at one parameter point", _run_correlations),
+    ValidateTask.kind: (
+        "cross-check the solver against brute force on small chains", _run_validate
+    ),
 }
 
 
@@ -362,33 +340,25 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_run_config(args.config)
-        expected = _TASK_COMMANDS[type(cfg.task)]
-        if expected != args.command:
+        if cfg.task.kind != args.command:
             raise ConfigError(
                 f"task.kind is {cfg.task.kind!r} but the subcommand was {args.command!r}"
             )
+        cfg.task.check_runnable(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
+    # the flags override the config's output block and task.dump_spectrum
     fmt = args.format or cfg.output_format
     out_dir = Path(args.out or cfg.output_dir)
+    task = cfg.task
+    if getattr(args, "dump_spectrum", False):
+        task = replace(task, dump_spectrum=True)
+    _, run = _COMMANDS[args.command]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        task = cfg.task
-        if isinstance(task, SolveTask):
-            _run_solve(cfg, task, out_dir, fmt, args)
-        elif isinstance(task, SweepTask):
-            _run_sweep(cfg, task, out_dir, fmt)
-        elif isinstance(task, CorrelationsTask):
-            _run_correlations(cfg, task, out_dir, fmt)
-        elif isinstance(task, PhaseDiagramTask):
-            _run_phase_diagram(cfg, task, out_dir, fmt)
-        else:
-            _run_validate(cfg, task, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        run(cfg, task, out_dir, fmt)
     except (
         fermion.SolverError,
         phases.NoTransitionError,

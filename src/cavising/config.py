@@ -5,18 +5,32 @@ coupling), ``task`` (what to compute), ``output`` (where and how), and
 optional ``search`` / ``thresholds`` overrides.  Unknown keys are
 rejected everywhere, with the offending path in the error message; a
 config that parses is a config whose every key meant something.
+
+The dataclasses are the schema: :func:`_block` reads every block from
+the fields of its dataclass (``_Model``, the task class ``task.kind``
+names, ``_Output``, ``SearchSpec``, ``Thresholds``).  A key is a field
+name or its ``metadata["key"]``, the annotation picks the value parser,
+a field without a default is a required key, and a missing key keeps the
+default.  ``model.ising.kind`` names an ``IsingProfile`` factory, whose
+parameters are the other keys.  Single-key ranges sit in ``_KEY_CHECKS``;
+rules among a block's keys in its ``__post_init__``.  A task's
+``check_runnable`` ties it to the model block with the rules of
+``phases``; the CLI calls it before making the output directory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import inspect
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 import yaml
 
 from .meanfield import SearchSpec
-from .model import ChainSpec, IsingProfile
-from .phases import _AXES, Thresholds
+from .model import ChainSpec, IsingProfile, ModeSet
+from .oracle import _HARD_MAX
+from .phases import _AXES, SweepContext, Thresholds, _columns, _point
 
 __all__ = [
     "ConfigError",
@@ -29,50 +43,119 @@ __all__ = [
     "load_run_config",
 ]
 
-_MISSING = object()
+_FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
     """A config file failed validation; the message carries the key path."""
 
 
+def _library(path: str, rule, *args, **kwargs):
+    """Call one of the library's own constructors or checks; its ``ValueError`` names ``path``."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
-class SolveTask:
+class _Model:
+    ising: IsingProfile
+    modes: tuple[int, ...]
+    N: int = 200
+    E_z: float = 0.8
+    E_c: float = 8.0
+    lambda0: float | None = None
+    chain: ChainSpec = field(init=False)
+    modeset: ModeSet | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        chain = ChainSpec(N=self.N, E_z=self.E_z, E_c=self.E_c, ising=self.ising)
+        # a task that sweeps the coupling leaves lambda0 unset; 0 stands in
+        modeset = ModeSet(modes=self.modes, lambda0=self.lambda0 or 0.0, N=self.N, E_c=self.E_c)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "modeset", None if self.lambda0 is None else modeset)
+
+
+@dataclass(frozen=True)
+class _Output:
+    dir: str = "out"
+    format: str = "csv"
+
+
+class _Task:
+    at_lambda0 = False  # solved at model.lambda0 alone
+
+    def check_runnable(self, cfg: RunConfig) -> None:
+        """Raise ``ConfigError`` unless a run can set up every point the task asks for."""
+        if self.at_lambda0 and cfg.modeset is None:
+            raise ConfigError("model.lambda0: required for this task")
+
+
+@dataclass(frozen=True)
+class SolveTask(_Task):
     kind = "solve"
+    at_lambda0 = True
     dump_spectrum: bool = False
     both_sectors: bool = False
 
 
 @dataclass(frozen=True)
-class SweepTask:
+class SweepTask(_Task):
     kind = "sweep"
-    axis: str = "lambda0"
-    values: tuple = ()
+    axis: str
+    values: tuple
     delta_J: float | None = None
     delta_J_factor: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.delta_J is not None and self.delta_J_factor is not None:
+            raise ValueError("delta_J and delta_J_factor are mutually exclusive")
+
+    def context(self, cfg: RunConfig) -> SweepContext:
+        return SweepContext(
+            chain=cfg.chain, modes=cfg.modes, lambda0=cfg.lambda0, search=cfg.search,
+            delta_J=self.delta_J, delta_J_factor=self.delta_J_factor,
+        )
+
+    def check_runnable(self, cfg: RunConfig) -> None:
+        ctx = self.context(cfg)
+        for value in self.values:
+            _library("task", _point, ctx, self.axis, value)
+
 
 @dataclass(frozen=True)
-class PhaseDiagramTask:
+class PhaseDiagramTask(_Task):
     kind = "phase-diagram"
-    lambda0_values: tuple = ()
-    J_min_values: tuple = ()
-    E_z_values: tuple | None = None
+    lambda0_values: tuple = field(metadata={"key": "lambda0"})
+    J_min_values: tuple = field(metadata={"key": "J_min"})
+    E_z_values: tuple | None = field(default=None, metadata={"key": "E_z"})
     delta_J: float | None = None
     delta_J_factor: float | None = None
     magnetic: bool = True
     order: bool = True
     n_max: int | None = None
 
+    def __post_init__(self) -> None:
+        if (self.delta_J is None) == (self.delta_J_factor is None):
+            raise ValueError("give exactly one of delta_J or delta_J_factor")
+
+    def check_runnable(self, cfg: RunConfig) -> None:
+        _library(
+            "task", _columns, cfg.chain, self.J_min_values, self.delta_J,
+            self.delta_J_factor, self.E_z_values,
+        )
+
 
 @dataclass(frozen=True)
-class CorrelationsTask:
+class CorrelationsTask(_Task):
     kind = "correlations"
+    at_lambda0 = True
     n_max: int | None = None
 
 
 @dataclass(frozen=True)
-class ValidateTask:
+class ValidateTask(_Task):
     kind = "validate"
     instances: int = 20
     N: int = 8
@@ -81,12 +164,20 @@ class ValidateTask:
     expectation_tol: float = 1e-8
     max_distance: int = 4
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.max_distance <= self.N - 1:
+            raise ValueError(f"max_distance must lie between 1 and N - 1 = {self.N - 1}")
+
+
+_TASKS = {cls.kind: cls for cls in _Task.__subclasses__()}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     chain: ChainSpec
     modes: tuple
     lambda0: float | None
+    modeset: ModeSet | None  # the modes at lambda0, when the model block fixes it
     task: object
     search: SearchSpec | None
     thresholds: Thresholds | None
@@ -106,12 +197,10 @@ def _check_keys(node: dict, allowed, path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def _get(node: dict, key: str, path: str, default=_MISSING):
-    if key in node:
-        return node[key]
-    if default is _MISSING:
+def _get(node: dict, key: str, path: str):
+    if key not in node:
         raise ConfigError(f"{path}: missing required key {key!r}")
-    return default
+    return node[key]
 
 
 def _number(value, path: str) -> float:
@@ -121,18 +210,10 @@ def _number(value, path: str) -> float:
 
 
 def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    _number(value, path)
+    if not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer")
     return value
-
-
-def _n_max(node, path: str) -> int | None:
-    if "n_max" not in node:
-        return None
-    n_max = _integer(node["n_max"], f"{path}.n_max")
-    if n_max < 1:
-        raise ConfigError(f"{path}.n_max: must be at least 1")
-    return n_max
 
 
 def _boolean(value, path: str) -> bool:
@@ -147,12 +228,21 @@ def _string(value, path: str) -> str:
     return value
 
 
+def _list_of(item):
+    def parse(node, path: str) -> tuple:
+        if not isinstance(node, (list, tuple)) or not node:
+            raise ConfigError(f"{path}: expected a nonempty list")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(node))
+
+    return parse
+
+
 def _grid(node, path: str) -> tuple:
     """A value grid: either an explicit list or {start, stop, num}."""
     if isinstance(node, (list, tuple)):
         if not node:
             raise ConfigError(f"{path}: grid must not be empty")
-        return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(node))
+        return _list_of(_number)(node, path)
     node = _mapping(node, path)
     _check_keys(node, ("start", "stop", "num"), path)
     start = _number(_get(node, "start", path), f"{path}.start")
@@ -164,150 +254,83 @@ def _grid(node, path: str) -> tuple:
 
 
 def _parse_ising(node, path: str) -> IsingProfile:
-    node = _mapping(node, path)
+    """``kind`` names an ``IsingProfile`` factory; its parameters are the other keys."""
+    node = dict(_mapping(node, path))
     kind = _string(_get(node, "kind", path), f"{path}.kind")
-    try:
-        if kind == "uniform":
-            _check_keys(node, ("kind", "J"), path)
-            return IsingProfile.uniform(_number(_get(node, "J", path), f"{path}.J"))
-        if kind == "rectangular":
-            _check_keys(node, ("kind", "J_max", "J_min", "period"), path)
-            return IsingProfile.rectangular(
-                _number(_get(node, "J_max", path), f"{path}.J_max"),
-                _number(_get(node, "J_min", path), f"{path}.J_min"),
-                _integer(_get(node, "period", path), f"{path}.period"),
-            )
-        if kind == "explicit":
-            _check_keys(node, ("kind", "values"), path)
-            raw = _get(node, "values", path)
-            if not isinstance(raw, (list, tuple)):
-                raise ConfigError(f"{path}.values: expected a list")
-            return IsingProfile.explicit(
-                [_number(v, f"{path}.values[{i}]") for i, v in enumerate(raw)]
-            )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown profile kind {kind!r}")
+    if not isinstance(inspect.getattr_static(IsingProfile, kind, None), classmethod):
+        raise ConfigError(f"{path}.kind: unknown profile kind {kind!r}")
+    del node["kind"]
+    factory = getattr(IsingProfile, kind)
+    params = inspect.signature(factory).parameters
+    _check_keys(node, params, path)
+    hints = typing.get_type_hints(IsingProfile)
+    kwargs = {k: _value(hints[k], _get(node, k, path), f"{path}.{k}") for k in params}
+    return _library(path, factory, **kwargs)
 
 
-def _parse_model(node, path: str):
+_PARSERS = {
+    bool: _boolean,
+    int: _integer,
+    float: _number,
+    str: _string,
+    tuple: _grid,
+    tuple[int, ...]: _list_of(_integer),
+    tuple[float, ...]: _list_of(_number),
+    IsingProfile: _parse_ising,
+}
+
+
+# path -> (test, what a value failing it must be)
+_KEY_CHECKS = {
+    "task.axis": (lambda v: v in _AXES, "must be lambda0, J_min or E_z"),
+    "task.n_max": (lambda n: n >= 1, "must be at least 1"),
+    "task.instances": (lambda n: n >= 1, "must be at least 1"),
+    "task.N": (lambda n: 2 <= n <= _HARD_MAX, f"must lie between 2 and {_HARD_MAX}"),
+    "task.energy_tol": (lambda tol: tol >= 0, "must not be negative"),
+    "task.expectation_tol": (lambda tol: tol >= 0, "must not be negative"),
+    "output.format": (lambda v: v in _FORMATS, "must be csv or json"),
+}
+
+
+def _value(hint, value, path: str):
+    """Read ``value`` as the annotation ``hint`` says; ``X | None`` reads as ``X``."""
+    args = set(typing.get_args(hint))
+    if type(None) in args:
+        (hint,) = args - {type(None)}
+    return _PARSERS[hint](value, path)
+
+
+def _block(node, path: str, cls, hidden=()):
+    """Build the dataclass ``cls`` from a mapping whose keys are its fields."""
     node = _mapping(node, path)
-    _check_keys(node, ("N", "E_z", "E_c", "ising", "modes", "lambda0"), path)
-    N = _integer(_get(node, "N", path, 200), f"{path}.N")
-    E_z = _number(_get(node, "E_z", path, 0.8), f"{path}.E_z")
-    E_c = _number(_get(node, "E_c", path, 8.0), f"{path}.E_c")
-    ising = _parse_ising(_get(node, "ising", path), f"{path}.ising")
-    raw_modes = _get(node, "modes", path)
-    if not isinstance(raw_modes, (list, tuple)) or not raw_modes:
-        raise ConfigError(f"{path}.modes: expected a nonempty list of mode indices")
-    modes = tuple(_integer(m, f"{path}.modes[{i}]") for i, m in enumerate(raw_modes))
-    lambda0 = node.get("lambda0")
-    if lambda0 is not None:
-        lambda0 = _number(lambda0, f"{path}.lambda0")
-    try:
-        chain = ChainSpec(N=N, E_z=E_z, E_c=E_c, ising=ising)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return chain, modes, lambda0
-
-
-def _parse_task(node, path: str):
-    node = _mapping(node, path)
-    kind = _string(_get(node, "kind", path), f"{path}.kind")
-    if kind == "solve":
-        _check_keys(node, ("kind", "dump_spectrum", "both_sectors"), path)
-        return SolveTask(
-            dump_spectrum=_boolean(_get(node, "dump_spectrum", path, False), f"{path}.dump_spectrum"),
-            both_sectors=_boolean(_get(node, "both_sectors", path, False), f"{path}.both_sectors"),
-        )
-    if kind == "sweep":
-        _check_keys(node, ("kind", "axis", "values", "delta_J", "delta_J_factor"), path)
-        axis = _string(_get(node, "axis", path), f"{path}.axis")
-        if axis not in _AXES:
-            raise ConfigError(f"{path}.axis: must be lambda0, J_min or E_z")
-        task = SweepTask(
-            axis=axis,
-            values=_grid(_get(node, "values", path), f"{path}.values"),
-            delta_J=(
-                None if "delta_J" not in node else _number(node["delta_J"], f"{path}.delta_J")
-            ),
-            delta_J_factor=(
-                None
-                if "delta_J_factor" not in node
-                else _number(node["delta_J_factor"], f"{path}.delta_J_factor")
-            ),
-        )
-        if task.delta_J is not None and task.delta_J_factor is not None:
-            raise ConfigError(f"{path}: delta_J and delta_J_factor are mutually exclusive")
-        return task
-    if kind == "phase-diagram":
-        _check_keys(
-            node,
-            ("kind", "lambda0", "J_min", "E_z", "delta_J", "delta_J_factor",
-             "magnetic", "order", "n_max"),
-            path,
-        )
-        task = PhaseDiagramTask(
-            lambda0_values=_grid(_get(node, "lambda0", path), f"{path}.lambda0"),
-            J_min_values=_grid(_get(node, "J_min", path), f"{path}.J_min"),
-            E_z_values=(
-                None if "E_z" not in node else _grid(node["E_z"], f"{path}.E_z")
-            ),
-            delta_J=(
-                None if "delta_J" not in node else _number(node["delta_J"], f"{path}.delta_J")
-            ),
-            delta_J_factor=(
-                None
-                if "delta_J_factor" not in node
-                else _number(node["delta_J_factor"], f"{path}.delta_J_factor")
-            ),
-            magnetic=_boolean(_get(node, "magnetic", path, True), f"{path}.magnetic"),
-            order=_boolean(_get(node, "order", path, True), f"{path}.order"),
-            n_max=_n_max(node, path),
-        )
-        if (task.delta_J is None) == (task.delta_J_factor is None):
-            raise ConfigError(f"{path}: give exactly one of delta_J or delta_J_factor")
-        return task
-    if kind == "correlations":
-        _check_keys(node, ("kind", "n_max"), path)
-        return CorrelationsTask(n_max=_n_max(node, path))
-    if kind == "validate":
-        _check_keys(
-            node,
-            ("kind", "instances", "N", "seed", "energy_tol", "expectation_tol", "max_distance"),
-            path,
-        )
-        return ValidateTask(
-            instances=_integer(_get(node, "instances", path, 20), f"{path}.instances"),
-            N=_integer(_get(node, "N", path, 8), f"{path}.N"),
-            seed=_integer(_get(node, "seed", path, 7), f"{path}.seed"),
-            energy_tol=_number(_get(node, "energy_tol", path, 1e-9), f"{path}.energy_tol"),
-            expectation_tol=_number(
-                _get(node, "expectation_tol", path, 1e-8), f"{path}.expectation_tol"
-            ),
-            max_distance=_integer(_get(node, "max_distance", path, 4), f"{path}.max_distance"),
-        )
-    raise ConfigError(f"{path}.kind: unknown task kind {kind!r}")
-
-
-def _parse_spec_overrides(node, path: str, cls):
-    """Build a SearchSpec/Thresholds from a partial mapping of overrides."""
-    node = _mapping(node, path)
-    # SearchSpec.line_points is read by nothing, so no config may set it
-    allowed = {f.name for f in fields(cls)} - {"line_points"}
-    _check_keys(node, allowed, path)
-    int_fields = {"coarse_points", "multi_coarse_points", "n_seeds"}
+    hints = typing.get_type_hints(cls)
+    keyed = {
+        f.metadata.get("key", f.name): f for f in fields(cls) if f.init and f.name not in hidden
+    }
+    _check_keys(node, keyed, path)
     kwargs = {}
-    for key, value in node.items():
+    for key, f in keyed.items():
+        if key not in node:
+            if f.default is MISSING:
+                raise ConfigError(f"{path}: missing required key {key!r}")
+            continue
+        if node[key] is None and f.default is None:
+            continue
         where = f"{path}.{key}"
-        number = _number(value, where)
-        kwargs[key] = _integer(value, where) if key in int_fields else number
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        kwargs[f.name] = _value(hints[f.name], node[key], where)
+        test, rule = _KEY_CHECKS.get(where, (None, None))
+        if test is not None and not test(kwargs[f.name]):
+            raise ConfigError(f"{where}: {rule}")
+    return _library(path, cls, **kwargs)
+
+
+def _parse_task(node):
+    node = dict(_mapping(node, "task"))
+    kind = _string(_get(node, "kind", "task"), "task.kind")
+    if kind not in _TASKS:
+        raise ConfigError(f"task.kind: unknown task kind {kind!r}")
+    del node["kind"]
+    return _block(node, "task", _TASKS[kind])
 
 
 def load_run_config(path) -> RunConfig:
@@ -322,30 +345,24 @@ def load_run_config(path) -> RunConfig:
     root = _mapping(raw, "config")
     _check_keys(root, ("model", "task", "output", "search", "thresholds"), "config")
 
-    chain, modes, lambda0 = _parse_model(_get(root, "model", "config"), "model")
-    task = _parse_task(_get(root, "task", "config"), "task")
-
-    out = _mapping(_get(root, "output", "config", {}), "output")
-    _check_keys(out, ("dir", "format"), "output")
-    output_dir = _string(_get(out, "dir", "output", "out"), "output.dir")
-    output_format = _string(_get(out, "format", "output", "csv"), "output.format")
-    if output_format not in ("csv", "json"):
-        raise ConfigError("output.format: must be csv or json")
-
-    search = None
+    model = _block(_get(root, "model", "config"), "model", _Model)
+    task = _parse_task(_get(root, "task", "config"))
+    output = _block(root.get("output", {}), "output", _Output)
+    search = thresholds = None
     if "search" in root:
-        search = _parse_spec_overrides(root["search"], "search", SearchSpec)
-    thresholds = None
+        # SearchSpec.line_points is read by nothing, so no config may set it
+        search = _block(root["search"], "search", SearchSpec, hidden=("line_points",))
     if "thresholds" in root:
-        thresholds = _parse_spec_overrides(root["thresholds"], "thresholds", Thresholds)
+        thresholds = _block(root["thresholds"], "thresholds", Thresholds)
 
     return RunConfig(
-        chain=chain,
-        modes=modes,
-        lambda0=lambda0,
+        chain=model.chain,
+        modes=model.modes,
+        lambda0=model.lambda0,
+        modeset=model.modeset,
         task=task,
         search=search,
         thresholds=thresholds,
-        output_dir=output_dir,
-        output_format=output_format,
+        output_dir=output.dir,
+        output_format=output.format,
     )

@@ -495,6 +495,20 @@ class PhaseDiagram:
     crossover: tuple  # (E_z, J_min midpoint of the second->first change) pairs
 
 
+def _columns(chain: ChainSpec, J_min_values, delta_J, delta_J_factor, E_z_values):
+    """Each ``E_z`` of a phase diagram, as a float, with its ``J_min`` columns' chains."""
+    if (delta_J is None) == (delta_J_factor is None):
+        raise ValueError("give exactly one of delta_J or delta_J_factor")
+    if chain.ising.kind != "rectangular":
+        raise ValueError("phase diagrams are built over rectangular profiles")
+    groups = []
+    for E_z in map(float, E_z_values if E_z_values is not None else (chain.E_z,)):
+        dJ = delta_J if delta_J is not None else delta_J_factor * E_z
+        profiles = [IsingProfile.rectangular(J + dJ, J, chain.ising.period) for J in J_min_values]
+        groups.append((E_z, [replace(chain, E_z=E_z, ising=p) for p in profiles]))
+    return groups
+
+
 def phase_diagram(
     chain: ChainSpec,
     modes,
@@ -522,7 +536,8 @@ def phase_diagram(
     separations up to ``n_max`` (at least 1, checked before anything is
     solved).  The per-``E_z`` crossover is the midpoint between the largest
     ``J_min`` column labeled second order and the smallest labeled first
-    order, provided the two groups do not interleave.
+    order, provided the two groups do not interleave.  A profile, contrast
+    or grid value that some column cannot take raises ``ValueError`` up front.
 
     A solver failure while locating one column's onset is recorded on
     that column (``status == "error"``) and does not stop the others; a
@@ -534,10 +549,7 @@ def phase_diagram(
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (columns are solved serially), got {threads!r}")
-    if chain.ising.kind != "rectangular":
-        raise ValueError("phase diagrams are built over rectangular profiles")
-    if (delta_J is None) == (delta_J_factor is None):
-        raise ValueError("give exactly one of delta_J or delta_J_factor")
+    groups = _columns(chain, J_min_values, delta_J, delta_J_factor, E_z_values)
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     thr = thresholds or Thresholds()
@@ -547,11 +559,9 @@ def phase_diagram(
     cells = []
     columns = []
     crossover = []
-    for E_z in E_z_values if E_z_values is not None else (chain.E_z,):
-        dJ = delta_J if delta_J is not None else delta_J_factor * E_z
-        for J_min in J_min_values:
-            profile = IsingProfile.rectangular(J_min + dJ, J_min, chain.ising.period)
-            col_chain = replace(chain, E_z=float(E_z), ising=profile)
+    for E_z, col_chains in groups:
+        for col_chain in col_chains:
+            J_min = col_chain.ising.J_min
             ctx = SweepContext(chain=col_chain, modes=modes, search=search)
             result = sweep(ctx, "lambda0", lambda0_values)
             solver = result._solver
@@ -571,7 +581,7 @@ def phase_diagram(
                 status, message = "error", str(exc)
             columns.append(
                 PhaseColumn(
-                    E_z=float(E_z), J_min=float(J_min), lambda_c=lambda_c,
+                    E_z=E_z, J_min=J_min, lambda_c=lambda_c,
                     transition_order=t_order, status=status, message=message,
                     lambda_spinodal=lambda_s, lambda_crossing=solver.crossing,
                 )
@@ -593,18 +603,18 @@ def phase_diagram(
                     label = PhaseLabel(field_phase, t_order, mag)
                 cells.append(
                     PhaseCell(
-                        E_z=float(E_z), J_min=float(J_min), J_max=float(J_min + dJ),
+                        E_z=E_z, J_min=J_min, J_max=col_chain.ising.J_max,
                         lambda0=rec.value, phi=rec.phi, e_g=rec.e_g, label=label,
                         status=rec.status, message=rec.message,
                     )
                 )
 
-        col_group = [c for c in columns if c.E_z == float(E_z)]
+        col_group = [c for c in columns if c.E_z == E_z]
         seconds = [c.J_min for c in col_group if c.transition_order == "second"]
         firsts = [c.J_min for c in col_group if c.transition_order == "first"]
         if seconds and firsts and max(seconds) < min(firsts):
-            crossover.append((float(E_z), 0.5 * (max(seconds) + min(firsts))))
+            crossover.append((E_z, 0.5 * (max(seconds) + min(firsts))))
         else:
-            crossover.append((float(E_z), None))
+            crossover.append((E_z, None))
 
     return PhaseDiagram(cells=tuple(cells), columns=tuple(columns), crossover=tuple(crossover))

@@ -259,6 +259,67 @@ class TestValidate:
         assert out["passed"] is False
 
 
+WINDOWS = {"kind": "rectangular", "J_max": 0.2, "J_min": 0.01, "period": 2}
+UNIFORM = {"kind": "uniform", "J": 0.1}
+
+
+class TestConfigsThatCannotRun:
+    """A config no run can set up fails as a config error, before any output."""
+
+    @pytest.mark.parametrize(
+        "command, ising, lambda0, task, match",
+        [
+            ("solve", WINDOWS, None, {"kind": "solve"}, "model.lambda0: required"),
+            ("correlations", WINDOWS, None, {"kind": "correlations"},
+             "model.lambda0: required"),
+            ("sweep", WINDOWS, 0.3, {"kind": "sweep", "axis": "J_min", "values": [0.01]},
+             "need delta_J or delta_J_factor"),
+            ("sweep", WINDOWS, None,
+             {"kind": "sweep", "axis": "J_min", "values": [0.01], "delta_J": 0.1}, "lambda0"),
+            ("sweep", WINDOWS, None, {"kind": "sweep", "axis": "E_z", "values": [0.5]},
+             "lambda0"),
+            ("sweep", UNIFORM, 0.3,
+             {"kind": "sweep", "axis": "J_min", "values": [0.01], "delta_J": 0.1},
+             "rectangular"),
+            ("sweep", WINDOWS, 0.3, {"kind": "sweep", "axis": "E_z", "values": [0.5, 0.0]},
+             "E_z must be positive"),
+            ("phase-diagram", WINDOWS, None,
+             {"kind": "phase-diagram", "lambda0": [0.1], "J_min": [0.01, -0.1],
+              "delta_J": 0.1}, "J_max >= J_min >= 0"),
+            ("phase-diagram", WINDOWS, None,
+             {"kind": "phase-diagram", "lambda0": [0.1], "J_min": [0.01], "E_z": [0.8, 0.0],
+              "delta_J": 0.1}, "E_z must be positive"),
+            ("phase-diagram", WINDOWS, None,
+             {"kind": "phase-diagram", "lambda0": [0.1], "J_min": [0.01], "delta_J": -0.1},
+             "J_max >= J_min >= 0"),
+            ("phase-diagram", WINDOWS, None,
+             {"kind": "phase-diagram", "lambda0": [0.1], "J_min": [0.01],
+              "delta_J_factor": -0.5}, "J_max >= J_min >= 0"),
+            ("phase-diagram", UNIFORM, None,
+             {"kind": "phase-diagram", "lambda0": [0.1], "J_min": [0.01], "delta_J": 0.1},
+             "rectangular"),
+            ("validate", WINDOWS, None, {"kind": "validate", "N": 8, "max_distance": 10},
+             "task: max_distance"),
+            ("solve", WINDOWS, -0.5, {"kind": "solve"}, "model: lambda0 must be >= 0"),
+        ],
+    )
+    def test_config_error_before_output(self, tmp_path, capsys, command, ising, lambda0,
+                                        task, match):
+        raw = solve_config(tmp_path)
+        raw["model"]["ising"] = ising
+        raw["model"]["lambda0"] = lambda0
+        if lambda0 is None:
+            del raw["model"]["lambda0"]
+        raw["task"] = task
+        cfg = write_config(tmp_path, raw)
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert match in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestUsage:
     def test_missing_config_flag(self, tmp_path, capsys):
         assert main(["solve"]) == 1

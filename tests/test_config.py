@@ -1,6 +1,7 @@
 """Config-file parsing: strict keys, defaults, grids and overrides."""
 
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,9 @@ from cavising.config import (
     ValidateTask,
     load_run_config,
 )
+from cavising.meanfield import SearchSpec
+from cavising.oracle import _HARD_MAX
+from cavising.phases import Thresholds
 
 
 def base_config():
@@ -371,3 +375,136 @@ class TestShippedExamples:
             cfg = load_run_config(str(path))
             kinds.add(cfg.task.kind)
         assert {"solve", "sweep", "phase-diagram", "correlations", "validate"} <= kinds
+
+
+class TestRanges:
+    """Values no run can take are rejected as the file parses."""
+
+    @pytest.mark.parametrize(
+        "task, match",
+        [
+            ({"N": 8, "max_distance": 10}, r"task: max_distance must lie between 1 and N - 1 = 7"),
+            ({"N": 6, "max_distance": 6}, r"task: max_distance must lie between 1 and N - 1 = 5"),
+            ({"max_distance": 0}, r"task: max_distance must lie between 1"),
+            ({"N": 0}, rf"task.N: must lie between 2 and {_HARD_MAX}"),
+            ({"N": 1}, rf"task.N: must lie between 2 and {_HARD_MAX}"),
+            ({"N": _HARD_MAX + 1}, rf"task.N: must lie between 2 and {_HARD_MAX}"),
+            ({"instances": 0}, r"task.instances: must be at least 1"),
+            ({"energy_tol": -1e-9}, r"task.energy_tol: must not be negative"),
+            ({"expectation_tol": -1e-8}, r"task.expectation_tol: must not be negative"),
+        ],
+    )
+    def test_validate_ranges(self, tmp_path, task, match):
+        raw = base_config()
+        raw["task"] = {"kind": "validate", **task}
+        with pytest.raises(ConfigError, match=match):
+            load(tmp_path, raw)
+
+    def test_validate_range_ends_are_accepted(self, tmp_path):
+        raw = base_config()
+        raw["task"] = {
+            "kind": "validate", "instances": 1, "N": _HARD_MAX, "max_distance": _HARD_MAX - 1,
+            "energy_tol": 0.0, "expectation_tol": 0.0,
+        }
+        task = load(tmp_path, raw).task
+        assert (task.instances, task.N, task.max_distance) == (1, _HARD_MAX, _HARD_MAX - 1)
+        raw["task"] = {"kind": "validate", "N": 2, "max_distance": 1}
+        assert load(tmp_path, raw).task.N == 2
+
+    @pytest.mark.parametrize(
+        "model, match",
+        [
+            ({"lambda0": -0.5}, r"model: lambda0 must be >= 0"),
+            ({"modes": [0]}, r"model: mode indices must be >= 1"),
+            ({"modes": [2, 2]}, r"model: mode indices must be distinct"),
+        ],
+    )
+    def test_model_block_goes_through_modeset(self, tmp_path, model, match):
+        raw = base_config()
+        raw["model"].update(model)
+        with pytest.raises(ConfigError, match=match):
+            load(tmp_path, raw)
+
+
+# Values unlike every default, for every key a config may set.  Each variant
+# is one block; keys that exclude each other sit in different variants.
+VARIANTS = {
+    SolveTask: [{"dump_spectrum": True, "both_sectors": True}],
+    SweepTask: [
+        {"axis": "J_min", "values": (0.1, 0.2), "delta_J": 0.3},
+        {"axis": "E_z", "values": (0.5,), "delta_J_factor": 0.25},
+    ],
+    PhaseDiagramTask: [
+        {
+            "lambda0_values": (0.2, 0.4), "J_min_values": (0.05,), "E_z_values": (0.5, 0.9),
+            "delta_J": 0.3, "magnetic": False, "order": False, "n_max": 6,
+        },
+        {"lambda0_values": (0.2,), "J_min_values": (0.05, 0.1), "delta_J_factor": 0.25},
+    ],
+    CorrelationsTask: [{"n_max": 6}],
+    ValidateTask: [
+        {
+            "instances": 3, "N": 6, "seed": 1, "energy_tol": 1e-7, "expectation_tol": 1e-6,
+            "max_distance": 2,
+        }
+    ],
+    SearchSpec: [
+        {
+            "phi_max": 2.0, "coarse_points": 61, "refine_tol": 1e-5, "multi_coarse_points": 7,
+            "descent_tol": 1e-4, "n_seeds": 2, "degeneracy_tol": 1e-8,
+        }
+    ],
+    Thresholds: [
+        {
+            "field": 1e-4, "critical_tol": 1e-3, "jump": 0.05, "slope_delta": 1e-3,
+            "slope_ratio": 0.5, "xi": 7.0, "sigma_z": 0.7, "oscillation": 0.2,
+        }
+    ],
+}
+# SearchSpec.line_points is read by nothing, and no config may set it
+NOT_IN_CONFIGS = {SearchSpec: {"line_points"}}
+
+
+def _variant_config(cls, variant):
+    """A config whose ``cls`` block carries ``variant``, under the keys the file uses."""
+    keys = {f.name: f.metadata.get("key", f.name) for f in fields(cls)}
+    block = {
+        keys[name]: list(value) if isinstance(value, tuple) else value
+        for name, value in variant.items()
+    }
+    raw = base_config()
+    if cls is SearchSpec:
+        raw["search"] = block
+    elif cls is Thresholds:
+        raw["thresholds"] = block
+    else:
+        raw["task"] = {"kind": cls.kind, **block}
+    return raw
+
+
+class TestOneStatement:
+    """Each option is stated once, in its dataclass; the parser reads them all."""
+
+    @pytest.mark.parametrize("cls", list(VARIANTS), ids=lambda cls: cls.__name__)
+    def test_every_field_is_covered_with_a_non_default_value(self, cls):
+        # a field added later fails here until a config can carry it
+        settable = {f.name for f in fields(cls)} - NOT_IN_CONFIGS.get(cls, set())
+        covered = set().union(*VARIANTS[cls])
+        assert covered == settable
+        defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+        for variant in VARIANTS[cls]:
+            for name, value in variant.items():
+                assert name not in defaults or value != defaults[name], name
+
+    @pytest.mark.parametrize(
+        "cls, variant",
+        [(cls, v) for cls, variants in VARIANTS.items() for v in variants],
+        ids=lambda x: x.__name__ if isinstance(x, type) else "-".join(x),
+    )
+    def test_config_parses_to_direct_construction(self, tmp_path, cls, variant):
+        cfg = load(tmp_path, _variant_config(cls, variant))
+        parsed = {SearchSpec: cfg.search, Thresholds: cfg.thresholds}.get(cls, cfg.task)
+        assert parsed == cls(**variant)
+        assert type(parsed) is cls
+        for name, value in variant.items():
+            assert type(getattr(parsed, name)) is type(value), name
