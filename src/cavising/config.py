@@ -145,6 +145,9 @@ class PhaseDiagramTask(_Task):
             "task", _columns, cfg.chain, self.J_min_values, self.delta_J,
             self.delta_J_factor, self.E_z_values,
         )
+        for lam in self.lambda0_values:
+            _library("task", ModeSet, modes=cfg.modes, lambda0=lam, N=cfg.chain.N,
+                     E_c=cfg.chain.E_c)
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,21 @@ the singular values of ``T``; at ``J = 0`` flipping one spin against its
 field costs ``2 Omega(j)``, and the chain ground energy is
 ``-sum_j Omega(j)``.
 
-The energy-only path (:func:`quasiparticle_energies`) squares the
-problem for the bulk of the spectrum: the eigenvalues of ``T^T T``, a
-symmetric N-cycle folded into a band of width 2, are the squared
-singular values, in O(N^2) and with no N x N array.  Squaring loses the
-relative accuracy of small singular values, so the modes near zero
-(below a bar far under the top of the spectrum) are taken instead as
-positive eigenvalues of the Golub-Kahan 2N-cycle of ``T``, folded the
-same way and resolved by bisection for just those few.  The full solve
+The energy-only path (:func:`quasiparticle_energies`) first splits
+``T`` by the ring's exact translation symmetry: when the field and the
+bonds repeat q times around the ring, ``T`` is unitarily a sum of q
+twisted blocks of N/q sites, and conjugate twists share a spectrum, so
+about q/2 blocks of N/q sites are solved (a ring with no period is one
+block).  Each block squares the problem for the bulk of its spectrum:
+the eigenvalues of ``T_z^H T_z``, a Hermitian cycle folded into a band
+of width 2, are the squared singular values, in O(M^2) for M sites and
+with no dense array.  Squaring loses the relative accuracy of small
+singular values, so a mode near zero (below a bar far under the top of
+the block's spectrum) is taken instead from the block's determinant
+over its other singular values, or, when there are several or the
+determinant's two terms could cancel, as positive eigenvalues of the
+block's Golub-Kahan 2M-cycle, folded the same way and resolved by
+bisection for just those few.  The full solve
 (:func:`solve_quasiparticles`) takes a dense SVD of ``T``, whose
 singular vectors make the mode pairs ``(Phi_k, Psi_k)`` consistent by
 construction:
@@ -70,6 +77,9 @@ _SIGN_EPS = 1e-12
 # the Golub-Kahan fold: squaring leaves a singular value s an absolute error of
 # about eps * s_max^2 / s, which above the bar stays near 1e-14 * s_max
 _SQUARED_EPS = 1e-4
+# a translation block shorter than this costs more in the call overhead of its
+# banded eigensolve (~20 us) than it saves
+_MIN_BLOCK = 8
 
 
 class SolverError(RuntimeError):
@@ -178,59 +188,156 @@ def build_quadratic_form(field, bonds, sector: Sector = Sector.EVEN) -> Quadrati
 def quasiparticle_energies(form: QuadraticForm) -> np.ndarray:
     """Physical spectrum ``Lambda_k`` (ascending) without the mode matrices.
 
-    This is the fast path for energy-only work.  The bulk comes from the
-    eigenvalues of ``T^T T``: an N-cycle with diagonal ``Omega(j)^2 +
-    off(j)^2`` and edges ``off(j) Omega(j+1)``, where ``off`` is the
-    subdiagonal followed by the corner, folded into a symmetric band of
-    width 2 in O(N^2).  Eigenvalues below ``_SQUARED_EPS`` of the largest
-    have lost their relative accuracy to the squaring; those ``k`` modes
-    are recomputed as the ``k`` smallest positive eigenvalues of the
-    Golub-Kahan 2N-cycle with edge weights ``Omega(0), -J(0), Omega(1),
-    ..., -J(N-2), Omega(N-1), corner``, by bisection on the same fold.
+    This is the fast path for energy-only work.  Write the bonds as the
+    band ``w``: the subdiagonal followed by ``w(N-1) = tau * corner``,
+    with ``tau = -1`` in the even sector and ``+1`` in the odd one, so
+    that ``T`` is a cycle twisted by ``tau``.  When ``Omega`` and ``w``
+    repeat every M sites (the smallest such M of at least
+    ``_MIN_BLOCK`` sites that divides N, else M = N), translation by M
+    sites commutes with ``T`` and splits it unitarily into ``q = N / M``
+    blocks ``T_z``, one per twist ``z^q = tau``: ``Omega[:M]`` on the
+    diagonal, ``w[:M-1]`` below it and ``conj(z) w(M-1)`` in the corner.
+    The spectrum is the union of the blocks' singular values, and a block
+    and its conjugate share theirs, so half the blocks are solved.  A ring
+    with no such period is one block, ``T`` itself.
+
+    Within a block the bulk comes from the eigenvalues of ``T_z^H T_z``:
+    an M-cycle with diagonal ``Omega(j)^2 + |off(j)|^2`` and edges
+    ``off(j) Omega(j+1)``, where ``off`` is the subdiagonal followed by
+    the corner, folded into a Hermitian band of width 2 in O(M^2).
+    Eigenvalues below ``_SQUARED_EPS`` of the block's largest have lost
+    their relative accuracy to the squaring.  A single one is recomputed
+    as ``|det T_z|`` over the product of the other singular values, in
+    O(M), when the two terms of the determinant cannot cancel; otherwise
+    those ``k`` modes are the ``k`` smallest positive eigenvalues of the
+    Golub-Kahan 2M-cycle with edge weights ``Omega(0), w(0), Omega(1),
+    ..., w(M-2), Omega(M-1), conj(z) w(M-1)``, by bisection on the same
+    fold.
     """
     N = form.N
-    if N == 1:
-        return np.array([2.0 * abs(form.diagonal[0] + form.corner)])
-    w = np.empty(2 * N)
-    w[0::2] = form.diagonal
-    w[1:-1:2] = form.subdiagonal
-    w[-1] = form.corner
+    w = _bond_band(form)
     # an exact power-of-two scale keeps the squares clear of underflow and overflow
-    scale = 2.0 ** np.frexp(np.max(np.abs(w)))[1]
+    scale = 2.0 ** np.frexp(max(np.max(np.abs(form.diagonal)), np.max(np.abs(w))))[1]
+    Om = form.diagonal / scale
     w /= scale
-    Om, off = w[0::2], w[1::2]
-    ev = _cycle_eigvals(off * np.roll(Om, -1), Om**2 + off**2)
-    energies = 2.0 * scale * np.sqrt(np.maximum(ev, 0.0))
+    M = _translation_period(Om, w)
+    q = N // M
+    # the twists z = exp(i pi a / q) with z^q = tau, one per conjugate pair:
+    # odd a in the even sector (tau = -1), even a in the odd one, 0 <= a <= q
+    parts = []
+    for a in range(1 if form.sector is Sector.EVEN else 0, q + 1, 2):
+        paired = 0 < a < q
+        twist = np.exp(1j * np.pi * a / q) if paired else (1.0 if a == 0 else -1.0)
+        s = _block_singular_values(Om[:M], w[:M], twist)
+        parts.append(np.repeat(s, 2) if paired else s)
+    return np.sort(2.0 * scale * np.concatenate(parts))
+
+
+def _bond_band(form: QuadraticForm) -> np.ndarray:
+    """The bonds ``w``: the subdiagonal, then the corner with the sector's twist taken off.
+
+    ``w(N-1) = tau * corner`` with ``tau = -1`` in the even sector and
+    ``+1`` in the odd one, so ``w`` repeats with the ring's bonds.
+    """
+    tau = -1.0 if form.sector is Sector.EVEN else 1.0
+    return np.append(form.subdiagonal, tau * form.corner)
+
+
+def _translation_period(diagonal: np.ndarray, bonds: np.ndarray) -> int:
+    """Smallest period M of both bands with ``_MIN_BLOCK <= M < N`` dividing N, else N."""
+    N = diagonal.size
+    for M in range(_MIN_BLOCK, N // 2 + 1):
+        if (
+            N % M == 0
+            and np.array_equal(diagonal[M:], diagonal[:-M])
+            and np.array_equal(bonds[M:], bonds[:-M])
+        ):
+            return M
+    return N
+
+
+def _block_singular_values(Om: np.ndarray, w: np.ndarray, twist) -> np.ndarray:
+    """Ascending singular values of the block ``T_z`` with ``z = twist``, ``|z| = 1``.
+
+    ``Om`` is its diagonal, ``w[:-1]`` its subdiagonal and ``conj(z) w[-1]``
+    its corner ``T_z[0, M-1]``; the block is real when ``z = +-1``.
+    """
+    M = Om.size
+    corner = np.conj(twist) * w[-1]
+    if M == 1:
+        return np.array([abs(Om[0] + corner)])
+    off = np.append(w[:-1], corner)
+    ev = _cycle_eigvals(off * np.roll(Om, -1), Om**2 + np.abs(off) ** 2)
+    s = np.sqrt(np.maximum(ev, 0.0))
     k = int(np.count_nonzero(ev < _SQUARED_EPS * ev[-1]))
+    if k == 1:
+        log_det = _log_abs_det(Om, w, twist)
+        if log_det is not None:
+            s[0] = np.exp(log_det - np.sum(np.log(s[1:])))
+            return s
     if k:
-        energies[:k] = 2.0 * scale * np.abs(_cycle_eigvals(w, select_range=(N, N + k - 1)))
-    return np.sort(energies)
+        gk = np.empty(2 * M, dtype=off.dtype)
+        gk[0::2] = Om
+        gk[1::2] = off
+        s[:k] = np.abs(_cycle_eigvals(gk, select_range=(M, M + k - 1)))
+    return s
+
+
+def _log_abs_det(Om: np.ndarray, w: np.ndarray, twist) -> float | None:
+    """``log |det T_z|``, or ``None`` when its two terms may cancel.
+
+    ``det T_z = A + B`` with ``A = prod(Om)`` and ``B = (-1)^(M+1) conj(z)
+    prod(w)``.  Both come as logs, ``-inf`` for a zero factor.  The sum
+    is trusted only when ``|det|^2 >= (|A|^2 + |B|^2) / 2``, so that it
+    keeps the relative accuracy of its terms.
+    """
+    with np.errstate(divide="ignore"):
+        log_a = np.sum(np.log(np.abs(Om)))
+        log_b = np.sum(np.log(np.abs(w)))
+    hi, lo = max(log_a, log_b), min(log_a, log_b)
+    if hi == -np.inf:
+        return -np.inf
+    # cosine of the angle between A and B in the complex plane
+    sign = np.prod(np.sign(Om)) * np.prod(np.sign(w)) * (-1.0) ** (Om.size + 1)
+    cos = sign * np.real(twist)
+    r = np.exp(lo - hi)
+    rest = 1.0 + r * r + 2.0 * r * cos  # |det|^2 / max(|A|, |B|)^2
+    if not rest >= 0.5 * (1.0 + r * r):
+        return None
+    return hi + 0.5 * np.log(rest)
 
 
 def _cycle_eigvals(
     edge: np.ndarray, node: np.ndarray | None = None, select_range: tuple[int, int] | None = None
 ) -> np.ndarray:
-    """Eigenvalues of a symmetric n-cycle matrix, n >= 2, ascending.
+    """Eigenvalues of a Hermitian n-cycle matrix ``H``, n >= 2, ascending.
 
-    ``edge[i]`` is the weight between rows ``i`` and ``(i + 1) % n`` and
-    ``node`` the diagonal (zero when omitted); for ``n = 2`` both edges
-    land on the same entry and add.  Visiting the rows as ``0, n-1, 1,
-    n-2, ...`` puts every edge within distance 2 of the diagonal, so the
-    matrix folds into a symmetric band of width 2.  With ``select_range
-    = (lo, hi)`` only the eigenvalues of those ascending indices are
-    computed, by bisection.
+    ``edge[i]`` is the entry ``H[(i + 1) % n, i]`` and ``node`` the real
+    diagonal (zero when omitted); for ``n = 2`` the two edges land on
+    the same entry, ``H[1, 0] = edge[0] + conj(edge[1])``.  Visiting the
+    rows as ``0, n-1, 1, n-2, ...`` puts every edge within distance 2 of
+    the diagonal, so the matrix folds into a Hermitian band of width 2;
+    the edges of the back half and the wrap then sit above the diagonal
+    of the fold and enter conjugated.  Real edges make a real band.  With
+    ``select_range = (lo, hi)`` only the eigenvalues of those ascending
+    indices are computed, by bisection.
     """
     n = edge.size
     m = (n + 1) // 2
     # lower band storage: band[d, i] holds the entry (i + d, i)
-    band = np.zeros((3, n))
+    band = np.zeros((3, n), dtype=edge.dtype)
     if node is not None:
         band[0, 0::2] = node[:m]
         band[0, 1::2] = node[: m - 1 : -1]
     band[2, 0 : 2 * m - 2 : 2] = edge[: m - 1]
-    band[2, 1 : 2 * (n // 2) - 1 : 2] = edge[n - 2 : m - 1 : -1]
-    band[1, 0] = edge[-1]
-    band[1, -2] += edge[m - 1]  # the fold, where the two halves of the cycle meet
+    band[2, 1 : 2 * (n // 2) - 1 : 2] = np.conj(edge[n - 2 : m - 1 : -1])
+    band[1, 0] = np.conj(edge[-1])
+    # the fold, where the two halves of the cycle meet
+    band[1, -2] += edge[m - 1] if n % 2 == 0 else np.conj(edge[m - 1])
+    # LAPACK's band reduction loses digits to subnormal entries (2e-14 on a
+    # complex band of unit scale); zeroing them moves no eigenvalue by more
+    # than the smallest normal number
+    band[np.abs(band) < np.finfo(float).tiny] = 0.0
     select = "a" if select_range is None else "i"
     try:
         return linalg.eigvals_banded(

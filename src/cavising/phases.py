@@ -126,11 +126,21 @@ class SweepResult:
         return np.array([r.value for r in self.records])
 
 
-_AXES = ("lambda0", "J_min", "E_z")
+# each sweep axis and the contrast keys of the context it reads
+_CONTRASTS = {"lambda0": (), "J_min": ("delta_J", "delta_J_factor"), "E_z": ("delta_J_factor",)}
+_AXES = tuple(_CONTRASTS)
+
+
+def _check_contrast(ctx: SweepContext, axis: str) -> None:
+    """Raise ``ValueError`` when the context sets a contrast key the axis does not read."""
+    for key in ("delta_J", "delta_J_factor"):
+        if getattr(ctx, key) is not None and key not in _CONTRASTS[axis]:
+            raise ValueError(f"a sweep along {axis} does not read {key}")
 
 
 def _point(ctx: SweepContext, axis: str, value: float):
     """Chain and mode set at one sweep point on one of the ``_AXES``."""
+    _check_contrast(ctx, axis)
     chain = ctx.chain
     if axis == "lambda0":
         lam = value
@@ -183,8 +193,9 @@ def _solve_record(solve, value: float) -> SweepRecord:
 def sweep(ctx: SweepContext, axis: str, values: Sequence[float]) -> SweepResult:
     """Minimize along one axis; failed points are recorded, not fatal.
 
-    ``axis`` is one of ``"lambda0"``, ``"J_min"`` and ``"E_z"``; any other
-    raises ``ValueError`` before a point is solved.  One mode along
+    ``axis`` is one of ``"lambda0"``, ``"J_min"`` and ``"E_z"``; any other,
+    or a context whose ``delta_J`` or ``delta_J_factor`` the axis does not
+    read, raises ``ValueError`` before a point is solved.  One mode along
     ``lambda0``: every point re-scores one unit-coupling curve, whose
     spinodal (one full solve, also the bisection's first guess) settles
     each point's first grid cell.  The result keeps the memoized solver,
@@ -192,6 +203,7 @@ def sweep(ctx: SweepContext, axis: str, values: Sequence[float]) -> SweepResult:
     """
     if axis not in _AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_AXES}")
+    _check_contrast(ctx, axis)
     values = [float(v) for v in values]
     solver = _PointCache(ctx, axis, values)
     records = [_solve_record(solver.state, v) for v in values]

@@ -301,6 +301,18 @@ class TestConfigsThatCannotRun:
             ("validate", WINDOWS, None, {"kind": "validate", "N": 8, "max_distance": 10},
              "task: max_distance"),
             ("solve", WINDOWS, -0.5, {"kind": "solve"}, "model: lambda0 must be >= 0"),
+            ("sweep", WINDOWS, None,
+             {"kind": "sweep", "axis": "lambda0", "values": [0.1, 0.2], "delta_J": 5.0},
+             "a sweep along lambda0 does not read delta_J"),
+            ("sweep", WINDOWS, 0.3,
+             {"kind": "sweep", "axis": "lambda0", "values": [0.1], "delta_J_factor": 0.5},
+             "does not read delta_J_factor"),
+            ("sweep", WINDOWS, 0.3,
+             {"kind": "sweep", "axis": "E_z", "values": [0.5], "delta_J": 0.1},
+             "a sweep along E_z does not read delta_J"),
+            ("phase-diagram", WINDOWS, None,
+             {"kind": "phase-diagram", "lambda0": [-0.1, 0.1], "J_min": [0.01],
+              "delta_J": 0.1}, "task: lambda0 must be >= 0"),
         ],
     )
     def test_config_error_before_output(self, tmp_path, capsys, command, ising, lambda0,

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cavising import fermion
@@ -24,7 +24,7 @@ from cavising.fermion import (
     sector_energy,
     solve_quasiparticles,
 )
-from cavising.model import EffectiveField
+from cavising.model import ChainSpec, EffectiveField, IsingProfile, ModeSet, effective_field
 from cavising.oracle import DenseSpinProblem, exact_ground
 
 
@@ -127,8 +127,8 @@ def dense_energies(T):
 
 
 @st.composite
-def rings(draw):
-    N = draw(st.integers(1, 64))
+def rings(draw, max_N=64, min_N=1):
+    N = draw(st.integers(min_N, max_N))
     values = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
     Om = np.array(draw(st.lists(values, min_size=N, max_size=N)))
     if draw(st.booleans()):
@@ -154,11 +154,11 @@ def golub_kahan_energies(form):
 
 
 @st.composite
-def windowed_rings(draw):
+def windowed_rings(draw, min_N=3, max_N=64):
     """Random rings, and rings whose strong bond window carries near-zero edge modes."""
     if not draw(st.booleans()):
-        return draw(rings())
-    N = draw(st.integers(3, 64))
+        return draw(rings(max_N=max_N))
+    N = draw(st.integers(min_N, max_N))
     window = N // 3
     start = draw(st.integers(0, N - 1))
     Om = np.array(draw(st.lists(st.floats(0.3, 0.6), min_size=N, max_size=N)))
@@ -168,12 +168,44 @@ def windowed_rings(draw):
     return Om, J, draw(st.sampled_from(Sector))
 
 
+@st.composite
+def tiled_rings(draw):
+    """A random cell of 1 to 12 sites, with or without a strong window, tiled 1 to 6 times."""
+    M = draw(st.integers(1, 12))
+    q = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        Om, J, sector = draw(rings(max_N=M, min_N=M))
+    else:
+        window = draw(st.integers(1, M))
+        Om = np.array(draw(st.lists(st.floats(0.3, 0.6), min_size=M, max_size=M)))
+        J = np.array(draw(st.lists(st.floats(0.0, 0.3), min_size=M, max_size=M)))
+        J[:window] = draw(st.lists(st.floats(2.0, 4.0), min_size=window, max_size=window))
+        sector = draw(st.sampled_from(Sector))
+    return np.tile(Om, q), np.tile(J, q), sector
+
+
+def assert_matches_dense(Om, J, sector):
+    """The energy-only spectrum against a dense SVD of ``T`` and the full Golub-Kahan fold."""
+    form = build_quadratic_form(flat_field(Om), J, sector)
+    got = quasiparticle_energies(form)
+    dense = dense_energies(form.T)
+    scale = max(1.0, Om.max() + J.max())
+    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12 * scale)
+    assert abs(got.sum() - dense.sum()) <= 1e-13 * dense.sum()
+    np.testing.assert_allclose(got, golub_kahan_energies(form), rtol=0, atol=1e-13 * scale)
+    return got
+
+
+def period(form):
+    return fermion._translation_period(form.diagonal, fermion._bond_band(form))
+
+
 class TestBandedSpectrum:
     """The energy-only spectrum against a dense SVD of ``T`` and the full Golub-Kahan fold.
 
     Bare squaring would leave the near-zero edge modes of a strong
-    window at about 1e-8; only the Golub-Kahan correction holds the
-    per-mode bound.
+    window at about 1e-8; only the Golub-Kahan correction or the block
+    determinant holds the per-mode bound.
     """
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -193,14 +225,7 @@ class TestBandedSpectrum:
         )
     )
     def test_matches_dense_svd(self, ring):
-        Om, J, sector = ring
-        form = build_quadratic_form(flat_field(Om), J, sector)
-        got = quasiparticle_energies(form)
-        dense = dense_energies(form.T)
-        scale = max(1.0, Om.max() + J.max())
-        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12 * scale)
-        assert abs(got.sum() - dense.sum()) <= 1e-13 * dense.sum()
-        np.testing.assert_allclose(got, golub_kahan_energies(form), rtol=0, atol=1e-13 * scale)
+        assert_matches_dense(*ring)
 
     def test_correction_runs_only_below_the_bar(self, monkeypatch):
         selects = []
@@ -211,14 +236,24 @@ class TestBandedSpectrum:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(fermion.linalg, "eigvals_banded", spy)
-        J = np.full(60, 0.1)
-        J[:20] = 3.0
-        quasiparticle_energies(build_quadratic_form(flat_field(np.full(60, 0.45)), J))
-        assert selects == ["a", "i"]
-        selects.clear()
-        gapped = build_quadratic_form(flat_field(np.full(60, 0.45)), np.full(60, 0.3))
-        quasiparticle_energies(gapped)
-        assert selects == ["a"]
+
+        def run(J):
+            selects.clear()
+            form = build_quadratic_form(flat_field(np.full(J.size, 0.45)), J)
+            quasiparticle_energies(form)
+            return period(form), list(selects)
+
+        # one strong window: its edge mode is the one mode below the bar, and
+        # the block determinant replaces the bisection
+        one = np.full(60, 0.1)
+        one[:20] = 3.0
+        assert run(one) == (60, ["a"])
+        # two windows of different lengths: two modes below the bar in one block
+        two = one.copy()
+        two[30:40] = 3.0
+        assert run(two) == (60, ["a", "i"])
+        # a gapped uniform ring: six blocks of ten sites in three conjugate pairs
+        assert run(np.full(60, 0.3)) == (10, ["a", "a", "a"])
 
     @pytest.mark.parametrize("sector", list(Sector))
     def test_one_site(self, sector):
@@ -246,6 +281,135 @@ class TestBandedSpectrum:
         # periodic fermions at Omega = J carry the k = 0 zero mode
         form = build_quadratic_form(flat_field(np.full(N, 0.45)), np.full(N, 0.45), Sector.ODD)
         assert quasiparticle_energies(form)[0] <= 1e-12
+
+
+def gk_smallest(Om, w, twist):
+    """The smallest singular value of a block by bisection on its Golub-Kahan fold."""
+    M = Om.size
+    gk = np.empty(2 * M, dtype=np.result_type(w, twist))
+    gk[0::2] = Om
+    gk[1::2] = np.append(w[:-1], np.conj(twist) * w[-1])
+    return abs(fermion._cycle_eigvals(gk, select_range=(M, M))[0])
+
+
+class TestTranslationBlocks:
+    """A ring whose bands repeat is solved as twisted blocks of one period."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tiled_rings())
+    @example((np.array([0.7]), np.array([0.4]), Sector.EVEN))
+    @example((np.array([0.3, 0.8]), np.array([0.2, 0.6]), Sector.ODD))
+    @example((np.array([0.3, 0.8, 0.5]), np.array([3.0, 0.1, 0.1]), Sector.EVEN))
+    @example((np.zeros(16), np.zeros(16), Sector.EVEN))
+    @example((np.tile([0.0, 0.4, 0.5, 0.3], 6), np.tile([0.3, 0.0, 2.5, 0.1], 6), Sector.ODD))
+    @example((np.full(24, 0.45), np.zeros(24), Sector.EVEN))
+    # a subnormal bond in a complex block: LAPACK's band reduction lost 3e-12 to it
+    @example(
+        (np.full(36, 0.5), np.tile([2.0, 0.0, 0.0, 0.0, 0.25, 2.22507386e-311], 6), Sector.EVEN)
+    )
+    # the gap closes in the odd sector: k = 0 is an exact zero mode of the z = 1 block
+    @example((np.full(48, 0.45), np.full(48, 0.45), Sector.ODD))
+    def test_tiled_rings_match_dense_svd(self, ring):
+        assert_matches_dense(*ring)
+
+    @pytest.mark.parametrize(
+        "cell, tiles, expected",
+        [(1, 1, 1), (1, 2, 2), (1, 3, 3), (1, 7, 7), (1, 16, 8), (5, 4, 10), (12, 2, 12),
+         (3, 6, 9), (7, 2, 14), (8, 1, 8)],
+    )
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_period_is_the_least_block_of_eight_sites(self, cell, tiles, expected, sector):
+        rng = np.random.default_rng(cell * tiles)
+        Om = np.tile(rng.uniform(0.3, 0.6, cell), tiles)
+        J = np.tile(rng.uniform(0.0, 0.5, cell), tiles)
+        assert period(build_quadratic_form(flat_field(Om), J, sector)) == expected
+
+    @pytest.mark.parametrize("sector", list(Sector))
+    @pytest.mark.parametrize("site", [0, 5, 11])
+    def test_one_ulp_off_takes_one_block(self, sector, site):
+        rng = np.random.default_rng(12)
+        Om = np.tile(rng.uniform(0.3, 0.6, 12), 2)
+        J = np.tile(rng.uniform(0.0, 0.3, 12), 2)
+        J[:4] = J[12:16] = 3.0
+        tiled = build_quadratic_form(flat_field(Om), J, sector)
+        Om = Om.copy()
+        Om[12 + site] = np.nextafter(Om[12 + site], 1.0)
+        off = build_quadratic_form(flat_field(Om), J, sector)
+        assert (period(tiled), period(off)) == (12, 24)
+        got = assert_matches_dense(Om, J, sector)
+        scale = Om.max() + J.max()
+        np.testing.assert_allclose(got, quasiparticle_energies(tiled), rtol=0, atol=1e-13 * scale)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(6, 40).flatmap(
+            lambda M: st.tuples(
+                st.lists(st.floats(0.3, 0.6), min_size=M, max_size=M),
+                st.lists(st.floats(0.0, 0.3), min_size=M, max_size=M),
+                st.lists(st.floats(2.0, 4.0), min_size=M // 2, max_size=M // 2),
+            )
+        ),
+        st.sampled_from([1.0, -1.0, np.exp(1j * np.pi / 3), 1j, np.exp(0.4j * np.pi)]),
+    )
+    def test_determinant_matches_bisection(self, cell, twist):
+        # one strong window in a weak cell: its edge mode is the one mode below the bar
+        Om, J, strong = (np.array(v) for v in cell)
+        J[: strong.size] = strong
+        w = -J
+        s = fermion._block_singular_values(Om, w, twist)
+        bar = fermion._SQUARED_EPS * s[-1] ** 2
+        assume(np.count_nonzero(s**2 < bar) == 1)
+        assume(fermion._log_abs_det(Om, w, twist) is not None)
+        ref = gk_smallest(Om, w, twist)
+        # bisection resolves the mode only to a few eps of the block's scale
+        assert abs(s[0] - ref) <= 1e-10 * ref + 8 * np.finfo(float).eps * 4.0
+        np.testing.assert_allclose(np.prod(s), abs(np.linalg.det(self.block(Om, w, twist))),
+                                   rtol=1e-10)
+
+    @staticmethod
+    def block(Om, w, twist):
+        T = np.diag(Om).astype(np.result_type(w, twist))
+        T[np.arange(1, Om.size), np.arange(Om.size - 1)] = w[:-1]
+        T[0, -1] = np.conj(twist) * w[-1]
+        return T
+
+    @pytest.mark.parametrize("twist", [1.0, -1.0, 1j, np.exp(0.4j * np.pi)])
+    def test_determinant_keeps_relative_accuracy(self, twist):
+        # an edge mode near 1e-17, which bisection holds only to an absolute
+        # accuracy (6e-8 relative here): the determinant's is relative, 1e-12
+        # against 50-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(40)
+        Om = rng.uniform(0.3, 0.6, 40)
+        J = rng.uniform(0.0, 0.1, 40)
+        J[:20] = rng.uniform(2.0, 4.0, 20)
+        s = fermion._block_singular_values(Om, -J, twist)
+        assert s[0] < 1e-15
+        with mpmath.workdps(50):
+            T = mpmath.matrix(self.block(Om, -J, twist).tolist())
+            ref = min(mpmath.svd(T, compute_uv=False))
+            assert abs(s[0] - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_hermitian_cycle_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        edge = rng.normal(size=n) + 1j * rng.normal(size=n)
+        node = rng.normal(size=n)
+        H = np.diag(node).astype(complex)
+        for i in range(n):
+            H[(i + 1) % n, i] += edge[i]
+            H[i, (i + 1) % n] += np.conj(edge[i])
+        np.testing.assert_allclose(
+            fermion._cycle_eigvals(edge, node), np.linalg.eigvalsh(H), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("N, phi", [(200, 0.0), (200, 0.3), (800, 0.2), (2000, 0.1)])
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_mode_two_window_rings_take_two_blocks(self, N, phi, sector):
+        # period-2 windows under mode 2, the rings of the benchmark
+        chain = ChainSpec(N=N, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.35, 0.05, 2))
+        fld = effective_field(chain, ModeSet(modes=(2,), lambda0=0.7, N=N, E_c=8.0), [phi])
+        assert period(build_quadratic_form(fld, chain.bonds(), sector)) == N // 2
 
 
 class TestHoppingNorm:
@@ -380,6 +544,50 @@ class TestParityBookkeeping:
             e_ref, _ = exact_ground(DenseSpinProblem(Omega=Om, J=J))
             assert sol.sector is Sector.EVEN
             assert sector_energy(sol) == pytest.approx(e_ref, abs=1e-11)
+
+
+@st.composite
+def oracle_rings(draw):
+    """Rings of up to 10 sites with ``Omega > 0`` and ``J >= 0``: random, tiled, gapless or
+    with a strong window."""
+    kind = draw(st.sampled_from(["random", "tiled", "gapless", "window"]))
+    N = draw(st.integers(1, 10))
+    if kind == "gapless":
+        Om = np.full(N, draw(st.floats(0.1, 1.0)))
+        return Om, Om.copy()
+    if kind == "window":
+        Om, J, _ = draw(windowed_rings(min_N=max(N, 3), max_N=max(N, 3)))
+        return Om, J
+    cell = N
+    if kind == "tiled":
+        cell = draw(st.sampled_from([d for d in range(1, N + 1) if N % d == 0]))
+    Om = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=cell, max_size=cell)))
+    J = np.zeros(cell)
+    if draw(st.booleans()):
+        J = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=cell, max_size=cell)))
+    return np.tile(Om, N // cell), np.tile(J, N // cell)
+
+
+class TestAgainstTheOracle:
+    """The energy-only path against dense spin-chain diagonalization, which shares no ``T``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(oracle_rings())
+    @example((np.array([0.7]), np.array([0.0])))
+    @example((np.full(8, 0.45), np.full(8, 0.45)))
+    @example((np.tile([0.3, 0.6], 5), np.tile([1.5, 0.0], 5)))
+    def test_sector_energies_are_the_ground_energies(self, ring):
+        # the energy-only spectrum's vacuum is the even ground state here, and
+        # the full solve's parity bookkeeping gives both sectors
+        Om, J = ring
+        problem = DenseSpinProblem(Omega=Om, J=J)
+        for sector, parity in ((Sector.EVEN, +1), (Sector.ODD, -1)):
+            form = build_quadratic_form(flat_field(Om), J, sector)
+            e_ref, _ = exact_ground(problem, parity=parity)
+            assert sector_energy(solve_quasiparticles(form)) == pytest.approx(e_ref, abs=1e-10)
+            if sector is Sector.EVEN:
+                energies = quasiparticle_energies(form)
+                assert -0.5 * energies.sum() == pytest.approx(e_ref, rel=0, abs=1e-10)
 
 
 class TestFailureModes:

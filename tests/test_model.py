@@ -91,6 +91,35 @@ class TestCouplings:
             lam = coupling_strength(l, np.arange(200), 1.0, 200)
             assert int(np.sum(np.sign(lam[1:]) != np.sign(lam[:-1]))) == l
 
+    @pytest.mark.parametrize(
+        "l, N",
+        [(l, N) for l in (1, 2, 3, 4, 5) for N in (2, 8, 10, 24, 30, 200, 800, 2000) if N % l == 0],
+    )
+    def test_antiperiodic_bit_for_bit(self, l, N):
+        # lambda_l(j + N/l) = -lambda_l(j) exactly, so mode l's field repeats
+        # every N/l sites and the energy spectrum splits into blocks
+        lam = coupling_strength(l, np.arange(N), 0.6392, N)
+        shift = N // l
+        assert np.array_equal(lam[shift:], -lam[:-shift])
+
+    @pytest.mark.parametrize("N", [1, 3, 8, 10, 24, 40, 199, 200, 800, 2000])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    def test_close_to_the_unreduced_phase(self, l, N):
+        # the direct cos(l pi j / N) rounds a phase up to l pi, so it carries
+        # about one ulp of l pi; the reduced phase stays within two of it
+        lambda0 = 0.6392
+        j = np.arange(N)
+        direct = lambda0 * math.sqrt(l) * np.cos(l * math.pi * j.astype(float) / N)
+        lam = coupling_strength(l, j, lambda0, N)
+        ulp = np.spacing(l * math.pi) * lambda0 * math.sqrt(l)
+        assert np.max(np.abs(lam - direct)) <= 2 * ulp
+        # non-integer positions take the direct formula
+        x = j + 0.5
+        np.testing.assert_array_equal(
+            coupling_strength(l, x, lambda0, N),
+            lambda0 * math.sqrt(l) * np.cos(l * math.pi * x / N),
+        )
+
     def test_mode_index_validated(self):
         with pytest.raises(ValueError):
             coupling_strength(0, 0, 1.0, 10)

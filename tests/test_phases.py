@@ -90,6 +90,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="lamda0"):
             sweep(desk_ctx(), "lamda0", [0.1, 0.2])
 
+    @pytest.mark.parametrize(
+        "axis, contrast",
+        [("lambda0", {"delta_J": 5.0}), ("lambda0", {"delta_J_factor": 0.25}),
+         ("E_z", {"delta_J": 0.1})],
+    )
+    def test_unread_contrast_is_rejected(self, axis, contrast):
+        # a contrast the axis never reads would be ignored without a word
+        ctx = SweepContext(chain=desk_chain(), modes=(2,), lambda0=0.1, search=QUICK, **contrast)
+        with pytest.raises(ValueError, match=f"along {axis} does not read"):
+            sweep(ctx, axis, [0.1, 0.2])
+
     def test_per_point_failures_are_recorded(self):
         ctx = SweepContext(
             chain=ChainSpec(N=8, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.1)),
@@ -281,9 +292,11 @@ class TestSharedSolver:
         # one spinodal per column and one correlation report per cell
         assert len(diagram.cells) == 8
         assert len(solves) == 10
-        # line searches seeded from the samples and probes already computed:
-        # 211 with scipy's bounded Brent, 348 without the energy bound's pruning
-        assert len(energies) == 147
+        # line searches seeded from the samples and probes already computed
+        # (147 before the couplings' exact antiperiodicity moved their last
+        # bits): 211 with scipy's bounded Brent, 348 without the energy bound's
+        # pruning
+        assert len(energies) == 148
 
     @pytest.mark.parametrize(
         "chain, delta_J, grid",
