@@ -247,8 +247,11 @@ def _translation_period(diagonal: np.ndarray, bonds: np.ndarray) -> int:
     """Smallest period M of both bands with ``_MIN_BLOCK <= M < N`` dividing N, else N."""
     N = diagonal.size
     for M in range(_MIN_BLOCK, N // 2 + 1):
+        # the first site rules out most candidates before a whole-ring comparison
         if (
             N % M == 0
+            and diagonal[M] == diagonal[0]
+            and bonds[M] == bonds[0]
             and np.array_equal(diagonal[M:], diagonal[:-M])
             and np.array_equal(bonds[M:], bonds[:-M])
         ):

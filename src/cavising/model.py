@@ -147,18 +147,15 @@ class ChainSpec:
 def coupling_strength(l: int, j, lambda0: float, N: int):
     """Qubit-photon coupling ``lambda_l(j) = lambda0 * sqrt(l) * cos(l pi j / N)``.
 
-    ``j`` may be a scalar or an array of site indices.  For integer
-    indices the phase ``l j`` is reduced modulo ``2N`` in integers and
-    its second half folded by ``cos(x + pi) = -cos(x)``, so the cosine
-    only ever sees ``[0, pi)`` and ``lambda_l(j + N/l) == -lambda_l(j)``
-    holds exactly, bit for bit.
+    ``j`` may be a scalar or an array of site positions.  The phase
+    ``l j`` is reduced modulo ``2N`` (exactly, in floating point) and its
+    second half folded by ``cos(x + pi) = -cos(x)``, so the cosine only
+    ever sees ``[0, pi)`` and, for integer sites, ``lambda_l(j + N/l) ==
+    -lambda_l(j)`` holds bit for bit.
     """
     if l < 1:
         raise ValueError("mode index must be >= 1")
-    j = np.asarray(j)
-    if not np.issubdtype(j.dtype, np.integer):
-        return lambda0 * math.sqrt(l) * np.cos(l * math.pi * j.astype(float) / N)
-    phase = (l * j) % (2 * N)
+    phase = np.mod(l * np.asarray(j, dtype=float), 2 * N)
     flip = phase >= N
     cos = np.cos(math.pi * np.where(flip, phase - N, phase) / N)
     return lambda0 * math.sqrt(l) * np.where(flip, -cos, cos)

@@ -7,6 +7,7 @@ brute-force solver.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -292,6 +293,22 @@ def gk_smallest(Om, w, twist):
     return abs(fermion._cycle_eigvals(gk, select_range=(M, M))[0])
 
 
+def exact_smallest(Om, w, twist):
+    """The smallest singular value of a real block (``twist = +-1``) to a relative few eps.
+
+    ``det T_z = prod(Om) + (-1)^(M+1) z prod(w)`` is summed exactly in
+    rationals and divided by the other singular values of a dense SVD,
+    which sit far above the smallest and keep their relative accuracy.
+    """
+    M = Om.size
+    det = math.prod(map(Fraction, Om)) + (-1) ** (M + 1) * int(twist) * math.prod(map(Fraction, w))
+    T = np.diag(Om)
+    T[np.arange(1, M), np.arange(M - 1)] = w[:-1]
+    T[0, -1] = twist * w[-1]
+    others = np.linalg.svd(T, compute_uv=False)[:-1]
+    return float(abs(det)) / np.prod(others)
+
+
 class TestTranslationBlocks:
     """A ring whose bands repeat is solved as twisted blocks of one period."""
 
@@ -363,6 +380,8 @@ class TestTranslationBlocks:
         ref = gk_smallest(Om, w, twist)
         # bisection resolves the mode only to a few eps of the block's scale
         assert abs(s[0] - ref) <= 1e-10 * ref + 8 * np.finfo(float).eps * 4.0
+        if twist in (1.0, -1.0):
+            assert abs(s[0] - exact_smallest(Om, w, twist)) <= 1e-10 * s[0]
         np.testing.assert_allclose(np.prod(s), abs(np.linalg.det(self.block(Om, w, twist))),
                                    rtol=1e-10)
 
@@ -372,6 +391,21 @@ class TestTranslationBlocks:
         T[np.arange(1, Om.size), np.arange(Om.size - 1)] = w[:-1]
         T[0, -1] = np.conj(twist) * w[-1]
         return T
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("twist", [1.0, -1.0])
+    def test_determinant_is_relatively_exact_on_real_blocks(self, twist, seed):
+        # edge modes from 1e-18 down to 1e-25, far under the few eps of the
+        # block's scale that bisection resolves: relative 1e-10 against the
+        # determinant summed in rationals
+        rng = np.random.default_rng(seed)
+        M = 40 + 4 * seed
+        Om = rng.uniform(0.3, 0.6, M)
+        J = rng.uniform(0.0, 0.1, M)
+        J[: M // 2] = rng.uniform(2.0, 4.0, M // 2)
+        s = fermion._block_singular_values(Om, -J, twist)
+        assert s[0] < 1e-17
+        assert abs(s[0] - exact_smallest(Om, -J, twist)) <= 1e-10 * s[0]
 
     @pytest.mark.parametrize("twist", [1.0, -1.0, 1j, np.exp(0.4j * np.pi)])
     def test_determinant_keeps_relative_accuracy(self, twist):
