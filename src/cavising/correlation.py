@@ -21,9 +21,13 @@ leading principal minor of the window of ``H`` that starts at site ``j``.
 The leftward correlator ``rho(j - n, n)`` is the same kind of minor, of the
 window that starts at ``j - n``.  So one table ``R[s, n - 1]`` of leading
 minors, one row per window start ``s``, serves every correlator.  It comes
-from one pivot-free elimination run on all N windows at once: step ``n``
+from one pivot-free elimination run on all windows at once: step ``n``
 eliminates column ``n`` of every window, and the running product of the
-pivots is the ``n``-th leading minor of each.  ``G`` is orthogonal, so
+pivots is the ``n``-th leading minor of each.  On a ring whose field and
+bonds repeat every M sites, :func:`pair_contractions` builds ``G``
+exactly twisted-periodic, so the windows of one period are eliminated
+and the others' rows copied: a window M sites on is the same one up to
+exact sign flips that cancel against the seam sign.  ``G`` is orthogonal, so
 its entries are at most 1 in size; a pivot far below that has lost its
 digits to cancellation (a minor that vanishes exactly comes out as
 rounding noise), and its window takes the rest of its row from
@@ -44,6 +48,7 @@ itself as their length.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -66,8 +71,26 @@ _FIRST_WIDTH = 8
 
 
 def pair_contractions(sol: QuasiparticleSolution) -> np.ndarray:
-    """Majorana contraction matrix ``G`` of the solution's vacuum."""
-    return -(sol.Psi.T @ sol.Phi)
+    """Majorana contraction matrix ``G`` of the solution's vacuum.
+
+    On a ring that repeats every ``M = sol.period`` sites only the first
+    M rows are multiplied out; the rest follow, exactly, from translating
+    both indices by M, which wraps an index across the seam with the
+    sector's twist ``tau`` (-1 even, +1 odd):
+    ``G[(x + M) % N, (y + M) % N] = sigma(x) sigma(y) G[x, y]`` with
+    ``sigma(x) = tau`` when ``x + M >= N`` and 1 otherwise.
+    """
+    N, M = sol.N, sol.period
+    first = -(sol.Psi[:, :M].T @ sol.Phi)
+    if M == N:
+        return first
+    tau = -1.0 if sol.sector is Sector.EVEN else 1.0
+    G = np.empty((N, N))
+    for shift in range(0, N, M):
+        # rows shift + i: column y + shift, wrapped past N with the twist
+        G[shift : shift + M, shift:] = first[:, : N - shift]
+        G[shift : shift + M, :shift] = tau * first[:, N - shift :]
+    return G
 
 
 def yy_correlation(G: np.ndarray, j: int, n: int) -> float:
@@ -102,15 +125,42 @@ def _as_dict(R: np.ndarray) -> dict[tuple[int, int], float]:
     return dict(zip(keys, R.ravel().tolist()))
 
 
+class _MinorTable(Mapping):
+    """``{(j, n): rho}`` of a table ``R``, built as :func:`_as_dict` on first read."""
+
+    def __init__(self, R: np.ndarray):
+        self._R = R
+        self._dict = None
+
+    def _table(self) -> dict[tuple[int, int], float]:
+        if self._dict is None:
+            self._dict = _as_dict(self._R)
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._table()[key]
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self) -> int:
+        return self._R.size
+
+    def __repr__(self) -> str:
+        return repr(self._table())
+
+
 def _window_minors(
     G: np.ndarray, n_max: int, stop_early: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Table ``R[s, n - 1] = rho(s, n)`` of every window minor up to ``n_max``.
 
-    One pivot-free elimination runs on all ``N`` windows at once, one step
+    One pivot-free elimination runs on the windows of one period of ``G``
+    at once (:func:`_twisted_period`, all ``N`` when it has none), one step
     per ``n``; the running product of the pivots is each window's leading
-    minor.  A window whose pivot falls below ``_PIVOT_BAR`` in size takes
-    the rest of its row from :func:`yy_correlation`.
+    minor, and the other periods' rows are copies.  A window whose pivot
+    falls below ``_PIVOT_BAR`` in size takes the rest of its row from
+    :func:`yy_correlation`.
 
     Alongside the table come the closing depths of the ``2N`` decay-length
     walks, indexed as in :func:`_walk_reads`: a walk closes at the first
@@ -123,20 +173,21 @@ def _window_minors(
     for bit where they overlap.
     """
     N = G.shape[0]
+    M = _twisted_period(G)
     m = max(min(n_max, N - 1), 0)
     # H[a, b] = G[a, b + 1] padded periodically: window s is the diagonal
     # block P[s:s + m, s:s + m]; columns[c, i, s] is its entry (i, c)
     P = np.pad(np.roll(G, -1, axis=1), ((0, m), (0, m)), mode="wrap")
     rs, cs = P.strides
-    columns = np.lib.stride_tricks.as_strided(P, shape=(m, m, N), strides=(cs, rs, rs + cs))
+    columns = np.lib.stride_tricks.as_strided(P, shape=(m, m, M), strides=(cs, rs, rs + cs))
 
     R = np.empty((N, m))
-    sites = np.arange(N)
+    sites = np.arange(M)
     walks = np.arange(2 * N)
     depth = np.zeros(2 * N, dtype=int)
-    minor = np.ones(N)
-    broken = np.zeros(N, dtype=bool)
-    A = np.empty((m, m, N))  # eliminated in place; columns are copied in as needed
+    minor = np.ones(M)
+    broken = np.zeros(M, dtype=bool)
+    A = np.empty((m, m, M))  # eliminated in place; columns are copied in as needed
     width = 0
     for k in range(m):
         if k == width:
@@ -149,9 +200,10 @@ def _window_minors(
         pivot = A[k, k]
         broken |= np.abs(pivot) <= _PIVOT_BAR
         minor *= np.where(broken, 1.0, pivot)
-        R[:, k] = np.where(sites + k + 1 >= N, -minor, minor)  # the seam sign
+        row = np.where(sites + k + 1 >= N, -minor, minor)  # the seam sign
         for s in np.flatnonzero(broken):
-            R[s, k] = yy_correlation(G, s, k + 1)
+            row[s] = yy_correlation(G, s, k + 1)
+        R[:, k] = np.tile(row, N // M)
         # the crossing rule: a walk stays open while |rho| exceeds its target
         r = _walk_reads(R, walks, k)
         if k == 0:
@@ -164,6 +216,25 @@ def _window_minors(
             return R[:, : k + 1], depth
         _eliminate(A[:width], k, broken, k + 1)
     return R, depth
+
+
+def _twisted_period(G: np.ndarray) -> int:
+    """Smallest M dividing N with ``G[(x + M) % N, (y + M) % N] = sigma(x) sigma(y) G[x, y]``.
+
+    Exactly, entry for entry, with ``sigma(x) = -1`` when ``x + M >= N``:
+    the even-sector translation that :func:`pair_contractions` builds in.
+    The windows starting at ``s + M`` are then ``D W_s D'`` with diagonal
+    +-1 matrices whose sign flips are exact and cancel against the seam
+    sign, so their minors repeat those of ``W_s`` bit for bit.
+    """
+    N = G.shape[0]
+    for M in range(1, N // 2 + 1):
+        # the first entry rules out most candidates before a whole comparison
+        if N % M == 0 and G[M, M] == G[0, 0]:
+            sigma = np.where(np.arange(N) + M >= N, -1.0, 1.0)
+            if np.array_equal(np.roll(G, (-M, -M), axis=(0, 1)), sigma[:, None] * G * sigma):
+                return M
+    return N
 
 
 def _walk_reads(R: np.ndarray, walks: np.ndarray, k) -> np.ndarray:
@@ -193,8 +264,10 @@ class CorrelationReport:
 
     ``rho`` holds every window minor the decay-length walks read, keyed by
     ``(j, n)`` with ``j`` already reduced mod N: all sites, for ``n`` up to
-    the depth at which the last walk closed.  Its values equal
-    :func:`yy_table`'s bit for bit; use that for an exhaustive grid.
+    the depth at which the last walk closed.  It is a read-only mapping
+    that becomes a dict, in row order, on first read (a report whose
+    ``rho`` nobody reads skips that).  Its values equal :func:`yy_table`'s
+    bit for bit; use that for an exhaustive grid.
     ``xi_r``/``flags_r`` and ``xi_l``/``flags_l`` are the rightward and
     leftward decay lengths and their flags (``ok``, ``uncorrelated`` or
     ``saturated``), computed from ``rho`` and the walks' closing depths;
@@ -205,7 +278,7 @@ class CorrelationReport:
     sigma_z_rot: np.ndarray
     sigma_z_lab: np.ndarray
     sigma_x_lab: np.ndarray
-    rho: dict
+    rho: Mapping
     xi_r: np.ndarray
     xi_l: np.ndarray
     xi_rl: np.ndarray
@@ -275,7 +348,7 @@ def correlation_report(
         sigma_z_rot=sz_rot,
         sigma_z_lab=sz_lab,
         sigma_x_lab=sx_lab,
-        rho=_as_dict(R),
+        rho=_MinorTable(R),
         xi_r=xi_r,
         xi_l=xi_l,
         xi_rl=xi_rl,

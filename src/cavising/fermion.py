@@ -38,9 +38,11 @@ over its other singular values, or, when there are several or the
 determinant's two terms could cancel, as positive eigenvalues of the
 block's Golub-Kahan 2M-cycle, folded the same way and resolved by
 bisection for just those few.  The full solve
-(:func:`solve_quasiparticles`) takes a dense SVD of ``T``, whose
-singular vectors make the mode pairs ``(Phi_k, Psi_k)`` consistent by
-construction:
+(:func:`solve_quasiparticles`) splits ``T`` the same way and takes one
+stacked dense SVD of the blocks (of ``T`` itself when the ring has no
+period); the blocks' singular vectors, spread over the ring as Bloch
+modes and split into real and imaginary parts, make the mode pairs
+``(Phi_k, Psi_k)`` consistent by construction:
 
     Phi_k T   = (Lambda_k / 2) Psi_k
     Psi_k T^T = (Lambda_k / 2) Phi_k
@@ -55,6 +57,7 @@ brute-force diagonalization.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +153,10 @@ class QuasiparticleSolution:
         Fermion parity of the vacuum of this quadratic form: the sign of
         ``det(T)`` (+1 even, -1 odd, 0 when an exact zero mode makes
         the parity indeterminate).
+    period : int
+        Sites M per translation block the solve used (``N`` for a ring
+        with no period): the field and bonds repeat every M sites, and so
+        do the modes' correlations, up to the sector's twist at the seam.
     """
 
     energies: np.ndarray
@@ -158,6 +165,7 @@ class QuasiparticleSolution:
     sector: Sector
     ground_energy_chain: float
     vacuum_parity: int
+    period: int
 
     @property
     def N(self) -> int:
@@ -221,16 +229,23 @@ def quasiparticle_energies(form: QuadraticForm) -> np.ndarray:
     Om = form.diagonal / scale
     w /= scale
     M = _translation_period(Om, w)
-    q = N // M
-    # the twists z = exp(i pi a / q) with z^q = tau, one per conjugate pair:
-    # odd a in the even sector (tau = -1), even a in the odd one, 0 <= a <= q
     parts = []
-    for a in range(1 if form.sector is Sector.EVEN else 0, q + 1, 2):
-        paired = 0 < a < q
-        twist = np.exp(1j * np.pi * a / q) if paired else (1.0 if a == 0 else -1.0)
+    for twist, paired in _twists(form.sector, N // M):
         s = _block_singular_values(Om[:M], w[:M], twist)
         parts.append(np.repeat(s, 2) if paired else s)
     return np.sort(2.0 * scale * np.concatenate(parts))
+
+
+def _twists(sector: Sector, q: int):
+    """The twists ``z = exp(i pi a / q)`` with ``z^q = tau``, one per conjugate pair.
+
+    Odd ``a`` in the even sector (``tau = -1``), even ``a`` in the odd one,
+    ``0 <= a <= q``.  Yields ``(z, paired)``: a paired twist is complex and
+    stands for itself and its conjugate; ``z = +-1`` is real and alone.
+    """
+    for a in range(1 if sector is Sector.EVEN else 0, q + 1, 2):
+        paired = 0 < a < q
+        yield (np.exp(1j * np.pi * a / q) if paired else (1.0 if a == 0 else -1.0)), paired
 
 
 def _bond_band(form: QuadraticForm) -> np.ndarray:
@@ -374,23 +389,43 @@ def _leading_signs(rows: np.ndarray) -> np.ndarray:
 def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     """Full diagonalization: spectrum plus the ``Phi``/``Psi`` mode matrices.
 
-    Mode signs are fixed deterministically: the first non-negligible
-    entry of each ``Phi_k`` is made positive, flipping ``Psi_k`` along
-    with it so the coupled relations survive.  For (numerically) zero
-    modes the relations no longer tie the pair together, so ``Psi_k``
-    gets the same rule applied independently.
+    A ring whose bands repeat every M sites (the period of
+    :func:`quasiparticle_energies`, ``q = N / M`` repeats) is solved by
+    its translation blocks: one stacked SVD of the M x M blocks ``T_z``
+    of one twist per conjugate pair, whose singular vectors make Bloch
+    modes ``u[c M + i] = z^c U_z[i, k] / sqrt(q)`` (and ``v`` from
+    ``V_z``).  A real twist ``z = +-1`` gives real modes as they stand; a
+    complex one gives two real pairs of the same singular value,
+    ``sqrt(2) Re`` and ``sqrt(2) Im`` of ``(u, v)``, which span the modes
+    of ``z`` and its conjugate.  A ring with no period is one dense SVD of
+    ``T``.
+
+    Modes are sorted ascending and their signs fixed deterministically:
+    the first non-negligible entry of each ``Phi_k`` is made positive,
+    flipping ``Psi_k`` along with it so the coupled relations survive.
+    For (numerically) zero modes the relations no longer tie the pair
+    together, so ``Psi_k`` gets the same rule applied independently.  The
+    relations and the orthogonality of the assembled ``Phi`` and ``Psi``
+    are checked before anything is returned.
     """
-    T = form.T
+    bands = (form.diagonal, form.subdiagonal, form.corner)
     # LAPACK may turn an inf into NaN output without reporting failure
-    if not np.isfinite(T).all():
+    if not all(np.isfinite(b).all() for b in bands):
         raise SolverError("quadratic form has non-finite entries")
+    N = form.N
+    M = _translation_period(form.diagonal, _bond_band(form))
     try:
-        U, s, Vh = np.linalg.svd(T)
+        if M == N:
+            T = form.T
+            U, s, Vh = np.linalg.svd(T)
+            Phi = np.ascontiguousarray(U.T[::-1])
+            Psi = np.ascontiguousarray(Vh[::-1])
+            s = s[::-1].copy()
+            blocks = [T]
+        else:
+            Phi, Psi, s, blocks = _bloch_modes(form, M)
     except np.linalg.LinAlgError as exc:
         raise SolverError("singular value decomposition failed") from exc
-    Phi = np.ascontiguousarray(U.T[::-1])
-    Psi = np.ascontiguousarray(Vh[::-1])
-    s = s[::-1].copy()
 
     # independent sign fixing of a Phi/Psi pair is only safe when the
     # singular value is negligible: for any larger s it would desync the
@@ -402,23 +437,24 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     Psi *= np.where(s > zero_tol, flip, _leading_signs(Psi))[:, None]
 
     resid = max(
-        np.max(np.abs(Phi @ T - s[:, None] * Psi)),
-        np.max(np.abs(Psi @ T.T - s[:, None] * Phi)),
+        np.max(np.abs(_times_T(Phi, form) - s[:, None] * Psi)),
+        np.max(np.abs(_times_T(Psi, form, transpose=True) - s[:, None] * Phi)),
     )
     ortho = max(
-        np.max(np.abs(Phi @ Phi.T - np.eye(form.N))),
-        np.max(np.abs(Psi @ Psi.T - np.eye(form.N))),
+        np.max(np.abs(Phi @ Phi.T - np.eye(N))),
+        np.max(np.abs(Psi @ Psi.T - np.eye(N))),
     )
     if resid > 1e-9 * max(scale, 1.0) or ortho > 1e-10:
         raise SolverError(
             f"decomposition lost consistency (residual {resid:.3e}, orthogonality {ortho:.3e})"
         )
 
-    # an exact zero mode makes det(T) fp dust of arbitrary sign; report 0
+    # an exact zero mode makes det(T) fp dust of arbitrary sign; report 0.
+    # det(T) is the product of the blocks' determinants, and a conjugate
+    # pair of blocks contributes |det T_z|^2 > 0: only real blocks are signed
     parity = 0
     if s[0] > zero_tol:
-        sign, _ = np.linalg.slogdet(T)
-        parity = int(sign)
+        parity = int(np.prod([np.linalg.slogdet(b)[0] for b in blocks]))
     Phi.setflags(write=False)
     Psi.setflags(write=False)
     energies = 2.0 * s
@@ -430,7 +466,70 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
         sector=form.sector,
         ground_energy_chain=-float(np.sum(s)),
         vacuum_parity=parity,
+        period=M,
     )
+
+
+def _bloch_modes(form: QuadraticForm, M: int):
+    """Mode matrices and ascending singular values of ``T`` from its blocks of M sites.
+
+    Returns ``(Phi, Psi, s, real_blocks)``: the real rows of the Bloch
+    modes of every twist, sorted by their singular values, and the real
+    blocks ``T_z`` (``z = +-1``), whose determinants carry the sign of
+    ``det T``.
+    """
+    N = form.N
+    q = N // M
+    Om, w = form.diagonal[:M], _bond_band(form)[:M]
+    cells = np.arange(q)
+    phis, psis, values, real_blocks = [], [], [], []
+    for paired in (False, True):
+        zs = np.array([z for z, p in _twists(form.sector, q) if p is paired])
+        if zs.size == 0:
+            continue
+        blocks = np.stack([_block_matrix(Om, w, z) for z in zs])
+        U, s, Vh = np.linalg.svd(blocks)
+        # row k of a Bloch mode: x[k, c M + i] = z^c X[i, k] / sqrt(q)
+        phase = (zs[:, None] ** cells / math.sqrt(q))[:, None, :, None]
+        u = (phase * np.swapaxes(U, 1, 2)[:, :, None, :]).reshape(-1, N)
+        v = (phase * np.conj(Vh)[:, :, None, :]).reshape(-1, N)
+        s = s.ravel()
+        if paired:
+            root2 = math.sqrt(2.0)
+            u = np.concatenate([root2 * u.real, root2 * u.imag])
+            v = np.concatenate([root2 * v.real, root2 * v.imag])
+            s = np.concatenate([s, s])
+        else:
+            real_blocks.extend(blocks)
+        phis.append(u)
+        psis.append(v)
+        values.append(s)
+    s = np.concatenate(values)
+    order = np.argsort(s, kind="stable")
+    return np.concatenate(phis)[order], np.concatenate(psis)[order], s[order], real_blocks
+
+
+def _block_matrix(Om: np.ndarray, w: np.ndarray, twist) -> np.ndarray:
+    """Dense block ``T_z``: ``Om``, ``w[:-1]`` below it and ``conj(z) w[-1]`` in the corner."""
+    M = Om.size
+    T = np.diag(Om).astype(np.result_type(Om, twist))
+    T[np.arange(1, M), np.arange(M - 1)] = w[:-1]
+    T[0, M - 1] += np.conj(twist) * w[-1]
+    return T
+
+
+def _times_T(X: np.ndarray, form: QuadraticForm, transpose: bool = False) -> np.ndarray:
+    """``X @ T`` (or ``X @ T^T``) from the three bands of ``T``, in O(N) per row."""
+    out = X * form.diagonal
+    if transpose:
+        # (X T^T)[k, r] = Om(r) X[k, r] + T[r, r - 1] X[k, r - 1], and the corner at r = 0
+        out[:, 1:] += X[:, :-1] * form.subdiagonal
+        out[:, 0] += X[:, -1] * form.corner
+    else:
+        # (X T)[k, j] = Om(j) X[k, j] + T[j + 1, j] X[k, j + 1], and the corner at j = N - 1
+        out[:, :-1] += X[:, 1:] * form.subdiagonal
+        out[:, -1] += X[:, 0] * form.corner
+    return out
 
 
 def sector_energy(sol: QuasiparticleSolution) -> float:

@@ -71,7 +71,7 @@ from .correlation import CorrelationReport, correlation_report
 from .fermion import (
     Sector, SolverError, build_quadratic_form, ground_sector, quasiparticle_energies,
 )
-from .model import ChainSpec, ModeSet, effective_field
+from .model import ChainSpec, ModeSet, _frozen, effective_field
 
 __all__ = [
     "SearchSpec",
@@ -136,12 +136,8 @@ class MeanFieldState:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        phi = np.ascontiguousarray(self.phi, dtype=float)
-        Sigma_x = np.ascontiguousarray(self.Sigma_x, dtype=float)
-        phi.setflags(write=False)
-        Sigma_x.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "Sigma_x", Sigma_x)
+        object.__setattr__(self, "phi", _frozen(self.phi))
+        object.__setattr__(self, "Sigma_x", _frozen(self.Sigma_x))
 
 
 def energy_per_particle(chain: ChainSpec, modeset: ModeSet, phi) -> float:

@@ -25,7 +25,8 @@ __all__ = [
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only copy: freezing the caller's own array would make it read-only too."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 

@@ -546,9 +546,11 @@ def phase_diagram(
     local field phase with (when ``magnetic`` is set) the magnetic order
     of the solved ground state, whose correlation report probes
     separations up to ``n_max`` (at least 1, checked before anything is
-    solved).  The per-``E_z`` crossover is the midpoint between the largest
-    ``J_min`` column labeled second order and the smallest labeled first
-    order, provided the two groups do not interleave.  A profile, contrast
+    solved); the cells of a column at ``phi = 0``, whose field is ``E_z/2``
+    on every site at any ``lambda0``, share one report.  The per-``E_z``
+    crossover is the midpoint between the largest ``J_min`` column labeled
+    second order and the smallest labeled first order, provided the two
+    groups do not interleave.  A profile, contrast
     or grid value that some column cannot take raises ``ValueError`` up front.
 
     A solver failure while locating one column's onset is recorded on
@@ -599,19 +601,25 @@ def phase_diagram(
                 )
             )
 
+            # at phi = 0 the field is E_z / 2 on every site whatever lambda0 is,
+            # so the column's cells there share one report and one label
+            magnetic_orders = {}
             for rec in result.records:
                 label = None
                 if rec.status == "ok":
                     field_phase = "superradiant" if _condensed(rec, thr) else "normal"
                     mag = "undetermined"
                     if magnetic:
-                        modeset = ModeSet(
-                            modes=modes, lambda0=rec.value, N=col_chain.N, E_c=col_chain.E_c
-                        )
-                        report = correlation_report(
-                            col_chain, modeset, np.array(rec.phi), n_max=n_max
-                        )
-                        mag = classify_magnetic_order(report, col_chain, thr)
+                        key = rec.value if any(rec.phi) else None
+                        if key not in magnetic_orders:
+                            modeset = ModeSet(
+                                modes=modes, lambda0=rec.value, N=col_chain.N, E_c=col_chain.E_c
+                            )
+                            report = correlation_report(
+                                col_chain, modeset, np.array(rec.phi), n_max=n_max
+                            )
+                            magnetic_orders[key] = classify_magnetic_order(report, col_chain, thr)
+                        mag = magnetic_orders[key]
                     label = PhaseLabel(field_phase, t_order, mag)
                 cells.append(
                     PhaseCell(

@@ -261,6 +261,127 @@ def det_walks(G, n_max):
     return walks, {(j, n) for j in range(G.shape[0]) for n in range(1, depth + 1)}
 
 
+def all_window_minors(G, n_max, stop_early=False):
+    """The elimination on all N windows, one period or not: the oracle of the report's table.
+
+    Every window is eliminated, with no copies between periods; the arithmetic
+    of each window, the fallback and the walks' crossing rule are those of
+    ``correlation._window_minors``.
+    """
+    N = G.shape[0]
+    m = max(min(n_max, N - 1), 0)
+    P = np.pad(np.roll(G, -1, axis=1), ((0, m), (0, m)), mode="wrap")
+    rs, cs = P.strides
+    columns = np.lib.stride_tricks.as_strided(P, shape=(m, m, N), strides=(cs, rs, rs + cs))
+
+    def eliminate(A, t, broken, first):
+        mult = np.where(broken, 0.0, A[t, t + 1 :] / np.where(broken, 1.0, A[t, t]))
+        for c in range(first, len(A)):
+            A[c, t + 1 :] -= mult * A[c, t]
+
+    R = np.empty((N, m))
+    walks = np.arange(2 * N)
+    depth = np.zeros(2 * N, dtype=int)
+    minor = np.ones(N)
+    broken = np.zeros(N, dtype=bool)
+    A = np.empty((m, m, N))
+    width = 0
+    for k in range(m):
+        if k == width:
+            done = width
+            width = min(m, max(2 * width, correlation._FIRST_WIDTH)) if stop_early else m
+            A[done:width] = columns[done:width]
+            for t in range(done):
+                eliminate(A[:width], t, broken, done)
+        pivot = A[k, k]
+        broken |= np.abs(pivot) <= correlation._PIVOT_BAR
+        minor *= np.where(broken, 1.0, pivot)
+        R[:, k] = np.where(np.arange(N) + k + 1 >= N, -minor, minor)
+        for s in np.flatnonzero(broken):
+            R[s, k] = correlation.yy_correlation(G, s, k + 1)
+        r = np.abs(R[(walks - (walks >= N) * (k + 1)) % N, k])
+        if k == 0:
+            target = r / math.e
+            open_ = r > correlation._NEGLIGIBLE
+        else:
+            open_ &= r > target
+        depth += open_
+        if stop_early and not open_.any():
+            return R[:, : k + 1], depth
+        eliminate(A[:width], k, broken, k + 1)
+    return R, depth
+
+
+def assert_one_period_is_the_oracle(G, n_max, period):
+    """One period of windows, tiled, equals the all-window elimination bit for bit."""
+    assert correlation._twisted_period(G) == period
+    for stop_early in (False, True):
+        R, depth = correlation._window_minors(G, n_max, stop_early=stop_early)
+        R_ref, depth_ref = all_window_minors(G, n_max, stop_early=stop_early)
+        assert np.array_equal(R, R_ref) and np.array_equal(depth, depth_ref)
+
+
+def tiled_report(cell, tiles, n_max=None):
+    """Report on a ring of ``tiles`` copies of a random ``cell``-site window ring, at phi = 0."""
+    rng = np.random.default_rng(cell * tiles)
+    J = np.tile(rng.uniform(0.0, 0.3, cell), tiles)
+    J[::cell] = rng.uniform(0.5, 0.9)  # a strong bond per cell
+    N = cell * tiles
+    chain = ChainSpec(N=N, E_z=0.8, E_c=8.0, ising=IsingProfile.explicit(J))
+    ms = ModeSet(modes=(1,), lambda0=0.5, N=N, E_c=8.0)
+    return correlation_report(chain, ms, [0.0], n_max=n_max)
+
+
+class TestOnePeriod:
+    """A ring that repeats eliminates the windows of one period and copies the rest."""
+
+    @pytest.mark.parametrize("tiles", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("cell", [8, 11])
+    def test_tiled_rings_match_the_oracle(self, cell, tiles):
+        rep = tiled_report(cell, tiles)
+        assert rep.solution.period == cell
+        assert_one_period_is_the_oracle(rep.G, rep.n_max, cell)
+        table = yy_table(rep.G, rep.n_max)
+        assert all(table[key] == value for key, value in rep.rho.items())
+
+    def test_phase_column_ring_matches_the_oracle(self):
+        # a condensed cell of the benchmark's phase-column workload: two blocks of 100
+        chain = ChainSpec(
+            N=200, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.5007, 0.2007, 2)
+        )
+        ms = ModeSet(modes=(2,), lambda0=0.9128831922543927, N=200, E_c=8.0)
+        rep = correlation_report(chain, ms, [0.2856021645667419], n_max=40)
+        assert rep.solution.period == 100
+        assert_one_period_is_the_oracle(rep.G, 40, 100)
+        table = yy_table(rep.G, 40)
+        assert all(table[key] == value for key, value in rep.rho.items())
+
+    def test_fallback_runs_on_one_period(self, monkeypatch):
+        # a bar this high breaks many windows partway: each takes the rest of its
+        # row from yy_correlation, in the first period only
+        monkeypatch.setattr(correlation, "_PIVOT_BAR", 0.3)
+        rep = tiled_report(8, 4, n_max=12)
+        R_ref, _ = all_window_minors(rep.G, 12)
+        starts = []
+        real = correlation.yy_correlation
+
+        def counted(G, j, n):
+            starts.append(j)
+            return real(G, j, n)
+
+        monkeypatch.setattr(correlation, "yy_correlation", counted)
+        R, _ = correlation._window_minors(rep.G, 12)
+        assert starts and max(starts) < 8
+        assert np.array_equal(R, R_ref)
+
+    def test_one_ulp_off_takes_all_windows(self):
+        rep = tiled_report(8, 3, n_max=10)
+        G = np.array(rep.G)
+        G[9, 13] = np.nextafter(G[9, 13], 2.0)
+        assert correlation._twisted_period(rep.G) == 8
+        assert_one_period_is_the_oracle(G, 10, 24)
+
+
 class TestWindowMinors:
     """The batched elimination against one LAPACK determinant per correlator."""
 

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cavising import fermion
+from cavising.correlation import pair_contractions
 from cavising.fermion import (
     QuadraticForm,
     Sector,
@@ -349,7 +350,6 @@ class TestTranslationBlocks:
         J = np.tile(rng.uniform(0.0, 0.3, 12), 2)
         J[:4] = J[12:16] = 3.0
         tiled = build_quadratic_form(flat_field(Om), J, sector)
-        Om = Om.copy()
         Om[12 + site] = np.nextafter(Om[12 + site], 1.0)
         off = build_quadratic_form(flat_field(Om), J, sector)
         assert (period(tiled), period(off)) == (12, 24)
@@ -522,15 +522,78 @@ class TestModeMatrices:
     @given(rings())
     @example((np.full(6, 0.4), np.full(6, 0.4), Sector.ODD))  # an exact zero mode
     def test_signs_match_the_row_by_row_rule(self, ring):
+        # one-block rings: a dense SVD's paired modes are an arbitrary rotation
+        # of the Bloch modes a tiled ring is solved with
         Om, J, sector = ring
         form = build_quadratic_form(flat_field(Om), J, sector)
+        assume(period(form) == form.N)
         U, s, Vh = np.linalg.svd(form.T)
         Phi, Psi, s = U.T[::-1].copy(), Vh[::-1].copy(), s[::-1]
+        zero_tol = 1e-12 * max(fermion._hopping_norm(form), 1.0)
+        fix_signs_row_by_row(Phi, Psi, s, zero_tol)
+        sol = solve_quasiparticles(form)
+        assert np.array_equal(sol.Phi, Phi) and np.array_equal(sol.Psi, Psi)
+        assert not (np.signbit(sol.Phi) ^ np.signbit(Phi)).any()
+        assert not (np.signbit(sol.Psi) ^ np.signbit(Psi)).any()
+        # the dense path as it was: energies and parity too, bit for bit
+        assert np.array_equal(sol.energies, 2.0 * s) and sol.period == form.N
+        assert sol.vacuum_parity == (int(np.linalg.slogdet(form.T)[0]) if s[0] > zero_tol else 0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tiled_rings())
+    @example((np.full(48, 0.45), np.full(48, 0.45), Sector.ODD))  # an exact zero mode
+    def test_bloch_signs_match_the_row_by_row_rule(self, ring):
+        Om, J, sector = ring
+        form = build_quadratic_form(flat_field(Om), J, sector)
+        M = period(form)
+        assume(M < form.N)
+        Phi, Psi, s, _ = fermion._bloch_modes(form, M)
         fix_signs_row_by_row(Phi, Psi, s, 1e-12 * max(fermion._hopping_norm(form), 1.0))
         sol = solve_quasiparticles(form)
         assert np.array_equal(sol.Phi, Phi) and np.array_equal(sol.Psi, Psi)
         assert not (np.signbit(sol.Phi) ^ np.signbit(Phi)).any()
         assert not (np.signbit(sol.Psi) ^ np.signbit(Psi)).any()
+
+
+class TestBlockFullSolve:
+    """The full solve of a tiled ring by its translation blocks, against dense linear algebra."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tiled_rings())
+    @example((np.array([0.7]), np.array([0.4]), Sector.EVEN))
+    @example((np.array([0.7]), np.array([0.4]), Sector.ODD))
+    @example((np.array([0.3, 0.8]), np.array([0.2, 0.6]), Sector.ODD))
+    @example((np.array([0.3, 0.8, 0.5]), np.array([3.0, 0.1, 0.1]), Sector.EVEN))
+    @example((np.tile([0.3, 0.8, 0.5], 8), np.zeros(24), Sector.EVEN))
+    @example((np.tile([0.3, 0.8, 0.5], 8), np.zeros(24), Sector.ODD))
+    # the gap closes in the odd sector: an exact zero mode, parity 0
+    @example((np.full(48, 0.45), np.full(48, 0.45), Sector.ODD))
+    def test_matches_dense_linear_algebra(self, ring):
+        Om, J, sector = ring
+        form = build_quadratic_form(flat_field(Om), J, sector)
+        sol = solve_quasiparticles(form)
+        assert sol.period == period(form)
+        # the solver's own checks, at its tolerances, on the dense T
+        T = form.T
+        tol = max(fermion._hopping_norm(form), 1.0)
+        half = 0.5 * sol.energies[:, None]
+        assert np.max(np.abs(sol.Phi @ T - half * sol.Psi)) <= 1e-9 * tol
+        assert np.max(np.abs(sol.Psi @ T.T - half * sol.Phi)) <= 1e-9 * tol
+        for X in (sol.Phi, sol.Psi):
+            assert np.max(np.abs(X @ X.T - np.eye(form.N))) <= 1e-10
+        scale = max(1.0, Om.max() + J.max())
+        np.testing.assert_allclose(
+            sol.energies, quasiparticle_energies(form), rtol=0, atol=1e-12 * scale
+        )
+        if sol.energies[0] / 2 > 1e-12 * tol:
+            assert sol.vacuum_parity == int(np.linalg.slogdet(T)[0])
+        else:
+            assert sol.vacuum_parity == 0
+        # G is the polar factor of T, fixed by T alone while no mode is near zero
+        U, s, Vh = np.linalg.svd(T)
+        if s[-1] >= 1e-6 * s[0]:
+            dense = -(Vh.T @ U.T)
+            np.testing.assert_allclose(pair_contractions(sol), dense, rtol=0, atol=1e-9)
 
 
 class TestParityBookkeeping:

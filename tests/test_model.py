@@ -186,3 +186,16 @@ class TestEffectiveField:
         fld = EffectiveField(Omega=np.array([0.4]), theta=np.array([0.0]))
         with pytest.raises(ValueError):
             fld.Omega[0] = 1.0
+
+    def test_freezing_leaves_the_callers_array_writable(self):
+        # a contiguous float64 input is the array the caller still holds: the
+        # field keeps a read-only copy and the caller may go on writing
+        Om = np.array([0.4, 0.5])
+        theta = np.zeros(2)
+        fld = EffectiveField(Omega=Om, theta=theta)
+        Om[0] = 1.0
+        theta[1] = 0.3
+        assert fld.Omega.tolist() == [0.4, 0.5]
+        assert fld.theta.tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError):
+            fld.Omega[0] = 1.0

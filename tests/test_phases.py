@@ -289,9 +289,11 @@ class TestSharedSolver:
             chain, (2,), grid, (0.2007, 0.527), delta_J=0.3, search=QUICK, n_max=40
         )
         assert [c.transition_order for c in diagram.columns] == ["second", "first"]
-        # one spinodal per column and one correlation report per cell
-        assert len(diagram.cells) == 8
-        assert len(solves) == 10
+        # one spinodal per column and one correlation report per distinct
+        # ground state: the phi = 0 cells of a column share theirs
+        condensed = [any(c.phi) for c in diagram.cells]
+        assert condensed == [False, True, True, True, False, False, False, True]
+        assert len(solves) == 8
         # line searches seeded from the samples and probes already computed
         # (147 before the couplings' exact antiperiodicity moved their last
         # bits): 211 with scipy's bounded Brent, 348 without the energy bound's
@@ -460,6 +462,35 @@ class TestPhaseDiagram:
             expected = "NP" if cell.lambda0 < col.lambda_c else "SP"
             assert cell.label.code == expected
         assert diagram.crossover == ((0.1, None),)
+
+    def test_phi_zero_cells_share_one_report(self, monkeypatch):
+        # at phi = 0 the field is E_z / 2 on every site whatever lambda0 is
+        reports = []
+        real = phases.correlation_report
+
+        def counted(chain, modeset, phi, **kwargs):
+            reports.append((chain.ising.J_min, tuple(phi)))
+            return real(chain, modeset, phi, **kwargs)
+
+        monkeypatch.setattr(phases, "correlation_report", counted)
+        chain = desk_chain()
+        grid = np.linspace(0.15, 0.3, 7)
+        diagram = phase_diagram(
+            chain, (2,), grid, (0.001, 0.004), delta_J=0.025, search=QUICK, n_max=10,
+            order=False,
+        )
+        # one report per column with phi = 0 cells, plus one per condensed cell
+        zero = [c for c in diagram.cells if not any(c.phi)]
+        condensed = [c for c in diagram.cells if any(c.phi)]
+        assert len(zero) >= 4 and len(condensed) >= 4
+        assert len(reports) == len({c.J_min for c in zero}) + len(condensed)
+        assert len(set(reports)) == len(reports)
+        # the labels of a fresh report per cell
+        for cell in diagram.cells:
+            col_chain = replace(chain, ising=IsingProfile.rectangular(cell.J_max, cell.J_min, 2))
+            modeset = ModeSet(modes=(2,), lambda0=cell.lambda0, N=chain.N, E_c=chain.E_c)
+            report = real(col_chain, modeset, np.array(cell.phi), n_max=10)
+            assert cell.label.magnetic_order == classify_magnetic_order(report, col_chain)
 
     def test_profile_and_contrast_validation(self):
         uniform = ChainSpec(N=8, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.1))
