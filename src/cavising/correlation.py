@@ -48,7 +48,6 @@ itself as their length.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -78,7 +77,9 @@ def pair_contractions(sol: QuasiparticleSolution) -> np.ndarray:
     both indices by M, which wraps an index across the seam with the
     sector's twist ``tau`` (-1 even, +1 odd):
     ``G[(x + M) % N, (y + M) % N] = sigma(x) sigma(y) G[x, y]`` with
-    ``sigma(x) = tau`` when ``x + M >= N`` and 1 otherwise.
+    ``sigma(x) = tau`` when ``x + M >= N`` and 1 otherwise.  This holds for
+    zero modes too, because :func:`~cavising.fermion.solve_quasiparticles`
+    gives both real pairs of a complex mode one relative sign.
     """
     N, M = sol.N, sol.period
     first = -(sol.Psi[:, :M].T @ sol.Phi)
@@ -123,31 +124,6 @@ def _as_dict(R: np.ndarray) -> dict[tuple[int, int], float]:
     N, depth = R.shape
     keys = ((j, n) for j in range(N) for n in range(1, depth + 1))
     return dict(zip(keys, R.ravel().tolist()))
-
-
-class _MinorTable(Mapping):
-    """``{(j, n): rho}`` of a table ``R``, built as :func:`_as_dict` on first read."""
-
-    def __init__(self, R: np.ndarray):
-        self._R = R
-        self._dict = None
-
-    def _table(self) -> dict[tuple[int, int], float]:
-        if self._dict is None:
-            self._dict = _as_dict(self._R)
-        return self._dict
-
-    def __getitem__(self, key):
-        return self._table()[key]
-
-    def __iter__(self):
-        return iter(self._table())
-
-    def __len__(self) -> int:
-        return self._R.size
-
-    def __repr__(self) -> str:
-        return repr(self._table())
 
 
 def _window_minors(
@@ -264,10 +240,8 @@ class CorrelationReport:
 
     ``rho`` holds every window minor the decay-length walks read, keyed by
     ``(j, n)`` with ``j`` already reduced mod N: all sites, for ``n`` up to
-    the depth at which the last walk closed.  It is a read-only mapping
-    that becomes a dict, in row order, on first read (a report whose
-    ``rho`` nobody reads skips that).  Its values equal :func:`yy_table`'s
-    bit for bit; use that for an exhaustive grid.
+    the depth at which the last walk closed.  Its values equal
+    :func:`yy_table`'s bit for bit; use that for an exhaustive grid.
     ``xi_r``/``flags_r`` and ``xi_l``/``flags_l`` are the rightward and
     leftward decay lengths and their flags (``ok``, ``uncorrelated`` or
     ``saturated``), computed from ``rho`` and the walks' closing depths;
@@ -278,7 +252,7 @@ class CorrelationReport:
     sigma_z_rot: np.ndarray
     sigma_z_lab: np.ndarray
     sigma_x_lab: np.ndarray
-    rho: Mapping
+    rho: dict
     xi_r: np.ndarray
     xi_l: np.ndarray
     xi_rl: np.ndarray
@@ -348,7 +322,7 @@ def correlation_report(
         sigma_z_rot=sz_rot,
         sigma_z_lab=sz_lab,
         sigma_x_lab=sx_lab,
-        rho=_MinorTable(R),
+        rho=_as_dict(R),
         xi_r=xi_r,
         xi_l=xi_l,
         xi_rl=xi_rl,

@@ -404,7 +404,10 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     the first non-negligible entry of each ``Phi_k`` is made positive,
     flipping ``Psi_k`` along with it so the coupled relations survive.
     For (numerically) zero modes the relations no longer tie the pair
-    together, so ``Psi_k`` gets the same rule applied independently.  The
+    together, so ``Psi_k`` gets the same rule applied independently;
+    the two real pairs of one complex Bloch mode share the relative sign
+    of ``Psi`` to ``Phi`` that this rule gives the first of them, so that
+    their joint term in ``Psi^T Phi`` stays translation-invariant.  The
     relations and the orthogonality of the assembled ``Phi`` and ``Psi``
     are checked before anything is returned.
     """
@@ -422,8 +425,9 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
             Psi = np.ascontiguousarray(Vh[::-1])
             s = s[::-1].copy()
             blocks = [T]
+            lead = np.arange(N)
         else:
-            Phi, Psi, s, blocks = _bloch_modes(form, M)
+            Phi, Psi, s, blocks, lead = _bloch_modes(form, M)
     except np.linalg.LinAlgError as exc:
         raise SolverError("singular value decomposition failed") from exc
 
@@ -434,7 +438,9 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     zero_tol = 1e-12 * max(scale, 1.0)
     flip = _leading_signs(Phi)
     Phi *= flip[:, None]
-    Psi *= np.where(s > zero_tol, flip, _leading_signs(Psi))[:, None]
+    # relative sign of Psi_k to Phi_k, taken from the first row of its complex mode
+    relative = np.where(s > zero_tol, 1.0, flip * _leading_signs(Psi))
+    Psi *= (flip * relative[lead])[:, None]
 
     resid = max(
         np.max(np.abs(_times_T(Phi, form) - s[:, None] * Psi)),
@@ -473,16 +479,17 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
 def _bloch_modes(form: QuadraticForm, M: int):
     """Mode matrices and ascending singular values of ``T`` from its blocks of M sites.
 
-    Returns ``(Phi, Psi, s, real_blocks)``: the real rows of the Bloch
-    modes of every twist, sorted by their singular values, and the real
+    Returns ``(Phi, Psi, s, real_blocks, lead)``: the real rows of the
+    Bloch modes of every twist, sorted by their singular values; the real
     blocks ``T_z`` (``z = +-1``), whose determinants carry the sign of
-    ``det T``.
+    ``det T``; and for each row the row of its complex mode that comes
+    first (itself for a real twist).
     """
     N = form.N
     q = N // M
     Om, w = form.diagonal[:M], _bond_band(form)[:M]
     cells = np.arange(q)
-    phis, psis, values, real_blocks = [], [], [], []
+    phis, psis, values, modes, real_blocks = [], [], [], [], []
     for paired in (False, True):
         zs = np.array([z for z, p in _twists(form.sector, q) if p is paired])
         if zs.size == 0:
@@ -494,19 +501,27 @@ def _bloch_modes(form: QuadraticForm, M: int):
         u = (phase * np.swapaxes(U, 1, 2)[:, :, None, :]).reshape(-1, N)
         v = (phase * np.conj(Vh)[:, :, None, :]).reshape(-1, N)
         s = s.ravel()
+        # one label per complex mode, shared by its two real rows
+        mode = sum(x.size for x in modes) + np.arange(s.size)
         if paired:
             root2 = math.sqrt(2.0)
             u = np.concatenate([root2 * u.real, root2 * u.imag])
             v = np.concatenate([root2 * v.real, root2 * v.imag])
             s = np.concatenate([s, s])
+            mode = np.concatenate([mode, mode])
         else:
             real_blocks.extend(blocks)
         phis.append(u)
         psis.append(v)
         values.append(s)
+        modes.append(mode)
     s = np.concatenate(values)
     order = np.argsort(s, kind="stable")
-    return np.concatenate(phis)[order], np.concatenate(psis)[order], s[order], real_blocks
+    mode = np.concatenate(modes)[order]
+    first = np.full(mode.max() + 1, N)
+    np.minimum.at(first, mode, np.arange(N))
+    Phi, Psi = np.concatenate(phis)[order], np.concatenate(psis)[order]
+    return Phi, Psi, s[order], real_blocks, first[mode]
 
 
 def _block_matrix(Om: np.ndarray, w: np.ndarray, twist) -> np.ndarray:

@@ -186,6 +186,14 @@ def tiled_rings(draw):
     return np.tile(Om, q), np.tile(J, q), sector
 
 
+def window_cut_off(q, sector):
+    """A 36-site cell tiled q times whose strong window of 20 bonds sits
+    between bonds of 0.01: each cell holds an edge-mode pair near 1e-15."""
+    Om, J = np.full(36, 0.4), np.full(36, 0.01)
+    J[:20] = 3.0
+    return np.tile(Om, q), np.tile(J, q), sector
+
+
 def assert_matches_dense(Om, J, sector):
     """The energy-only spectrum against a dense SVD of ``T`` and the full Golub-Kahan fold."""
     form = build_quadratic_form(flat_field(Om), J, sector)
@@ -475,23 +483,30 @@ class TestHoppingNorm:
         assert fermion._hopping_norm(form) == pytest.approx(0.6, rel=1e-12)
 
 
-def fix_signs_row_by_row(Phi, Psi, s, zero_tol):
-    """The sign rule one row at a time: the oracle of the solver's batched rule."""
+def fix_signs_row_by_row(Phi, Psi, s, zero_tol, lead=None):
+    """The sign rule one row at a time: the oracle of the solver's batched rule.
 
-    def fix(row, partner=None):
+    A zero mode's ``Psi`` row takes its own leading sign, unless ``lead``
+    names an earlier row of the same complex mode: then it takes the sign
+    of ``Psi`` relative to ``Phi`` that the earlier row was given.
+    """
+
+    def sign(row):
         idx = np.flatnonzero(np.abs(row) > fermion._SIGN_EPS)
         i = idx[0] if idx.size else int(np.argmax(np.abs(row)))
-        if row[i] < 0:
-            row *= -1.0
-            if partner is not None:
-                partner *= -1.0
+        return -1.0 if row[i] < 0 else 1.0
 
+    relative = np.ones(s.size)
     for k in range(s.size):
-        if s[k] > zero_tol:
-            fix(Phi[k], Psi[k])
-        else:
-            fix(Phi[k])
-            fix(Psi[k])
+        flip = sign(Phi[k])
+        Phi[k] *= flip
+        if s[k] <= zero_tol:
+            if lead is None or lead[k] == k:
+                relative[k] = flip * sign(Psi[k])
+            else:
+                assert lead[k] < k and s[lead[k]] == s[k]
+                relative[k] = relative[lead[k]]
+        Psi[k] *= flip * relative[k]
 
 
 class TestModeMatrices:
@@ -542,13 +557,15 @@ class TestModeMatrices:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(tiled_rings())
     @example((np.full(48, 0.45), np.full(48, 0.45), Sector.ODD))  # an exact zero mode
+    @example(window_cut_off(2, Sector.EVEN))  # zero modes of a complex twist
+    @example(window_cut_off(4, Sector.ODD))
     def test_bloch_signs_match_the_row_by_row_rule(self, ring):
         Om, J, sector = ring
         form = build_quadratic_form(flat_field(Om), J, sector)
         M = period(form)
         assume(M < form.N)
-        Phi, Psi, s, _ = fermion._bloch_modes(form, M)
-        fix_signs_row_by_row(Phi, Psi, s, 1e-12 * max(fermion._hopping_norm(form), 1.0))
+        Phi, Psi, s, _, lead = fermion._bloch_modes(form, M)
+        fix_signs_row_by_row(Phi, Psi, s, 1e-12 * max(fermion._hopping_norm(form), 1.0), lead)
         sol = solve_quasiparticles(form)
         assert np.array_equal(sol.Phi, Phi) and np.array_equal(sol.Psi, Psi)
         assert not (np.signbit(sol.Phi) ^ np.signbit(Phi)).any()
@@ -568,6 +585,7 @@ class TestBlockFullSolve:
     @example((np.tile([0.3, 0.8, 0.5], 8), np.zeros(24), Sector.ODD))
     # the gap closes in the odd sector: an exact zero mode, parity 0
     @example((np.full(48, 0.45), np.full(48, 0.45), Sector.ODD))
+    @example(window_cut_off(2, Sector.EVEN))
     def test_matches_dense_linear_algebra(self, ring):
         Om, J, sector = ring
         form = build_quadratic_form(flat_field(Om), J, sector)
@@ -589,11 +607,29 @@ class TestBlockFullSolve:
             assert sol.vacuum_parity == int(np.linalg.slogdet(T)[0])
         else:
             assert sol.vacuum_parity == 0
+        # the twisted-periodic G is the solution's own, zero modes and all
+        G = pair_contractions(sol)
+        np.testing.assert_allclose(G, -(sol.Psi.T @ sol.Phi), rtol=0, atol=1e-12)
         # G is the polar factor of T, fixed by T alone while no mode is near zero
         U, s, Vh = np.linalg.svd(T)
         if s[-1] >= 1e-6 * s[0]:
             dense = -(Vh.T @ U.T)
-            np.testing.assert_allclose(pair_contractions(sol), dense, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(G, dense, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_zero_modes_of_complex_twists_keep_G_periodic(self, q, sector):
+        # each cell's edge-mode pair lies far below the zero bar, so Psi's
+        # signs are set apart from Phi's, yet a complex twist's two real
+        # rows must keep one relative sign for the copied G to be the true one
+        Om, J, sector = window_cut_off(q, sector)
+        form = build_quadratic_form(flat_field(Om), J, sector)
+        sol = solve_quasiparticles(form)
+        zero_tol = 1e-12 * max(fermion._hopping_norm(form), 1.0)
+        assert sol.period == 36 and np.count_nonzero(sol.energies / 2 <= zero_tol) == q
+        G = pair_contractions(sol)
+        np.testing.assert_allclose(G, -(sol.Psi.T @ sol.Phi), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(G @ G.T, np.eye(form.N), rtol=0, atol=1e-12)
 
 
 class TestParityBookkeeping:
