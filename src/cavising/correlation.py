@@ -274,7 +274,6 @@ def correlation_report(
     *,
     n_max: int | None = None,
     solution: QuasiparticleSolution | None = None,
-    both_sectors: bool = False,
 ) -> CorrelationReport:
     """Solve the chain at mode amplitudes ``phi`` and measure everything.
 
@@ -286,7 +285,7 @@ def correlation_report(
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     fld = effective_field(chain, modeset, phi)
     if solution is None:
-        solution = ground_sector(fld, chain.bonds(), both_sectors=both_sectors)
+        solution = ground_sector(fld, chain.bonds())
     if solution.sector is not Sector.EVEN:
         raise ValueError("string correlators are defined on the even-sector solution")
     N = chain.N

@@ -7,16 +7,17 @@ The rotated spin Hamiltonian
 maps under a Jordan-Wigner transformation to a quadratic fermion form
 with a symmetric hopping matrix ``A`` and an antisymmetric pairing
 matrix ``B``.  Only their sum enters, and it is sparse: ``T = A + B`` is
-lower bidiagonal plus one corner,
+a cycle twisted by the fermion-parity sector,
 
-    T[j, j] = Omega(j),   T[j+1, j] = -J(j),   T[0, N-1] = +-J(N-1),
+    T[j, j] = Omega(j),   T[j+1, j] = -J(j),   T[0, N-1] = -tau J(N-1),
 
-so :class:`QuadraticForm` stores just those three bands (``A`` is
-``(T + T^T) / 2`` and ``B`` is ``(T - T^T) / 2``).  The string operator
-turns the bond that closes the ring into a boundary term whose sign
-depends on the fermion-parity sector: the corner is ``+J(N-1)`` in the
-even sector (antiperiodic fermions) and ``-J(N-1)`` in the odd sector
-(periodic fermions).
+so :class:`QuadraticForm` stores just the diagonal, the bond band
+``w = -J`` and the sector (``A`` is ``(T + T^T) / 2`` and ``B`` is
+``(T - T^T) / 2``).  The string operator turns the bond that closes the
+ring into a boundary term whose sign depends on the sector: the twist
+``tau`` is ``-1`` in the even sector (antiperiodic fermions, corner
+``+J(N-1)``) and ``+1`` in the odd sector (periodic fermions, corner
+``-J(N-1)``).
 
 Normalization: the physical single-quasiparticle energies are *twice*
 the singular values of ``T``; at ``J = 0`` flipping one spin against its
@@ -39,8 +40,8 @@ determinant's two terms could cancel, as positive eigenvalues of the
 block's Golub-Kahan 2M-cycle, folded the same way and resolved by
 bisection for just those few.  The full solve
 (:func:`solve_quasiparticles`) splits ``T`` the same way and takes one
-stacked dense SVD of the blocks (of ``T`` itself when the ring has no
-period); the blocks' singular vectors, spread over the ring as Bloch
+stacked dense SVD of the blocks (a ring with no period is the one block
+``T`` itself); the blocks' singular vectors, spread over the ring as Bloch
 modes and split into real and imaginary parts, make the mode pairs
 ``(Phi_k, Psi_k)`` consistent by construction:
 
@@ -96,42 +97,40 @@ class Sector(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """The matrix ``T = A + B`` as its three nonzero bands.
+    """The matrix ``T = A + B`` as a cycle twisted by the sector.
 
-    ``diagonal[j] = T[j, j] = Omega(j)``, ``subdiagonal[j] = T[j+1, j]
-    = -J(j)`` and ``corner = T[0, N-1]``, the wrapping bond with the
-    sector sign (:func:`build_quadratic_form` leaves it zero for
-    ``N = 1``, which has no bonds).
+    ``diagonal[j] = T[j, j] = Omega(j)`` and ``bond_band[j] = w(j) =
+    T[j+1, j] = -J(j)``; the last bond wraps the ring into ``T[0, N-1]
+    = tau * w(N-1)``, so for ``N = 1`` it lands on the diagonal
+    (:func:`build_quadratic_form` leaves it zero there, as a one-site
+    ring has no bond).
     """
 
     diagonal: np.ndarray
-    subdiagonal: np.ndarray
-    corner: float
+    bond_band: np.ndarray
     sector: Sector
 
     def __post_init__(self) -> None:
-        diagonal = np.array(self.diagonal, dtype=float)
-        subdiagonal = np.array(self.subdiagonal, dtype=float)
-        diagonal.setflags(write=False)
-        subdiagonal.setflags(write=False)
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "subdiagonal", subdiagonal)
-        object.__setattr__(self, "corner", float(self.corner))
-        if diagonal.ndim != 1 or diagonal.size == 0 or subdiagonal.shape != (diagonal.size - 1,):
-            raise ValueError("need N >= 1 diagonal and N - 1 subdiagonal entries")
+        for name in ("diagonal", "bond_band"):
+            band = np.array(getattr(self, name), dtype=float)
+            band.setflags(write=False)
+            object.__setattr__(self, name, band)
+        if self.diagonal.ndim != 1 or self.diagonal.size == 0 or self.bond_band.shape != (self.N,):
+            raise ValueError("need N >= 1 diagonal entries and N bond entries")
 
     @property
     def N(self) -> int:
         return self.diagonal.shape[0]
 
     @property
+    def tau(self) -> float:
+        """The twist at the seam: ``-1.0`` in the even sector, ``+1.0`` in the odd one."""
+        return -1.0 if self.sector is Sector.EVEN else 1.0
+
+    @property
     def T(self) -> np.ndarray:
         """Dense ``N x N`` copy of ``T``."""
-        N = self.N
-        T = np.diag(self.diagonal)
-        T[np.arange(1, N), np.arange(N - 1)] = self.subdiagonal
-        T[0, N - 1] += self.corner
-        return T
+        return _block_matrix(self.diagonal, self.bond_band, self.tau)
 
 
 @dataclass(frozen=True)
@@ -175,31 +174,26 @@ class QuasiparticleSolution:
 def build_quadratic_form(field, bonds, sector: Sector = Sector.EVEN) -> QuadraticForm:
     """Assemble ``T`` for the given effective field and bond pattern.
 
-    ``bonds[j]`` couples sites ``j`` and ``(j+1) % N``.  The bond that
-    wraps the ring (``j = N-1``) lands in the corner ``T[0, N-1]`` with
-    sign ``+`` in the even sector and ``-`` in the odd one.  For
-    ``N = 2`` both bonds act on the same pair of sites, one below and
-    one above the diagonal.
+    ``bonds[j]`` couples sites ``j`` and ``(j+1) % N`` and enters as
+    ``w(j) = -bonds[j]``.  The bond that wraps the ring (``j = N-1``)
+    lands in the corner ``T[0, N-1]`` with sign ``+`` in the even sector
+    and ``-`` in the odd one.  For ``N = 2`` both bonds act on the same
+    pair of sites, one below and one above the diagonal; ``N = 1`` has
+    no bond.
     """
     N = field.N
     bonds = np.asarray(bonds, dtype=float)
     if bonds.shape != (N,):
         raise ValueError(f"expected {N} bond strengths, got shape {bonds.shape}")
-    corner = 0.0
-    if N >= 2:
-        corner = bonds[-1] if sector is Sector.EVEN else -bonds[-1]
-    return QuadraticForm(
-        diagonal=field.Omega, subdiagonal=-bonds[:-1], corner=corner, sector=sector
-    )
+    bond_band = -bonds if N >= 2 else np.zeros(1)
+    return QuadraticForm(diagonal=field.Omega, bond_band=bond_band, sector=sector)
 
 
 def quasiparticle_energies(form: QuadraticForm) -> np.ndarray:
     """Physical spectrum ``Lambda_k`` (ascending) without the mode matrices.
 
-    This is the fast path for energy-only work.  Write the bonds as the
-    band ``w``: the subdiagonal followed by ``w(N-1) = tau * corner``,
-    with ``tau = -1`` in the even sector and ``+1`` in the odd one, so
-    that ``T`` is a cycle twisted by ``tau``.  When ``Omega`` and ``w``
+    This is the fast path for energy-only work.  ``T`` is the cycle of
+    the bond band ``w`` twisted by ``tau``.  When ``Omega`` and ``w``
     repeat every M sites (the smallest such M of at least
     ``_MIN_BLOCK`` sites that divides N, else M = N), translation by M
     sites commutes with ``T`` and splits it unitarily into ``q = N / M``
@@ -211,8 +205,8 @@ def quasiparticle_energies(form: QuadraticForm) -> np.ndarray:
 
     Within a block the bulk comes from the eigenvalues of ``T_z^H T_z``:
     an M-cycle with diagonal ``Omega(j)^2 + |off(j)|^2`` and edges
-    ``off(j) Omega(j+1)``, where ``off`` is the subdiagonal followed by
-    the corner, folded into a Hermitian band of width 2 in O(M^2).
+    ``off(j) Omega(j+1)``, where ``off`` is ``w[:M-1]`` followed by the
+    corner, folded into a Hermitian band of width 2 in O(M^2).
     Eigenvalues below ``_SQUARED_EPS`` of the block's largest have lost
     their relative accuracy to the squaring.  A single one is recomputed
     as ``|det T_z|`` over the product of the other singular values, in
@@ -223,11 +217,10 @@ def quasiparticle_energies(form: QuadraticForm) -> np.ndarray:
     fold.
     """
     N = form.N
-    w = _bond_band(form)
+    Om, w = form.diagonal, form.bond_band
     # an exact power-of-two scale keeps the squares clear of underflow and overflow
-    scale = 2.0 ** np.frexp(max(np.max(np.abs(form.diagonal)), np.max(np.abs(w))))[1]
-    Om = form.diagonal / scale
-    w /= scale
+    scale = 2.0 ** np.frexp(max(np.max(np.abs(Om)), np.max(np.abs(w))))[1]
+    Om, w = Om / scale, w / scale
     M = _translation_period(Om, w)
     parts = []
     for twist, paired in _twists(form.sector, N // M):
@@ -246,16 +239,6 @@ def _twists(sector: Sector, q: int):
     for a in range(1 if sector is Sector.EVEN else 0, q + 1, 2):
         paired = 0 < a < q
         yield (np.exp(1j * np.pi * a / q) if paired else (1.0 if a == 0 else -1.0)), paired
-
-
-def _bond_band(form: QuadraticForm) -> np.ndarray:
-    """The bonds ``w``: the subdiagonal, then the corner with the sector's twist taken off.
-
-    ``w(N-1) = tau * corner`` with ``tau = -1`` in the even sector and
-    ``+1`` in the odd one, so ``w`` repeats with the ring's bonds.
-    """
-    tau = -1.0 if form.sector is Sector.EVEN else 1.0
-    return np.append(form.subdiagonal, tau * form.corner)
 
 
 def _translation_period(diagonal: np.ndarray, bonds: np.ndarray) -> int:
@@ -368,13 +351,23 @@ def _cycle_eigvals(
 def _hopping_norm(form: QuadraticForm) -> float:
     """Spectral norm of the hopping matrix ``A = (T + T^T) / 2``.
 
-    ``A`` is a symmetric cyclic tridiagonal, so its eigenvalues come
-    from the same fold as the spectrum, in O(N^2).
+    ``A`` splits into the translation blocks of ``T``: the Hermitian
+    M-cycles ``(T_z + T_z^H) / 2``, whose eigenvalues come from the same
+    fold as the spectrum, in O(M^2) each.  A block and its conjugate
+    share them, so one twist per conjugate pair is taken.
     """
-    if form.N == 1:
-        return abs(form.diagonal[0] + form.corner)
-    edge = 0.5 * np.append(form.subdiagonal, form.corner)
-    return float(np.max(np.abs(_cycle_eigvals(edge, form.diagonal))))
+    Om, w = form.diagonal, form.bond_band
+    M = _translation_period(Om, w)
+    Om, w = Om[:M], w[:M]
+    norm = 0.0
+    for twist, _ in _twists(form.sector, form.N // M):
+        corner = np.conj(twist) * w[-1]
+        if M == 1:
+            block = abs(Om[0] + corner)
+        else:
+            block = np.max(np.abs(_cycle_eigvals(0.5 * np.append(w[:-1], corner), Om)))
+        norm = max(norm, float(block))
+    return norm
 
 
 def _leading_signs(rows: np.ndarray) -> np.ndarray:
@@ -397,8 +390,8 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     ``V_z``).  A real twist ``z = +-1`` gives real modes as they stand; a
     complex one gives two real pairs of the same singular value,
     ``sqrt(2) Re`` and ``sqrt(2) Im`` of ``(u, v)``, which span the modes
-    of ``z`` and its conjugate.  A ring with no period is one dense SVD of
-    ``T``.
+    of ``z`` and its conjugate.  A ring with no period is the one block
+    ``q = 1``, ``T`` itself, with the twist ``z = tau``.
 
     Modes are sorted ascending and their signs fixed deterministically:
     the first non-negligible entry of each ``Phi_k`` is made positive,
@@ -411,23 +404,13 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     relations and the orthogonality of the assembled ``Phi`` and ``Psi``
     are checked before anything is returned.
     """
-    bands = (form.diagonal, form.subdiagonal, form.corner)
     # LAPACK may turn an inf into NaN output without reporting failure
-    if not all(np.isfinite(b).all() for b in bands):
+    if not (np.isfinite(form.diagonal).all() and np.isfinite(form.bond_band).all()):
         raise SolverError("quadratic form has non-finite entries")
     N = form.N
-    M = _translation_period(form.diagonal, _bond_band(form))
+    M = _translation_period(form.diagonal, form.bond_band)
     try:
-        if M == N:
-            T = form.T
-            U, s, Vh = np.linalg.svd(T)
-            Phi = np.ascontiguousarray(U.T[::-1])
-            Psi = np.ascontiguousarray(Vh[::-1])
-            s = s[::-1].copy()
-            blocks = [T]
-            lead = np.arange(N)
-        else:
-            Phi, Psi, s, blocks, lead = _bloch_modes(form, M)
+        Phi, Psi, s, blocks, lead = _bloch_modes(form, M)
     except np.linalg.LinAlgError as exc:
         raise SolverError("singular value decomposition failed") from exc
 
@@ -483,11 +466,12 @@ def _bloch_modes(form: QuadraticForm, M: int):
     Bloch modes of every twist, sorted by their singular values; the real
     blocks ``T_z`` (``z = +-1``), whose determinants carry the sign of
     ``det T``; and for each row the row of its complex mode that comes
-    first (itself for a real twist).
+    first (itself for a real twist).  ``M = N`` is the one block
+    ``T_tau = T``: its rows are those of the dense SVD of ``T`` reversed.
     """
     N = form.N
     q = N // M
-    Om, w = form.diagonal[:M], _bond_band(form)[:M]
+    Om, w = form.diagonal[:M], form.bond_band[:M]
     cells = np.arange(q)
     phis, psis, values, modes, real_blocks = [], [], [], [], []
     for paired in (False, True):
@@ -496,6 +480,10 @@ def _bloch_modes(form: QuadraticForm, M: int):
             continue
         blocks = np.stack([_block_matrix(Om, w, z) for z in zs])
         U, s, Vh = np.linalg.svd(blocks)
+        # LAPACK's values come descending: reversed, the stable sort below
+        # gives a one-block ring the rows of the dense SVD of T in ascending
+        # order, tied values included
+        U, s, Vh = U[:, :, ::-1], s[:, ::-1], Vh[:, ::-1]
         # row k of a Bloch mode: x[k, c M + i] = z^c X[i, k] / sqrt(q)
         phase = (zs[:, None] ** cells / math.sqrt(q))[:, None, :, None]
         u = (phase * np.swapaxes(U, 1, 2)[:, :, None, :]).reshape(-1, N)
@@ -534,16 +522,18 @@ def _block_matrix(Om: np.ndarray, w: np.ndarray, twist) -> np.ndarray:
 
 
 def _times_T(X: np.ndarray, form: QuadraticForm, transpose: bool = False) -> np.ndarray:
-    """``X @ T`` (or ``X @ T^T``) from the three bands of ``T``, in O(N) per row."""
+    """``X @ T`` (or ``X @ T^T``) from the bands of ``T``, in O(N) per row."""
+    w = form.bond_band
+    corner = form.tau * w[-1]
     out = X * form.diagonal
     if transpose:
         # (X T^T)[k, r] = Om(r) X[k, r] + T[r, r - 1] X[k, r - 1], and the corner at r = 0
-        out[:, 1:] += X[:, :-1] * form.subdiagonal
-        out[:, 0] += X[:, -1] * form.corner
+        out[:, 1:] += X[:, :-1] * w[:-1]
+        out[:, 0] += X[:, -1] * corner
     else:
         # (X T)[k, j] = Om(j) X[k, j] + T[j + 1, j] X[k, j + 1], and the corner at j = N - 1
-        out[:, :-1] += X[:, 1:] * form.subdiagonal
-        out[:, -1] += X[:, 0] * form.corner
+        out[:, :-1] += X[:, 1:] * w[:-1]
+        out[:, -1] += X[:, 0] * corner
     return out
 
 

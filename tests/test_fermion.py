@@ -26,8 +26,10 @@ from cavising.fermion import (
     sector_energy,
     solve_quasiparticles,
 )
+from cavising.meanfield import SearchSpec
 from cavising.model import ChainSpec, EffectiveField, IsingProfile, ModeSet, effective_field
 from cavising.oracle import DenseSpinProblem, exact_ground
+from cavising.phases import phase_diagram
 
 
 def flat_field(Omega):
@@ -148,10 +150,10 @@ def golub_kahan_energies(form):
     """
     N = form.N
     if N == 1:
-        return np.array([2.0 * abs(form.diagonal[0] + form.corner)])
+        return np.array([2.0 * abs(form.diagonal[0] + form.tau * form.bond_band[0])])
     w = np.empty(2 * N)
     w[0::2] = form.diagonal
-    w[1::2] = np.append(form.subdiagonal, form.corner)
+    w[1::2] = np.append(form.bond_band[:-1], form.tau * form.bond_band[-1])
     return np.sort(2.0 * np.abs(fermion._cycle_eigvals(w, select_range=(N, 2 * N - 1))))
 
 
@@ -207,7 +209,7 @@ def assert_matches_dense(Om, J, sector):
 
 
 def period(form):
-    return fermion._translation_period(form.diagonal, fermion._bond_band(form))
+    return fermion._translation_period(form.diagonal, form.bond_band)
 
 
 class TestBandedSpectrum:
@@ -462,14 +464,57 @@ class TestHoppingNorm:
         T = np.asarray(T, dtype=float)
         return np.linalg.norm(0.5 * (T + T.T), 2)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(rings())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.one_of(rings(), tiled_rings()))
+    # tiled rings split into blocks of complex twists, and of a real one
+    @example(window_cut_off(2, Sector.EVEN))
+    @example(window_cut_off(3, Sector.ODD))
+    @example(window_cut_off(4, Sector.EVEN))
     def test_matches_dense_norm(self, ring):
         Om, J, sector = ring
         form = build_quadratic_form(flat_field(Om), J, sector)
         np.testing.assert_allclose(
             fermion._hopping_norm(form), self.dense_norm(form.T), rtol=1e-12, atol=0
         )
+
+    @staticmethod
+    def cycle_norm(form):
+        """The scale as one N-cycle, every eigenvalue of ``A``'s band, N >= 2: the reference."""
+        w = form.bond_band
+        edge = 0.5 * np.append(w[:-1], form.tau * w[-1])
+        return float(np.max(np.abs(fermion._cycle_eigvals(edge, form.diagonal))))
+
+    @pytest.mark.parametrize("seed", range(1, 8))
+    def test_phase_column_zero_decisions_match_the_cycle_scale(self, monkeypatch, seed):
+        # every full solve of a pass over the benchmark's phase-column inputs
+        # (drawn as its workload draws them): each mode is called zero, or
+        # not, by the block scale exactly as by the N-cycle scale
+        rng = np.random.default_rng(seed)
+        weak = round(0.20 + rng.uniform(-0.03, 0.03), 4)
+        strong = round(0.50 + rng.uniform(-0.03, 0.03), 4)
+        start = 0.60 + rng.uniform(-0.01, 0.01)
+        grid = np.linspace(start, start + 0.48, 4)
+        chain = ChainSpec(
+            N=200, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(weak + 0.3, weak, 2)
+        )
+        solves = []
+        real = fermion.solve_quasiparticles
+
+        def recorded(form):
+            sol = real(form)
+            solves.append((form, sol.energies / 2))
+            return sol
+
+        monkeypatch.setattr(fermion, "solve_quasiparticles", recorded)
+        phase_diagram(
+            chain, (2,), grid, [weak, strong], delta_J=0.3,
+            search=SearchSpec(coarse_points=61), n_max=40, order=True, magnetic=True,
+        )
+        assert solves
+        for form, s in solves:
+            blocks = s <= 1e-12 * max(fermion._hopping_norm(form), 1.0)
+            cycle = s <= 1e-12 * max(self.cycle_norm(form), 1.0)
+            assert np.array_equal(blocks, cycle)
 
     @pytest.mark.parametrize("sector", list(Sector))
     def test_small_rings(self, sector):
@@ -479,7 +524,8 @@ class TestHoppingNorm:
                 fermion._hopping_norm(form), self.dense_norm(form.T), rtol=1e-12, atol=0
             )
         # a one-site form with its own corner folds the corner onto the diagonal
-        form = QuadraticForm(diagonal=[0.3], subdiagonal=[], corner=-0.9, sector=sector)
+        w = 0.9 if sector is Sector.EVEN else -0.9  # the corner tau * w is -0.9
+        form = QuadraticForm(diagonal=[0.3], bond_band=[w], sector=sector)
         assert fermion._hopping_norm(form) == pytest.approx(0.6, rel=1e-12)
 
 
@@ -536,9 +582,17 @@ class TestModeMatrices:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(rings())
     @example((np.full(6, 0.4), np.full(6, 0.4), Sector.ODD))  # an exact zero mode
+    # every mode zero, every singular value tied
+    @example((np.zeros(1), np.zeros(1), Sector.EVEN))
+    @example((np.zeros(1), np.zeros(1), Sector.ODD))
+    @example((np.zeros(2), np.zeros(2), Sector.EVEN))
+    @example((np.zeros(2), np.zeros(2), Sector.ODD))
+    @example((np.zeros(3), np.zeros(3), Sector.EVEN))
+    @example((np.zeros(3), np.zeros(3), Sector.ODD))
     def test_signs_match_the_row_by_row_rule(self, ring):
-        # one-block rings: a dense SVD's paired modes are an arbitrary rotation
-        # of the Bloch modes a tiled ring is solved with
+        # one-block rings, solved as the block q = 1, against a dense SVD of T;
+        # its paired modes would be an arbitrary rotation of the Bloch modes a
+        # tiled ring is solved with
         Om, J, sector = ring
         form = build_quadratic_form(flat_field(Om), J, sector)
         assume(period(form) == form.N)
@@ -550,7 +604,7 @@ class TestModeMatrices:
         assert np.array_equal(sol.Phi, Phi) and np.array_equal(sol.Psi, Psi)
         assert not (np.signbit(sol.Phi) ^ np.signbit(Phi)).any()
         assert not (np.signbit(sol.Psi) ^ np.signbit(Psi)).any()
-        # the dense path as it was: energies and parity too, bit for bit
+        # the dense SVD: energies and parity too, bit for bit
         assert np.array_equal(sol.energies, 2.0 * s) and sol.period == form.N
         assert sol.vacuum_parity == (int(np.linalg.slogdet(form.T)[0]) if s[0] > zero_tol else 0)
 
