@@ -21,13 +21,15 @@ leading principal minor of the window of ``H`` that starts at site ``j``.
 The leftward correlator ``rho(j - n, n)`` is the same kind of minor, of the
 window that starts at ``j - n``.  So one table ``R[s, n - 1]`` of leading
 minors, one row per window start ``s``, serves every correlator.  It comes
-from one pivot-free elimination run on all windows at once: step ``n``
-eliminates column ``n`` of every window, and the running product of the
-pivots is the ``n``-th leading minor of each.  On a ring whose field and
-bonds repeat every M sites, :func:`pair_contractions` builds ``G``
-exactly twisted-periodic, so the windows of one period are eliminated
-and the others' rows copied: a window M sites on is the same one up to
-exact sign flips that cancel against the seam sign.  ``G`` is orthogonal, so
+from one pivot-free LU of all windows at once, by panels of a few columns:
+within a panel, one rank-1 step per column of every window; each later
+panel first takes one batched matrix product per earlier panel, window by
+window.  The running product of the pivots is the ``n``-th leading minor
+of each window.  On a ring whose field and bonds repeat every M sites,
+:func:`pair_contractions` builds ``G`` exactly twisted-periodic, so the
+windows of one period are eliminated and the others' rows copied: a
+window M sites on is the same one up to exact sign flips that cancel
+against the seam sign.  ``G`` is orthogonal, so
 its entries are at most 1 in size; a pivot far below that has lost its
 digits to cancellation (a minor that vanishes exactly comes out as
 rounding noise), and its window takes the rest of its row from
@@ -38,17 +40,20 @@ walks outward before it falls to ``|rho(j, 1)|/e``, with the crossing
 interpolated on a log scale.  All 2N walks advance in lockstep with the
 elimination, which records the depth at which each one closes and stops
 at the first depth by which all of them have; short-ranged rings pay a
-step or two.  The report then reads every length off the table at those
-depths.  Sites whose nearest-neighbour correlator is already negligible
-are flagged ``uncorrelated`` (length 0); sites where no crossing occurs
-within the probed range are flagged ``saturated`` and get the range
-itself as their length.
+step or two, and a panel is eliminated only once a walk reaches it.  The
+report then reads every length off the table at those depths.  Sites
+whose nearest-neighbour correlator is already negligible are flagged
+``uncorrelated`` (length 0); sites where no crossing occurs within the
+probed range are flagged ``saturated`` and get the range itself as their
+length.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,7 +71,7 @@ __all__ = [
 _NEGLIGIBLE = 1e-12
 _LOG_FLOOR = 1e-300
 _PIVOT_BAR = 1e-5
-_FIRST_WIDTH = 8
+_PANEL = 8
 
 
 def pair_contractions(sol: QuasiparticleSolution) -> np.ndarray:
@@ -117,13 +122,21 @@ def yy_table(G: np.ndarray, n_max: int) -> dict[tuple[int, int], float]:
 
     The full batched elimination, without the early stop of the report.
     """
-    return _as_dict(_window_minors(G, n_max)[0])
+    R = _window_minors(G, n_max)[0]
+    return _as_dict(R, R.shape[1])
 
 
-def _as_dict(R: np.ndarray) -> dict[tuple[int, int], float]:
-    N, depth = R.shape
-    keys = ((j, n) for j in range(N) for n in range(1, depth + 1))
+def _as_dict(R: np.ndarray, n_max: int) -> dict[tuple[int, int], float]:
+    """``{(j, n): R[j, n - 1]}`` in row order, for a table of at most ``n_max`` columns."""
+    depth = R.shape[1]
+    keys = itertools.chain.from_iterable(row[:depth] for row in _key_rows(R.shape[0], n_max))
     return dict(zip(keys, R.ravel().tolist()))
+
+
+@lru_cache(maxsize=4)
+def _key_rows(N: int, n_max: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row ``j`` holds the keys ``(j, 1) .. (j, n_max)``, shared by every table of that size."""
+    return tuple(tuple((j, n) for n in range(1, n_max + 1)) for j in range(N))
 
 
 def _window_minors(
@@ -131,11 +144,11 @@ def _window_minors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Table ``R[s, n - 1] = rho(s, n)`` of every window minor up to ``n_max``.
 
-    One pivot-free elimination runs on the windows of one period of ``G``
-    at once (:func:`_twisted_period`, all ``N`` when it has none), one step
-    per ``n``; the running product of the pivots is each window's leading
-    minor, and the other periods' rows are copies.  A window whose pivot
-    falls below ``_PIVOT_BAR`` in size takes the rest of its row from
+    :func:`_pivots` eliminates the windows of one period of ``G``
+    (:func:`_twisted_period`, all ``N`` when it has none) by panels of
+    ``_PANEL`` columns; the running product of the pivots is each window's
+    leading minor, and the other periods' rows are copies.  A window whose
+    pivot falls below ``_PIVOT_BAR`` in size takes the rest of its row from
     :func:`yy_correlation`.
 
     Alongside the table come the closing depths of the ``2N`` decay-length
@@ -144,42 +157,25 @@ def _window_minors(
     ``|rho(1)|/e`` or below, and at ``k = 0`` if ``|rho(1)|`` is already
     negligible; a walk open at every depth closes at ``min(n_max, N - 1)``.
     With ``stop_early`` the table ends at the first depth by which every
-    walk has closed.  Widening the block as the walks go deeper leaves each
-    entry's arithmetic as in the full run, so tables of any depth agree bit
-    for bit where they overlap.
+    walk has closed, and no panel past it is eliminated.  The panels and
+    their products are fixed by ``n_max`` alone, so tables of one ``n_max``
+    agree bit for bit with and without the early stop where they overlap.
     """
     N = G.shape[0]
     M = _twisted_period(G)
     m = max(min(n_max, N - 1), 0)
-    # H[a, b] = G[a, b + 1] padded periodically: window s is the diagonal
-    # block P[s:s + m, s:s + m]; columns[c, i, s] is its entry (i, c)
-    P = np.pad(np.roll(G, -1, axis=1), ((0, m), (0, m)), mode="wrap")
-    rs, cs = P.strides
-    columns = np.lib.stride_tricks.as_strided(P, shape=(m, m, M), strides=(cs, rs, rs + cs))
-
     R = np.empty((N, m))
-    sites = np.arange(M)
+    periods = R.reshape(N // M, M, m)  # R[c M + s] = periods[c, s]
     walks = np.arange(2 * N)
     depth = np.zeros(2 * N, dtype=int)
     minor = np.ones(M)
-    broken = np.zeros(M, dtype=bool)
-    A = np.empty((m, m, M))  # eliminated in place; columns are copied in as needed
-    width = 0
-    for k in range(m):
-        if k == width:
-            # early walks read few columns: start narrow, double, and catch
-            # the new columns up with the steps already taken
-            done, width = width, min(m, max(2 * width, _FIRST_WIDTH)) if stop_early else m
-            A[done:width] = columns[done:width]
-            for t in range(done):
-                _eliminate(A[:width], t, broken, done)
-        pivot = A[k, k]
-        broken |= np.abs(pivot) <= _PIVOT_BAR
+    for k, (pivot, broken) in enumerate(_pivots(G, m, M)):
         minor *= np.where(broken, 1.0, pivot)
-        row = np.where(sites + k + 1 >= N, -minor, minor)  # the seam sign
+        row = minor.copy()
+        row[N - k - 1 :] *= -1.0  # the seam sign of the windows that wrap past site N - 1
         for s in np.flatnonzero(broken):
             row[s] = yy_correlation(G, s, k + 1)
-        R[:, k] = np.tile(row, N // M)
+        periods[:, :, k] = row
         # the crossing rule: a walk stays open while |rho| exceeds its target
         r = _walk_reads(R, walks, k)
         if k == 0:
@@ -190,8 +186,74 @@ def _window_minors(
         depth += open_
         if stop_early and not open_.any():
             return R[:, : k + 1], depth
-        _eliminate(A[:width], k, broken, k + 1)
     return R, depth
+
+
+def _pivots(G: np.ndarray, m: int, M: int):
+    """Pivots of the pivot-free LU of the ``m x m`` windows of ``H`` starting at ``0 .. M - 1``.
+
+    Yields ``(pivot, broken)`` for ``k = 0 .. m - 1``: the ``k``-th pivot of
+    every window, and which windows have had a pivot at or below
+    ``_PIVOT_BAR`` in size by then.  A broken window gets zero multipliers
+    from that step on, so its entries stop changing.  Both arrays are the
+    generator's own, valid until it is resumed.
+
+    The windows are eliminated by panels of ``_PANEL`` columns, a panel
+    only when the caller asks for its first pivot.  A panel first takes the
+    updates of the panels before it: each one's rank-1 steps on its own
+    rows, then one batched product of each window's multipliers below it
+    with those rows.  The panel is then factored by rank-1 steps, one per
+    pivot, and kept, its multipliers below it laid out window by window for
+    the products of later panels.  Every window's arithmetic depends on
+    ``m`` and its own entries only, so any set of windows gives each of them
+    the same pivots bit for bit; the factors kept take about half the
+    memory of all windows.
+    """
+    # H[a, b] = G[a, b + 1] padded periodically: window s is the diagonal
+    # block P[s:s + m, s:s + m]; columns[c, i, s] is its entry (i, c)
+    P = np.pad(np.roll(G, -1, axis=1), ((0, m), (0, m)), mode="wrap")
+    rs, cs = P.strides
+    columns = np.lib.stride_tricks.as_strided(P, shape=(m, m, M), strides=(cs, rs, rs + cs))
+    broken = np.zeros(M, dtype=bool)
+    work = np.empty(_PANEL * m * M)  # each temporary is at most one panel
+    factored = []  # (q0, q1, diagonal block in [c, i, s], multipliers below in [s, i, c])
+    for p0 in range(0, m, _PANEL):
+        p1 = min(p0 + _PANEL, m)
+        X = np.array(columns[p0:p1], order="C")  # X[c - p0, i, s]
+        for q0, q1, D, L in factored:
+            for t in range(q0, q1 - 1):
+                step = _view(work, p1 - p0, q1 - t - 1, M)
+                np.multiply(D[t - q0, t + 1 - q0 :], X[:, t, None], out=step)
+                X[:, t + 1 : q1] -= step
+            # Z[i, s, c]: each window's product is a slice BLAS can write,
+            # and the subtraction reads Z one row i, all windows, at a time
+            Z = _view(work, m - q1, M, p1 - p0)
+            U = np.ascontiguousarray(X[:, q0:q1].transpose(2, 1, 0))
+            np.matmul(L, U, out=Z.transpose(1, 0, 2))
+            below = X[:, q1:].transpose(1, 0, 2)
+            np.subtract(below, Z.transpose(0, 2, 1), out=below)
+        for k in range(p0, p1):
+            c = k - p0
+            pivot = X[c, k]
+            broken |= np.abs(pivot) <= _PIVOT_BAR
+            yield pivot, broken
+            mult = X[c, k + 1 :]
+            if broken.any():
+                mult[:] = np.where(broken, 0.0, mult / np.where(broken, 1.0, pivot))
+            else:
+                mult /= pivot
+            step = _view(work, p1 - k - 1, m - k - 1, M)
+            np.multiply(mult, X[c + 1 :, k, None], out=step)
+            X[c + 1 :, k + 1 :] -= step
+        if p1 < m:
+            factored.append(
+                (p0, p1, X[:, p0:p1].copy(), np.ascontiguousarray(X[:, p1:].transpose(2, 1, 0)))
+            )
+
+
+def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """A C-contiguous array of ``shape`` on the front of a flat ``buffer``."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
 def _twisted_period(G: np.ndarray) -> int:
@@ -221,17 +283,6 @@ def _walk_reads(R: np.ndarray, walks: np.ndarray, k) -> np.ndarray:
     """
     N = R.shape[0]
     return np.abs(R[(walks - (walks >= N) * (k + 1)) % N, k])
-
-
-def _eliminate(A: np.ndarray, t: int, broken: np.ndarray, first: int) -> None:
-    """Step ``t`` of the elimination on the columns from ``first`` on, in place.
-
-    One column at a time keeps the temporaries at one column of every
-    window.  Broken windows keep their entries.
-    """
-    mult = np.where(broken, 0.0, A[t, t + 1 :] / np.where(broken, 1.0, A[t, t]))
-    for c in range(first, len(A)):
-        A[c, t + 1 :] -= mult * A[c, t]
 
 
 @dataclass(frozen=True)
@@ -279,10 +330,13 @@ def correlation_report(
 
     ``n_max`` defaults to ``N // 2``; pass a smaller value, at least 1, to
     cap the window sizes when only coarse length information is needed.  A
-    pre-computed ``solution`` short-circuits the fermion solve.
+    pre-computed ``solution`` of the same field short-circuits the fermion
+    solve; one of another ring size is refused before any work.
     """
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if solution is not None and solution.N != chain.N:
+        raise ValueError(f"solution has N = {solution.N} sites but the chain has N = {chain.N}")
     fld = effective_field(chain, modeset, phi)
     if solution is None:
         solution = ground_sector(fld, chain.bonds())
@@ -321,7 +375,7 @@ def correlation_report(
         sigma_z_rot=sz_rot,
         sigma_z_lab=sz_lab,
         sigma_x_lab=sx_lab,
-        rho=_as_dict(R),
+        rho=_as_dict(R, n_max),
         xi_r=xi_r,
         xi_l=xi_l,
         xi_rl=xi_rl,

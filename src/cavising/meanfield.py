@@ -69,7 +69,8 @@ import numpy as np
 
 from .correlation import CorrelationReport, correlation_report
 from .fermion import (
-    Sector, SolverError, build_quadratic_form, ground_sector, quasiparticle_energies,
+    QuasiparticleSolution, Sector, SolverError, build_quadratic_form, ground_sector,
+    quasiparticle_energies,
 )
 from .model import ChainSpec, ModeSet, _frozen, effective_field
 
@@ -348,10 +349,17 @@ class _UnitCurve:
         self.omega, self.D = float(self._unit.frequencies[0]), float(self._unit.D[0])
         self.step = lam_lo * search.phi_max / (search.coarse_points - 1)
         self._memo: dict[float, float] = {}
+        # the phi = 0 ground state the spinodal solves, once it has
+        self.origin: QuasiparticleSolution | None = None
 
     @cached_property
     def _spinodal(self):
-        return _onset_or_error(self.chain, (self.mode,))
+        """``(spinodal, None)``, or ``(None, the error)`` when its solve fails."""
+        try:
+            lam_s, self.origin = _onset_and_origin(self.chain, (self.mode,))
+        except SolverError as exc:
+            return None, exc
+        return lam_s, None
 
     @property
     def spinodal(self) -> float | None:
@@ -541,7 +549,8 @@ def _minimize_multi(chain: ChainSpec, modeset: ModeSet, search: SearchSpec):
             # the gradient vanishes at phi = 0, so an unstable origin would
             # hold the polish there; start one grid step down the direction
             # that softens first, which near a joint onset mixes the modes
-            H = 2.0 * np.diag(modeset.frequencies) + _origin_hessian(chain, modeset)
+            Q = _origin_hessian(chain, modeset, _origin_state(chain, modeset))
+            H = 2.0 * np.diag(modeset.frequencies) + Q
             w, v = np.linalg.eigh(H)
             if w[0] < 0.0:
                 x = step * v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
@@ -599,10 +608,17 @@ def minimize_phi(
     return _state(modeset, *_minimize_multi(chain, modeset, search))
 
 
-def _origin_hessian(chain: ChainSpec, modeset: ModeSet) -> np.ndarray:
-    """``Q = H - 2 diag(omega)`` of :func:`normal_phase_onset`, at the modes' ``lambda0``."""
+def _origin_state(chain: ChainSpec, modeset: ModeSet) -> QuasiparticleSolution:
+    """The ground state at ``phi = 0``, where the field is ``E_z / 2`` on every site."""
     fld = effective_field(chain, modeset, np.zeros(modeset.n_modes))
-    sz = _rotated_polarization(ground_sector(fld, chain.bonds()))
+    return ground_sector(fld, chain.bonds())
+
+
+def _origin_hessian(
+    chain: ChainSpec, modeset: ModeSet, origin: QuasiparticleSolution
+) -> np.ndarray:
+    """``Q = H - 2 diag(omega)`` of :func:`normal_phase_onset`, at the modes' ``lambda0``."""
+    sz = _rotated_polarization(origin)
     response = (modeset.couplings * sz) @ modeset.couplings.T * (8.0 / (chain.N * chain.E_z))
     return 8.0 * np.diag(modeset.D) - response
 
@@ -628,25 +644,23 @@ def normal_phase_onset(chain: ChainSpec, modes) -> float | None:
     first-order transition condenses below it, and the value is then the
     spinodal of the normal phase.
     """
+    return _onset_and_origin(chain, modes)[0]
+
+
+def _onset_and_origin(chain: ChainSpec, modes):
+    """:func:`normal_phase_onset` and the ``phi = 0`` ground state it solved."""
     unit = ModeSet(modes=tuple(modes), lambda0=1.0, N=chain.N, E_c=chain.E_c)
-    Q = _origin_hessian(chain, unit)
+    origin = _origin_state(chain, unit)
+    Q = _origin_hessian(chain, unit, origin)
     scale = 1.0 / np.sqrt(2.0 * unit.frequencies)
     mu = np.linalg.eigvalsh(scale[:, None] * Q * scale[None, :])[0]
     if mu >= 0.0:
-        return None
-    return math.sqrt(-1.0 / mu)
-
-
-def _onset_or_error(chain: ChainSpec, modes):
-    """``(normal_phase_onset, None)``, or ``(None, the error)`` when its solve fails."""
-    try:
-        return normal_phase_onset(chain, modes), None
-    except SolverError as exc:
-        return None, exc
+        return None, origin
+    return math.sqrt(-1.0 / mu), origin
 
 
 def _origin_stable(onset, lam: float) -> bool | None:
-    """Whether ``phi = 0`` is a local minimum at ``lam``, from :func:`_onset_or_error`.
+    """Whether ``phi = 0`` is a local minimum at ``lam``, from ``_UnitCurve._spinodal``.
 
     ``None`` when the solve failed; with no finite onset every coupling is stable.
     """

@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .correlation import correlation_report
-from .fermion import SolverError
-from .meanfield import SearchSpec, _crossing_onset, _UnitCurve, minimize_phi, normal_phase_onset
+from .fermion import QuasiparticleSolution, SolverError
+from .meanfield import SearchSpec, _crossing_onset, _onset_and_origin, _UnitCurve, minimize_phi
 from .model import ChainSpec, IsingProfile, ModeSet
 
 __all__ = [
@@ -229,7 +229,7 @@ class _PointCache:
         self.ctx, self.axis = ctx, axis
         self._states: dict[float, object] = {}
         self._crossings: dict[float, float | None] = {}
-        self.curve = self.crossing = None
+        self.curve = self.crossing = self._origin = None
         search = ctx.search or SearchSpec()
         # the curve's samples are lam_lo phi_max / (coarse_points - 1) apart; a
         # coupling so small that this underflows to 0 is left to minimize_phi
@@ -267,7 +267,13 @@ class _PointCache:
         """Linear-response instability of ``phi = 0`` for this context (the curve's, if any)."""
         if self.curve is not None:
             return self.curve.spinodal
-        return normal_phase_onset(self.ctx.chain, self.ctx.modes)
+        lam_s, self._origin = _onset_and_origin(self.ctx.chain, self.ctx.modes)
+        return lam_s
+
+    @property
+    def origin(self) -> QuasiparticleSolution | None:
+        """The ``phi = 0`` ground state ``onset`` solved; ``None`` before that or if it failed."""
+        return self.curve.origin if self.curve is not None else self._origin
 
 
 def _onset_bracket(result: SweepResult, thr: Thresholds):
@@ -547,10 +553,11 @@ def phase_diagram(
     of the solved ground state, whose correlation report probes
     separations up to ``n_max`` (at least 1, checked before anything is
     solved); the cells of a column at ``phi = 0``, whose field is ``E_z/2``
-    on every site at any ``lambda0``, share one report.  The per-``E_z``
-    crossover is the midpoint between the largest ``J_min`` column labeled
-    second order and the smallest labeled first order, provided the two
-    groups do not interleave.  A profile, contrast
+    on every site at any ``lambda0``, share one report, on the ground
+    state the column's spinodal solved (solved afresh if that failed).
+    The per-``E_z`` crossover is the midpoint between the largest
+    ``J_min`` column labeled second order and the smallest labeled first
+    order, provided the two groups do not interleave.  A profile, contrast
     or grid value that some column cannot take raises ``ValueError`` up front.
 
     A solver failure while locating one column's onset is recorded on
@@ -616,7 +623,8 @@ def phase_diagram(
                                 modes=modes, lambda0=rec.value, N=col_chain.N, E_c=col_chain.E_c
                             )
                             report = correlation_report(
-                                col_chain, modeset, np.array(rec.phi), n_max=n_max
+                                col_chain, modeset, np.array(rec.phi), n_max=n_max,
+                                solution=solver.origin if key is None else None,
                             )
                             magnetic_orders[key] = classify_magnetic_order(report, col_chain, thr)
                         mag = magnetic_orders[key]

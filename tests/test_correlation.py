@@ -170,6 +170,18 @@ class TestReport:
             with pytest.raises(ValueError, match="n_max"):
                 correlation_report(chain, ms, [0.0], n_max=n_max)
 
+    def test_solution_of_another_size_rejected(self, monkeypatch):
+        chain = ChainSpec(N=16, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.2))
+        ms = ModeSet(modes=(1,), lambda0=0.1, N=16, E_c=8.0)
+        other = ground_sector(flat_field(np.full(24, 0.4)), np.full(24, 0.2))
+
+        def no_work(*args):
+            raise AssertionError("the report started before checking the solution")
+
+        monkeypatch.setattr(correlation, "effective_field", no_work)
+        with pytest.raises(ValueError, match="N = 24 .* N = 16"):
+            correlation_report(chain, ms, [0.0], solution=other)
+
     def test_single_site_chain(self):
         chain = ChainSpec(N=1, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.0))
         ms = ModeSet(modes=(1,), lambda0=0.0, N=1, E_c=8.0)
@@ -187,9 +199,9 @@ REGIMES = {
 
 
 @st.composite
-def dressed_rings(draw):
+def dressed_rings(draw, sizes=st.integers(2, 40)):
     """A ring in one magnetic regime at a random coupling and amplitude."""
-    N = draw(st.integers(2, 40))
+    N = draw(sizes)
     regime = draw(st.sampled_from(["P", "deep P", "F", "FP"]))
     E_z = draw(st.floats(0.4, 1.2))
 
@@ -261,12 +273,14 @@ def det_walks(G, n_max):
     return walks, {(j, n) for j in range(G.shape[0]) for n in range(1, depth + 1)}
 
 
-def all_window_minors(G, n_max, stop_early=False):
-    """The elimination on all N windows, one period or not: the oracle of the report's table.
+def column_minors(G, n_max, stop_early=False):
+    """Column-by-column elimination of all N windows: the independent reference of the table.
 
-    Every window is eliminated, with no copies between periods; the arithmetic
-    of each window, the fallback and the walks' crossing rule are those of
-    ``correlation._window_minors``.
+    One rank-1 step per column and window, in a Python loop over the
+    columns, with the pivot bar, the zero multipliers of a broken window,
+    its fallback and the walks' crossing rule of ``correlation._window_minors``;
+    the columns come in 8, 16, 32, ... at a time and catch up with the steps
+    already taken.
     """
     N = G.shape[0]
     m = max(min(n_max, N - 1), 0)
@@ -289,7 +303,7 @@ def all_window_minors(G, n_max, stop_early=False):
     for k in range(m):
         if k == width:
             done = width
-            width = min(m, max(2 * width, correlation._FIRST_WIDTH)) if stop_early else m
+            width = min(m, max(2 * width, 8)) if stop_early else m
             A[done:width] = columns[done:width]
             for t in range(done):
                 eliminate(A[:width], t, broken, done)
@@ -310,6 +324,44 @@ def all_window_minors(G, n_max, stop_early=False):
             return R[:, : k + 1], depth
         eliminate(A[:width], k, broken, k + 1)
     return R, depth
+
+
+def all_window_minors(G, n_max, stop_early=False):
+    """The report's kernel on all N windows, one period or not: the oracle of the report's table.
+
+    ``correlation._pivots`` eliminates every window, with no copies between
+    periods; the fallback and the walks' crossing rule are those of
+    ``correlation._window_minors``.
+    """
+    N = G.shape[0]
+    m = max(min(n_max, N - 1), 0)
+    R = np.empty((N, m))
+    walks = np.arange(2 * N)
+    depth = np.zeros(2 * N, dtype=int)
+    minor = np.ones(N)
+    for k, (pivot, broken) in enumerate(correlation._pivots(G, m, N)):
+        minor *= np.where(broken, 1.0, pivot)
+        R[:, k] = np.where(np.arange(N) + k + 1 >= N, -minor, minor)
+        for s in np.flatnonzero(broken):
+            R[s, k] = correlation.yy_correlation(G, s, k + 1)
+        r = np.abs(R[(walks - (walks >= N) * (k + 1)) % N, k])
+        if k == 0:
+            target = r / math.e
+            open_ = r > correlation._NEGLIGIBLE
+        else:
+            open_ &= r > target
+        depth += open_
+        if stop_early and not open_.any():
+            return R[:, : k + 1], depth
+    return R, depth
+
+
+def break_depths(G, m):
+    """The depth ``k`` at which each window's pivot first fell to the bar (``m`` if never)."""
+    first = np.full(G.shape[0], m)
+    for k, (_, broken) in enumerate(correlation._pivots(G, m, G.shape[0])):
+        first[broken & (first == m)] = k
+    return first
 
 
 def assert_one_period_is_the_oracle(G, n_max, period):
@@ -380,6 +432,53 @@ class TestOnePeriod:
         G[9, 13] = np.nextafter(G[9, 13], 2.0)
         assert correlation._twisted_period(rep.G) == 8
         assert_one_period_is_the_oracle(G, 10, 24)
+
+
+PANEL = correlation._PANEL
+
+
+class TestPanels:
+    """The panel elimination against the column-by-column reference."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        ring=dressed_rings(
+            sizes=st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 40), st.integers(9, 40))
+        ),
+        n_max=st.one_of(
+            st.sampled_from([PANEL - 1, PANEL, PANEL + 1, 2 * PANEL, 2 * PANEL + 3]),
+            st.integers(1, 3 * PANEL + 3),
+        ),
+        stop_early=st.booleans(),
+    )
+    def test_matches_column_by_column(self, ring, n_max, stop_early):
+        chain, ms, phi = ring
+        G = pair_contractions(ground_sector(effective_field(chain, ms, phi), chain.bonds()))
+        R, depth = correlation._window_minors(G, n_max, stop_early=stop_early)
+        R_ref, depth_ref = column_minors(G, n_max, stop_early=stop_early)
+        assert R.shape == R_ref.shape
+        assert np.array_equal(depth, depth_ref)
+        np.testing.assert_allclose(R, R_ref, rtol=0, atol=1e-13)
+
+    def test_window_broken_mid_panel_takes_its_row_from_det(self, monkeypatch):
+        # half strong, half weak bonds: the pivots of a window starting in the
+        # strong half drop where it reaches the weak one, so with this bar the
+        # window at s breaks at depth 24 - s, inside each of the three panels
+        monkeypatch.setattr(correlation, "_PIVOT_BAR", 0.3)
+        N, m = 48, 24
+        J = np.where(np.arange(N) < N // 2, 0.9, 0.05)
+        G = pair_contractions(ground_sector(flat_field(np.full(N, 0.4)), J))
+        first = break_depths(G, m)
+        assert {int(b) // PANEL for b in first if b % PANEL} == {0, 1, 2}
+        R, _ = correlation._window_minors(G, m)
+        for s, b in enumerate(first.tolist()):
+            for n in range(1, m + 1):
+                ref = yy_correlation(G, s, n)
+                if n > b:
+                    assert R[s, n - 1] == ref, (s, n)
+                else:
+                    assert abs(R[s, n - 1] - ref) <= 1e-12, (s, n)
+        np.testing.assert_allclose(R, column_minors(G, m)[0], rtol=0, atol=1e-13)
 
 
 class TestWindowMinors:

@@ -557,7 +557,7 @@ class TestUnitCurve:
         def failing(*args):
             raise SolverError("injected failure")
 
-        monkeypatch.setattr(meanfield, "normal_phase_onset", failing)
+        monkeypatch.setattr(meanfield, "_onset_and_origin", failing)
         curve = _UnitCurve(desk_chain(), 2, QUICK, 0.15)
         for lam in (0.15, 0.2254, 0.2255, 0.3):
             state = curve.minimize(lam)
@@ -695,7 +695,7 @@ class TestPrunedScan:
         def failing(*args):
             raise SolverError("injected failure")
 
-        monkeypatch.setattr(meanfield, "normal_phase_onset", failing)
+        monkeypatch.setattr(meanfield, "_onset_and_origin", failing)
         lams = (0.15, 0.2254, 0.2255, 0.3)
         self.assert_column(desk_chain(), 2, QUICK, lams, lambda lam: None)
 

@@ -221,7 +221,7 @@ class TestOnsetGuess:
     def test_first_order_spinodal_lies_above_the_onset(self):
         cls = classify_transition_order(sweep(first_order_ctx(), "lambda0", FIRST_ORDER_GRID))
         assert cls.order == "first"
-        assert phases.normal_phase_onset(first_order_chain(), (2,)) > cls.lambda_c + 0.02
+        assert meanfield.normal_phase_onset(first_order_chain(), (2,)) > cls.lambda_c + 0.02
 
 
 class TestSharedSolver:
@@ -290,10 +290,11 @@ class TestSharedSolver:
         )
         assert [c.transition_order for c in diagram.columns] == ["second", "first"]
         # one spinodal per column and one correlation report per distinct
-        # ground state: the phi = 0 cells of a column share theirs
+        # ground state: the phi = 0 cells of a column share theirs, on the
+        # spinodal's solve (8 full solves when that report solved again)
         condensed = [any(c.phi) for c in diagram.cells]
         assert condensed == [False, True, True, True, False, False, False, True]
-        assert len(solves) == 8
+        assert len(solves) == 6
         # line searches seeded from the samples and probes already computed
         # (147 before the couplings' exact antiperiodicity moved their last
         # bits): 211 with scipy's bounded Brent, 348 without the energy bound's
@@ -492,6 +493,43 @@ class TestPhaseDiagram:
             report = real(col_chain, modeset, np.array(cell.phi), n_max=10)
             assert cell.label.magnetic_order == classify_magnetic_order(report, col_chain)
 
+    def test_phi_zero_report_reads_the_spinodal_solution(self, monkeypatch):
+        # the spinodal's phi = 0 ground state is handed to the column's phi = 0
+        # report, which then holds what a report solving afresh holds
+        origins, reports = [], []
+        real_origin, real_report = meanfield._onset_and_origin, phases.correlation_report
+
+        def recorded_origin(chain, modes):
+            onset, origin = real_origin(chain, modes)
+            origins.append(origin)
+            return onset, origin
+
+        def recorded_report(chain, modeset, phi, **kwargs):
+            report = real_report(chain, modeset, phi, **kwargs)
+            reports.append((chain, modeset, phi, kwargs.get("solution"), report))
+            return report
+
+        monkeypatch.setattr(meanfield, "_onset_and_origin", recorded_origin)
+        monkeypatch.setattr(phases, "correlation_report", recorded_report)
+        diagram = phase_diagram(
+            desk_chain(), (2,), np.linspace(0.15, 0.3, 7), (0.001, 0.004), delta_J=0.025,
+            search=QUICK, n_max=10,
+        )
+        at_zero = [r for r in reports if not any(r[2])]
+        assert len(origins) == len(at_zero) == 2
+        assert all(r[3] is origin for r, origin in zip(at_zero, origins))
+        assert all(r[3] is None for r in reports if any(r[2]))
+        for chain, modeset, phi, _, shared in at_zero:
+            fresh = real_report(chain, modeset, phi, n_max=10)
+            assert fresh.solution is not shared.solution
+            for name in ("sigma_z_rot", "xi_r", "xi_l", "xi_rl"):
+                np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
+            assert (shared.flags_r, shared.flags_l) == (fresh.flags_r, fresh.flags_l)
+            assert list(shared.rho.items()) == list(fresh.rho.items())
+            label = classify_magnetic_order(fresh, chain)
+            cells = [c for c in diagram.cells if c.J_min == chain.ising.J_min and not any(c.phi)]
+            assert cells and all(c.label.magnetic_order == label for c in cells)
+
     def test_profile_and_contrast_validation(self):
         uniform = ChainSpec(N=8, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.1))
         with pytest.raises(ValueError):
@@ -553,9 +591,10 @@ class TestPhaseDiagram:
 
     def test_failed_spinodal_solve_fails_no_sweep_point(self, monkeypatch):
         # without the spinodal the curve line-searches every first cell, so
-        # only the onset search of the column fails
+        # only the onset search of the column fails; the phi = 0 cells are
+        # labelled on a ground state their report solves itself
         grid = np.linspace(0.15, 0.3, 7)
-        kwargs = dict(delta_J=0.025, search=QUICK, magnetic=False)
+        kwargs = dict(delta_J=0.025, search=QUICK, n_max=10)
         good = phase_diagram(desk_chain(), (2,), grid, (0.001,), **kwargs)
         calls = []
 
@@ -563,14 +602,16 @@ class TestPhaseDiagram:
             calls.append(args)
             raise SolverError("injected failure")
 
-        monkeypatch.setattr(meanfield, "normal_phase_onset", failing)
+        monkeypatch.setattr(meanfield, "_onset_and_origin", failing)
         diagram = phase_diagram(desk_chain(), (2,), grid, (0.001,), **kwargs)
         (col,) = diagram.columns
         assert (col.status, col.message, col.lambda_c) == ("error", "injected failure", None)
         assert len(calls) == 1  # the failure is kept, not solved again per coupling
+        assert any(not any(cell.phi) for cell in diagram.cells)
         for cell, ref in zip(diagram.cells, good.cells, strict=True):
             assert cell.status == "ok"
             assert cell.label.field_phase == ref.label.field_phase
+            assert cell.label.magnetic_order == ref.label.magnetic_order
             assert cell.phi[0] == pytest.approx(ref.phi[0], abs=QUICK.refine_tol)
             assert cell.e_g == pytest.approx(ref.e_g, abs=1e-12)
 
