@@ -90,7 +90,7 @@ def pair_contractions(sol: QuasiparticleSolution) -> np.ndarray:
     first = -(sol.Psi[:, :M].T @ sol.Phi)
     if M == N:
         return first
-    tau = -1.0 if sol.sector is Sector.EVEN else 1.0
+    tau = sol.sector.tau
     G = np.empty((N, N))
     for shift in range(0, N, M):
         # rows shift + i: column y + shift, wrapped past N with the twist
@@ -120,9 +120,12 @@ def yy_correlation(G: np.ndarray, j: int, n: int) -> float:
 def yy_table(G: np.ndarray, n_max: int) -> dict[tuple[int, int], float]:
     """Dense table ``{(j, n): rho}`` for all sites and ``n = 1 .. n_max``.
 
-    The full batched elimination, without the early stop of the report.
+    The full batched elimination, without the early stop of the report,
+    over one period of ``G`` as :func:`_twisted_period` finds it.
     """
-    R = _window_minors(G, n_max)[0]
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    R = _window_minors(G, n_max, _twisted_period(G))[0]
     return _as_dict(R, R.shape[1])
 
 
@@ -140,12 +143,13 @@ def _key_rows(N: int, n_max: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _window_minors(
-    G: np.ndarray, n_max: int, stop_early: bool = False
+    G: np.ndarray, n_max: int, M: int, stop_early: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Table ``R[s, n - 1] = rho(s, n)`` of every window minor up to ``n_max``.
 
-    :func:`_pivots` eliminates the windows of one period of ``G``
-    (:func:`_twisted_period`, all ``N`` when it has none) by panels of
+    ``M`` is a twisted period of ``G`` as :func:`_twisted_period` defines it
+    (``N`` when it has none), from the caller, who knows how ``G`` was built.
+    :func:`_pivots` eliminates the windows of one period by panels of
     ``_PANEL`` columns; the running product of the pivots is each window's
     leading minor, and the other periods' rows are copies.  A window whose
     pivot falls below ``_PIVOT_BAR`` in size takes the rest of its row from
@@ -162,7 +166,6 @@ def _window_minors(
     agree bit for bit with and without the early stop where they overlap.
     """
     N = G.shape[0]
-    M = _twisted_period(G)
     m = max(min(n_max, N - 1), 0)
     R = np.empty((N, m))
     periods = R.reshape(N // M, M, m)  # R[c M + s] = periods[c, s]
@@ -263,7 +266,9 @@ def _twisted_period(G: np.ndarray) -> int:
     the even-sector translation that :func:`pair_contractions` builds in.
     The windows starting at ``s + M`` are then ``D W_s D'`` with diagonal
     +-1 matrices whose sign flips are exact and cancel against the seam
-    sign, so their minors repeat those of ``W_s`` bit for bit.
+    sign, so their minors repeat those of ``W_s`` bit for bit.  This search
+    is for a ``G`` from outside, in :func:`yy_table`; a report knows its
+    period as ``solution.period``.
     """
     N = G.shape[0]
     for M in range(1, N // 2 + 1):
@@ -350,7 +355,7 @@ def correlation_report(
     sz_lab = np.cos(fld.theta) * sz_rot
     sx_lab = np.sin(fld.theta) * sz_rot
 
-    R, depth = _window_minors(G, n_max, stop_early=True)
+    R, depth = _window_minors(G, n_max, solution.period, stop_early=True)
     # a walk that closed at depth k in [1, n_max) crossed rho(1)/e between
     # n = k and n = k + 1: interpolate on a log scale.  math.log, not np.log,
     # which differs from it in the last bit on rare inputs

@@ -94,6 +94,11 @@ class Sector(enum.Enum):
     EVEN = "even"
     ODD = "odd"
 
+    @property
+    def tau(self) -> float:
+        """The twist at the seam: ``-1.0`` in the even sector, ``+1.0`` in the odd one."""
+        return -1.0 if self is Sector.EVEN else 1.0
+
 
 @dataclass(frozen=True)
 class QuadraticForm:
@@ -124,8 +129,8 @@ class QuadraticForm:
 
     @property
     def tau(self) -> float:
-        """The twist at the seam: ``-1.0`` in the even sector, ``+1.0`` in the odd one."""
-        return -1.0 if self.sector is Sector.EVEN else 1.0
+        """The sector's twist at the seam, :attr:`Sector.tau`."""
+        return self.sector.tau
 
     @property
     def T(self) -> np.ndarray:
@@ -348,28 +353,6 @@ def _cycle_eigvals(
         raise SolverError("banded eigenvalue computation failed") from exc
 
 
-def _hopping_norm(form: QuadraticForm) -> float:
-    """Spectral norm of the hopping matrix ``A = (T + T^T) / 2``.
-
-    ``A`` splits into the translation blocks of ``T``: the Hermitian
-    M-cycles ``(T_z + T_z^H) / 2``, whose eigenvalues come from the same
-    fold as the spectrum, in O(M^2) each.  A block and its conjugate
-    share them, so one twist per conjugate pair is taken.
-    """
-    Om, w = form.diagonal, form.bond_band
-    M = _translation_period(Om, w)
-    Om, w = Om[:M], w[:M]
-    norm = 0.0
-    for twist, _ in _twists(form.sector, form.N // M):
-        corner = np.conj(twist) * w[-1]
-        if M == 1:
-            block = abs(Om[0] + corner)
-        else:
-            block = np.max(np.abs(_cycle_eigvals(0.5 * np.append(w[:-1], corner), Om)))
-        norm = max(norm, float(block))
-    return norm
-
-
 def _leading_signs(rows: np.ndarray) -> np.ndarray:
     """``-1.0`` for each row whose first entry above ``_SIGN_EPS`` in size (its
     largest, if none is) is negative, else ``1.0``."""
@@ -402,7 +385,10 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     of ``Psi`` to ``Phi`` that this rule gives the first of them, so that
     their joint term in ``Psi^T Phi`` stays translation-invariant.  The
     relations and the orthogonality of the assembled ``Phi`` and ``Psi``
-    are checked before anything is returned.
+    are checked before anything is returned.  A mode counts as zero below
+    ``1e-12``, and the relations may miss by ``1e-9``, of ``max(||T||_2,
+    1)``: ``||T||_2`` is the largest singular value the SVD has already
+    found, and the scale in which its backward error is stated.
     """
     # LAPACK may turn an inf into NaN output without reporting failure
     if not (np.isfinite(form.diagonal).all() and np.isfinite(form.bond_band).all()):
@@ -417,8 +403,8 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     # independent sign fixing of a Phi/Psi pair is only safe when the
     # singular value is negligible: for any larger s it would desync the
     # pairing by 2s and fail the residual check below
-    scale = _hopping_norm(form)
-    zero_tol = 1e-12 * max(scale, 1.0)
+    scale = max(s[-1], 1.0)
+    zero_tol = 1e-12 * scale
     flip = _leading_signs(Phi)
     Phi *= flip[:, None]
     # relative sign of Psi_k to Phi_k, taken from the first row of its complex mode
@@ -433,7 +419,7 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
         np.max(np.abs(Phi @ Phi.T - np.eye(N))),
         np.max(np.abs(Psi @ Psi.T - np.eye(N))),
     )
-    if resid > 1e-9 * max(scale, 1.0) or ortho > 1e-10:
+    if resid > 1e-9 * scale or ortho > 1e-10:
         raise SolverError(
             f"decomposition lost consistency (residual {resid:.3e}, orthogonality {ortho:.3e})"
         )

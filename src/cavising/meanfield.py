@@ -67,7 +67,6 @@ from itertools import product
 
 import numpy as np
 
-from .correlation import CorrelationReport, correlation_report
 from .fermion import (
     QuasiparticleSolution, Sector, SolverError, build_quadratic_form, ground_sector,
     quasiparticle_energies,
@@ -723,24 +722,19 @@ def _crossing_onset(curve: _UnitCurve, s_max: float) -> float | None:
     return math.sqrt(curve.omega / (curve.omega - r))
 
 
-def order_parameter_residual(
-    chain: ChainSpec,
-    modeset: ModeSet,
-    phi,
-    report: CorrelationReport | None = None,
-) -> np.ndarray:
+def order_parameter_residual(chain: ChainSpec, modeset: ModeSet, phi) -> np.ndarray:
     """Self-consistency gap of the amplitudes, mode by mode.
 
     Measures ``Sigma_x_l`` from the correlated ground state at ``phi``
     (the coupling-weighted average of the lab-frame transverse
-    polarization) and returns ``|Sigma_x_l - phi_l (omega_l + 4 D_l)|``.
-    Vanishes at any stationary point of ``e_g``.
+    polarization, ``<s^z_j>`` from one even-sector solve as in
+    :func:`_energy_and_gradient`, whose gradient is twice the signed gap)
+    and returns ``|Sigma_x_l - phi_l (omega_l + 4 D_l)|``.  Vanishes at any
+    stationary point of ``e_g``.
     """
     phi = np.asarray(phi, dtype=float)
-    if report is None:
-        report = correlation_report(chain, modeset, phi, n_max=1)
-    fld = report.field if report.field is not None else effective_field(chain, modeset, phi)
-    weighted = np.sin(fld.theta) * report.sigma_z_rot
-    measured = (modeset.couplings @ weighted) / chain.N
+    fld = effective_field(chain, modeset, phi)
+    sz = _rotated_polarization(ground_sector(fld, chain.bonds()))
+    measured = (modeset.couplings @ (np.sin(fld.theta) * sz)) / chain.N
     implied = phi * (modeset.frequencies + 4.0 * modeset.D)
     return np.abs(measured - implied)

@@ -87,6 +87,13 @@ class TestContractions:
         with pytest.raises(ValueError):
             yy_correlation(G, 0, 5)
 
+    def test_table_size_validated(self):
+        # the report's rule: a table that probes no separation is refused
+        G = -np.eye(5)
+        for n_max in (0, -3):
+            with pytest.raises(ValueError, match="n_max must be at least 1"):
+                yy_table(G, n_max)
+
 
 class TestDecayLengths:
     def test_pure_exponential_is_exact(self):
@@ -368,7 +375,7 @@ def assert_one_period_is_the_oracle(G, n_max, period):
     """One period of windows, tiled, equals the all-window elimination bit for bit."""
     assert correlation._twisted_period(G) == period
     for stop_early in (False, True):
-        R, depth = correlation._window_minors(G, n_max, stop_early=stop_early)
+        R, depth = correlation._window_minors(G, n_max, period, stop_early=stop_early)
         R_ref, depth_ref = all_window_minors(G, n_max, stop_early=stop_early)
         assert np.array_equal(R, R_ref) and np.array_equal(depth, depth_ref)
 
@@ -393,6 +400,20 @@ class TestOnePeriod:
         rep = tiled_report(cell, tiles)
         assert rep.solution.period == cell
         assert_one_period_is_the_oracle(rep.G, rep.n_max, cell)
+        table = yy_table(rep.G, rep.n_max)
+        assert all(table[key] == value for key, value in rep.rho.items())
+
+    @pytest.mark.parametrize("tiles", [2, 3, 4])
+    @pytest.mark.parametrize("cell", [8, 11])
+    def test_report_takes_the_period_from_its_solution(self, monkeypatch, cell, tiles):
+        # the period pair_contractions built G with, not a search of G
+        def no_search(G):
+            raise AssertionError("the report searched G for its period")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(correlation, "_twisted_period", no_search)
+            rep = tiled_report(cell, tiles)
+        assert rep.solution.period == cell
         table = yy_table(rep.G, rep.n_max)
         assert all(table[key] == value for key, value in rep.rho.items())
 
@@ -422,7 +443,7 @@ class TestOnePeriod:
             return real(G, j, n)
 
         monkeypatch.setattr(correlation, "yy_correlation", counted)
-        R, _ = correlation._window_minors(rep.G, 12)
+        R, _ = correlation._window_minors(rep.G, 12, rep.solution.period)
         assert starts and max(starts) < 8
         assert np.array_equal(R, R_ref)
 
@@ -453,8 +474,9 @@ class TestPanels:
     )
     def test_matches_column_by_column(self, ring, n_max, stop_early):
         chain, ms, phi = ring
-        G = pair_contractions(ground_sector(effective_field(chain, ms, phi), chain.bonds()))
-        R, depth = correlation._window_minors(G, n_max, stop_early=stop_early)
+        sol = ground_sector(effective_field(chain, ms, phi), chain.bonds())
+        G = pair_contractions(sol)
+        R, depth = correlation._window_minors(G, n_max, sol.period, stop_early=stop_early)
         R_ref, depth_ref = column_minors(G, n_max, stop_early=stop_early)
         assert R.shape == R_ref.shape
         assert np.array_equal(depth, depth_ref)
@@ -467,10 +489,11 @@ class TestPanels:
         monkeypatch.setattr(correlation, "_PIVOT_BAR", 0.3)
         N, m = 48, 24
         J = np.where(np.arange(N) < N // 2, 0.9, 0.05)
-        G = pair_contractions(ground_sector(flat_field(np.full(N, 0.4)), J))
+        sol = ground_sector(flat_field(np.full(N, 0.4)), J)
+        G = pair_contractions(sol)
         first = break_depths(G, m)
         assert {int(b) // PANEL for b in first if b % PANEL} == {0, 1, 2}
-        R, _ = correlation._window_minors(G, m)
+        R, _ = correlation._window_minors(G, m, sol.period)
         for s, b in enumerate(first.tolist()):
             for n in range(1, m + 1):
                 ref = yy_correlation(G, s, n)
@@ -522,7 +545,9 @@ class TestWindowMinors:
         # the closing depths end the table: one column past the deepest,
         # unless a walk saturated and the table runs to n_max
         for n_max in (rep.n_max, rep_1.n_max):
-            R, depth = correlation._window_minors(rep.G, n_max, stop_early=True)
+            R, depth = correlation._window_minors(
+                rep.G, n_max, rep.solution.period, stop_early=True
+            )
             assert R.shape[1] == min(1 + depth.max(), n_max)
 
     def test_vanishing_leading_minor_falls_back(self, monkeypatch):

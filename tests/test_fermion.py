@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from cavising import fermion
 from cavising.correlation import pair_contractions
 from cavising.fermion import (
-    QuadraticForm,
     Sector,
     SolverError,
     build_quadratic_form,
@@ -457,29 +456,11 @@ class TestTranslationBlocks:
 
 
 class TestHoppingNorm:
-    """The full solve's tolerance scale ``||(T + T^T) / 2||_2`` from the fold."""
-
-    @staticmethod
-    def dense_norm(T):
-        T = np.asarray(T, dtype=float)
-        return np.linalg.norm(0.5 * (T + T.T), 2)
-
-    @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(st.one_of(rings(), tiled_rings()))
-    # tiled rings split into blocks of complex twists, and of a real one
-    @example(window_cut_off(2, Sector.EVEN))
-    @example(window_cut_off(3, Sector.ODD))
-    @example(window_cut_off(4, Sector.EVEN))
-    def test_matches_dense_norm(self, ring):
-        Om, J, sector = ring
-        form = build_quadratic_form(flat_field(Om), J, sector)
-        np.testing.assert_allclose(
-            fermion._hopping_norm(form), self.dense_norm(form.T), rtol=1e-12, atol=0
-        )
+    """The full solve's zero bar, scaled by ``||T||_2``, against the hopping norm ``||A||_2``."""
 
     @staticmethod
     def cycle_norm(form):
-        """The scale as one N-cycle, every eigenvalue of ``A``'s band, N >= 2: the reference."""
+        """``||A||_2`` from every eigenvalue of ``A``'s N-cycle band, N >= 2: the reference."""
         w = form.bond_band
         edge = 0.5 * np.append(w[:-1], form.tau * w[-1])
         return float(np.max(np.abs(fermion._cycle_eigvals(edge, form.diagonal))))
@@ -488,7 +469,8 @@ class TestHoppingNorm:
     def test_phase_column_zero_decisions_match_the_cycle_scale(self, monkeypatch, seed):
         # every full solve of a pass over the benchmark's phase-column inputs
         # (drawn as its workload draws them): each mode is called zero, or
-        # not, by the block scale exactly as by the N-cycle scale
+        # not, by the largest singular value's scale exactly as by the
+        # hopping norm's, taken from its N-cycle
         rng = np.random.default_rng(seed)
         weak = round(0.20 + rng.uniform(-0.03, 0.03), 4)
         strong = round(0.50 + rng.uniform(-0.03, 0.03), 4)
@@ -512,21 +494,9 @@ class TestHoppingNorm:
         )
         assert solves
         for form, s in solves:
-            blocks = s <= 1e-12 * max(fermion._hopping_norm(form), 1.0)
+            largest = s <= 1e-12 * max(s[-1], 1.0)
             cycle = s <= 1e-12 * max(self.cycle_norm(form), 1.0)
-            assert np.array_equal(blocks, cycle)
-
-    @pytest.mark.parametrize("sector", list(Sector))
-    def test_small_rings(self, sector):
-        for Om, J in (([0.7], [0.4]), ([0.3, 0.8], [0.2, 0.6]), ([0.3, 0.8, 0.5], [0.2, 0.6, 0.9])):
-            form = build_quadratic_form(flat_field(Om), J, sector)
-            np.testing.assert_allclose(
-                fermion._hopping_norm(form), self.dense_norm(form.T), rtol=1e-12, atol=0
-            )
-        # a one-site form with its own corner folds the corner onto the diagonal
-        w = 0.9 if sector is Sector.EVEN else -0.9  # the corner tau * w is -0.9
-        form = QuadraticForm(diagonal=[0.3], bond_band=[w], sector=sector)
-        assert fermion._hopping_norm(form) == pytest.approx(0.6, rel=1e-12)
+            assert np.array_equal(largest, cycle)
 
 
 def fix_signs_row_by_row(Phi, Psi, s, zero_tol, lead=None):
@@ -598,7 +568,7 @@ class TestModeMatrices:
         assume(period(form) == form.N)
         U, s, Vh = np.linalg.svd(form.T)
         Phi, Psi, s = U.T[::-1].copy(), Vh[::-1].copy(), s[::-1]
-        zero_tol = 1e-12 * max(fermion._hopping_norm(form), 1.0)
+        zero_tol = 1e-12 * max(s[-1], 1.0)
         fix_signs_row_by_row(Phi, Psi, s, zero_tol)
         sol = solve_quasiparticles(form)
         assert np.array_equal(sol.Phi, Phi) and np.array_equal(sol.Psi, Psi)
@@ -619,7 +589,7 @@ class TestModeMatrices:
         M = period(form)
         assume(M < form.N)
         Phi, Psi, s, _, lead = fermion._bloch_modes(form, M)
-        fix_signs_row_by_row(Phi, Psi, s, 1e-12 * max(fermion._hopping_norm(form), 1.0), lead)
+        fix_signs_row_by_row(Phi, Psi, s, 1e-12 * max(s[-1], 1.0), lead)
         sol = solve_quasiparticles(form)
         assert np.array_equal(sol.Phi, Phi) and np.array_equal(sol.Psi, Psi)
         assert not (np.signbit(sol.Phi) ^ np.signbit(Phi)).any()
@@ -647,7 +617,7 @@ class TestBlockFullSolve:
         assert sol.period == period(form)
         # the solver's own checks, at its tolerances, on the dense T
         T = form.T
-        tol = max(fermion._hopping_norm(form), 1.0)
+        tol = max(sol.energies[-1] / 2, 1.0)
         half = 0.5 * sol.energies[:, None]
         assert np.max(np.abs(sol.Phi @ T - half * sol.Psi)) <= 1e-9 * tol
         assert np.max(np.abs(sol.Psi @ T.T - half * sol.Phi)) <= 1e-9 * tol
@@ -679,7 +649,7 @@ class TestBlockFullSolve:
         Om, J, sector = window_cut_off(q, sector)
         form = build_quadratic_form(flat_field(Om), J, sector)
         sol = solve_quasiparticles(form)
-        zero_tol = 1e-12 * max(fermion._hopping_norm(form), 1.0)
+        zero_tol = 1e-12 * max(sol.energies[-1] / 2, 1.0)
         assert sol.period == 36 and np.count_nonzero(sol.energies / 2 <= zero_tol) == q
         G = pair_contractions(sol)
         np.testing.assert_allclose(G, -(sol.Psi.T @ sol.Phi), rtol=0, atol=1e-12)

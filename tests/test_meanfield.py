@@ -118,6 +118,33 @@ class TestRotatedPolarization:
         )
 
 
+class TestResidual:
+    """The self-consistency gap from one solve, against the gradient and ``-diag(G)``."""
+
+    @pytest.mark.parametrize(
+        "N, modes, phi",
+        [
+            (40, (2,), [0.3]),
+            (200, (2,), [0.2856]),  # two translation blocks of 100 sites
+            (60, (1, 2), [0.2, -0.15]),
+            (40, (1, 2, 3), [0.05, 0.3, -0.1]),
+        ],
+    )
+    def test_matches_gradient_and_contraction_diagonal(self, N, modes, phi):
+        chain = ChainSpec(N=N, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.5, 0.2, 2))
+        ms = ModeSet(modes=modes, lambda0=0.9, N=N, E_c=8.0)
+        phi = np.array(phi)
+        resid = order_parameter_residual(chain, ms, phi)
+        _, grad = _energy_and_gradient(phi, chain, ms)
+        np.testing.assert_allclose(resid, np.abs(grad) / 2, rtol=0, atol=1e-15)
+        # <s^z_j> as a correlation report reads it: -diag(G), G of the whole ring
+        fld = effective_field(chain, ms, phi)
+        sz = -np.diag(pair_contractions(ground_sector(fld, chain.bonds())))
+        measured = (ms.couplings @ (np.sin(fld.theta) * sz)) / N
+        implied = phi * (ms.frequencies + 4.0 * ms.D)
+        np.testing.assert_allclose(resid, np.abs(measured - implied), rtol=0, atol=1e-15)
+
+
 class TestSymmetries:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(mean_field_points())
