@@ -19,7 +19,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -145,18 +145,7 @@ def _run_sweep(cfg: RunConfig, task: SweepTask, out_dir: Path, fmt: str) -> None
         {
             "axis": task.axis,
             "modes": list(cfg.modes),
-            "records": [
-                {
-                    "value": rec.value,
-                    "phi": rec.phi,
-                    "Sigma_x": rec.Sigma_x,
-                    "e_g": rec.e_g,
-                    "degenerate": rec.degenerate,
-                    "status": rec.status,
-                    "message": rec.message,
-                }
-                for rec in result.records
-            ],
+            "records": [asdict(rec) for rec in result.records],
             "generated_at": _timestamp(),
         },
     )
@@ -238,29 +227,12 @@ def _run_phase_diagram(cfg: RunConfig, task: PhaseDiagramTask, out_dir: Path, fm
     _write_json(
         out_dir / "boundary.json",
         {
-            "columns": [
-                {
-                    "E_z": col.E_z,
-                    "J_min": col.J_min,
-                    "lambda_c": col.lambda_c,
-                    "lambda_spinodal": col.lambda_spinodal,
-                    "lambda_crossing": col.lambda_crossing,
-                    "transition_order": col.transition_order,
-                    "status": col.status,
-                    "message": col.message,
-                }
-                for col in diagram.columns
-            ],
+            "columns": [asdict(col) for col in diagram.columns],
             "crossover": [{"E_z": ez, "J_min": mid} for ez, mid in diagram.crossover],
             "generated_at": _timestamp(),
         },
     )
     print(f"labeled {len(diagram.cells)} cells over {len(diagram.columns)} columns")
-
-
-def _flat_field(Omega: np.ndarray) -> EffectiveField:
-    """An effective field with given magnitudes and no rotation."""
-    return EffectiveField(Omega=np.asarray(Omega, float), theta=np.zeros(len(Omega)))
 
 
 def _run_validate(cfg: RunConfig, task: ValidateTask, out_dir: Path, fmt: str) -> None:
@@ -270,7 +242,7 @@ def _run_validate(cfg: RunConfig, task: ValidateTask, out_dir: Path, fmt: str) -
     for i in range(task.instances):
         Omega = rng.uniform(0.1, 1.0, task.N)
         J = rng.uniform(0.0, 1.0, task.N)
-        fld = _flat_field(Omega)
+        fld = EffectiveField(Omega=Omega, theta=np.zeros(task.N))  # no rotation
         sol = fermion.ground_sector(fld, J, both_sectors=True)
         e_chain = fermion.sector_energy(sol) / task.N
 

@@ -43,6 +43,13 @@ where a condensate first ties ``phi = 0``, the onset of a first-order
 transition, is read off the same samples (``_crossing_onset``).  A
 single-mode :func:`minimize_phi` is such a curve with one coupling.
 
+What the ``phi = 0`` solve tells, the onset and the ground state it solved
+or the error of that solve, is one record (``_NormalPhase``), made once per
+chain and modes.  A ``lambda0`` column (``_Column``) holds its memoized
+states, its record and, on one mode, its curve and the crossing onsets
+read off it; a sweep along ``lambda0`` and the onset searches on it share
+one column.
+
 A single amplitude is searched on ``phi >= 0``: the energy is even under
 the joint flip of all amplitudes, so the nonnegative half covers the
 physics up to that gauge.  With several modes only the joint flip is a
@@ -348,30 +355,15 @@ class _UnitCurve:
         self.omega, self.D = float(self._unit.frequencies[0]), float(self._unit.D[0])
         self.step = lam_lo * search.phi_max / (search.coarse_points - 1)
         self._memo: dict[float, float] = {}
-        # the phi = 0 ground state the spinodal solves, once it has
-        self.origin: QuasiparticleSolution | None = None
 
     @cached_property
-    def _spinodal(self):
-        """``(spinodal, None)``, or ``(None, the error)`` when its solve fails."""
-        try:
-            lam_s, self.origin = _onset_and_origin(self.chain, (self.mode,))
-        except SolverError as exc:
-            return None, exc
-        return lam_s, None
+    def normal(self) -> _NormalPhase:
+        """The mode's ``phi = 0`` record, one full solve on first use.
 
-    @property
-    def spinodal(self) -> float | None:
-        """:func:`normal_phase_onset` of the mode, one full solve on first use.
-
-        A failed solve raises its :class:`SolverError` here every time; the
-        minimizations then line-search every first cell, as if the origin's
-        stability were not known.
+        A failed solve leaves every first cell line-searched, as if the
+        origin's stability were not known.
         """
-        lam_s, exc = self._spinodal
-        if exc is not None:
-            raise exc
-        return lam_s
+        return _normal_phase(self.chain, (self.mode,))
 
     def energy(self, s: float) -> float:
         """``e_1(s)``, computed once per ``s``."""
@@ -471,7 +463,7 @@ class _UnitCurve:
         tol = lam * search.refine_tol
         minima = []
         if live(0):
-            stable = _origin_stable(self._spinodal, lam)
+            stable = self.normal.stable(lam)
             if stable:
                 minima.append((s[0], vals[0]) if vals[1] >= vals[0] else (s[1], vals[1]))
             elif (
@@ -483,7 +475,7 @@ class _UnitCurve:
                 if stable is False:
                     # e is even in s: start from the vertex of e(0) + c2 s^2 + c4 s^4
                     t1 = s[1] * s[1]
-                    c2 = self.omega * ((1.0 / lam) ** 2 - (1.0 / self.spinodal) ** 2)
+                    c2 = self.omega * ((1.0 / lam) ** 2 - (1.0 / self.normal.lam_s) ** 2)
                     c4 = (vals[1] - vals[0] - c2 * t1) / (t1 * t1)
                     if c2 < 0.0 < c4 and -c2 < 2.0 * c4 * t1:
                         f(math.sqrt(-0.5 * c2 / c4))
@@ -643,30 +635,48 @@ def normal_phase_onset(chain: ChainSpec, modes) -> float | None:
     first-order transition condenses below it, and the value is then the
     spinodal of the normal phase.
     """
-    return _onset_and_origin(chain, modes)[0]
+    return _normal_phase(chain, modes).onset
 
 
-def _onset_and_origin(chain: ChainSpec, modes):
-    """:func:`normal_phase_onset` and the ``phi = 0`` ground state it solved."""
+@dataclass(frozen=True)
+class _NormalPhase:
+    """What one ``phi = 0`` solve of a chain under some modes tells (:func:`_normal_phase`).
+
+    ``lam_s`` is :func:`normal_phase_onset` and ``solution`` the ``phi = 0``
+    ground state it solved; when that solve failed both are ``None`` and
+    ``error`` holds its :class:`SolverError`.
+    """
+
+    lam_s: float | None = None
+    solution: QuasiparticleSolution | None = None
+    error: SolverError | None = None
+
+    @property
+    def onset(self) -> float | None:
+        """``lam_s``; a failed solve raises its error here, every time."""
+        if self.error is not None:
+            raise self.error
+        return self.lam_s
+
+    def stable(self, lam: float) -> bool | None:
+        """Whether ``phi = 0`` is a local minimum at ``lam``: ``None`` when the
+        solve failed; with no finite onset every coupling is stable."""
+        if self.error is not None:
+            return None
+        return self.lam_s is None or lam < self.lam_s
+
+
+def _normal_phase(chain: ChainSpec, modes) -> _NormalPhase:
+    """The :class:`_NormalPhase` of ``chain`` under ``modes``, with a failed solve kept."""
     unit = ModeSet(modes=tuple(modes), lambda0=1.0, N=chain.N, E_c=chain.E_c)
-    origin = _origin_state(chain, unit)
+    try:
+        origin = _origin_state(chain, unit)
+    except SolverError as exc:
+        return _NormalPhase(error=exc)
     Q = _origin_hessian(chain, unit, origin)
     scale = 1.0 / np.sqrt(2.0 * unit.frequencies)
     mu = np.linalg.eigvalsh(scale[:, None] * Q * scale[None, :])[0]
-    if mu >= 0.0:
-        return None, origin
-    return math.sqrt(-1.0 / mu), origin
-
-
-def _origin_stable(onset, lam: float) -> bool | None:
-    """Whether ``phi = 0`` is a local minimum at ``lam``, from ``_UnitCurve._spinodal``.
-
-    ``None`` when the solve failed; with no finite onset every coupling is stable.
-    """
-    lam_s, exc = onset
-    if exc is not None:
-        return None
-    return lam_s is None or lam < lam_s
+    return _NormalPhase(None if mu >= 0.0 else math.sqrt(-1.0 / mu), origin)
 
 
 def _crossing_onset(curve: _UnitCurve, s_max: float) -> float | None:
@@ -720,6 +730,62 @@ def _crossing_onset(curve: _UnitCurve, s_max: float) -> float | None:
     lo, hi = s[max(i - 1, 0)], s[min(i + 1, s.size - 1)]
     _, r = _line_min(ratio, lo, hi, known, search.refine_tol)
     return math.sqrt(curve.omega / (curve.omega - r))
+
+
+class _Column:
+    """The minimizations of one ``lambda0`` column, memoized, and its ``phi = 0`` record.
+
+    One mode: every coupling from ``lam_lo``, the smallest whose sample step
+    ``lam_lo phi_max / (coarse_points - 1)`` does not underflow to 0, re-scores
+    one :class:`_UnitCurve`, whose first cells read the column's
+    :class:`_NormalPhase`; the crossing onset is read off the same curve,
+    refined once per ``s_max``, and the last one read is kept as ``crossing``.
+    A coupling below ``lam_lo``, and every coupling of several modes, goes to
+    :func:`minimize_phi`.  Each state is solved once per coupling.
+    """
+
+    def __init__(self, chain: ChainSpec, modes, search: SearchSpec | None, lams):
+        self.chain, self.modes, self.search = chain, modes, search
+        self._states: dict[float, MeanFieldState] = {}
+        self._crossings: dict[float, float | None] = {}
+        self.curve = self.crossing = None
+        search = search or SearchSpec()
+        self.lam_lo = min(
+            (v for v in lams if v * search.phi_max / (search.coarse_points - 1) > 0.0),
+            default=0.0,
+        )
+        if len(modes) == 1 and self.lam_lo > 0:
+            self.curve = _UnitCurve(chain, modes[0], search, self.lam_lo)
+
+    @cached_property
+    def normal(self) -> _NormalPhase:
+        """The column's ``phi = 0`` record: its curve's, if it has one."""
+        if self.curve is not None:
+            return self.curve.normal
+        return _normal_phase(self.chain, self.modes)
+
+    def state(self, lam: float) -> MeanFieldState:
+        if lam not in self._states:
+            if self.curve is not None and lam >= self.lam_lo:
+                self._states[lam] = self.curve.minimize(lam)
+            else:
+                chain = self.chain
+                modeset = ModeSet(modes=self.modes, lambda0=lam, N=chain.N, E_c=chain.E_c)
+                self._states[lam] = minimize_phi(chain, modeset, self.search)
+        return self._states[lam]
+
+    def phi_norm(self, lam: float) -> float:
+        return float(np.max(np.abs(self.state(lam).phi)))
+
+    def energy(self, lam: float) -> float:
+        return float(self.state(lam).e_g)
+
+    def crossing_below(self, s_max: float) -> float | None:
+        """:func:`_crossing_onset` of the curve up to ``s_max``, kept as ``crossing``."""
+        if s_max not in self._crossings:
+            self._crossings[s_max] = _crossing_onset(self.curve, s_max)
+        self.crossing = self._crossings[s_max]
+        return self.crossing
 
 
 def order_parameter_residual(chain: ChainSpec, modeset: ModeSet, phi) -> np.ndarray:

@@ -1,11 +1,8 @@
 """Parameter sweeps, transition location, and phase labeling.
 
 The sweep machinery minimizes the mean-field energy point by point along
-one axis (coupling strength, weak-bond strength, or qubit splitting; on
-one mode along the coupling, all of a column re-scores one unit-coupling
-scan) and the classifiers condense the results into labels.  A sweep's
-result keeps the memoized solver that produced it, and every onset search
-on that result reuses it, so a column is sampled once:
+one axis (coupling strength, weak-bond strength, or qubit splitting) and
+the classifiers condense the results into labels:
 
 * field phase: ``normal`` vs ``superradiant`` by the condensate norm;
 * transition order along the coupling axis: a jump test at the critical
@@ -20,19 +17,25 @@ on that result reuses it, so a column is sampled once:
   ``FP`` pattern that strong-bond windows imprint.
 
 Labels compose as ``N``/``S`` prefix plus magnetic order, e.g. ``SFP``.
+
+A sweep along the coupling is one column of :mod:`~cavising.meanfield`:
+its memoized states, its ``phi = 0`` record (onset, ground state, or the
+failure of that solve) and, on one mode, the unit-coupling scan that
+every coupling re-scores.  The result keeps the column, and every onset
+search on it reuses it, so a column is sampled once.  A point on the
+other axes is one :func:`~cavising.meanfield.minimize_phi`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .correlation import correlation_report
-from .fermion import QuasiparticleSolution, SolverError
-from .meanfield import SearchSpec, _crossing_onset, _onset_and_origin, _UnitCurve, minimize_phi
+from .fermion import SolverError
+from .meanfield import SearchSpec, _Column, minimize_phi
 from .model import ChainSpec, IsingProfile, ModeSet
 
 __all__ = [
@@ -109,18 +112,19 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """The records of one sweep and the solver that produced them.
+    """The records of one sweep and, along ``lambda0``, the column that solved them.
 
-    The private ``_solver`` memoizes the sweep's minimizations (on one mode
-    along ``lambda0``, the column's unit-coupling curve); the onset searches
-    of :func:`critical_coupling` and :func:`classify_transition_order` on
-    this result reuse it instead of sampling the column again.
+    The private ``_solver`` memoizes a ``lambda0`` sweep's minimizations and
+    its ``phi = 0`` record (on one mode, around the column's unit-coupling
+    curve); the onset searches of :func:`critical_coupling` and
+    :func:`classify_transition_order` on this result reuse it instead of
+    sampling the column again.  Other axes keep ``None``.
     """
 
     axis: str
     records: tuple
     context: SweepContext
-    _solver: _PointCache = field(compare=False, repr=False)
+    _solver: _Column | None = field(compare=False, repr=False)
 
     def values(self) -> np.ndarray:
         return np.array([r.value for r in self.records])
@@ -132,41 +136,37 @@ _AXES = tuple(_CONTRASTS)
 
 
 def _check_contrast(ctx: SweepContext, axis: str) -> None:
-    """Raise ``ValueError`` when the context sets a contrast key the axis does not read."""
+    """Raise ``ValueError`` on both contrast keys, or on one the axis does not read."""
+    if ctx.delta_J is not None and ctx.delta_J_factor is not None:
+        raise ValueError("delta_J and delta_J_factor are mutually exclusive")
     for key in ("delta_J", "delta_J_factor"):
         if getattr(ctx, key) is not None and key not in _CONTRASTS[axis]:
             raise ValueError(f"a sweep along {axis} does not read {key}")
 
 
+def _contrast(chain: ChainSpec, J_min: float, delta_J, delta_J_factor) -> ChainSpec:
+    """``chain`` with strong bonds ``J_min + delta_J``, or ``J_min + delta_J_factor E_z``,
+    on a weak ``J_min``, in the windows of its rectangular profile."""
+    if chain.ising.kind != "rectangular":
+        raise ValueError("a strong/weak bond contrast needs a rectangular Ising profile")
+    dJ = delta_J if delta_J is not None else delta_J_factor * chain.E_z
+    return replace(chain, ising=IsingProfile.rectangular(J_min + dJ, J_min, chain.ising.period))
+
+
 def _point(ctx: SweepContext, axis: str, value: float):
     """Chain and mode set at one sweep point on one of the ``_AXES``."""
     _check_contrast(ctx, axis)
-    chain = ctx.chain
+    chain, lam = ctx.chain, ctx.lambda0
     if axis == "lambda0":
         lam = value
     elif axis == "J_min":
-        if chain.ising.kind != "rectangular":
-            raise ValueError("J_min sweeps need a rectangular Ising profile")
-        if ctx.delta_J is not None:
-            dJ = ctx.delta_J
-        elif ctx.delta_J_factor is not None:
-            dJ = ctx.delta_J_factor * chain.E_z
-        else:
+        if ctx.delta_J is None and ctx.delta_J_factor is None:
             raise ValueError("J_min sweeps need delta_J or delta_J_factor")
-        profile = IsingProfile.rectangular(value + dJ, value, chain.ising.period)
-        chain = replace(chain, ising=profile)
-        lam = ctx.lambda0
+        chain = _contrast(chain, value, ctx.delta_J, ctx.delta_J_factor)
     else:
         chain = replace(chain, E_z=value)
         if ctx.delta_J_factor is not None:
-            if chain.ising.kind != "rectangular":
-                raise ValueError("delta_J_factor needs a rectangular Ising profile")
-            profile = IsingProfile.rectangular(
-                chain.ising.J_min + ctx.delta_J_factor * value, chain.ising.J_min,
-                chain.ising.period,
-            )
-            chain = replace(chain, ising=profile)
-        lam = ctx.lambda0
+            chain = _contrast(chain, chain.ising.J_min, None, ctx.delta_J_factor)
     if lam is None:
         raise ValueError(f"sweeping {axis!r} needs a fixed lambda0 in the context")
     return chain, ModeSet(modes=ctx.modes, lambda0=lam, N=chain.N, E_c=chain.E_c)
@@ -195,18 +195,24 @@ def sweep(ctx: SweepContext, axis: str, values: Sequence[float]) -> SweepResult:
 
     ``axis`` is one of ``"lambda0"``, ``"J_min"`` and ``"E_z"``; any other,
     or a context whose ``delta_J`` or ``delta_J_factor`` the axis does not
-    read, raises ``ValueError`` before a point is solved.  One mode along
-    ``lambda0``: every point re-scores one unit-coupling curve, whose
-    spinodal (one full solve, also the bisection's first guess) settles
-    each point's first grid cell.  The result keeps the memoized solver,
-    so the onset searches on it reuse the sweep's solves and curve.
+    read, raises ``ValueError`` before a point is solved.  Along ``lambda0``
+    the points are one memoized column; on one mode every point re-scores one
+    unit-coupling curve, whose spinodal (one full solve, also the
+    bisection's first guess) settles each point's first grid cell.  The
+    result keeps the column, so the onset searches on it reuse the sweep's
+    solves and curve.  A point on the other axes is one :func:`minimize_phi`.
     """
     if axis not in _AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_AXES}")
     _check_contrast(ctx, axis)
     values = [float(v) for v in values]
-    solver = _PointCache(ctx, axis, values)
-    records = [_solve_record(solver.state, v) for v in values]
+    if axis == "lambda0":
+        solver = _Column(ctx.chain, ctx.modes, ctx.search, values)
+        solve = solver.state
+    else:
+        solver = None
+        solve = lambda v: minimize_phi(*_point(ctx, axis, v), ctx.search)
+    records = [_solve_record(solve, v) for v in values]
     return SweepResult(axis=axis, records=tuple(records), context=ctx, _solver=solver)
 
 
@@ -214,66 +220,6 @@ def _condensed(record: SweepRecord, thr: Thresholds) -> bool:
     if record.status != "ok":
         raise SolverError(f"sweep point {record.value} failed: {record.message}")
     return max(abs(p) for p in record.phi) > thr.field
-
-
-class _PointCache:
-    """Memoized minimizations along one sweep axis, kept by its :class:`SweepResult`.
-
-    One mode along ``lambda0``: from the smallest positive value up, every
-    coupling and the ``crossing`` onset read one :class:`_UnitCurve`, and
-    the crossing is refined once per bracket edge, which every onset search
-    on the result shares; everything else goes through :func:`minimize_phi`.
-    """
-
-    def __init__(self, ctx: SweepContext, axis: str, values: Sequence[float]):
-        self.ctx, self.axis = ctx, axis
-        self._states: dict[float, object] = {}
-        self._crossings: dict[float, float | None] = {}
-        self.curve = self.crossing = self._origin = None
-        search = ctx.search or SearchSpec()
-        # the curve's samples are lam_lo phi_max / (coarse_points - 1) apart; a
-        # coupling so small that this underflows to 0 is left to minimize_phi
-        lam_lo = min(
-            (v for v in values if v * search.phi_max / (search.coarse_points - 1) > 0.0),
-            default=0.0,
-        )
-        if axis == "lambda0" and len(ctx.modes) == 1 and lam_lo > 0:
-            self.curve = _UnitCurve(ctx.chain, ctx.modes[0], search, lam_lo)
-
-    def state(self, value: float):
-        if value not in self._states:
-            if self.curve is not None and value >= self.curve.lam_lo:
-                self._states[value] = self.curve.minimize(value)
-            else:
-                chain, modeset = _point(self.ctx, self.axis, value)
-                self._states[value] = minimize_phi(chain, modeset, self.ctx.search)
-        return self._states[value]
-
-    def phi_norm(self, lam: float) -> float:
-        return float(np.max(np.abs(self.state(lam).phi)))
-
-    def energy(self, lam: float) -> float:
-        return float(self.state(lam).e_g)
-
-    def crossing_below(self, s_max: float) -> float | None:
-        """The curve's first-order onset among ``s <= s_max``, refined once per ``s_max``."""
-        if s_max not in self._crossings:
-            self._crossings[s_max] = _crossing_onset(self.curve, s_max)
-        self.crossing = self._crossings[s_max]
-        return self.crossing
-
-    @cached_property
-    def onset(self) -> float | None:
-        """Linear-response instability of ``phi = 0`` for this context (the curve's, if any)."""
-        if self.curve is not None:
-            return self.curve.spinodal
-        lam_s, self._origin = _onset_and_origin(self.ctx.chain, self.ctx.modes)
-        return lam_s
-
-    @property
-    def origin(self) -> QuasiparticleSolution | None:
-        """The ``phi = 0`` ground state ``onset`` solved; ``None`` before that or if it failed."""
-        return self.curve.origin if self.curve is not None else self._origin
 
 
 def _onset_bracket(result: SweepResult, thr: Thresholds):
@@ -287,7 +233,7 @@ def _onset_bracket(result: SweepResult, thr: Thresholds):
     raise NoTransitionError("no transition in the swept range")
 
 
-def _probe_guess(solver: _PointCache, guess, lo: float, hi: float, thr: Thresholds):
+def _probe_guess(solver: _Column, guess, lo: float, hi: float, thr: Thresholds):
     # a guess only chooses where to probe first: both probes go through
     # the real minimizer, so a wrong guess costs one solve and leaves the
     # bracket verified
@@ -307,7 +253,7 @@ def _refine_onset(result: SweepResult, thr: Thresholds):
     if result.axis != "lambda0":
         raise ValueError("transition refinement is defined along the lambda0 axis")
     solver = result._solver
-    lo, hi = _probe_guess(solver, solver.onset, lo, hi, thr)
+    lo, hi = _probe_guess(solver, solver.normal.onset, lo, hi, thr)
     if solver.curve is not None:
         # a first-order onset lies below the linear-response one; the
         # condensates in the bracket have s = lambda0 phi <= hi phi_max
@@ -404,7 +350,7 @@ def classify_transition_order(
     hysteresis: bool | None = None
     if len(result.context.modes) == 1:
         # between crossing and spinodal phi = 0 is local, a condensate global
-        lam_s, lam_x = solver.onset, solver.crossing
+        lam_s, lam_x = solver.normal.onset, solver.crossing
         hysteresis = lam_x is not None and (lam_s is None or lam_s - lam_x > thr.critical_tol)
 
     corroborators = [slope_first] if hysteresis is None else [slope_first, hysteresis]
@@ -517,13 +463,10 @@ def _columns(chain: ChainSpec, J_min_values, delta_J, delta_J_factor, E_z_values
     """Each ``E_z`` of a phase diagram, as a float, with its ``J_min`` columns' chains."""
     if (delta_J is None) == (delta_J_factor is None):
         raise ValueError("give exactly one of delta_J or delta_J_factor")
-    if chain.ising.kind != "rectangular":
-        raise ValueError("phase diagrams are built over rectangular profiles")
     groups = []
     for E_z in map(float, E_z_values if E_z_values is not None else (chain.E_z,)):
-        dJ = delta_J if delta_J is not None else delta_J_factor * E_z
-        profiles = [IsingProfile.rectangular(J + dJ, J, chain.ising.period) for J in J_min_values]
-        groups.append((E_z, [replace(chain, E_z=E_z, ising=p) for p in profiles]))
+        at = replace(chain, E_z=E_z)
+        groups.append((E_z, [_contrast(at, J, delta_J, delta_J_factor) for J in J_min_values]))
     return groups
 
 
@@ -590,7 +533,7 @@ def phase_diagram(
             t_order = "none"
             status, message = "ok", ""
             try:
-                lambda_s = solver.onset
+                lambda_s = solver.normal.onset
                 if order:
                     cls = classify_transition_order(result, thr)
                     lambda_c, t_order = cls.lambda_c, cls.order
@@ -624,7 +567,7 @@ def phase_diagram(
                             )
                             report = correlation_report(
                                 col_chain, modeset, np.array(rec.phi), n_max=n_max,
-                                solution=solver.origin if key is None else None,
+                                solution=solver.normal.solution if key is None else None,
                             )
                             magnetic_orders[key] = classify_magnetic_order(report, col_chain, thr)
                         mag = magnetic_orders[key]

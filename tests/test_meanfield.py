@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavising import meanfield
@@ -13,6 +13,7 @@ from cavising.fermion import Sector, SolverError, build_quadratic_form, ground_s
 from cavising.meanfield import (
     SearchSpec,
     _crossing_onset,
+    _NormalPhase,
     _UnitCurve,
     _energy_and_gradient,
     _rotated_polarization,
@@ -73,6 +74,45 @@ class TestEnergy:
             assert energy_per_particle(chain, ms, phi) == pytest.approx(
                 field_part + e_spin / N, abs=1e-12
             )
+
+
+@st.composite
+def small_rings(draw):
+    """``(E_z, bonds, mode, lambda0)`` of a single-mode ring the oracle can solve."""
+    N = draw(st.integers(1, 8))
+    bond = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+    J = [0.0] * N if draw(st.booleans()) else draw(st.lists(bond, min_size=N, max_size=N))
+    return draw(st.floats(0.2, 1.5)), J, draw(st.integers(1, 4)), draw(st.floats(0.0, 2.0))
+
+
+def oracle_energy(chain, ms, x):
+    """``(omega + 4 D) x^2 + E_oracle(x) / N``: ``e_g`` at amplitude ``x`` by brute force."""
+    fld = effective_field(chain, ms, np.array([x]))
+    e_spin, _ = exact_ground(DenseSpinProblem(Omega=fld.Omega, J=chain.bonds()), parity=+1)
+    return float((ms.frequencies[0] + 4.0 * ms.D[0]) * x * x) + e_spin / chain.N
+
+
+class TestMinimizerAgainstTheOracle:
+    """Single-mode ``minimize_phi`` on rings small enough to diagonalize in full."""
+
+    # off the search's 61-point grid; an N = 8 oracle solve takes some 8 ms
+    SCAN = np.linspace(0.0, QUICK.phi_max, 37)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_rings())
+    @example((0.8, [0.0], 1, 0.9))
+    @example((0.8, [0.3, 0.0], 2, 1.5))
+    @example((0.6, [0.2, 0.5, 0.1], 2, 1.2))
+    @example((0.8, [0.0] * 3, 1, 0.9))
+    def test_minimum_is_the_oracle_minimum(self, ring):
+        E_z, J, mode, lam = ring
+        chain = ChainSpec(N=len(J), E_z=E_z, E_c=8.0, ising=IsingProfile.explicit(J))
+        ms = ModeSet(modes=(mode,), lambda0=lam, N=chain.N, E_c=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a minimizer at phi_max
+            state = minimize_phi(chain, ms, QUICK)
+        assert state.e_g == pytest.approx(oracle_energy(chain, ms, state.phi[0]), abs=1e-10)
+        assert state.e_g <= min(oracle_energy(chain, ms, x) for x in self.SCAN) + 1e-12
 
 
 @st.composite
@@ -534,7 +574,7 @@ class TestUnitCurve:
         # above the spinodal a curve still falling just below s_1 ends the
         # first cell there; the probe sits at the same s for every coupling
         curve = _UnitCurve(chain, 2, QUICK, lam_lo)
-        assert curve.spinodal < min(lams)
+        assert curve.normal.onset < min(lams)
         energies = CountedEnergy(monkeypatch)
         for lam in lams:
             s_1 = curve.step
@@ -569,7 +609,7 @@ class TestUnitCurve:
         s_star = 0.3 * curve.step
         c4 = -c2 / (2.0 * s_star**2)
         curve._f = lambda x: 1.0 + c2 * x * x + c4 * x**4
-        curve._spinodal = ((1.0 - c2 / omega) ** -0.5, None)
+        curve.normal = _NormalPhase(lam_s=(1.0 - c2 / omega) ** -0.5)
         f = curve._f
         assert f(curve.step) > f(0.0) == f(search.refine_tol)
         phi, e_g, degenerate = curve._scan(1.0)
@@ -584,7 +624,7 @@ class TestUnitCurve:
         def failing(*args):
             raise SolverError("injected failure")
 
-        monkeypatch.setattr(meanfield, "_onset_and_origin", failing)
+        monkeypatch.setattr(meanfield, "_origin_state", failing)
         curve = _UnitCurve(desk_chain(), 2, QUICK, 0.15)
         for lam in (0.15, 0.2254, 0.2255, 0.3):
             state = curve.minimize(lam)
@@ -593,7 +633,7 @@ class TestUnitCurve:
                 (state.phi[0], state.e_g, state.degenerate), (phi, e_g, degenerate), QUICK
             )
         with pytest.raises(SolverError, match="injected failure"):
-            curve.spinodal
+            curve.normal.onset
         # minimize_phi falls back alike
         ms = ModeSet(modes=(2,), lambda0=0.3, N=40, E_c=8.0)
         state = minimize_phi(desk_chain(), ms, QUICK)
@@ -604,7 +644,7 @@ class TestUnitCurve:
         oracle = _UnitCurve(stiff_chain(), 1, QUICK, 0.5)
         expected = [curve_scan(oracle, lam, None) for lam in lams]
         curve = _UnitCurve(stiff_chain(), 1, QUICK, 0.5)
-        assert curve.spinodal is None
+        assert curve.normal.onset is None
         energies = CountedEnergy(monkeypatch)
         for lam, (phi, e_g, degenerate, _) in zip(lams, expected):
             state = curve.minimize(lam)
@@ -631,7 +671,7 @@ class SyntheticCurve(_UnitCurve):
     chain_bound(x)``, on ``coarse_points`` samples of ``[0, phi_max]``, with
     the origin's stability not known."""
 
-    _spinodal = (None, SolverError("a synthetic curve has no chain"))
+    normal = _NormalPhase(error=SolverError("a synthetic curve has no chain"))
 
     def __init__(self, f, search, a, chain_bound):
         self.search, self.lam_lo, self.omega, self.D = search, 1.0, a, 0.0
@@ -722,7 +762,7 @@ class TestPrunedScan:
         def failing(*args):
             raise SolverError("injected failure")
 
-        monkeypatch.setattr(meanfield, "_onset_and_origin", failing)
+        monkeypatch.setattr(meanfield, "_origin_state", failing)
         lams = (0.15, 0.2254, 0.2255, 0.3)
         self.assert_column(desk_chain(), 2, QUICK, lams, lambda lam: None)
 

@@ -101,6 +101,17 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"along {axis} does not read"):
             sweep(ctx, axis, [0.1, 0.2])
 
+    def test_both_contrasts_are_rejected(self):
+        # delta_J would set J_max = 0.15 and the factor 0.45: neither may be dropped
+        ctx = SweepContext(
+            chain=first_order_chain(), modes=(2,), lambda0=0.1, search=QUICK, delta_J=0.1,
+            delta_J_factor=0.5,
+        )
+        with pytest.raises(ValueError, match="delta_J and delta_J_factor are mutually exclusive"):
+            phases._point(ctx, "J_min", 0.05)
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            sweep(ctx, "J_min", [0.05])
+
     def test_per_point_failures_are_recorded(self):
         ctx = SweepContext(
             chain=ChainSpec(N=8, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.1)),
@@ -172,9 +183,9 @@ class TestOnsetGuess:
             assert grid[0] < guess < grid[-1]
         if guesser == "onset":
             # the spinodal as a guess only: the curve's first cells keep the true one
-            monkeypatch.setattr(phases._PointCache, "onset", property(lambda solver: guess))
+            monkeypatch.setattr(meanfield._NormalPhase, "onset", property(lambda normal: guess))
         else:
-            monkeypatch.setattr(phases, guesser, lambda *args: guess)
+            monkeypatch.setattr(meanfield, guesser, lambda *args: guess)
         # a fresh sweep: the first one's solver holds the true spinodal and solves
         res = sweep(make_ctx(), "lambda0", grid)
         assert critical_coupling(res) == pytest.approx(true, abs=Thresholds().critical_tol)
@@ -189,7 +200,7 @@ class TestOnsetGuess:
             return real(curve, lam)
 
         monkeypatch.setattr(meanfield._UnitCurve, "minimize", counted)
-        monkeypatch.setattr(phases, "minimize_phi", None)  # no solve may bypass the curve
+        monkeypatch.setattr(meanfield, "minimize_phi", None)  # no solve may bypass the curve
         return calls
 
     def test_second_order_bisection_needs_few_solves(self, monkeypatch):
@@ -212,9 +223,9 @@ class TestOnsetGuess:
     def test_crossing_matches_pure_bisection(self, monkeypatch):
         res = sweep(first_order_ctx(), "lambda0", FIRST_ORDER_GRID)
         curve = meanfield._UnitCurve(first_order_chain(), 2, QUICK, 1.0)
-        crossing = phases._crossing_onset(curve, 1.0 * QUICK.phi_max)
-        monkeypatch.setattr(phases._PointCache, "onset", property(lambda solver: None))
-        monkeypatch.setattr(phases, "_crossing_onset", lambda *args: None)
+        crossing = meanfield._crossing_onset(curve, 1.0 * QUICK.phi_max)
+        monkeypatch.setattr(meanfield._NormalPhase, "onset", property(lambda normal: None))
+        monkeypatch.setattr(meanfield, "_crossing_onset", lambda *args: None)
         bisected = critical_coupling(res, Thresholds(critical_tol=1e-7))
         assert bisected == pytest.approx(crossing, abs=5e-7)
 
@@ -319,7 +330,7 @@ class TestSharedSolver:
         cls = classify_transition_order(res)
         assert (col.lambda_c, col.transition_order) == (cls.lambda_c, cls.order)
         solver = res._solver
-        assert (col.lambda_spinodal, col.lambda_crossing) == (solver.onset, solver.crossing)
+        assert (col.lambda_spinodal, col.lambda_crossing) == (solver.normal.onset, solver.crossing)
 
 
 class TestColumnRoute:
@@ -343,7 +354,7 @@ class TestColumnRoute:
     def test_agrees_with_minimize_phi(self, column):
         make_ctx, lams = self.COLUMNS[column]
         ctx = make_ctx()
-        cache = phases._PointCache(ctx, "lambda0", lams[:-2])
+        cache = meanfield._Column(ctx.chain, ctx.modes, ctx.search, lams[:-2])
         assert cache.curve is not None
         field = Thresholds().field
         for lam in lams:
@@ -497,19 +508,19 @@ class TestPhaseDiagram:
         # the spinodal's phi = 0 ground state is handed to the column's phi = 0
         # report, which then holds what a report solving afresh holds
         origins, reports = [], []
-        real_origin, real_report = meanfield._onset_and_origin, phases.correlation_report
+        real_origin, real_report = meanfield._origin_state, phases.correlation_report
 
-        def recorded_origin(chain, modes):
-            onset, origin = real_origin(chain, modes)
+        def recorded_origin(chain, modeset):
+            origin = real_origin(chain, modeset)
             origins.append(origin)
-            return onset, origin
+            return origin
 
         def recorded_report(chain, modeset, phi, **kwargs):
             report = real_report(chain, modeset, phi, **kwargs)
             reports.append((chain, modeset, phi, kwargs.get("solution"), report))
             return report
 
-        monkeypatch.setattr(meanfield, "_onset_and_origin", recorded_origin)
+        monkeypatch.setattr(meanfield, "_origin_state", recorded_origin)
         monkeypatch.setattr(phases, "correlation_report", recorded_report)
         diagram = phase_diagram(
             desk_chain(), (2,), np.linspace(0.15, 0.3, 7), (0.001, 0.004), delta_J=0.025,
@@ -602,7 +613,7 @@ class TestPhaseDiagram:
             calls.append(args)
             raise SolverError("injected failure")
 
-        monkeypatch.setattr(meanfield, "_onset_and_origin", failing)
+        monkeypatch.setattr(meanfield, "_origin_state", failing)
         diagram = phase_diagram(desk_chain(), (2,), grid, (0.001,), **kwargs)
         (col,) = diagram.columns
         assert (col.status, col.message, col.lambda_c) == ("error", "injected failure", None)
