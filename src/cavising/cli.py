@@ -187,19 +187,9 @@ def _run_correlations(cfg: RunConfig, task: CorrelationsTask, out_dir: Path, fmt
 
 
 def _run_phase_diagram(cfg: RunConfig, task: PhaseDiagramTask, out_dir: Path, fmt: str) -> None:
+    # the task's fields are phase_diagram's keywords
     diagram = phases.phase_diagram(
-        cfg.chain,
-        cfg.modes,
-        task.lambda0_values,
-        task.J_min_values,
-        delta_J=task.delta_J,
-        delta_J_factor=task.delta_J_factor,
-        E_z_values=task.E_z_values,
-        search=cfg.search,
-        thresholds=cfg.thresholds,
-        n_max=task.n_max,
-        magnetic=task.magnetic,
-        order=task.order,
+        cfg.chain, cfg.modes, search=cfg.search, thresholds=cfg.thresholds, **asdict(task)
     )
     rows = [
         (

@@ -12,10 +12,16 @@ names, ``_Output``, ``SearchSpec``, ``Thresholds``).  A key is a field
 name or its ``metadata["key"]``, the annotation picks the value parser,
 a field without a default is a required key, and a missing key keeps the
 default.  ``model.ising.kind`` names an ``IsingProfile`` factory, whose
-parameters are the other keys.  Single-key ranges sit in ``_KEY_CHECKS``;
-rules among a block's keys in its ``__post_init__``.  A task's
-``check_runnable`` ties it to the model block with the rules of
-``phases``; the CLI calls it before making the output directory.
+parameters are the other keys.
+
+The parser states no rule on values; each rule has one owner, whose
+``ValueError`` becomes a ``ConfigError`` naming the block.  A block's
+dataclass (``ChainSpec`` and ``ModeSet`` for ``model``, ``ValidateTask``,
+``_Output``, ``SearchSpec``, ``Thresholds``) checks it as it is built.  A
+task's ``check_runnable`` ties it to the model through the library call
+the run makes (``phases._point`` per sweep value, ``phases._plan``,
+``correlation._check_n_max``); the CLI calls it before making the output
+directory.
 """
 
 from __future__ import annotations
@@ -27,10 +33,11 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 import yaml
 
+from .correlation import _check_n_max
 from .meanfield import SearchSpec
 from .model import ChainSpec, IsingProfile, ModeSet
 from .oracle import _HARD_MAX
-from .phases import _AXES, SweepContext, Thresholds, _columns, _point
+from .phases import SweepContext, Thresholds, _plan, _point
 
 __all__ = [
     "ConfigError",
@@ -82,6 +89,10 @@ class _Output:
     dir: str = "out"
     format: str = "csv"
 
+    def __post_init__(self) -> None:
+        if self.format not in _FORMATS:
+            raise ValueError("format must be csv or json")
+
 
 class _Task:
     at_lambda0 = False  # solved at model.lambda0 alone
@@ -108,10 +119,6 @@ class SweepTask(_Task):
     delta_J: float | None = None
     delta_J_factor: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.delta_J is not None and self.delta_J_factor is not None:
-            raise ValueError("delta_J and delta_J_factor are mutually exclusive")
-
     def context(self, cfg: RunConfig) -> SweepContext:
         return SweepContext(
             chain=cfg.chain, modes=cfg.modes, lambda0=cfg.lambda0, search=cfg.search,
@@ -136,18 +143,11 @@ class PhaseDiagramTask(_Task):
     order: bool = True
     n_max: int | None = None
 
-    def __post_init__(self) -> None:
-        if (self.delta_J is None) == (self.delta_J_factor is None):
-            raise ValueError("give exactly one of delta_J or delta_J_factor")
-
     def check_runnable(self, cfg: RunConfig) -> None:
         _library(
-            "task", _columns, cfg.chain, self.J_min_values, self.delta_J,
-            self.delta_J_factor, self.E_z_values,
+            "task", _plan, cfg.chain, cfg.modes, self.lambda0_values, self.J_min_values,
+            self.delta_J, self.delta_J_factor, self.E_z_values, self.n_max,
         )
-        for lam in self.lambda0_values:
-            _library("task", ModeSet, modes=cfg.modes, lambda0=lam, N=cfg.chain.N,
-                     E_c=cfg.chain.E_c)
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,10 @@ class CorrelationsTask(_Task):
     kind = "correlations"
     at_lambda0 = True
     n_max: int | None = None
+
+    def check_runnable(self, cfg: RunConfig) -> None:
+        super().check_runnable(cfg)
+        _library("task", _check_n_max, self.n_max)
 
 
 @dataclass(frozen=True)
@@ -168,6 +172,13 @@ class ValidateTask(_Task):
     max_distance: int = 4
 
     def __post_init__(self) -> None:
+        if self.instances < 1:
+            raise ValueError("instances must be at least 1")
+        if not 2 <= self.N <= _HARD_MAX:
+            raise ValueError(f"N must lie between 2 and {_HARD_MAX}")
+        for name in ("energy_tol", "expectation_tol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must not be negative")
         if not 1 <= self.max_distance <= self.N - 1:
             raise ValueError(f"max_distance must lie between 1 and N - 1 = {self.N - 1}")
 
@@ -283,18 +294,6 @@ _PARSERS = {
 }
 
 
-# path -> (test, what a value failing it must be)
-_KEY_CHECKS = {
-    "task.axis": (lambda v: v in _AXES, "must be lambda0, J_min or E_z"),
-    "task.n_max": (lambda n: n >= 1, "must be at least 1"),
-    "task.instances": (lambda n: n >= 1, "must be at least 1"),
-    "task.N": (lambda n: 2 <= n <= _HARD_MAX, f"must lie between 2 and {_HARD_MAX}"),
-    "task.energy_tol": (lambda tol: tol >= 0, "must not be negative"),
-    "task.expectation_tol": (lambda tol: tol >= 0, "must not be negative"),
-    "output.format": (lambda v: v in _FORMATS, "must be csv or json"),
-}
-
-
 def _value(hint, value, path: str):
     """Read ``value`` as the annotation ``hint`` says; ``X | None`` reads as ``X``."""
     args = set(typing.get_args(hint))
@@ -319,11 +318,7 @@ def _block(node, path: str, cls, hidden=()):
             continue
         if node[key] is None and f.default is None:
             continue
-        where = f"{path}.{key}"
-        kwargs[f.name] = _value(hints[f.name], node[key], where)
-        test, rule = _KEY_CHECKS.get(where, (None, None))
-        if test is not None and not test(kwargs[f.name]):
-            raise ConfigError(f"{where}: {rule}")
+        kwargs[f.name] = _value(hints[f.name], node[key], f"{path}.{key}")
     return _library(path, cls, **kwargs)
 
 

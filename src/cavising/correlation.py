@@ -117,14 +117,19 @@ def yy_correlation(G: np.ndarray, j: int, n: int) -> float:
     return float(seam * np.linalg.det(G[np.ix_(rows, cols)]))
 
 
+def _check_n_max(n_max: int | None) -> None:
+    """Raise ``ValueError`` unless ``n_max`` is unset or probes at least one separation."""
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+
+
 def yy_table(G: np.ndarray, n_max: int) -> dict[tuple[int, int], float]:
     """Dense table ``{(j, n): rho}`` for all sites and ``n = 1 .. n_max``.
 
     The full batched elimination, without the early stop of the report,
     over one period of ``G`` as :func:`_twisted_period` finds it.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    _check_n_max(n_max)
     R = _window_minors(G, n_max, _twisted_period(G))[0]
     return _as_dict(R, R.shape[1])
 
@@ -338,8 +343,7 @@ def correlation_report(
     pre-computed ``solution`` of the same field short-circuits the fermion
     solve; one of another ring size is refused before any work.
     """
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    _check_n_max(n_max)
     if solution is not None and solution.N != chain.N:
         raise ValueError(f"solution has N = {solution.N} sites but the chain has N = {chain.N}")
     fld = effective_field(chain, modeset, phi)

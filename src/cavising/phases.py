@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlation import correlation_report
+from .correlation import _check_n_max, correlation_report
 from .fermion import SolverError
 from .meanfield import SearchSpec, _Column, minimize_phi
 from .model import ChainSpec, IsingProfile, ModeSet
@@ -68,7 +68,8 @@ class AlreadyCondensedError(NoTransitionError):
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Classifier knobs, shared by the transition and magnetic labels."""
+    """Classifier knobs, shared by the transition and magnetic labels; none is negative,
+    and the bisection's bracket width and the slope probe's step are positive."""
 
     field: float = 1e-5
     critical_tol: float = 1e-4
@@ -78,6 +79,12 @@ class Thresholds:
     xi: float = 5.0
     sigma_z: float = 0.8
     oscillation: float = 0.3
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            strict = name in ("critical_tol", "slope_delta")
+            if not (value > 0 if strict else value >= 0):
+                raise ValueError(f"{name} must be {'> 0' if strict else '>= 0'}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -132,11 +139,12 @@ class SweepResult:
 
 # each sweep axis and the contrast keys of the context it reads
 _CONTRASTS = {"lambda0": (), "J_min": ("delta_J", "delta_J_factor"), "E_z": ("delta_J_factor",)}
-_AXES = tuple(_CONTRASTS)
 
 
 def _check_contrast(ctx: SweepContext, axis: str) -> None:
-    """Raise ``ValueError`` on both contrast keys, or on one the axis does not read."""
+    """Raise ``ValueError`` on an unknown axis, both contrast keys, or one it does not read."""
+    if axis not in _CONTRASTS:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(_CONTRASTS)}")
     if ctx.delta_J is not None and ctx.delta_J_factor is not None:
         raise ValueError("delta_J and delta_J_factor are mutually exclusive")
     for key in ("delta_J", "delta_J_factor"):
@@ -154,7 +162,7 @@ def _contrast(chain: ChainSpec, J_min: float, delta_J, delta_J_factor) -> ChainS
 
 
 def _point(ctx: SweepContext, axis: str, value: float):
-    """Chain and mode set at one sweep point on one of the ``_AXES``."""
+    """Chain and mode set at one sweep point on ``axis``."""
     _check_contrast(ctx, axis)
     chain, lam = ctx.chain, ctx.lambda0
     if axis == "lambda0":
@@ -202,8 +210,6 @@ def sweep(ctx: SweepContext, axis: str, values: Sequence[float]) -> SweepResult:
     result keeps the column, so the onset searches on it reuse the sweep's
     solves and curve.  A point on the other axes is one :func:`minimize_phi`.
     """
-    if axis not in _AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_AXES}")
     _check_contrast(ctx, axis)
     values = [float(v) for v in values]
     if axis == "lambda0":
@@ -262,6 +268,8 @@ def _refine_onset(result: SweepResult, thr: Thresholds):
             lo, hi = _probe_guess(solver, crossing, lo, hi, thr)
     while hi - lo > thr.critical_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # a bracket one ulp wide
+            break
         if solver.phi_norm(mid) > thr.field:
             hi = mid
         else:
@@ -459,15 +467,20 @@ class PhaseDiagram:
     crossover: tuple  # (E_z, J_min midpoint of the second->first change) pairs
 
 
-def _columns(chain: ChainSpec, J_min_values, delta_J, delta_J_factor, E_z_values):
-    """Each ``E_z`` of a phase diagram, as a float, with its ``J_min`` columns' chains."""
+def _plan(chain: ChainSpec, modes, lambda0_values, J_min_values, delta_J, delta_J_factor,
+          E_z_values, n_max):
+    """A phase diagram's grid, built before anything is solved: each ``E_z``, as a float,
+    with its ``J_min`` columns' chains, and the mode set at each ``lambda0``."""
     if (delta_J is None) == (delta_J_factor is None):
         raise ValueError("give exactly one of delta_J or delta_J_factor")
+    _check_n_max(n_max)
+    lams = map(float, lambda0_values)
+    modesets = [ModeSet(modes=modes, lambda0=lam, N=chain.N, E_c=chain.E_c) for lam in lams]
     groups = []
     for E_z in map(float, E_z_values if E_z_values is not None else (chain.E_z,)):
         at = replace(chain, E_z=E_z)
         groups.append((E_z, [_contrast(at, J, delta_J, delta_J_factor) for J in J_min_values]))
-    return groups
+    return groups, modesets
 
 
 def phase_diagram(
@@ -494,14 +507,15 @@ def phase_diagram(
     classifies; both reuse the sweep's solver.  Cell labels combine the
     local field phase with (when ``magnetic`` is set) the magnetic order
     of the solved ground state, whose correlation report probes
-    separations up to ``n_max`` (at least 1, checked before anything is
-    solved); the cells of a column at ``phi = 0``, whose field is ``E_z/2``
-    on every site at any ``lambda0``, share one report, on the ground
-    state the column's spinodal solved (solved afresh if that failed).
+    separations up to ``n_max``; the cells of a column at ``phi = 0``,
+    whose field is ``E_z/2`` on every site at any ``lambda0``, share one
+    report, on the ground state the column's spinodal solved (solved
+    afresh if that failed).
     The per-``E_z`` crossover is the midpoint between the largest
     ``J_min`` column labeled second order and the smallest labeled first
-    order, provided the two groups do not interleave.  A profile, contrast
-    or grid value that some column cannot take raises ``ValueError`` up front.
+    order, provided the two groups do not interleave.  A profile, contrast,
+    ``J_min``, ``E_z`` or ``lambda0`` value some column cannot take, or an
+    ``n_max`` below 1, raises ``ValueError`` before anything is solved.
 
     A solver failure while locating one column's onset is recorded on
     that column (``status == "error"``) and does not stop the others; a
@@ -513,9 +527,8 @@ def phase_diagram(
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (columns are solved serially), got {threads!r}")
-    groups = _columns(chain, J_min_values, delta_J, delta_J_factor, E_z_values)
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    groups, modesets = _plan(chain, modes, lambda0_values, J_min_values, delta_J,
+                             delta_J_factor, E_z_values, n_max)
     thr = thresholds or Thresholds()
     modes = tuple(int(m) for m in modes)
     lambda0_values = [float(v) for v in lambda0_values]
@@ -554,7 +567,7 @@ def phase_diagram(
             # at phi = 0 the field is E_z / 2 on every site whatever lambda0 is,
             # so the column's cells there share one report and one label
             magnetic_orders = {}
-            for rec in result.records:
+            for rec, modeset in zip(result.records, modesets):
                 label = None
                 if rec.status == "ok":
                     field_phase = "superradiant" if _condensed(rec, thr) else "normal"
@@ -562,9 +575,6 @@ def phase_diagram(
                     if magnetic:
                         key = rec.value if any(rec.phi) else None
                         if key not in magnetic_orders:
-                            modeset = ModeSet(
-                                modes=modes, lambda0=rec.value, N=col_chain.N, E_c=col_chain.E_c
-                            )
                             report = correlation_report(
                                 col_chain, modeset, np.array(rec.phi), n_max=n_max,
                                 solution=solver.normal.solution if key is None else None,

@@ -331,6 +331,20 @@ class TestConfigsThatCannotRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("thresholds", [{"critical_tol": 0}, {"slope_delta": 0.0}])
+    def test_bad_thresholds_stop_before_output(self, tmp_path, capsys, thresholds):
+        # critical_tol = 0 bisected forever; slope_delta = 0 divided by zero
+        raw = solve_config(tmp_path)
+        raw["model"]["ising"] = WINDOWS
+        raw["task"] = {"kind": "phase-diagram", "lambda0": [0.1, 0.6], "J_min": [0.01],
+                       "delta_J": 0.1}
+        raw["thresholds"] = thresholds
+        assert main(["phase-diagram", "--config", write_config(tmp_path, raw)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: thresholds: {next(iter(thresholds))} must be > 0")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestUsage:
     def test_missing_config_flag(self, tmp_path, capsys):

@@ -15,11 +15,14 @@ from cavising.config import (
     SolveTask,
     SweepTask,
     ValidateTask,
+    _Output,
     load_run_config,
 )
+from cavising.correlation import correlation_report
 from cavising.meanfield import SearchSpec
+from cavising.model import ChainSpec, IsingProfile, ModeSet
 from cavising.oracle import _HARD_MAX
-from cavising.phases import Thresholds
+from cavising.phases import SweepContext, Thresholds, _point, phase_diagram
 
 
 def base_config():
@@ -46,6 +49,16 @@ def write_config(tmp_path, raw, name="run.yaml"):
 
 def load(tmp_path, raw):
     return load_run_config(write_config(tmp_path, raw))
+
+
+WINDOWS = {"kind": "rectangular", "J_max": 0.2, "J_min": 0.01, "period": 2}
+
+
+def check_runnable(tmp_path, raw):
+    """Parse ``raw`` on the bond-window profile, then check that a run can take it."""
+    raw["model"]["ising"] = WINDOWS
+    cfg = load(tmp_path, raw)
+    cfg.task.check_runnable(cfg)
 
 
 class TestModelBlock:
@@ -201,8 +214,9 @@ class TestTaskBlock:
     def test_sweep_rejects_unknown_axis(self, tmp_path):
         raw = base_config()
         raw["task"] = {"kind": "sweep", "axis": "J_max", "values": [0.1]}
-        with pytest.raises(ConfigError, match="must be lambda0, J_min or E_z"):
-            load(tmp_path, raw)
+        assert load(tmp_path, raw).task.axis == "J_max"  # the file parses; no run takes it
+        with pytest.raises(ConfigError, match="task: unknown sweep axis 'J_max'"):
+            check_runnable(tmp_path, raw)
 
     def test_sweep_deltas_are_exclusive(self, tmp_path):
         raw = base_config()
@@ -213,8 +227,8 @@ class TestTaskBlock:
             "delta_J": 0.3,
             "delta_J_factor": 0.375,
         }
-        with pytest.raises(ConfigError, match="mutually exclusive"):
-            load(tmp_path, raw)
+        with pytest.raises(ConfigError, match="task: delta_J and delta_J_factor are mutually"):
+            check_runnable(tmp_path, raw)
 
     def test_phase_diagram_parse(self, tmp_path):
         raw = base_config()
@@ -245,8 +259,8 @@ class TestTaskBlock:
                 "J_min": [0.1],
                 **extra,
             }
-            with pytest.raises(ConfigError, match="exactly one"):
-                load(tmp_path, raw)
+            with pytest.raises(ConfigError, match="task: give exactly one"):
+                check_runnable(tmp_path, raw)
 
     def test_correlations_parse(self, tmp_path):
         raw = base_config()
@@ -282,14 +296,14 @@ class TestTaskBlock:
         with pytest.raises(ConfigError, match=r"task: unknown key\(s\) 'spectrum'"):
             load(tmp_path, raw)
         # a known key out of range: a report must probe at least one separation
-        for task in (
-            {"kind": "correlations", "n_max": 0},
-            {"kind": "phase-diagram", "lambda0": [0.2], "J_min": [0.1], "delta_J": 0.3,
-             "n_max": -3},
+        for task, n_max in (
+            ({"kind": "correlations", "n_max": 0}, 0),
+            ({"kind": "phase-diagram", "lambda0": [0.2], "J_min": [0.1], "delta_J": 0.3,
+              "n_max": -3}, -3),
         ):
             raw["task"] = task
-            with pytest.raises(ConfigError, match=r"task.n_max: must be at least 1"):
-                load(tmp_path, raw)
+            with pytest.raises(ConfigError, match=rf"task: n_max must be at least 1, got {n_max}"):
+                check_runnable(tmp_path, raw)
 
 
 class TestOverridesAndOutput:
@@ -339,7 +353,7 @@ class TestOverridesAndOutput:
     def test_output_format_is_checked(self, tmp_path):
         raw = base_config()
         raw["output"]["format"] = "parquet"
-        with pytest.raises(ConfigError, match="must be csv or json"):
+        with pytest.raises(ConfigError, match="output: format must be csv or json"):
             load(tmp_path, raw)
 
     def test_top_level_unknown_key(self, tmp_path):
@@ -386,12 +400,12 @@ class TestRanges:
             ({"N": 8, "max_distance": 10}, r"task: max_distance must lie between 1 and N - 1 = 7"),
             ({"N": 6, "max_distance": 6}, r"task: max_distance must lie between 1 and N - 1 = 5"),
             ({"max_distance": 0}, r"task: max_distance must lie between 1"),
-            ({"N": 0}, rf"task.N: must lie between 2 and {_HARD_MAX}"),
-            ({"N": 1}, rf"task.N: must lie between 2 and {_HARD_MAX}"),
-            ({"N": _HARD_MAX + 1}, rf"task.N: must lie between 2 and {_HARD_MAX}"),
-            ({"instances": 0}, r"task.instances: must be at least 1"),
-            ({"energy_tol": -1e-9}, r"task.energy_tol: must not be negative"),
-            ({"expectation_tol": -1e-8}, r"task.expectation_tol: must not be negative"),
+            ({"N": 0}, rf"task: N must lie between 2 and {_HARD_MAX}"),
+            ({"N": 1}, rf"task: N must lie between 2 and {_HARD_MAX}"),
+            ({"N": _HARD_MAX + 1}, rf"task: N must lie between 2 and {_HARD_MAX}"),
+            ({"instances": 0}, r"task: instances must be at least 1"),
+            ({"energy_tol": -1e-9}, r"task: energy_tol must not be negative"),
+            ({"expectation_tol": -1e-8}, r"task: expectation_tol must not be negative"),
         ],
     )
     def test_validate_ranges(self, tmp_path, task, match):
@@ -508,3 +522,74 @@ class TestOneStatement:
         assert type(parsed) is cls
         for name, value in variant.items():
             assert type(getattr(parsed, name)) is type(value), name
+
+
+# the library's side of each rejection below, on the model the configs share
+CHAIN = ChainSpec(N=12, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.2, 0.01, 2))
+MODES = (2,)
+
+
+def _sweep_point(axis, value, **contrast):
+    return lambda: _point(SweepContext(CHAIN, MODES, lambda0=0.3, **contrast), axis, value)
+
+
+def _diagram(lambda0=(0.2,), J_min=(0.01,), **kwargs):
+    return lambda: phase_diagram(CHAIN, MODES, lambda0, J_min, **kwargs)
+
+
+def _pd_task(lambda0=(0.2,), J_min=(0.01,), **keys):
+    return {"task": {"kind": "phase-diagram", "lambda0": list(lambda0), "J_min": list(J_min),
+                     **keys}}
+
+
+REJECTED = {
+    "sweep-axis": ({"task": {"kind": "sweep", "axis": "J_max", "values": [0.1]}},
+                   _sweep_point("J_max", 0.1)),
+    "sweep-both-contrasts": (
+        {"task": {"kind": "sweep", "axis": "J_min", "values": [0.01], "delta_J": 0.1,
+                  "delta_J_factor": 0.5}},
+        _sweep_point("J_min", 0.01, delta_J=0.1, delta_J_factor=0.5),
+    ),
+    "sweep-no-contrast": ({"task": {"kind": "sweep", "axis": "J_min", "values": [0.01]}},
+                          _sweep_point("J_min", 0.01)),
+    "sweep-unread-contrast": (
+        {"task": {"kind": "sweep", "axis": "lambda0", "values": [0.1], "delta_J": 5.0}},
+        _sweep_point("lambda0", 0.1, delta_J=5.0),
+    ),
+    "diagram-negative-lambda0": (_pd_task(lambda0=(-0.1, 0.6), delta_J=0.1),
+                                 _diagram(lambda0=(-0.1, 0.6), delta_J=0.1)),
+    "diagram-no-contrast": (_pd_task(), _diagram()),
+    "diagram-both-contrasts": (_pd_task(delta_J=0.1, delta_J_factor=0.5),
+                               _diagram(delta_J=0.1, delta_J_factor=0.5)),
+    "diagram-n_max": (_pd_task(delta_J=0.1, n_max=0, magnetic=False),
+                      _diagram(delta_J=0.1, n_max=0, magnetic=False)),
+    "diagram-negative-J_min": (_pd_task(J_min=(0.01, -0.1), delta_J=0.1),
+                               _diagram(J_min=(0.01, -0.1), delta_J=0.1)),
+    "correlations-n_max": (
+        {"task": {"kind": "correlations", "n_max": 0}},
+        lambda: correlation_report(
+            CHAIN, ModeSet(MODES, lambda0=0.3, N=12, E_c=8.0), [0.0], n_max=0
+        ),
+    ),
+    "thresholds-critical_tol": ({"thresholds": {"critical_tol": 0}},
+                                lambda: Thresholds(critical_tol=0.0)),
+    "thresholds-slope_delta": ({"thresholds": {"slope_delta": 0.0}},
+                               lambda: Thresholds(slope_delta=0.0)),
+    "validate-N": ({"task": {"kind": "validate", "N": 1}}, lambda: ValidateTask(N=1)),
+    "output-format": ({"output": {"format": "parquet"}}, lambda: _Output(format="parquet")),
+}
+
+
+class TestOneOwner:
+    """A config no run can take fails with the words of the library call the run makes."""
+
+    @pytest.mark.parametrize("blocks, call", list(REJECTED.values()), ids=list(REJECTED))
+    def test_config_error_ends_with_the_library_error(self, tmp_path, blocks, call):
+        raw = base_config()
+        raw.update(blocks)
+        with pytest.raises(ConfigError) as got:
+            check_runnable(tmp_path, raw)
+        with pytest.raises(ValueError) as want:
+            call()
+        assert type(want.value) is ValueError
+        assert str(got.value).endswith(f": {want.value}")

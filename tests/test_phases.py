@@ -90,6 +90,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="lamda0"):
             sweep(desk_ctx(), "lamda0", [0.1, 0.2])
 
+    @pytest.mark.parametrize("contrast", [{}, {"delta_J": 0.1}, {"delta_J_factor": 0.25}])
+    def test_point_rejects_an_unknown_axis(self, contrast):
+        # neither solved as an E_z point nor a KeyError from the contrast table
+        ctx = SweepContext(chain=desk_chain(), modes=(2,), lambda0=0.1, search=QUICK, **contrast)
+        with pytest.raises(ValueError, match="unknown sweep axis 'bogus'"):
+            phases._point(ctx, "bogus", 0.5)
+
     @pytest.mark.parametrize(
         "axis, contrast",
         [("lambda0", {"delta_J": 5.0}), ("lambda0", {"delta_J_factor": 0.25}),
@@ -555,6 +562,15 @@ class TestPhaseDiagram:
                 desk_chain(), (2,), [0.1], [0.001], delta_J=0.025, n_max=0, magnetic=False
             )
 
+    def test_negative_lambda0_is_rejected_before_any_energy(self, monkeypatch):
+        # a grid value no mode set can take is the caller's error, not an error column
+        calls = []
+        monkeypatch.setattr(meanfield, "quasiparticle_energies", lambda *a: calls.append(a))
+        monkeypatch.setattr(fermion, "solve_quasiparticles", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="lambda0 must be >= 0"):
+            phase_diagram(desk_chain(), (2,), [-0.1, 0.2], [0.001], delta_J=0.025, search=QUICK)
+        assert calls == []
+
     def test_columns_are_serial(self):
         with pytest.raises(ValueError, match="threads"):
             phase_diagram(desk_chain(), (2,), [0.1], [0.001], delta_J=0.025, threads=2)
@@ -636,3 +652,30 @@ class TestPhaseDiagram:
         assert (col.status, col.lambda_c, col.message) == ("error", None, "injected failure")
         assert [c.status for c in diagram.cells] == ["ok"] * len(grid)
         assert diagram.crossover == ((0.1, None),)
+
+
+class TestThresholds:
+    @pytest.mark.parametrize(
+        "knobs, match",
+        [
+            ({"critical_tol": 0}, "critical_tol must be > 0, got 0"),
+            ({"critical_tol": -1}, "critical_tol must be > 0, got -1"),
+            ({"slope_delta": 0.0}, "slope_delta must be > 0"),
+            ({"field": -1e-5}, "field must be >= 0"),
+            ({"jump": float("nan")}, "jump must be >= 0"),
+        ],
+    )
+    def test_out_of_range_knobs_are_rejected(self, knobs, match):
+        # critical_tol = 0 bisected forever; slope_delta = 0 divided by zero
+        with pytest.raises(ValueError, match=match):
+            Thresholds(**knobs)
+
+    def test_range_ends_are_accepted(self):
+        ends = dict(field=0.0, jump=0.0, slope_ratio=0.0, xi=0.0, sigma_z=0.0, oscillation=0.0)
+        assert Thresholds(**ends, critical_tol=1e-300, slope_delta=1e-300).xi == 0.0
+
+    def test_bisection_finer_than_a_float_ends(self):
+        # the bracket stops one ulp wide, where its midpoint rounds onto an end
+        res = sweep(desk_ctx(), "lambda0", np.linspace(0.15, 0.3, 7))
+        lam = critical_coupling(res, Thresholds(critical_tol=1e-300))
+        assert lam == pytest.approx(DESK_LAMBDA_C, abs=1.5e-3)
