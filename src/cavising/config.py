@@ -19,9 +19,9 @@ The parser states no rule on values; each rule has one owner, whose
 dataclass (``ChainSpec`` and ``ModeSet`` for ``model``, ``ValidateTask``,
 ``_Output``, ``SearchSpec``, ``Thresholds``) checks it as it is built.  A
 task's ``check_runnable`` ties it to the model through the library call
-the run makes (``phases._point`` per sweep value, ``phases._plan``,
-``correlation._check_n_max``); the CLI calls it before making the output
-directory.
+the run makes (``phases._plan``, for a sweep through ``phases._sweep_plan``,
+and ``correlation._check_n_max``); the CLI calls it before making the
+output directory.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .correlation import _check_n_max
 from .meanfield import SearchSpec
 from .model import ChainSpec, IsingProfile, ModeSet
 from .oracle import _HARD_MAX
-from .phases import SweepContext, Thresholds, _plan, _point
+from .phases import SweepContext, Thresholds, _plan, _sweep_plan
 
 __all__ = [
     "ConfigError",
@@ -126,9 +126,7 @@ class SweepTask(_Task):
         )
 
     def check_runnable(self, cfg: RunConfig) -> None:
-        ctx = self.context(cfg)
-        for value in self.values:
-            _library("task", _point, ctx, self.axis, value)
+        _library("task", _sweep_plan, self.context(cfg), self.axis, self.values)
 
 
 @dataclass(frozen=True)

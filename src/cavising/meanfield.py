@@ -115,16 +115,16 @@ class SearchSpec:
     degeneracy_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.phi_max <= 0:
-            raise ValueError("phi_max must be positive")
+        if not 0 < self.phi_max < math.inf:
+            raise ValueError(f"phi_max must be positive and finite, got {self.phi_max}")
         if self.coarse_points < 3 or self.multi_coarse_points < 3 or self.line_points < 3:
             raise ValueError("grids need at least 3 points")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be at least 1")
-        if self.refine_tol <= 0 or self.descent_tol <= 0:
-            raise ValueError("refine_tol and descent_tol must be positive")
-        if self.degeneracy_tol < 0:
-            raise ValueError("degeneracy_tol must not be negative")
+        if not (0 < self.refine_tol < math.inf and 0 < self.descent_tol < math.inf):
+            raise ValueError("refine_tol and descent_tol must be positive and finite")
+        if not 0 <= self.degeneracy_tol < math.inf:
+            raise ValueError("degeneracy_tol must be finite and not negative")
 
 
 @dataclass(frozen=True)

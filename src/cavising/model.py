@@ -60,21 +60,21 @@ class IsingProfile:
 
     def __post_init__(self) -> None:
         if self.kind == "uniform":
-            if self.J is None or self.J < 0:
-                raise ValueError("uniform profile needs J >= 0")
+            if self.J is None or not 0 <= self.J < math.inf:
+                raise ValueError(f"uniform profile needs a finite J >= 0, got {self.J}")
         elif self.kind == "rectangular":
             if self.J_max is None or self.J_min is None or self.period is None:
                 raise ValueError("rectangular profile needs J_max, J_min and period")
-            if self.J_min < 0 or self.J_max < self.J_min:
-                raise ValueError("rectangular profile needs J_max >= J_min >= 0")
+            if not 0 <= self.J_min <= self.J_max < math.inf:
+                raise ValueError("rectangular profile needs a finite J_max >= J_min >= 0")
             if self.period < 1:
                 raise ValueError("rectangular profile needs period >= 1")
         elif self.kind == "explicit":
             if not self.values:
                 raise ValueError("explicit profile needs a nonempty values sequence")
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-            if min(self.values) < 0:
-                raise ValueError("explicit profile values must be >= 0")
+            if not all(0 <= v < math.inf for v in self.values):
+                raise ValueError("explicit profile values must be finite and >= 0")
         else:
             raise ValueError(f"unknown Ising profile kind {self.kind!r}")
 
@@ -134,10 +134,10 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError("chain needs at least one site")
-        if self.E_z <= 0:
-            raise ValueError("E_z must be positive")
-        if self.E_c <= 0:
-            raise ValueError("E_c must be positive")
+        if not 0 < self.E_z < math.inf:
+            raise ValueError(f"E_z must be positive and finite, got {self.E_z}")
+        if not 0 < self.E_c < math.inf:
+            raise ValueError(f"E_c must be positive and finite, got {self.E_c}")
         if self.ising.kind == "explicit" and len(self.ising.values) != self.N:
             raise ValueError("explicit Ising profile length does not match N")
 
@@ -198,10 +198,10 @@ class ModeSet:
             raise ValueError("mode indices must be distinct")
         if min(modes) < 1:
             raise ValueError("mode indices must be >= 1")
-        if self.lambda0 < 0:
-            raise ValueError("lambda0 must be >= 0")
-        if self.E_c <= 0:
-            raise ValueError("E_c must be positive")
+        if not 0 <= self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be >= 0 and finite, got {self.lambda0}")
+        if not 0 < self.E_c < math.inf:
+            raise ValueError(f"E_c must be positive and finite, got {self.E_c}")
         object.__setattr__(self, "modes", modes)
         sites = np.arange(self.N)
         lam = np.stack([coupling_strength(l, sites, self.lambda0, self.N) for l in modes])

@@ -137,21 +137,6 @@ class SweepResult:
         return np.array([r.value for r in self.records])
 
 
-# each sweep axis and the contrast keys of the context it reads
-_CONTRASTS = {"lambda0": (), "J_min": ("delta_J", "delta_J_factor"), "E_z": ("delta_J_factor",)}
-
-
-def _check_contrast(ctx: SweepContext, axis: str) -> None:
-    """Raise ``ValueError`` on an unknown axis, both contrast keys, or one it does not read."""
-    if axis not in _CONTRASTS:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(_CONTRASTS)}")
-    if ctx.delta_J is not None and ctx.delta_J_factor is not None:
-        raise ValueError("delta_J and delta_J_factor are mutually exclusive")
-    for key in ("delta_J", "delta_J_factor"):
-        if getattr(ctx, key) is not None and key not in _CONTRASTS[axis]:
-            raise ValueError(f"a sweep along {axis} does not read {key}")
-
-
 def _contrast(chain: ChainSpec, J_min: float, delta_J, delta_J_factor) -> ChainSpec:
     """``chain`` with strong bonds ``J_min + delta_J``, or ``J_min + delta_J_factor E_z``,
     on a weak ``J_min``, in the windows of its rectangular profile."""
@@ -161,23 +146,51 @@ def _contrast(chain: ChainSpec, J_min: float, delta_J, delta_J_factor) -> ChainS
     return replace(chain, ising=IsingProfile.rectangular(J_min + dJ, J_min, chain.ising.period))
 
 
-def _point(ctx: SweepContext, axis: str, value: float):
-    """Chain and mode set at one sweep point on ``axis``."""
-    _check_contrast(ctx, axis)
-    chain, lam = ctx.chain, ctx.lambda0
-    if axis == "lambda0":
-        lam = value
-    elif axis == "J_min":
-        if ctx.delta_J is None and ctx.delta_J_factor is None:
-            raise ValueError("J_min sweeps need delta_J or delta_J_factor")
-        chain = _contrast(chain, value, ctx.delta_J, ctx.delta_J_factor)
-    else:
-        chain = replace(chain, E_z=value)
-        if ctx.delta_J_factor is not None:
-            chain = _contrast(chain, chain.ising.J_min, None, ctx.delta_J_factor)
-    if lam is None:
+def _plan(chain: ChainSpec, modes, lambda0_values, J_min_values, delta_J, delta_J_factor,
+          E_z_values, n_max=None):
+    """A grid over ``E_z``, ``J_min`` and ``lambda0``, built before anything is solved: each
+    ``E_z``, as a float, with its ``J_min`` values' chains, and the mode set at each ``lambda0``.
+
+    Without ``E_z`` or ``J_min`` values the grid keeps the chain's own.  A ``J_min`` grid
+    reads exactly one of ``delta_J`` and ``delta_J_factor``.  Without a ``J_min`` grid only
+    an ``E_z`` grid reads a key, ``delta_J_factor``, which rescales the chain's contrast at
+    each ``E_z``.  A key left unread, or a value no chain or mode set takes, raises
+    ``ValueError``.
+    """
+    contrast = delta_J is not None or delta_J_factor is not None
+    if delta_J is not None and delta_J_factor is not None:
+        raise ValueError("delta_J and delta_J_factor are mutually exclusive")
+    if J_min_values is None:
+        if delta_J is not None:
+            along = "lambda0" if E_z_values is None else "E_z"
+            raise ValueError(f"a sweep along {along} does not read delta_J")
+        if delta_J_factor is not None and E_z_values is None:
+            raise ValueError("a sweep along lambda0 does not read delta_J_factor")
+    elif not contrast:
+        raise ValueError("J_min grids need delta_J or delta_J_factor")
+    _check_n_max(n_max)
+    lams = map(float, lambda0_values)
+    modesets = [ModeSet(modes=modes, lambda0=lam, N=chain.N, E_c=chain.E_c) for lam in lams]
+    groups = []
+    for E_z in map(float, E_z_values if E_z_values is not None else (chain.E_z,)):
+        at = replace(chain, E_z=E_z)
+        J_mins = J_min_values if J_min_values is not None else (at.ising.J_min,)
+        groups.append((E_z, [_contrast(at, J, delta_J, delta_J_factor) if contrast else at
+                             for J in J_mins]))
+    return groups, modesets
+
+
+def _sweep_plan(ctx: SweepContext, axis: str, values):
+    """:func:`_plan` of a sweep: the grid holds ``values`` on ``axis`` and the context's
+    ``lambda0`` and chain on the other two."""
+    grid = {"lambda0": (ctx.lambda0,), "J_min": None, "E_z": None}
+    if axis not in grid:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(grid)}")
+    if axis != "lambda0" and ctx.lambda0 is None:
         raise ValueError(f"sweeping {axis!r} needs a fixed lambda0 in the context")
-    return chain, ModeSet(modes=ctx.modes, lambda0=lam, N=chain.N, E_c=chain.E_c)
+    grid[axis] = values
+    return _plan(ctx.chain, ctx.modes, grid["lambda0"], grid["J_min"], ctx.delta_J,
+                 ctx.delta_J_factor, grid["E_z"])
 
 
 def _solve_record(solve, value: float) -> SweepRecord:
@@ -199,25 +212,29 @@ def _solve_record(solve, value: float) -> SweepRecord:
 
 
 def sweep(ctx: SweepContext, axis: str, values: Sequence[float]) -> SweepResult:
-    """Minimize along one axis; failed points are recorded, not fatal.
+    """Minimize along one axis; a point the solver fails is recorded, not fatal.
 
-    ``axis`` is one of ``"lambda0"``, ``"J_min"`` and ``"E_z"``; any other,
-    or a context whose ``delta_J`` or ``delta_J_factor`` the axis does not
-    read, raises ``ValueError`` before a point is solved.  Along ``lambda0``
-    the points are one memoized column; on one mode every point re-scores one
-    unit-coupling curve, whose spinodal (one full solve, also the
-    bisection's first guess) settles each point's first grid cell.  The
-    result keeps the column, so the onset searches on it reuse the sweep's
-    solves and curve.  A point on the other axes is one :func:`minimize_phi`.
+    ``axis`` is one of ``"lambda0"``, ``"J_min"`` and ``"E_z"``.  The grid is
+    built first, by :func:`phase_diagram`'s plan: an unknown axis, a missing
+    ``lambda0`` or contrast, one the axis does not read, or a value no chain
+    or mode set takes raises ``ValueError`` before any point is solved, so
+    only a :class:`~cavising.fermion.SolverError` makes an error record.
+    Along ``lambda0`` the points are one memoized column; on one mode every
+    point re-scores one unit-coupling curve, whose spinodal (one full solve,
+    also the bisection's first guess) settles each point's first grid cell.
+    The result keeps the column, so the onset searches on it reuse the
+    sweep's solves and curve.  A point on the other axes is one
+    :func:`minimize_phi`.
     """
-    _check_contrast(ctx, axis)
+    groups, modesets = _sweep_plan(ctx, axis, values)
     values = [float(v) for v in values]
     if axis == "lambda0":
         solver = _Column(ctx.chain, ctx.modes, ctx.search, values)
         solve = solver.state
     else:
         solver = None
-        solve = lambda v: minimize_phi(*_point(ctx, axis, v), ctx.search)
+        chains = dict(zip(values, (chain for _, group in groups for chain in group)))
+        solve = lambda v: minimize_phi(chains[v], modesets[0], ctx.search)
     records = [_solve_record(solve, v) for v in values]
     return SweepResult(axis=axis, records=tuple(records), context=ctx, _solver=solver)
 
@@ -465,22 +482,6 @@ class PhaseDiagram:
     cells: tuple
     columns: tuple
     crossover: tuple  # (E_z, J_min midpoint of the second->first change) pairs
-
-
-def _plan(chain: ChainSpec, modes, lambda0_values, J_min_values, delta_J, delta_J_factor,
-          E_z_values, n_max):
-    """A phase diagram's grid, built before anything is solved: each ``E_z``, as a float,
-    with its ``J_min`` columns' chains, and the mode set at each ``lambda0``."""
-    if (delta_J is None) == (delta_J_factor is None):
-        raise ValueError("give exactly one of delta_J or delta_J_factor")
-    _check_n_max(n_max)
-    lams = map(float, lambda0_values)
-    modesets = [ModeSet(modes=modes, lambda0=lam, N=chain.N, E_c=chain.E_c) for lam in lams]
-    groups = []
-    for E_z in map(float, E_z_values if E_z_values is not None else (chain.E_z,)):
-        at = replace(chain, E_z=E_z)
-        groups.append((E_z, [_contrast(at, J, delta_J, delta_J_factor) for J in J_min_values]))
-    return groups, modesets
 
 
 def phase_diagram(

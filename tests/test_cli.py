@@ -1,11 +1,18 @@
 """End-to-end command-line runs on small chains."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavising import correlation
 from cavising.cli import main
@@ -344,6 +351,91 @@ class TestConfigsThatCannotRun:
         assert err.startswith(f"config error: thresholds: {next(iter(thresholds))} must be > 0")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+GOOD = st.sampled_from([0.05, 0.3, 0.8])
+# what an edge draw puts in place of a sound float, or of a sound count or index
+EDGE = {float: st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.3]),
+        int: st.sampled_from([0, -1])}
+# the contrast keys a sweep along each axis reads
+READS = {"lambda0": [None], "J_min": ["delta_J", "delta_J_factor"],
+         "E_z": [None, "delta_J_factor"]}
+
+
+def _number_paths(node, path=()):
+    """Key paths of every number in a config tree."""
+    if isinstance(node, (int, float)):
+        return [path]
+    if not isinstance(node, (dict, list)):
+        return []
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    return [p for key, value in items for p in _number_paths(value, path + (key,))]
+
+
+@st.composite
+def small_runs(draw):
+    """A sound solve or sweep config at N <= 8, on grids of at most 3 points, with up to
+    two of its numbers swapped for an edge value (NaN, +-inf, 0 or a negative)."""
+    J_min = draw(GOOD)
+    ising = draw(st.sampled_from([
+        {"kind": "uniform", "J": J_min},
+        {"kind": "rectangular", "J_max": 2 * J_min, "J_min": J_min, "period": 2},
+    ]))
+    model = {"N": draw(st.integers(1, 8)), "E_z": draw(GOOD), "E_c": draw(GOOD),
+             "ising": ising, "modes": draw(st.lists(st.integers(1, 3), min_size=1, max_size=2,
+                                                    unique=True)),
+             "lambda0": draw(GOOD)}
+    task = {"kind": "solve"}
+    if draw(st.booleans()):
+        axis = draw(st.sampled_from(list(READS)))
+        task = {"kind": "sweep", "axis": axis, "values": draw(st.lists(GOOD, min_size=1,
+                                                                      max_size=3))}
+        key = draw(st.sampled_from(READS[axis]))
+        if key is not None:
+            task[key] = draw(GOOD)
+    raw = {"model": model, "task": task,
+           "search": {"phi_max": 1.5, "coarse_points": 21, "multi_coarse_points": 5}}
+    paths = _number_paths(raw)
+    for path in draw(st.permutations(paths))[:draw(st.integers(0, 2))]:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(EDGE[type(node[path[-1]])])
+    return raw
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for value in node for x in _numbers(value)]
+    return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+class TestEveryConfigFailsUpFrontOrRuns:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(raw=small_runs())
+    def test_config_error_or_finite_files(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            raw["output"] = {"dir": str(out), "format": "csv"}
+            cfg = write_config(Path(tmp), raw)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([raw["task"]["kind"], "--config", cfg])
+            if code == 1:
+                assert err.getvalue().startswith("config error:")
+                assert not out.exists()
+                return
+            assert code == 0, err.getvalue()
+            files = sorted(out.iterdir())
+            assert files
+            for path in files:
+                if path.suffix == ".json":
+                    numbers = _numbers(load_json(path))
+                else:
+                    numbers = [float(cell) for row in read_table(path)[1] for cell in row]
+                assert all(math.isfinite(x) for x in numbers), path.name
 
 
 class TestUsage:

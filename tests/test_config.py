@@ -1,13 +1,14 @@
 """Config-file parsing: strict keys, defaults, grids and overrides."""
 
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from cavising import meanfield
 from cavising.config import (
     ConfigError,
     CorrelationsTask,
@@ -22,7 +23,7 @@ from cavising.correlation import correlation_report
 from cavising.meanfield import SearchSpec
 from cavising.model import ChainSpec, IsingProfile, ModeSet
 from cavising.oracle import _HARD_MAX
-from cavising.phases import SweepContext, Thresholds, _point, phase_diagram
+from cavising.phases import SweepContext, Thresholds, phase_diagram, sweep
 
 
 def base_config():
@@ -251,7 +252,10 @@ class TestTaskBlock:
         assert task.n_max == 10
 
     def test_phase_diagram_needs_exactly_one_delta(self, tmp_path):
-        for extra in ({}, {"delta_J": 0.3, "delta_J_factor": 0.375}):
+        for extra, match in (
+            ({}, "J_min grids need delta_J or delta_J_factor"),
+            ({"delta_J": 0.3, "delta_J_factor": 0.375}, "delta_J and delta_J_factor are mutually"),
+        ):
             raw = base_config()
             raw["task"] = {
                 "kind": "phase-diagram",
@@ -259,7 +263,7 @@ class TestTaskBlock:
                 "J_min": [0.1],
                 **extra,
             }
-            with pytest.raises(ConfigError, match="task: give exactly one"):
+            with pytest.raises(ConfigError, match=f"task: {match}"):
                 check_runnable(tmp_path, raw)
 
     def test_correlations_parse(self, tmp_path):
@@ -429,6 +433,8 @@ class TestRanges:
         "model, match",
         [
             ({"lambda0": -0.5}, r"model: lambda0 must be >= 0"),
+            ({"lambda0": float("nan")}, r"model: lambda0 must be >= 0 and finite, got nan"),
+            ({"lambda0": float("inf")}, r"model: lambda0 must be >= 0 and finite, got inf"),
             ({"modes": [0]}, r"model: mode indices must be >= 1"),
             ({"modes": [2, 2]}, r"model: mode indices must be distinct"),
         ],
@@ -529,8 +535,8 @@ CHAIN = ChainSpec(N=12, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.2, 0.
 MODES = (2,)
 
 
-def _sweep_point(axis, value, **contrast):
-    return lambda: _point(SweepContext(CHAIN, MODES, lambda0=0.3, **contrast), axis, value)
+def _sweep(axis, values, chain=CHAIN, lambda0=0.3, **contrast):
+    return lambda: sweep(SweepContext(chain, MODES, lambda0=lambda0, **contrast), axis, values)
 
 
 def _diagram(lambda0=(0.2,), J_min=(0.01,), **kwargs):
@@ -542,19 +548,31 @@ def _pd_task(lambda0=(0.2,), J_min=(0.01,), **keys):
                      **keys}}
 
 
+def _sweep_task(axis, values, **keys):
+    return {"task": {"kind": "sweep", "axis": axis, "values": list(values), **keys}}
+
+
 REJECTED = {
-    "sweep-axis": ({"task": {"kind": "sweep", "axis": "J_max", "values": [0.1]}},
-                   _sweep_point("J_max", 0.1)),
-    "sweep-both-contrasts": (
-        {"task": {"kind": "sweep", "axis": "J_min", "values": [0.01], "delta_J": 0.1,
-                  "delta_J_factor": 0.5}},
-        _sweep_point("J_min", 0.01, delta_J=0.1, delta_J_factor=0.5),
+    "sweep-axis": (_sweep_task("J_max", [0.1]), _sweep("J_max", [0.1])),
+    "sweep-both-contrasts": (_sweep_task("J_min", [0.01], delta_J=0.1, delta_J_factor=0.5),
+                             _sweep("J_min", [0.01], delta_J=0.1, delta_J_factor=0.5)),
+    "sweep-no-contrast": (_sweep_task("J_min", [0.01, 0.02]), _sweep("J_min", [0.01, 0.02])),
+    "sweep-unread-contrast": (_sweep_task("lambda0", [0.1], delta_J=5.0),
+                              _sweep("lambda0", [0.1], delta_J=5.0)),
+    "sweep-uniform-profile": (
+        {"model": {"ising": {"kind": "uniform", "J": 0.1}},
+         **_sweep_task("J_min", [0.01, 0.02], delta_J=0.1)},
+        _sweep("J_min", [0.01, 0.02], chain=replace(CHAIN, ising=IsingProfile.uniform(0.1)),
+               delta_J=0.1),
     ),
-    "sweep-no-contrast": ({"task": {"kind": "sweep", "axis": "J_min", "values": [0.01]}},
-                          _sweep_point("J_min", 0.01)),
-    "sweep-unread-contrast": (
-        {"task": {"kind": "sweep", "axis": "lambda0", "values": [0.1], "delta_J": 5.0}},
-        _sweep_point("lambda0", 0.1, delta_J=5.0),
+    "sweep-zero-E_z": (_sweep_task("E_z", [0.0, 0.5]), _sweep("E_z", [0.0, 0.5])),
+    "sweep-negative-lambda0": (_sweep_task("lambda0", [-0.1, 0.2]),
+                               _sweep("lambda0", [-0.1, 0.2])),
+    "sweep-negative-J_min": (_sweep_task("J_min", [0.01, -0.1], delta_J=0.1),
+                             _sweep("J_min", [0.01, -0.1], delta_J=0.1)),
+    "sweep-missing-lambda0": (
+        {"model": {"lambda0": None}, **_sweep_task("J_min", [0.01], delta_J=0.1)},
+        _sweep("J_min", [0.01], lambda0=None, delta_J=0.1),
     ),
     "diagram-negative-lambda0": (_pd_task(lambda0=(-0.1, 0.6), delta_J=0.1),
                                  _diagram(lambda0=(-0.1, 0.6), delta_J=0.1)),
@@ -584,11 +602,21 @@ class TestOneOwner:
     """A config no run can take fails with the words of the library call the run makes."""
 
     @pytest.mark.parametrize("blocks, call", list(REJECTED.values()), ids=list(REJECTED))
-    def test_config_error_ends_with_the_library_error(self, tmp_path, blocks, call):
+    def test_config_error_ends_with_the_library_error(self, tmp_path, monkeypatch, blocks,
+                                                      call):
         raw = base_config()
+        raw["model"]["ising"] = WINDOWS
+        blocks = dict(blocks)
+        raw["model"].update(blocks.pop("model", {}))
         raw.update(blocks)
         with pytest.raises(ConfigError) as got:
-            check_runnable(tmp_path, raw)
+            cfg = load(tmp_path, raw)
+            cfg.task.check_runnable(cfg)
+
+        def energy(*args):
+            raise AssertionError("an energy was evaluated")
+
+        monkeypatch.setattr(meanfield, "energy_per_particle", energy)
         with pytest.raises(ValueError) as want:
             call()
         assert type(want.value) is ValueError

@@ -1,5 +1,6 @@
 """Energy surface and amplitude search."""
 
+import math
 import warnings
 
 import numpy as np
@@ -1199,6 +1200,9 @@ class TestSearchSpec:
             {"descent_tol": 0.0},
             {"descent_tol": -1e-5},
             {"degeneracy_tol": -1e-9},
+            # NaN passes a check written as x <= 0; a NaN phi_max would scan nothing
+            *({key: bad} for key in ("phi_max", "refine_tol", "descent_tol", "degeneracy_tol")
+              for bad in (math.nan, math.inf, -math.inf)),
         ):
             with pytest.raises(ValueError):
                 SearchSpec(**bad)

@@ -60,6 +60,15 @@ class TestIsingProfile:
             IsingProfile.explicit([0.1, -0.2])
         with pytest.raises(ValueError):
             IsingProfile(kind="smooth", J=0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                IsingProfile.uniform(bad)
+            with pytest.raises(ValueError, match="finite"):
+                IsingProfile.rectangular(bad, 0.1, 2)
+            with pytest.raises(ValueError, match="finite"):
+                IsingProfile.rectangular(0.2, bad, 2)
+            with pytest.raises(ValueError, match="finite"):
+                IsingProfile.explicit([0.1, bad])
 
 
 class TestChainSpec:
@@ -77,6 +86,11 @@ class TestChainSpec:
             ChainSpec(N=4, E_z=0.8, E_c=-1.0, ising=good)
         with pytest.raises(ValueError):
             ChainSpec(N=4, E_z=0.8, E_c=8.0, ising=IsingProfile.explicit([0.1, 0.2]))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="E_z must be positive and finite"):
+                ChainSpec(N=4, E_z=bad, E_c=8.0, ising=good)
+            with pytest.raises(ValueError, match="E_c must be positive and finite"):
+                ChainSpec(N=4, E_z=0.8, E_c=bad, ising=good)
 
 
 class TestCouplings:
@@ -142,6 +156,11 @@ class TestCouplings:
             ModeSet(modes=(0,), lambda0=0.1, N=10, E_c=8.0)
         with pytest.raises(ValueError):
             ModeSet(modes=(1,), lambda0=-0.1, N=10, E_c=8.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="lambda0 must be >= 0 and finite"):
+                ModeSet(modes=(1,), lambda0=bad, N=10, E_c=8.0)
+            with pytest.raises(ValueError, match="E_c must be positive and finite"):
+                ModeSet(modes=(1,), lambda0=0.1, N=10, E_c=bad)
 
 
 class TestEffectiveField:

@@ -91,11 +91,11 @@ class TestSweep:
             sweep(desk_ctx(), "lamda0", [0.1, 0.2])
 
     @pytest.mark.parametrize("contrast", [{}, {"delta_J": 0.1}, {"delta_J_factor": 0.25}])
-    def test_point_rejects_an_unknown_axis(self, contrast):
-        # neither solved as an E_z point nor a KeyError from the contrast table
+    def test_plan_rejects_an_unknown_axis(self, contrast):
+        # not solved as an E_z point, whatever contrast the context holds
         ctx = SweepContext(chain=desk_chain(), modes=(2,), lambda0=0.1, search=QUICK, **contrast)
         with pytest.raises(ValueError, match="unknown sweep axis 'bogus'"):
-            phases._point(ctx, "bogus", 0.5)
+            phases._sweep_plan(ctx, "bogus", [0.5])
 
     @pytest.mark.parametrize(
         "axis, contrast",
@@ -115,19 +115,30 @@ class TestSweep:
             delta_J_factor=0.5,
         )
         with pytest.raises(ValueError, match="delta_J and delta_J_factor are mutually exclusive"):
-            phases._point(ctx, "J_min", 0.05)
-        with pytest.raises(ValueError, match="mutually exclusive"):
             sweep(ctx, "J_min", [0.05])
 
-    def test_per_point_failures_are_recorded(self):
+    def test_per_point_failures_are_recorded(self, monkeypatch):
+        # a solver failure at one point is recorded there; the others still solve
+        real = phases.minimize_phi
+
+        def flaky(chain, modeset, search=None):
+            if chain.ising.J_min == 0.002:
+                raise SolverError("injected failure")
+            return real(chain, modeset, search)
+
+        monkeypatch.setattr(phases, "minimize_phi", flaky)
         ctx = SweepContext(
-            chain=ChainSpec(N=8, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.1)),
-            modes=(1,),
-            delta_J=0.1,
+            chain=desk_chain(), modes=(2,), lambda0=0.3, search=QUICK, delta_J=0.025
         )
-        res = sweep(ctx, "J_min", [0.05, 0.1])
-        assert all(r.status == "error" for r in res.records)
-        assert "rectangular" in res.records[0].message
+        res = sweep(ctx, "J_min", [0.001, 0.002, 0.004])
+        assert [r.status for r in res.records] == ["ok", "error", "ok"]
+        assert (res.records[1].phi, res.records[1].message) == (None, "injected failure")
+        assert all(max(abs(p) for p in res.records[i].phi) > 1e-3 for i in (0, 2))
+        # a profile no point can take is the caller's error, not a column of failed points
+        uniform = replace(ctx, chain=ChainSpec(N=8, E_z=0.8, E_c=8.0,
+                                               ising=IsingProfile.uniform(0.1)))
+        with pytest.raises(ValueError, match="rectangular"):
+            sweep(uniform, "J_min", [0.05, 0.1])
 
     def test_E_z_axis(self):
         ctx = SweepContext(
@@ -154,14 +165,22 @@ class TestCriticalCoupling:
         with pytest.raises(AlreadyCondensedError):
             critical_coupling(res)
 
-    def test_failed_point_surfaces(self):
-        ctx = SweepContext(
-            chain=ChainSpec(N=8, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.1)),
-            modes=(1,),
-            delta_J=0.1,
-        )
-        res = sweep(ctx, "J_min", [0.05, 0.1])
-        with pytest.raises(SolverError):
+    def test_failed_point_surfaces(self, monkeypatch):
+        # a failed point below the onset voids the bracket the bisection needs
+        grid = np.linspace(0.15, 0.3, 7)
+        real = meanfield._Column.state
+
+        def flaky(column, lam):
+            if lam == grid[1]:
+                raise SolverError("injected failure")
+            return real(column, lam)
+
+        monkeypatch.setattr(meanfield._Column, "state", flaky)
+        res = sweep(desk_ctx(), "lambda0", grid)
+        assert [r.status for r in res.records] == ["ok", "error"] + ["ok"] * 5
+        assert res.records[1].message == "injected failure"
+        assert max(abs(p) for p in res.records[-1].phi) > 1e-3
+        with pytest.raises(SolverError, match="injected failure"):
             critical_coupling(res)
 
 
