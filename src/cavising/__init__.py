@@ -24,7 +24,6 @@ from .fermion import (
     build_quadratic_form,
     ground_sector,
     quasiparticle_energies,
-    sector_energy,
     solve_quasiparticles,
 )
 from .meanfield import (

@@ -108,7 +108,7 @@ def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
 def _run_solve(cfg: RunConfig, task: SolveTask, out_dir: Path, fmt: str) -> None:
     state = meanfield.minimize_phi(cfg.chain, cfg.modeset, cfg.search)
     fld = effective_field(cfg.chain, cfg.modeset, state.phi)
-    sol = fermion.ground_sector(fld, cfg.chain.bonds(), both_sectors=task.both_sectors)
+    sol = fermion.ground_sector(fld, cfg.chain.bonds())
     _write_json(
         out_dir / "state.json",
         {
@@ -233,8 +233,8 @@ def _run_validate(cfg: RunConfig, task: ValidateTask, out_dir: Path, fmt: str) -
         Omega = rng.uniform(0.1, 1.0, task.N)
         J = rng.uniform(0.0, 1.0, task.N)
         fld = EffectiveField(Omega=Omega, theta=np.zeros(task.N))  # no rotation
-        sol = fermion.ground_sector(fld, J, both_sectors=True)
-        e_chain = fermion.sector_energy(sol) / task.N
+        sol = fermion.ground_sector(fld, J)
+        e_chain = sol.ground_energy_chain / task.N
 
         problem = oracle.DenseSpinProblem(Omega=Omega, J=J)
         e_exact, _ = oracle.exact_ground(problem)
@@ -242,10 +242,7 @@ def _run_validate(cfg: RunConfig, task: ValidateTask, out_dir: Path, fmt: str) -
         pairs = [(j, n) for j in range(task.N) for n in range(1, task.max_distance + 1)]
         expect = oracle.exact_expectations(problem, vec, pairs=pairs)
 
-        even = sol if sol.sector is fermion.Sector.EVEN else fermion.solve_quasiparticles(
-            fermion.build_quadratic_form(fld, J, fermion.Sector.EVEN)
-        )
-        G = correlation.pair_contractions(even)
+        G = correlation.pair_contractions(sol)
         d_energy = abs(e_chain - e_exact / task.N) / max(1.0, abs(e_exact / task.N))
         d_sz = float(np.max(np.abs(-np.diag(G) - expect["sigma_z"])))
         d_rho = max(

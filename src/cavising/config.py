@@ -108,7 +108,6 @@ class SolveTask(_Task):
     kind = "solve"
     at_lambda0 = True
     dump_spectrum: bool = False
-    both_sectors: bool = False
 
 
 @dataclass(frozen=True)

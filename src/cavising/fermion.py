@@ -17,7 +17,8 @@ so :class:`QuadraticForm` stores just the diagonal, the bond band
 ring into a boundary term whose sign depends on the sector: the twist
 ``tau`` is ``-1`` in the even sector (antiperiodic fermions, corner
 ``+J(N-1)``) and ``+1`` in the odd sector (periodic fermions, corner
-``-J(N-1)``).
+``-J(N-1)``).  With ``Omega > 0`` and ``J >= 0``, as the model builds
+them, the ground state is the even sector's vacuum (:func:`ground_sector`).
 
 Normalization: the physical single-quasiparticle energies are *twice*
 the singular values of ``T``; at ``J = 0`` flipping one spin against its
@@ -72,7 +73,6 @@ __all__ = [
     "build_quadratic_form",
     "quasiparticle_energies",
     "solve_quasiparticles",
-    "sector_energy",
     "ground_sector",
 ]
 
@@ -152,11 +152,7 @@ class QuasiparticleSolution:
     sector : Sector
     ground_energy_chain : float
         Chain part of the ground energy in this sector's vacuum,
-        ``-(1/2) sum_k Lambda_k``, before any parity bookkeeping.
-    vacuum_parity : int
-        Fermion parity of the vacuum of this quadratic form: the sign of
-        ``det(T)`` (+1 even, -1 odd, 0 when an exact zero mode makes
-        the parity indeterminate).
+        ``-(1/2) sum_k Lambda_k``.
     period : int
         Sites M per translation block the solve used (``N`` for a ring
         with no period): the field and bonds repeat every M sites, and so
@@ -168,7 +164,6 @@ class QuasiparticleSolution:
     Psi: np.ndarray
     sector: Sector
     ground_energy_chain: float
-    vacuum_parity: int
     period: int
 
     @property
@@ -396,7 +391,7 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
     N = form.N
     M = _translation_period(form.diagonal, form.bond_band)
     try:
-        Phi, Psi, s, blocks, lead = _bloch_modes(form, M)
+        Phi, Psi, s, lead = _bloch_modes(form, M)
     except np.linalg.LinAlgError as exc:
         raise SolverError("singular value decomposition failed") from exc
 
@@ -424,12 +419,6 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
             f"decomposition lost consistency (residual {resid:.3e}, orthogonality {ortho:.3e})"
         )
 
-    # an exact zero mode makes det(T) fp dust of arbitrary sign; report 0.
-    # det(T) is the product of the blocks' determinants, and a conjugate
-    # pair of blocks contributes |det T_z|^2 > 0: only real blocks are signed
-    parity = 0
-    if s[0] > zero_tol:
-        parity = int(np.prod([np.linalg.slogdet(b)[0] for b in blocks]))
     Phi.setflags(write=False)
     Psi.setflags(write=False)
     energies = 2.0 * s
@@ -440,7 +429,6 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
         Psi=Psi,
         sector=form.sector,
         ground_energy_chain=-float(np.sum(s)),
-        vacuum_parity=parity,
         period=M,
     )
 
@@ -448,24 +436,22 @@ def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
 def _bloch_modes(form: QuadraticForm, M: int):
     """Mode matrices and ascending singular values of ``T`` from its blocks of M sites.
 
-    Returns ``(Phi, Psi, s, real_blocks, lead)``: the real rows of the
-    Bloch modes of every twist, sorted by their singular values; the real
-    blocks ``T_z`` (``z = +-1``), whose determinants carry the sign of
-    ``det T``; and for each row the row of its complex mode that comes
-    first (itself for a real twist).  ``M = N`` is the one block
-    ``T_tau = T``: its rows are those of the dense SVD of ``T`` reversed.
+    Returns ``(Phi, Psi, s, lead)``: the real rows of the Bloch modes of
+    every twist, sorted by their singular values, and for each row the row
+    of its complex mode that comes first (itself for a real twist).
+    ``M = N`` is the one block ``T_tau = T``: its rows are those of the
+    dense SVD of ``T`` reversed.
     """
     N = form.N
     q = N // M
     Om, w = form.diagonal[:M], form.bond_band[:M]
     cells = np.arange(q)
-    phis, psis, values, modes, real_blocks = [], [], [], [], []
+    phis, psis, values, modes = [], [], [], []
     for paired in (False, True):
         zs = np.array([z for z, p in _twists(form.sector, q) if p is paired])
         if zs.size == 0:
             continue
-        blocks = np.stack([_block_matrix(Om, w, z) for z in zs])
-        U, s, Vh = np.linalg.svd(blocks)
+        U, s, Vh = np.linalg.svd(np.stack([_block_matrix(Om, w, z) for z in zs]))
         # LAPACK's values come descending: reversed, the stable sort below
         # gives a one-block ring the rows of the dense SVD of T in ascending
         # order, tied values included
@@ -483,8 +469,6 @@ def _bloch_modes(form: QuadraticForm, M: int):
             v = np.concatenate([root2 * v.real, root2 * v.imag])
             s = np.concatenate([s, s])
             mode = np.concatenate([mode, mode])
-        else:
-            real_blocks.extend(blocks)
         phis.append(u)
         psis.append(v)
         values.append(s)
@@ -495,7 +479,7 @@ def _bloch_modes(form: QuadraticForm, M: int):
     first = np.full(mode.max() + 1, N)
     np.minimum.at(first, mode, np.arange(N))
     Phi, Psi = np.concatenate(phis)[order], np.concatenate(psis)[order]
-    return Phi, Psi, s[order], real_blocks, first[mode]
+    return Phi, Psi, s[order], first[mode]
 
 
 def _block_matrix(Om: np.ndarray, w: np.ndarray, twist) -> np.ndarray:
@@ -523,33 +507,15 @@ def _times_T(X: np.ndarray, form: QuadraticForm, transpose: bool = False) -> np.
     return out
 
 
-def sector_energy(sol: QuasiparticleSolution) -> float:
-    """Ground energy of the chain restricted to the solution's parity sector.
+def ground_sector(field, bonds) -> QuasiparticleSolution:
+    """Solve the even sector, whose vacuum is the chain's ground state.
 
-    The bare vacuum of the quadratic form may carry the wrong fermion
-    parity for its sector; the lowest admissible state then holds one
-    quasiparticle, costing ``Lambda_min`` on top of the vacuum energy.
-    A vacuum parity of 0 (exact zero mode) means both parities are
-    degenerate and no correction applies.
+    This rests on ``Omega > 0`` on every site, which the model's rotated
+    field always has (``Omega(j) >= E_z / 2``), and on ``J >= 0`` on
+    every bond, which every Ising profile has.  In the ``s^y`` basis the
+    Hamiltonian then has non-positive off-diagonal entries that connect
+    all states, so by Perron-Frobenius its ground state is unique and
+    parity-even; and ``det T = prod(Omega) + prod(J) > 0`` in the even
+    sector, so the even vacuum carries that parity and is that state.
     """
-    want = +1 if sol.sector is Sector.EVEN else -1
-    energy = sol.ground_energy_chain
-    if sol.vacuum_parity != 0 and sol.vacuum_parity != want:
-        energy += float(sol.energies[0])
-    return energy
-
-
-def ground_sector(field, bonds, both_sectors: bool = False) -> QuasiparticleSolution:
-    """Solve the even sector, or both, and return the winning solution.
-
-    With ``Omega > 0`` and ``J >= 0`` the global ground state is always
-    found in the even sector (its vacuum parity is even for any such
-    chain), so the default skips the odd solve entirely.  Pass
-    ``both_sectors=True`` to compare the parity-corrected energies and
-    return whichever sector wins; ties go to even.
-    """
-    even = solve_quasiparticles(build_quadratic_form(field, bonds, Sector.EVEN))
-    if not both_sectors:
-        return even
-    odd = solve_quasiparticles(build_quadratic_form(field, bonds, Sector.ODD))
-    return even if sector_energy(even) <= sector_energy(odd) + 1e-12 else odd
+    return solve_quasiparticles(build_quadratic_form(field, bonds, Sector.EVEN))

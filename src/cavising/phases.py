@@ -28,6 +28,7 @@ other axes is one :func:`~cavising.meanfield.minimize_phi`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -68,8 +69,9 @@ class AlreadyCondensedError(NoTransitionError):
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Classifier knobs, shared by the transition and magnetic labels; none is negative,
-    and the bisection's bracket width and the slope probe's step are positive."""
+    """Classifier knobs, shared by the transition and magnetic labels; each is finite
+    and not negative, and the bisection's bracket width and the slope probe's step
+    are positive."""
 
     field: float = 1e-5
     critical_tol: float = 1e-4
@@ -83,8 +85,10 @@ class Thresholds:
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
             strict = name in ("critical_tol", "slope_delta")
-            if not (value > 0 if strict else value >= 0):
-                raise ValueError(f"{name} must be {'> 0' if strict else '>= 0'}, got {value}")
+            if not (0 < value < math.inf if strict else 0 <= value < math.inf):
+                raise ValueError(
+                    f"{name} must be {'> 0' if strict else '>= 0'} and finite, got {value}"
+                )
 
 
 @dataclass(frozen=True)

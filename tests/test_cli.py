@@ -338,9 +338,15 @@ class TestConfigsThatCannotRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("thresholds", [{"critical_tol": 0}, {"slope_delta": 0.0}])
+    @pytest.mark.parametrize(
+        "thresholds",
+        [{"critical_tol": 0}, {"slope_delta": 0.0}, {"critical_tol": math.inf},
+         {"slope_delta": math.inf}],
+    )
     def test_bad_thresholds_stop_before_output(self, tmp_path, capsys, thresholds):
-        # critical_tol = 0 bisected forever; slope_delta = 0 divided by zero
+        # critical_tol = 0 bisected forever and an infinite one wrote the bracket's
+        # midpoint as the onset; slope_delta = 0 divided by zero and an infinite one
+        # raised from ModeSet after the output directory was made
         raw = solve_config(tmp_path)
         raw["model"]["ising"] = WINDOWS
         raw["task"] = {"kind": "phase-diagram", "lambda0": [0.1, 0.6], "J_min": [0.01],
@@ -374,27 +380,36 @@ def _number_paths(node, path=()):
 
 @st.composite
 def small_runs(draw):
-    """A sound solve or sweep config at N <= 8, on grids of at most 3 points, with up to
-    two of its numbers swapped for an edge value (NaN, +-inf, 0 or a negative)."""
+    """A sound solve, sweep, phase-diagram or correlations config at N <= 8, on grids of at
+    most 3 points, with up to two of its numbers swapped for an edge value (NaN, +-inf, 0
+    or a negative); a phase diagram's thresholds are among them."""
     J_min = draw(GOOD)
-    ising = draw(st.sampled_from([
-        {"kind": "uniform", "J": J_min},
-        {"kind": "rectangular", "J_max": 2 * J_min, "J_min": J_min, "period": 2},
-    ]))
+    kind = draw(st.sampled_from(["solve", "sweep", "phase-diagram", "correlations"]))
+    rectangular = {"kind": "rectangular", "J_max": 2 * J_min, "J_min": J_min, "period": 2}
+    ising = rectangular
+    if kind != "phase-diagram":
+        ising = draw(st.sampled_from([{"kind": "uniform", "J": J_min}, rectangular]))
     model = {"N": draw(st.integers(1, 8)), "E_z": draw(GOOD), "E_c": draw(GOOD),
              "ising": ising, "modes": draw(st.lists(st.integers(1, 3), min_size=1, max_size=2,
                                                     unique=True)),
              "lambda0": draw(GOOD)}
-    task = {"kind": "solve"}
-    if draw(st.booleans()):
+    task = {"kind": kind}
+    raw = {"model": model, "task": task,
+           "search": {"phi_max": 1.5, "coarse_points": 21, "multi_coarse_points": 5}}
+    grid = st.lists(GOOD, min_size=1, max_size=3)
+    if kind == "sweep":
         axis = draw(st.sampled_from(list(READS)))
-        task = {"kind": "sweep", "axis": axis, "values": draw(st.lists(GOOD, min_size=1,
-                                                                      max_size=3))}
+        task.update(axis=axis, values=draw(grid))
         key = draw(st.sampled_from(READS[axis]))
         if key is not None:
             task[key] = draw(GOOD)
-    raw = {"model": model, "task": task,
-           "search": {"phi_max": 1.5, "coarse_points": 21, "multi_coarse_points": 5}}
+    elif kind == "phase-diagram":
+        task.update(lambda0=draw(grid), J_min=draw(grid), n_max=draw(st.integers(1, 3)))
+        task[draw(st.sampled_from(["delta_J", "delta_J_factor"]))] = draw(GOOD)
+        raw["thresholds"] = {"critical_tol": 1e-3, "slope_delta": 4e-3, "jump": 0.02,
+                             "xi": 5.0}
+    elif kind == "correlations":
+        task["n_max"] = draw(st.integers(1, 3))
     paths = _number_paths(raw)
     for path in draw(st.permutations(paths))[:draw(st.integers(0, 2))]:
         node = raw
@@ -412,8 +427,21 @@ def _numbers(node):
     return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
 
 
+def _csv_numbers(path):
+    """The cells of a CSV table that read as numbers ("nan" and "inf" among them); a phase
+    label or an empty cell does not."""
+    numbers = []
+    for row in read_table(path)[1]:
+        for cell in row:
+            try:
+                numbers.append(float(cell))
+            except ValueError:
+                pass
+    return numbers
+
+
 class TestEveryConfigFailsUpFrontOrRuns:
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(raw=small_runs())
     def test_config_error_or_finite_files(self, raw):
         with tempfile.TemporaryDirectory() as tmp:
@@ -434,7 +462,7 @@ class TestEveryConfigFailsUpFrontOrRuns:
                 if path.suffix == ".json":
                     numbers = _numbers(load_json(path))
                 else:
-                    numbers = [float(cell) for row in read_table(path)[1] for cell in row]
+                    numbers = _csv_numbers(path)
                 assert all(math.isfinite(x) for x in numbers), path.name
 
 

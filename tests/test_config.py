@@ -170,10 +170,15 @@ class TestModelBlock:
 class TestTaskBlock:
     def test_solve_flags(self, tmp_path):
         raw = base_config()
-        raw["task"] = {"kind": "solve", "dump_spectrum": True, "both_sectors": True}
-        task = load(tmp_path, raw).task
-        assert task.dump_spectrum is True
-        assert task.both_sectors is True
+        raw["task"] = {"kind": "solve", "dump_spectrum": True}
+        assert load(tmp_path, raw).task.dump_spectrum is True
+
+    def test_solve_has_no_sector_choice(self, tmp_path):
+        # the even sector always holds the ground state, so there is nothing to choose
+        raw = base_config()
+        raw["task"] = {"kind": "solve", "both_sectors": True}
+        with pytest.raises(ConfigError, match=r"task: unknown key\(s\) 'both_sectors'"):
+            load(tmp_path, raw)
 
     def test_sweep_with_list_grid(self, tmp_path):
         raw = base_config()
@@ -449,7 +454,7 @@ class TestRanges:
 # Values unlike every default, for every key a config may set.  Each variant
 # is one block; keys that exclude each other sit in different variants.
 VARIANTS = {
-    SolveTask: [{"dump_spectrum": True, "both_sectors": True}],
+    SolveTask: [{"dump_spectrum": True}],
     SweepTask: [
         {"axis": "J_min", "values": (0.1, 0.2), "delta_J": 0.3},
         {"axis": "E_z", "values": (0.5,), "delta_J_factor": 0.25},

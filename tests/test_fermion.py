@@ -22,7 +22,6 @@ from cavising.fermion import (
     build_quadratic_form,
     ground_sector,
     quasiparticle_energies,
-    sector_energy,
     solve_quasiparticles,
 )
 from cavising.meanfield import SearchSpec
@@ -574,9 +573,8 @@ class TestModeMatrices:
         assert np.array_equal(sol.Phi, Phi) and np.array_equal(sol.Psi, Psi)
         assert not (np.signbit(sol.Phi) ^ np.signbit(Phi)).any()
         assert not (np.signbit(sol.Psi) ^ np.signbit(Psi)).any()
-        # the dense SVD: energies and parity too, bit for bit
+        # the dense SVD: energies too, bit for bit
         assert np.array_equal(sol.energies, 2.0 * s) and sol.period == form.N
-        assert sol.vacuum_parity == (int(np.linalg.slogdet(form.T)[0]) if s[0] > zero_tol else 0)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(tiled_rings())
@@ -588,7 +586,7 @@ class TestModeMatrices:
         form = build_quadratic_form(flat_field(Om), J, sector)
         M = period(form)
         assume(M < form.N)
-        Phi, Psi, s, _, lead = fermion._bloch_modes(form, M)
+        Phi, Psi, s, lead = fermion._bloch_modes(form, M)
         fix_signs_row_by_row(Phi, Psi, s, 1e-12 * max(s[-1], 1.0), lead)
         sol = solve_quasiparticles(form)
         assert np.array_equal(sol.Phi, Phi) and np.array_equal(sol.Psi, Psi)
@@ -607,7 +605,7 @@ class TestBlockFullSolve:
     @example((np.array([0.3, 0.8, 0.5]), np.array([3.0, 0.1, 0.1]), Sector.EVEN))
     @example((np.tile([0.3, 0.8, 0.5], 8), np.zeros(24), Sector.EVEN))
     @example((np.tile([0.3, 0.8, 0.5], 8), np.zeros(24), Sector.ODD))
-    # the gap closes in the odd sector: an exact zero mode, parity 0
+    # the gap closes in the odd sector: an exact zero mode
     @example((np.full(48, 0.45), np.full(48, 0.45), Sector.ODD))
     @example(window_cut_off(2, Sector.EVEN))
     def test_matches_dense_linear_algebra(self, ring):
@@ -627,10 +625,6 @@ class TestBlockFullSolve:
         np.testing.assert_allclose(
             sol.energies, quasiparticle_energies(form), rtol=0, atol=1e-12 * scale
         )
-        if sol.energies[0] / 2 > 1e-12 * tol:
-            assert sol.vacuum_parity == int(np.linalg.slogdet(T)[0])
-        else:
-            assert sol.vacuum_parity == 0
         # the twisted-periodic G is the solution's own, zero modes and all
         G = pair_contractions(sol)
         np.testing.assert_allclose(G, -(sol.Psi.T @ sol.Phi), rtol=0, atol=1e-12)
@@ -656,53 +650,6 @@ class TestBlockFullSolve:
         np.testing.assert_allclose(G @ G.T, np.eye(form.N), rtol=0, atol=1e-12)
 
 
-class TestParityBookkeeping:
-    def test_even_vacuum_parity_always_plus(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            N = int(rng.integers(2, 10))
-            form = build_quadratic_form(
-                flat_field(rng.uniform(0.05, 1.0, N)), rng.uniform(0.0, 1.0, N)
-            )
-            assert solve_quasiparticles(form).vacuum_parity == 1
-
-    def test_odd_vacuum_parity_tracks_couplings(self):
-        # det(A + B) = prod(Omega) - prod(J) in the untwisted sector
-        weak = build_quadratic_form(flat_field(np.full(4, 0.3)), np.full(4, 0.1), Sector.ODD)
-        strong = build_quadratic_form(flat_field(np.full(4, 0.3)), np.full(4, 0.5), Sector.ODD)
-        assert solve_quasiparticles(weak).vacuum_parity == 1
-        assert solve_quasiparticles(strong).vacuum_parity == -1
-
-    def test_zero_mode_flags_indeterminate_parity(self):
-        form = build_quadratic_form(flat_field(np.full(5, 0.4)), np.full(5, 0.4), Sector.ODD)
-        sol = solve_quasiparticles(form)
-        assert sol.vacuum_parity == 0
-        assert sol.energies[0] == pytest.approx(0.0, abs=1e-12)
-        assert sector_energy(sol) == pytest.approx(sol.ground_energy_chain, abs=1e-12)
-
-    def test_sector_energies_match_brute_force(self):
-        rng = np.random.default_rng(19)
-        for _ in range(5):
-            N = int(rng.integers(2, 8))
-            Om = rng.uniform(0.1, 1.0, N)
-            J = rng.uniform(0.0, 1.0, N)
-            problem = DenseSpinProblem(Omega=Om, J=J)
-            for sector, parity in ((Sector.EVEN, +1), (Sector.ODD, -1)):
-                sol = solve_quasiparticles(build_quadratic_form(flat_field(Om), J, sector))
-                e_ref, _ = exact_ground(problem, parity=parity)
-                assert sector_energy(sol) == pytest.approx(e_ref, abs=1e-11)
-
-    def test_ground_sector_matches_global_ground(self):
-        rng = np.random.default_rng(23)
-        for both in (False, True):
-            Om = rng.uniform(0.1, 1.0, 7)
-            J = rng.uniform(0.0, 1.0, 7)
-            sol = ground_sector(flat_field(Om), J, both_sectors=both)
-            e_ref, _ = exact_ground(DenseSpinProblem(Omega=Om, J=J))
-            assert sol.sector is Sector.EVEN
-            assert sector_energy(sol) == pytest.approx(e_ref, abs=1e-11)
-
-
 @st.composite
 def oracle_rings(draw):
     """Rings of up to 10 sites with ``Omega > 0`` and ``J >= 0``: random, tiled, gapless or
@@ -726,25 +673,27 @@ def oracle_rings(draw):
 
 
 class TestAgainstTheOracle:
-    """The energy-only path against dense spin-chain diagonalization, which shares no ``T``."""
+    """The even sector against dense spin-chain diagonalization, which shares no ``T``."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(oracle_rings())
     @example((np.array([0.7]), np.array([0.0])))
+    @example((np.array([0.7]), np.array([0.4])))
+    @example((np.array([0.3, 0.8]), np.array([0.2, 0.6])))
+    @example((np.array([0.3, 0.8, 0.5]), np.array([3.0, 0.1, 0.1])))
+    @example((np.array([0.3, 0.8, 0.5]), np.zeros(3)))
     @example((np.full(8, 0.45), np.full(8, 0.45)))
     @example((np.tile([0.3, 0.6], 5), np.tile([1.5, 0.0], 5)))
-    def test_sector_energies_are_the_ground_energies(self, ring):
-        # the energy-only spectrum's vacuum is the even ground state here, and
-        # the full solve's parity bookkeeping gives both sectors
+    def test_even_sector_vacuum_is_the_global_ground(self, ring):
+        # with Omega > 0 and J >= 0 the ground state is the even vacuum, whatever
+        # the parity the oracle finds it in: energy-only spectrum and full solve
         Om, J = ring
-        problem = DenseSpinProblem(Omega=Om, J=J)
-        for sector, parity in ((Sector.EVEN, +1), (Sector.ODD, -1)):
-            form = build_quadratic_form(flat_field(Om), J, sector)
-            e_ref, _ = exact_ground(problem, parity=parity)
-            assert sector_energy(solve_quasiparticles(form)) == pytest.approx(e_ref, abs=1e-10)
-            if sector is Sector.EVEN:
-                energies = quasiparticle_energies(form)
-                assert -0.5 * energies.sum() == pytest.approx(e_ref, rel=0, abs=1e-10)
+        e_ref, _ = exact_ground(DenseSpinProblem(Omega=Om, J=J))
+        energies = quasiparticle_energies(build_quadratic_form(flat_field(Om), J))
+        assert -0.5 * energies.sum() == pytest.approx(e_ref, rel=0, abs=1e-10)
+        sol = ground_sector(flat_field(Om), J)
+        assert sol.sector is Sector.EVEN
+        assert sol.ground_energy_chain == pytest.approx(e_ref, rel=0, abs=1e-10)
 
 
 class TestFailureModes:

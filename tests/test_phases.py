@@ -1,5 +1,6 @@
 """Sweeps, transition orders, and phase labels."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -677,15 +678,22 @@ class TestThresholds:
     @pytest.mark.parametrize(
         "knobs, match",
         [
-            ({"critical_tol": 0}, "critical_tol must be > 0, got 0"),
-            ({"critical_tol": -1}, "critical_tol must be > 0, got -1"),
+            ({"critical_tol": 0}, "critical_tol must be > 0 and finite, got 0"),
+            ({"critical_tol": -1}, "critical_tol must be > 0 and finite, got -1"),
+            ({"critical_tol": math.inf}, "critical_tol must be > 0 and finite, got inf"),
             ({"slope_delta": 0.0}, "slope_delta must be > 0"),
+            ({"slope_delta": math.inf}, "slope_delta must be > 0 and finite, got inf"),
+            ({"slope_delta": -math.inf}, "slope_delta must be > 0 and finite, got -inf"),
             ({"field": -1e-5}, "field must be >= 0"),
             ({"jump": float("nan")}, "jump must be >= 0"),
+            ({"xi": math.inf}, "xi must be >= 0 and finite, got inf"),
+            ({"oscillation": -math.inf}, "oscillation must be >= 0 and finite, got -inf"),
         ],
     )
     def test_out_of_range_knobs_are_rejected(self, knobs, match):
-        # critical_tol = 0 bisected forever; slope_delta = 0 divided by zero
+        # critical_tol = 0 bisected forever and an infinite one stopped at the
+        # bracket's midpoint; slope_delta = 0 divided by zero and an infinite
+        # one made an infinite coupling
         with pytest.raises(ValueError, match=match):
             Thresholds(**knobs)
 
