@@ -2,11 +2,11 @@
 
 Five subcommands map onto the task kinds a config file can declare:
 ``solve``, ``sweep``, ``phase-diagram``, ``correlations`` and
-``validate``.  The subcommand must match the config's ``task.kind``;
-everything else about a run lives in the config so results are
-reproducible from the file alone.  Outputs are plain CSV/JSON in the
-output directory, deterministic byte for byte except for the single
-``generated_at`` timestamp.
+``validate``.  Each takes ``--config`` and ``--out`` alone: the subcommand
+must match the config's ``task.kind``, ``--out`` replaces ``output.dir``,
+and every setting of a run lives in the config, so the file alone
+reproduces it.  Outputs are plain CSV/JSON in the output directory,
+deterministic byte for byte except for the single ``generated_at`` stamp.
 
 Exit codes: 0 on success, 1 for config or usage problems, 2 when the
 computation itself fails (solver breakdown, no transition in range,
@@ -19,7 +19,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,7 +27,6 @@ import numpy as np
 
 from . import correlation, fermion, meanfield, oracle, phases
 from .config import (
-    _FORMATS,
     ConfigError,
     CorrelationsTask,
     PhaseDiagramTask,
@@ -56,13 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the YAML/JSON run config")
         p.add_argument("--out", help="output directory (overrides output.dir)")
-        p.add_argument("--format", choices=_FORMATS, help="overrides output.format")
-        if name == SolveTask.kind:
-            p.add_argument(
-                "--dump-spectrum",
-                action="store_true",
-                help="also write the quasiparticle spectrum at the minimizer",
-            )
     return parser
 
 
@@ -108,7 +100,6 @@ def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
 def _run_solve(cfg: RunConfig, task: SolveTask, out_dir: Path, fmt: str) -> None:
     state = meanfield.minimize_phi(cfg.chain, cfg.modeset, cfg.search)
     fld = effective_field(cfg.chain, cfg.modeset, state.phi)
-    sol = fermion.ground_sector(fld, cfg.chain.bonds())
     _write_json(
         out_dir / "state.json",
         {
@@ -119,13 +110,14 @@ def _run_solve(cfg: RunConfig, task: SolveTask, out_dir: Path, fmt: str) -> None
             "Sigma_x": state.Sigma_x,
             "e_gg": state.e_g,
             "degenerate": state.degenerate,
-            "sector": sol.sector.value,
+            "sector": fermion.Sector.EVEN.value,  # the ground state's, on every ring
             "Omega": fld.Omega,
             "theta": fld.theta,
             "generated_at": _timestamp(),
         },
     )
     if task.dump_spectrum:
+        sol = fermion.ground_sector(fld, cfg.chain.bonds())
         rows = [(k, float(lam)) for k, lam in enumerate(sol.energies)]
         _write_table(out_dir, "spectrum", ("k", "Lambda"), rows, fmt)
     print(f"e_gg = {state.e_g:.10g}  phi_g = {np.array2string(state.phi, precision=6)}")
@@ -237,8 +229,8 @@ def _run_validate(cfg: RunConfig, task: ValidateTask, out_dir: Path, fmt: str) -
         e_chain = sol.ground_energy_chain / task.N
 
         problem = oracle.DenseSpinProblem(Omega=Omega, J=J)
-        e_exact, _ = oracle.exact_ground(problem)
-        _, vec = oracle.exact_ground(problem, parity=+1)
+        # Omega > 0 and J >= 0: the global ground state is the even one
+        e_exact, vec = oracle.exact_ground(problem)
         pairs = [(j, n) for j in range(task.N) for n in range(1, task.max_distance + 1)]
         expect = oracle.exact_expectations(problem, vec, pairs=pairs)
 
@@ -308,16 +300,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    # the flags override the config's output block and task.dump_spectrum
-    fmt = args.format or cfg.output_format
     out_dir = Path(args.out or cfg.output_dir)
-    task = cfg.task
-    if getattr(args, "dump_spectrum", False):
-        task = replace(task, dump_spectrum=True)
     _, run = _COMMANDS[args.command]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        run(cfg, task, out_dir, fmt)
+        run(cfg, cfg.task, out_dir, cfg.output_format)
     except (
         fermion.SolverError,
         phases.NoTransitionError,

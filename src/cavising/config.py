@@ -4,7 +4,8 @@ The file has up to five top-level blocks: ``model`` (chain, modes,
 coupling), ``task`` (what to compute), ``output`` (where and how), and
 optional ``search`` / ``thresholds`` overrides.  Unknown keys are
 rejected everywhere, with the offending path in the error message; a
-config that parses is a config whose every key meant something.
+config that parses is a config whose every key meant something.  So a
+``validate`` task, which draws its own rings, takes no ``model`` block.
 
 The dataclasses are the schema: :func:`_block` reads every block from
 the fields of its dataclass (``_Model``, the task class ``task.kind``
@@ -141,6 +142,9 @@ class PhaseDiagramTask(_Task):
     n_max: int | None = None
 
     def check_runnable(self, cfg: RunConfig) -> None:
+        if cfg.lambda0 is not None:
+            raise ConfigError("model.lambda0: not read by a phase diagram, whose task.lambda0 "
+                              "grid sets the coupling")
         _library(
             "task", _plan, cfg.chain, cfg.modes, self.lambda0_values, self.J_min_values,
             self.delta_J, self.delta_J_factor, self.E_z_values, self.n_max,
@@ -185,15 +189,16 @@ _TASKS = {cls.kind: cls for cls in _Task.__subclasses__()}
 
 @dataclass(frozen=True)
 class RunConfig:
-    chain: ChainSpec
-    modes: tuple
-    lambda0: float | None
-    modeset: ModeSet | None  # the modes at lambda0, when the model block fixes it
     task: object
     search: SearchSpec | None
     thresholds: Thresholds | None
     output_dir: str
     output_format: str
+    # the model block; a validate config has none
+    chain: ChainSpec | None = None
+    modes: tuple = ()
+    lambda0: float | None = None
+    modeset: ModeSet | None = None  # the modes at lambda0, when the model block fixes it
 
 
 def _mapping(node, path: str) -> dict:
@@ -340,8 +345,13 @@ def load_run_config(path) -> RunConfig:
     root = _mapping(raw, "config")
     _check_keys(root, ("model", "task", "output", "search", "thresholds"), "config")
 
-    model = _block(_get(root, "model", "config"), "model", _Model)
     task = _parse_task(_get(root, "task", "config"))
+    model = {}
+    if task.kind != ValidateTask.kind:
+        m = _block(_get(root, "model", "config"), "model", _Model)
+        model = dict(chain=m.chain, modes=m.modes, lambda0=m.lambda0, modeset=m.modeset)
+    elif "model" in root:
+        raise ConfigError("model: validate draws its own rings and reads no model block")
     output = _block(root.get("output", {}), "output", _Output)
     search = thresholds = None
     if "search" in root:
@@ -351,13 +361,10 @@ def load_run_config(path) -> RunConfig:
         thresholds = _block(root["thresholds"], "thresholds", Thresholds)
 
     return RunConfig(
-        chain=model.chain,
-        modes=model.modes,
-        lambda0=model.lambda0,
-        modeset=model.modeset,
         task=task,
         search=search,
         thresholds=thresholds,
         output_dir=output.dir,
         output_format=output.format,
+        **model,
     )

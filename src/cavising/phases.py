@@ -95,8 +95,8 @@ class Thresholds:
 class SweepContext:
     """Everything held fixed during a sweep.
 
-    ``lambda0`` is the coupling used when the swept axis is not the
-    coupling itself.  ``delta_J`` (absolute) or ``delta_J_factor``
+    ``lambda0`` is the coupling when the swept axis is not the coupling
+    itself, and unset along it.  ``delta_J`` (absolute) or ``delta_J_factor``
     (relative to ``E_z``) sets the strong/weak contrast when sweeping
     ``J_min``; the factor variant also rescales the contrast when
     sweeping ``E_z``.
@@ -190,6 +190,8 @@ def _sweep_plan(ctx: SweepContext, axis: str, values):
     grid = {"lambda0": (ctx.lambda0,), "J_min": None, "E_z": None}
     if axis not in grid:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(grid)}")
+    if axis == "lambda0" and ctx.lambda0 is not None:
+        raise ValueError("a sweep along lambda0 does not read a fixed lambda0")
     if axis != "lambda0" and ctx.lambda0 is None:
         raise ValueError(f"sweeping {axis!r} needs a fixed lambda0 in the context")
     grid[axis] = values
@@ -219,10 +221,11 @@ def sweep(ctx: SweepContext, axis: str, values: Sequence[float]) -> SweepResult:
     """Minimize along one axis; a point the solver fails is recorded, not fatal.
 
     ``axis`` is one of ``"lambda0"``, ``"J_min"`` and ``"E_z"``.  The grid is
-    built first, by :func:`phase_diagram`'s plan: an unknown axis, a missing
-    ``lambda0`` or contrast, one the axis does not read, or a value no chain
-    or mode set takes raises ``ValueError`` before any point is solved, so
-    only a :class:`~cavising.fermion.SolverError` makes an error record.
+    built first, by :func:`phase_diagram`'s plan: an unknown axis, a fixed
+    ``lambda0`` or contrast missing where the axis reads it or set where it
+    does not, or a value no chain or mode set takes raises ``ValueError``
+    before any point is solved, so only a
+    :class:`~cavising.fermion.SolverError` makes an error record.
     Along ``lambda0`` the points are one memoized column; on one mode every
     point re-scores one unit-coupling curve, whose spinodal (one full solve,
     also the bisection's first guess) settles each point's first grid cell.

@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavising import correlation
-from cavising.cli import main
+from cavising import correlation, fermion
+from cavising.cli import _build_parser, main
 from cavising.meanfield import SearchSpec, minimize_phi, normal_phase_onset
 from cavising.model import ChainSpec, IsingProfile, ModeSet
 
@@ -44,6 +44,11 @@ def solve_config(tmp_path, out_name="out"):
         "output": {"dir": str(tmp_path / out_name), "format": "csv"},
         "search": {"coarse_points": 41},
     }
+
+
+def validate_config(tmp_path, **task):
+    """A validate config: it draws its own rings, so it has no model block."""
+    return {"task": {"kind": "validate", **task}, "output": {"dir": str(tmp_path / "out")}}
 
 
 def read_table(path):
@@ -82,9 +87,22 @@ class TestSolve:
         second.pop("generated_at")
         assert first == second
 
-    def test_dump_spectrum_flag(self, tmp_path):
+    def test_no_full_solve_without_spectrum(self, tmp_path, monkeypatch):
+        # state.json needs no quasiparticle modes: the sector is the even one on every ring
+        def full_solve(*args):
+            raise AssertionError("a full solve was made")
+
+        monkeypatch.setattr(fermion, "ground_sector", full_solve)
         cfg = write_config(tmp_path, solve_config(tmp_path))
-        assert main(["solve", "--config", cfg, "--dump-spectrum"]) == 0
+        assert main(["solve", "--config", cfg]) == 0
+        assert load_json(tmp_path / "out" / "state.json")["sector"] == "even"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["state.json"]
+
+    def test_dump_spectrum_key(self, tmp_path):
+        raw = solve_config(tmp_path)
+        raw["task"]["dump_spectrum"] = True
+        cfg = write_config(tmp_path, raw)
+        assert main(["solve", "--config", cfg]) == 0
         header, rows = read_table(tmp_path / "out" / "spectrum.csv")
         assert header == ["k", "Lambda"]
         assert len(rows) == 12
@@ -92,11 +110,12 @@ class TestSolve:
         assert energies == sorted(energies)
         assert all(e > 0 for e in energies)
 
-    def test_dump_spectrum_from_config_as_json(self, tmp_path):
+    def test_dump_spectrum_as_json(self, tmp_path):
         raw = solve_config(tmp_path)
         raw["task"]["dump_spectrum"] = True
+        raw["output"]["format"] = "json"
         cfg = write_config(tmp_path, raw)
-        assert main(["solve", "--config", cfg, "--format", "json"]) == 0
+        assert main(["solve", "--config", cfg]) == 0
         spectrum = load_json(tmp_path / "out" / "spectrum.json")
         assert len(spectrum) == 12
         assert set(spectrum[0]) == {"k", "Lambda"}
@@ -232,14 +251,7 @@ class TestPhaseDiagramCommand:
 
 class TestValidate:
     def test_quick_pass(self, tmp_path, capsys):
-        raw = solve_config(tmp_path)
-        raw["task"] = {
-            "kind": "validate",
-            "instances": 3,
-            "N": 6,
-            "seed": 11,
-            "max_distance": 2,
-        }
+        raw = validate_config(tmp_path, instances=3, N=6, seed=11, max_distance=2)
         cfg = write_config(tmp_path, raw)
         assert main(["validate", "--config", cfg]) == 0
         out = load_json(tmp_path / "out" / "validate.json")
@@ -249,16 +261,8 @@ class TestValidate:
         assert "validate: 3 instances" in capsys.readouterr().out
 
     def test_impossible_tolerance_fails(self, tmp_path, capsys):
-        raw = solve_config(tmp_path)
-        raw["task"] = {
-            "kind": "validate",
-            "instances": 2,
-            "N": 5,
-            "seed": 11,
-            "max_distance": 2,
-            "energy_tol": 0.0,
-            "expectation_tol": 0.0,
-        }
+        raw = validate_config(tmp_path, instances=2, N=5, seed=11, max_distance=2,
+                              energy_tol=0.0, expectation_tol=0.0)
         cfg = write_config(tmp_path, raw)
         assert main(["validate", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
@@ -271,7 +275,8 @@ UNIFORM = {"kind": "uniform", "J": 0.1}
 
 
 class TestConfigsThatCannotRun:
-    """A config no run can set up fails as a config error, before any output."""
+    """A config no run can set up, or one setting a key the run does not read, fails as a
+    config error, before any output."""
 
     @pytest.mark.parametrize(
         "command, ising, lambda0, task, match",
@@ -305,13 +310,13 @@ class TestConfigsThatCannotRun:
             ("phase-diagram", UNIFORM, None,
              {"kind": "phase-diagram", "lambda0": [0.1], "J_min": [0.01], "delta_J": 0.1},
              "rectangular"),
-            ("validate", WINDOWS, None, {"kind": "validate", "N": 8, "max_distance": 10},
+            ("validate", None, None, {"kind": "validate", "N": 8, "max_distance": 10},
              "task: max_distance"),
             ("solve", WINDOWS, -0.5, {"kind": "solve"}, "model: lambda0 must be >= 0"),
             ("sweep", WINDOWS, None,
              {"kind": "sweep", "axis": "lambda0", "values": [0.1, 0.2], "delta_J": 5.0},
              "a sweep along lambda0 does not read delta_J"),
-            ("sweep", WINDOWS, 0.3,
+            ("sweep", WINDOWS, None,
              {"kind": "sweep", "axis": "lambda0", "values": [0.1], "delta_J_factor": 0.5},
              "does not read delta_J_factor"),
             ("sweep", WINDOWS, 0.3,
@@ -320,6 +325,14 @@ class TestConfigsThatCannotRun:
             ("phase-diagram", WINDOWS, None,
              {"kind": "phase-diagram", "lambda0": [-0.1, 0.1], "J_min": [0.01],
               "delta_J": 0.1}, "task: lambda0 must be >= 0"),
+            # settings no run of the task reads
+            ("phase-diagram", WINDOWS, 0.3,
+             {"kind": "phase-diagram", "lambda0": [0.1], "J_min": [0.01], "delta_J": 0.1},
+             "model.lambda0: not read by a phase diagram"),
+            ("sweep", WINDOWS, 0.3, {"kind": "sweep", "axis": "lambda0", "values": [0.1, 0.2]},
+             "task: a sweep along lambda0 does not read a fixed lambda0"),
+            ("validate", UNIFORM, None, {"kind": "validate", "N": 8},
+             "model: validate draws its own rings"),
         ],
     )
     def test_config_error_before_output(self, tmp_path, capsys, command, ising, lambda0,
@@ -329,6 +342,8 @@ class TestConfigsThatCannotRun:
         raw["model"]["lambda0"] = lambda0
         if lambda0 is None:
             del raw["model"]["lambda0"]
+        if ising is None:  # a validate config has no model block
+            del raw["model"]
         raw["task"] = task
         cfg = write_config(tmp_path, raw)
         assert main([command, "--config", cfg]) == 1
@@ -382,7 +397,8 @@ def _number_paths(node, path=()):
 def small_runs(draw):
     """A sound solve, sweep, phase-diagram or correlations config at N <= 8, on grids of at
     most 3 points, with up to two of its numbers swapped for an edge value (NaN, +-inf, 0
-    or a negative); a phase diagram's thresholds are among them."""
+    or a negative); a phase diagram's thresholds are among them.  ``model.lambda0`` is set
+    only where the task reads it: not on a phase diagram or a sweep along lambda0."""
     J_min = draw(GOOD)
     kind = draw(st.sampled_from(["solve", "sweep", "phase-diagram", "correlations"]))
     rectangular = {"kind": "rectangular", "J_max": 2 * J_min, "J_min": J_min, "period": 2}
@@ -391,14 +407,15 @@ def small_runs(draw):
         ising = draw(st.sampled_from([{"kind": "uniform", "J": J_min}, rectangular]))
     model = {"N": draw(st.integers(1, 8)), "E_z": draw(GOOD), "E_c": draw(GOOD),
              "ising": ising, "modes": draw(st.lists(st.integers(1, 3), min_size=1, max_size=2,
-                                                    unique=True)),
-             "lambda0": draw(GOOD)}
+                                                    unique=True))}
     task = {"kind": kind}
     raw = {"model": model, "task": task,
            "search": {"phi_max": 1.5, "coarse_points": 21, "multi_coarse_points": 5}}
     grid = st.lists(GOOD, min_size=1, max_size=3)
+    axis = draw(st.sampled_from(list(READS))) if kind == "sweep" else None
+    if kind in ("solve", "correlations") or axis in ("J_min", "E_z"):
+        model["lambda0"] = draw(GOOD)
     if kind == "sweep":
-        axis = draw(st.sampled_from(list(READS)))
         task.update(axis=axis, values=draw(grid))
         key = draw(st.sampled_from(READS[axis]))
         if key is not None:
@@ -440,9 +457,22 @@ def _csv_numbers(path):
     return numbers
 
 
+def probed_phase_diagram(**thresholds):
+    """The phase diagram of the CI's bad-config step, whose one column has its spinodal at
+    lambda0 = 0.644, inside the grid, so its slope is probed."""
+    return {"model": {"N": 8, "ising": WINDOWS, "modes": [1]},
+            "task": {"kind": "phase-diagram", "lambda0": [0.1, 0.9], "J_min": [0.01],
+                     "delta_J": 0.1},
+            "thresholds": thresholds}
+
+
 class TestEveryConfigFailsUpFrontOrRuns:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(raw=small_runs())
+    # an infinite probe step once raised after the output directory was made; an
+    # infinite bracket width wrote the bracket's midpoint, finite, as the onset
+    @example(raw=probed_phase_diagram(slope_delta=math.inf))
+    @example(raw=probed_phase_diagram(critical_tol=math.inf))
     def test_config_error_or_finite_files(self, raw):
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
@@ -485,6 +515,24 @@ class TestUsage:
         assert main(["solve", "--config", cfg, "--threads", "2"]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [["--format", "json"], ["--dump-spectrum"]])
+    def test_config_keys_are_not_flags(self, tmp_path, capsys, flags):
+        # output.format and task.dump_spectrum are stated in the config alone
+        cfg = write_config(tmp_path, solve_config(tmp_path))
+        assert main(["solve", "--config", cfg, *flags]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_subcommand_takes_config_and_out_alone(self):
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        assert set(sub.choices) == {"solve", "sweep", "phase-diagram", "correlations",
+                                    "validate"}
+        for parser in sub.choices.values():
+            assert {o for a in parser._actions for o in a.option_strings} == {
+                "-h", "--help", "--config", "--out"}
 
     def test_unreadable_config(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.yaml")

@@ -52,6 +52,11 @@ def load(tmp_path, raw):
     return load_run_config(write_config(tmp_path, raw))
 
 
+def validate_config(**task):
+    """A validate config: it draws its own rings, so it has no model block."""
+    return {"task": {"kind": "validate", **task}}
+
+
 WINDOWS = {"kind": "rectangular", "J_max": 0.2, "J_min": 0.01, "period": 2}
 
 
@@ -262,6 +267,7 @@ class TestTaskBlock:
             ({"delta_J": 0.3, "delta_J_factor": 0.375}, "delta_J and delta_J_factor are mutually"),
         ):
             raw = base_config()
+            del raw["model"]["lambda0"]
             raw["task"] = {
                 "kind": "phase-diagram",
                 "lambda0": [0.2],
@@ -281,8 +287,7 @@ class TestTaskBlock:
         assert load(tmp_path, raw).task.n_max == 6
 
     def test_validate_defaults_and_overrides(self, tmp_path):
-        raw = base_config()
-        raw["task"] = {"kind": "validate"}
+        raw = validate_config()
         task = load(tmp_path, raw).task
         assert isinstance(task, ValidateTask)
         assert (task.instances, task.N, task.seed) == (20, 8, 7)
@@ -292,6 +297,15 @@ class TestTaskBlock:
         raw["task"] = {"kind": "validate", "instances": 3, "N": 6, "seed": 1}
         task = load(tmp_path, raw).task
         assert (task.instances, task.N, task.seed) == (3, 6, 1)
+
+    def test_validate_has_no_model_block(self, tmp_path):
+        # validate draws its own rings: a model block would be read by nothing
+        cfg = load(tmp_path, validate_config(N=6, max_distance=2))
+        assert (cfg.chain, cfg.modes, cfg.lambda0, cfg.modeset) == (None, (), None, None)
+        raw = base_config()
+        raw["task"] = {"kind": "validate", "N": 6, "max_distance": 2}
+        with pytest.raises(ConfigError, match="model: validate draws its own rings"):
+            load(tmp_path, raw)
 
     def test_unknown_task_kind(self, tmp_path):
         raw = base_config()
@@ -305,12 +319,13 @@ class TestTaskBlock:
         with pytest.raises(ConfigError, match=r"task: unknown key\(s\) 'spectrum'"):
             load(tmp_path, raw)
         # a known key out of range: a report must probe at least one separation
-        for task, n_max in (
-            ({"kind": "correlations", "n_max": 0}, 0),
+        for task, lambda0, n_max in (
+            ({"kind": "correlations", "n_max": 0}, 0.3, 0),
             ({"kind": "phase-diagram", "lambda0": [0.2], "J_min": [0.1], "delta_J": 0.3,
-              "n_max": -3}, -3),
+              "n_max": -3}, None, -3),
         ):
             raw["task"] = task
+            raw["model"]["lambda0"] = lambda0
             with pytest.raises(ConfigError, match=rf"task: n_max must be at least 1, got {n_max}"):
                 check_runnable(tmp_path, raw)
 
@@ -418,17 +433,13 @@ class TestRanges:
         ],
     )
     def test_validate_ranges(self, tmp_path, task, match):
-        raw = base_config()
-        raw["task"] = {"kind": "validate", **task}
+        raw = validate_config(**task)
         with pytest.raises(ConfigError, match=match):
             load(tmp_path, raw)
 
     def test_validate_range_ends_are_accepted(self, tmp_path):
-        raw = base_config()
-        raw["task"] = {
-            "kind": "validate", "instances": 1, "N": _HARD_MAX, "max_distance": _HARD_MAX - 1,
-            "energy_tol": 0.0, "expectation_tol": 0.0,
-        }
+        raw = validate_config(instances=1, N=_HARD_MAX, max_distance=_HARD_MAX - 1,
+                              energy_tol=0.0, expectation_tol=0.0)
         task = load(tmp_path, raw).task
         assert (task.instances, task.N, task.max_distance) == (1, _HARD_MAX, _HARD_MAX - 1)
         raw["task"] = {"kind": "validate", "N": 2, "max_distance": 1}
@@ -498,6 +509,8 @@ def _variant_config(cls, variant):
         for name, value in variant.items()
     }
     raw = base_config()
+    if cls is ValidateTask:
+        del raw["model"]
     if cls is SearchSpec:
         raw["search"] = block
     elif cls is Thresholds:
@@ -549,12 +562,16 @@ def _diagram(lambda0=(0.2,), J_min=(0.01,), **kwargs):
 
 
 def _pd_task(lambda0=(0.2,), J_min=(0.01,), **keys):
-    return {"task": {"kind": "phase-diagram", "lambda0": list(lambda0), "J_min": list(J_min),
-                     **keys}}
+    return {**NO_LAMBDA0, "task": {"kind": "phase-diagram", "lambda0": list(lambda0),
+                                   "J_min": list(J_min), **keys}}
 
 
 def _sweep_task(axis, values, **keys):
     return {"task": {"kind": "sweep", "axis": axis, "values": list(values), **keys}}
+
+
+# a phase diagram and a sweep along lambda0 read no model.lambda0
+NO_LAMBDA0 = {"model": {"lambda0": None}}
 
 
 REJECTED = {
@@ -562,8 +579,8 @@ REJECTED = {
     "sweep-both-contrasts": (_sweep_task("J_min", [0.01], delta_J=0.1, delta_J_factor=0.5),
                              _sweep("J_min", [0.01], delta_J=0.1, delta_J_factor=0.5)),
     "sweep-no-contrast": (_sweep_task("J_min", [0.01, 0.02]), _sweep("J_min", [0.01, 0.02])),
-    "sweep-unread-contrast": (_sweep_task("lambda0", [0.1], delta_J=5.0),
-                              _sweep("lambda0", [0.1], delta_J=5.0)),
+    "sweep-unread-contrast": ({**NO_LAMBDA0, **_sweep_task("lambda0", [0.1], delta_J=5.0)},
+                              _sweep("lambda0", [0.1], lambda0=None, delta_J=5.0)),
     "sweep-uniform-profile": (
         {"model": {"ising": {"kind": "uniform", "J": 0.1}},
          **_sweep_task("J_min", [0.01, 0.02], delta_J=0.1)},
@@ -571,8 +588,9 @@ REJECTED = {
                delta_J=0.1),
     ),
     "sweep-zero-E_z": (_sweep_task("E_z", [0.0, 0.5]), _sweep("E_z", [0.0, 0.5])),
-    "sweep-negative-lambda0": (_sweep_task("lambda0", [-0.1, 0.2]),
-                               _sweep("lambda0", [-0.1, 0.2])),
+    "sweep-negative-lambda0": ({**NO_LAMBDA0, **_sweep_task("lambda0", [-0.1, 0.2])},
+                               _sweep("lambda0", [-0.1, 0.2], lambda0=None)),
+    "sweep-fixed-lambda0": (_sweep_task("lambda0", [0.1, 0.2]), _sweep("lambda0", [0.1, 0.2])),
     "sweep-negative-J_min": (_sweep_task("J_min", [0.01, -0.1], delta_J=0.1),
                              _sweep("J_min", [0.01, -0.1], delta_J=0.1)),
     "sweep-missing-lambda0": (
@@ -598,7 +616,7 @@ REJECTED = {
                                 lambda: Thresholds(critical_tol=0.0)),
     "thresholds-slope_delta": ({"thresholds": {"slope_delta": 0.0}},
                                lambda: Thresholds(slope_delta=0.0)),
-    "validate-N": ({"task": {"kind": "validate", "N": 1}}, lambda: ValidateTask(N=1)),
+    "validate-N": ({"model": None, **validate_config(N=1)}, lambda: ValidateTask(N=1)),
     "output-format": ({"output": {"format": "parquet"}}, lambda: _Output(format="parquet")),
 }
 
@@ -612,7 +630,11 @@ class TestOneOwner:
         raw = base_config()
         raw["model"]["ising"] = WINDOWS
         blocks = dict(blocks)
-        raw["model"].update(blocks.pop("model", {}))
+        model = blocks.pop("model", {})
+        if model is None:
+            del raw["model"]
+        else:
+            raw["model"].update(model)
         raw.update(blocks)
         with pytest.raises(ConfigError) as got:
             cfg = load(tmp_path, raw)

@@ -105,8 +105,10 @@ class TestSweep:
     )
     def test_unread_contrast_is_rejected(self, axis, contrast):
         # a contrast the axis never reads would be ignored without a word
-        ctx = SweepContext(chain=desk_chain(), modes=(2,), lambda0=0.1, search=QUICK, **contrast)
-        with pytest.raises(ValueError, match=f"along {axis} does not read"):
+        lambda0 = None if axis == "lambda0" else 0.1
+        ctx = SweepContext(chain=desk_chain(), modes=(2,), lambda0=lambda0, search=QUICK,
+                           **contrast)
+        with pytest.raises(ValueError, match=f"along {axis} does not read delta_J"):
             sweep(ctx, axis, [0.1, 0.2])
 
     def test_both_contrasts_are_rejected(self):
