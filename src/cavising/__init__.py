@@ -12,7 +12,6 @@ amplitudes; :mod:`cavising.phases` sweeps parameters and labels phases;
 from .correlation import (
     CorrelationReport,
     correlation_report,
-    pair_contractions,
     yy_correlation,
     yy_table,
 )

@@ -234,7 +234,7 @@ def _run_validate(cfg: RunConfig, task: ValidateTask, out_dir: Path, fmt: str) -
         pairs = [(j, n) for j in range(task.N) for n in range(1, task.max_distance + 1)]
         expect = oracle.exact_expectations(problem, vec, pairs=pairs)
 
-        G = correlation.pair_contractions(sol)
+        G = sol.G
         d_energy = abs(e_chain - e_exact / task.N) / max(1.0, abs(e_exact / task.N))
         d_sz = float(np.max(np.abs(-np.diag(G) - expect["sigma_z"])))
         d_rho = max(

@@ -5,7 +5,9 @@ coupling), ``task`` (what to compute), ``output`` (where and how), and
 optional ``search`` / ``thresholds`` overrides.  Unknown keys are
 rejected everywhere, with the offending path in the error message; a
 config that parses is a config whose every key meant something.  So a
-``validate`` task, which draws its own rings, takes no ``model`` block.
+``validate`` task, which draws its own rings, takes no ``model`` block,
+and no ``search`` block either; only a ``phase-diagram`` task reads
+``thresholds`` (a task class's ``reads``).
 
 The dataclasses are the schema: :func:`_block` reads every block from
 the fields of its dataclass (``_Model``, the task class ``task.kind``
@@ -97,6 +99,7 @@ class _Output:
 
 class _Task:
     at_lambda0 = False  # solved at model.lambda0 alone
+    reads = ("search",)  # the optional blocks a run of the task reads
 
     def check_runnable(self, cfg: RunConfig) -> None:
         """Raise ``ConfigError`` unless a run can set up every point the task asks for."""
@@ -132,6 +135,7 @@ class SweepTask(_Task):
 @dataclass(frozen=True)
 class PhaseDiagramTask(_Task):
     kind = "phase-diagram"
+    reads = ("search", "thresholds")
     lambda0_values: tuple = field(metadata={"key": "lambda0"})
     J_min_values: tuple = field(metadata={"key": "J_min"})
     E_z_values: tuple | None = field(default=None, metadata={"key": "E_z"})
@@ -165,6 +169,7 @@ class CorrelationsTask(_Task):
 @dataclass(frozen=True)
 class ValidateTask(_Task):
     kind = "validate"
+    reads = ()
     instances: int = 20
     N: int = 8
     seed: int = 7
@@ -352,6 +357,9 @@ def load_run_config(path) -> RunConfig:
         model = dict(chain=m.chain, modes=m.modes, lambda0=m.lambda0, modeset=m.modeset)
     elif "model" in root:
         raise ConfigError("model: validate draws its own rings and reads no model block")
+    for name in ("search", "thresholds"):
+        if name in root and name not in task.reads:
+            raise ConfigError(f"{name}: not read by a {task.kind} run")
     output = _block(root.get("output", {}), "output", _Output)
     search = thresholds = None
     if "search" in root:

@@ -2,14 +2,17 @@
 
 All correlators reduce to the single contraction matrix
 
-    G_ij = <D_i C_j> = -(Psi^T Phi)_ij
+    G_ij = <D_i C_j> = -W_ji,
 
 where ``C_j = c_j^dag + c_j`` and ``D_j = c_j^dag - c_j`` are the
-position-space Majorana pairs.  The local rotated polarization is
-``<sz_j> = -G_jj`` and the two-point function ``rho(j, n) =
-<sy_j sy_{j+n}>`` is an ``n x n`` determinant of a block of ``G`` with
-periodically wrapped indices; a block that crosses the seam picks up an
-overall minus sign from the antiperiodicity of the even-sector
+position-space Majorana pairs and ``W`` is the orthogonal polar factor
+of ``T``; the full solve returns it as
+:attr:`~cavising.fermion.QuasiparticleSolution.G`, in the vacuum whose
+parity ``det W`` is the sign of ``det T``.  The local rotated
+polarization is ``<sz_j> = -G_jj`` and the two-point function ``rho(j,
+n) = <sy_j sy_{j+n}>`` is an ``n x n`` determinant of a block of ``G``
+with periodically wrapped indices; a block that crosses the seam picks
+up an overall minus sign from the antiperiodicity of the even-sector
 solution.  Both the block orientation and the seam sign were pinned
 against brute-force diagonalization, and they hold for the even-sector
 vacuum only, which is the sector the ground-state pipeline always
@@ -26,11 +29,10 @@ within a panel, one rank-1 step per column of every window; each later
 panel first takes one batched matrix product per earlier panel, window by
 window.  The running product of the pivots is the ``n``-th leading minor
 of each window.  On a ring whose field and bonds repeat every M sites,
-:func:`pair_contractions` builds ``G`` exactly twisted-periodic, so the
-windows of one period are eliminated and the others' rows copied: a
-window M sites on is the same one up to exact sign flips that cancel
-against the seam sign.  ``G`` is orthogonal, so
-its entries are at most 1 in size; a pivot far below that has lost its
+the solve builds ``G`` exactly twisted-periodic, so the windows of one
+period are eliminated and the others' rows copied: a window M sites on
+is the same one up to exact sign flips that cancel against the seam
+sign.  ``G`` is orthogonal, so its entries are at most 1 in size; a pivot far below that has lost its
 digits to cancellation (a minor that vanishes exactly comes out as
 rounding noise), and its window takes the rest of its row from
 :func:`yy_correlation`, LAPACK's pivoted LU determinant.
@@ -62,7 +64,6 @@ from .model import ChainSpec, EffectiveField, ModeSet, effective_field
 
 __all__ = [
     "CorrelationReport",
-    "pair_contractions",
     "yy_correlation",
     "yy_table",
     "correlation_report",
@@ -72,31 +73,6 @@ _NEGLIGIBLE = 1e-12
 _LOG_FLOOR = 1e-300
 _PIVOT_BAR = 1e-5
 _PANEL = 8
-
-
-def pair_contractions(sol: QuasiparticleSolution) -> np.ndarray:
-    """Majorana contraction matrix ``G`` of the solution's vacuum.
-
-    On a ring that repeats every ``M = sol.period`` sites only the first
-    M rows are multiplied out; the rest follow, exactly, from translating
-    both indices by M, which wraps an index across the seam with the
-    sector's twist ``tau`` (-1 even, +1 odd):
-    ``G[(x + M) % N, (y + M) % N] = sigma(x) sigma(y) G[x, y]`` with
-    ``sigma(x) = tau`` when ``x + M >= N`` and 1 otherwise.  This holds for
-    zero modes too, because :func:`~cavising.fermion.solve_quasiparticles`
-    gives both real pairs of a complex mode one relative sign.
-    """
-    N, M = sol.N, sol.period
-    first = -(sol.Psi[:, :M].T @ sol.Phi)
-    if M == N:
-        return first
-    tau = sol.sector.tau
-    G = np.empty((N, N))
-    for shift in range(0, N, M):
-        # rows shift + i: column y + shift, wrapped past N with the twist
-        G[shift : shift + M, shift:] = first[:, : N - shift]
-        G[shift : shift + M, :shift] = tau * first[:, N - shift :]
-    return G
 
 
 def yy_correlation(G: np.ndarray, j: int, n: int) -> float:
@@ -268,7 +244,7 @@ def _twisted_period(G: np.ndarray) -> int:
     """Smallest M dividing N with ``G[(x + M) % N, (y + M) % N] = sigma(x) sigma(y) G[x, y]``.
 
     Exactly, entry for entry, with ``sigma(x) = -1`` when ``x + M >= N``:
-    the even-sector translation that :func:`pair_contractions` builds in.
+    the even-sector translation that the full solve builds into ``G``.
     The windows starting at ``s + M`` are then ``D W_s D'`` with diagonal
     +-1 matrices whose sign flips are exact and cancel against the seam
     sign, so their minors repeat those of ``W_s`` bit for bit.  This search
@@ -354,7 +330,7 @@ def correlation_report(
     N = chain.N
     n_max = min(max(N // 2, 1) if n_max is None else n_max, N - 1)
 
-    G = pair_contractions(solution)
+    G = solution.G
     sz_rot = -np.diag(G).copy()
     sz_lab = np.cos(fld.theta) * sz_rot
     sx_lab = np.sin(fld.theta) * sz_rot

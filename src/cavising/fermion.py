@@ -39,27 +39,31 @@ the block's spectrum) is taken instead from the block's determinant
 over its other singular values, or, when there are several or the
 determinant's two terms could cancel, as positive eigenvalues of the
 block's Golub-Kahan 2M-cycle, folded the same way and resolved by
-bisection for just those few.  The full solve
-(:func:`solve_quasiparticles`) splits ``T`` the same way and takes one
-stacked dense SVD of the blocks (a ring with no period is the one block
-``T`` itself); the blocks' singular vectors, spread over the ring as Bloch
-modes and split into real and imaginary parts, make the mode pairs
-``(Phi_k, Psi_k)`` consistent by construction:
+bisection for just those few.
 
-    Phi_k T   = (Lambda_k / 2) Psi_k
-    Psi_k T^T = (Lambda_k / 2) Phi_k
+The full solve (:func:`solve_quasiparticles`) splits ``T`` the same way
+and takes one stacked dense SVD of the blocks (a ring with no period is
+the one block ``T`` itself).  What it returns besides the spectrum is the
+vacuum's Majorana contraction matrix
 
-(the left-singular vectors of ``T`` are the ``Phi_k`` and the
-right-singular vectors the ``Psi_k``).  The orientation of the pair is
-not a matter of taste: the string-correlator determinants downstream are
-only valid for this one, and it was pinned by checking them against
-brute-force diagonalization.
+    G = -W^T,   W = U V^T   for   T = U diag(Lambda / 2) V^T,
+
+the orthogonal polar factor of ``T`` (the columns of ``U`` are the
+left-singular vectors), which every observable downstream is read from.
+It is assembled from the blocks' polar factors over one period of rows
+and tiled over the rest with the twisted translation, so it is exactly
+twisted-periodic by construction.  The orientation ``-W^T`` is not a
+matter of taste: the string-correlator determinants downstream are only
+valid for it, and it was pinned by checking them against brute-force
+diagonalization.  The vacuum's fermion parity is ``det W``.  ``W`` is
+fixed by ``T`` alone unless a singular value vanishes; where one falls
+below rounding, so does that parity, and the solve matches it, block by
+block, to the sign of ``det T``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +80,6 @@ __all__ = [
     "ground_sector",
 ]
 
-_SIGN_EPS = 1e-12
 # eigenvalues of T^T T below this fraction of the largest are recomputed from
 # the Golub-Kahan fold: squaring leaves a singular value s an absolute error of
 # about eps * s_max^2 / s, which above the bar stays near 1e-14 * s_max
@@ -146,9 +149,13 @@ class QuasiparticleSolution:
     ----------
     energies : np.ndarray
         Physical quasiparticle energies ``Lambda_k``, ascending and >= 0.
-    Phi, Psi : np.ndarray
-        Mode matrices with orthonormal rows, coupled through ``T`` as in
-        the module docstring.
+    G : np.ndarray
+        The vacuum's Majorana contraction matrix ``G = -W^T`` (read-only),
+        with ``W`` the orthogonal polar factor of ``T``.  Where a zero mode
+        leaves ``W`` to rounding, the vacuum is the one of parity ``det W =
+        sign(det T)``.  Exactly twisted-periodic in ``period`` by
+        construction: ``G[(x + M) % N, (y + M) % N] = sigma(x) sigma(y)
+        G[x, y]``, ``sigma(x) = tau`` when ``x + M >= N`` and 1 otherwise.
     sector : Sector
     ground_energy_chain : float
         Chain part of the ground energy in this sector's vacuum,
@@ -156,12 +163,11 @@ class QuasiparticleSolution:
     period : int
         Sites M per translation block the solve used (``N`` for a ring
         with no period): the field and bonds repeat every M sites, and so
-        do the modes' correlations, up to the sector's twist at the seam.
+        does ``G``, up to the sector's twist at the seam.
     """
 
     energies: np.ndarray
-    Phi: np.ndarray
-    Psi: np.ndarray
+    G: np.ndarray
     sector: Sector
     ground_energy_chain: float
     period: int
@@ -272,9 +278,9 @@ def _block_singular_values(Om: np.ndarray, w: np.ndarray, twist) -> np.ndarray:
     s = np.sqrt(np.maximum(ev, 0.0))
     k = int(np.count_nonzero(ev < _SQUARED_EPS * ev[-1]))
     if k == 1:
-        log_det = _log_abs_det(Om, w, twist)
-        if log_det is not None:
-            s[0] = np.exp(log_det - np.sum(np.log(s[1:])))
+        det = _block_det(Om, w, twist)
+        if det is not None:
+            s[0] = np.exp(det[0] - np.sum(np.log(s[1:])))
             return s
     if k:
         gk = np.empty(2 * M, dtype=off.dtype)
@@ -284,28 +290,31 @@ def _block_singular_values(Om: np.ndarray, w: np.ndarray, twist) -> np.ndarray:
     return s
 
 
-def _log_abs_det(Om: np.ndarray, w: np.ndarray, twist) -> float | None:
-    """``log |det T_z|``, or ``None`` when its two terms may cancel.
+def _block_det(Om: np.ndarray, w: np.ndarray, twist) -> tuple[float, float] | None:
+    """``log |det T_z|`` and, for a real twist, the sign of ``det T_z``; ``None`` when its
+    two terms may cancel.
 
     ``det T_z = A + B`` with ``A = prod(Om)`` and ``B = (-1)^(M+1) conj(z)
     prod(w)``.  Both come as logs, ``-inf`` for a zero factor.  The sum
     is trusted only when ``|det|^2 >= (|A|^2 + |B|^2) / 2``, so that it
-    keeps the relative accuracy of its terms.
+    keeps the relative accuracy of its terms; its sign is then the larger
+    term's, and 0 when both vanish.
     """
     with np.errstate(divide="ignore"):
         log_a = np.sum(np.log(np.abs(Om)))
         log_b = np.sum(np.log(np.abs(w)))
     hi, lo = max(log_a, log_b), min(log_a, log_b)
     if hi == -np.inf:
-        return -np.inf
+        return -np.inf, 0.0
+    sign_a = np.prod(np.sign(Om))
+    sign_b = np.prod(np.sign(w)) * (-1.0) ** (Om.size + 1) * np.real(twist)
     # cosine of the angle between A and B in the complex plane
-    sign = np.prod(np.sign(Om)) * np.prod(np.sign(w)) * (-1.0) ** (Om.size + 1)
-    cos = sign * np.real(twist)
+    cos = sign_a * sign_b
     r = np.exp(lo - hi)
     rest = 1.0 + r * r + 2.0 * r * cos  # |det|^2 / max(|A|, |B|)^2
     if not rest >= 0.5 * (1.0 + r * r):
         return None
-    return hi + 0.5 * np.log(rest)
+    return hi + 0.5 * np.log(rest), (sign_a if log_a >= log_b else sign_b)
 
 
 def _cycle_eigvals(
@@ -348,138 +357,123 @@ def _cycle_eigvals(
         raise SolverError("banded eigenvalue computation failed") from exc
 
 
-def _leading_signs(rows: np.ndarray) -> np.ndarray:
-    """``-1.0`` for each row whose first entry above ``_SIGN_EPS`` in size (its
-    largest, if none is) is negative, else ``1.0``."""
-    size = np.abs(rows)
-    big = size > _SIGN_EPS
-    lead = np.where(big.any(axis=1), big.argmax(axis=1), size.argmax(axis=1))
-    return np.where(rows[np.arange(rows.shape[0]), lead] < 0, -1.0, 1.0)
-
-
 def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:
-    """Full diagonalization: spectrum plus the ``Phi``/``Psi`` mode matrices.
+    """Full diagonalization: the spectrum and the vacuum's contraction matrix ``G``.
 
     A ring whose bands repeat every M sites (the period of
     :func:`quasiparticle_energies`, ``q = N / M`` repeats) is solved by
-    its translation blocks: one stacked SVD of the M x M blocks ``T_z``
-    of one twist per conjugate pair, whose singular vectors make Bloch
-    modes ``u[c M + i] = z^c U_z[i, k] / sqrt(q)`` (and ``v`` from
-    ``V_z``).  A real twist ``z = +-1`` gives real modes as they stand; a
-    complex one gives two real pairs of the same singular value,
-    ``sqrt(2) Re`` and ``sqrt(2) Im`` of ``(u, v)``, which span the modes
-    of ``z`` and its conjugate.  A ring with no period is the one block
-    ``q = 1``, ``T`` itself, with the twist ``z = tau``.
+    its translation blocks: one stacked SVD ``T_z = U_z S_z Vh_z`` of the
+    M x M blocks of one twist per conjugate pair (the real twists
+    ``z = +-1`` in one stack, the complex ones in another).  A ring with no
+    period is the one block ``q = 1``, ``T`` itself, with the twist
+    ``z = tau``.  Each block's polar factor ``W_z = U_z Vh_z`` gives the
+    first M rows of ``G = -W^T``,
 
-    Modes are sorted ascending and their signs fixed deterministically:
-    the first non-negligible entry of each ``Phi_k`` is made positive,
-    flipping ``Psi_k`` along with it so the coupled relations survive.
-    For (numerically) zero modes the relations no longer tie the pair
-    together, so ``Psi_k`` gets the same rule applied independently;
-    the two real pairs of one complex Bloch mode share the relative sign
-    of ``Psi`` to ``Phi`` that this rule gives the first of them, so that
-    their joint term in ``Psi^T Phi`` stays translation-invariant.  The
-    relations and the orthogonality of the assembled ``Phi`` and ``Psi``
-    are checked before anything is returned.  A mode counts as zero below
-    ``1e-12``, and the relations may miss by ``1e-9``, of ``max(||T||_2,
-    1)``: ``||T||_2`` is the largest singular value the SVD has already
-    found, and the scale in which its backward error is stated.
+        G[i, c M + i'] = -(1/q) sum_z z^c W_z[i', i],
+
+    where a complex twist stands for itself and its conjugate, whose
+    factor is ``conj(W_z)``, and so adds ``2 Re``.  The other rows follow
+    by translating both indices by M, which wraps an index across the seam
+    with the twist ``tau``: ``G[(x + M) % N, (y + M) % N] = sigma(x)
+    sigma(y) G[x, y]`` with ``sigma(x) = tau`` when ``x + M >= N`` and 1
+    otherwise.  So ``G`` is exactly twisted-periodic by construction.
+
+    ``W`` is fixed by ``T`` alone while no singular value vanishes; a
+    zero mode leaves its pair's relative sign, and with it the vacuum's
+    parity ``det W``, to rounding.  The vacuum solved here has ``sign(det
+    W) = sign(det T)``, block by block: ``det T_z = det U_z det S_z det
+    Vh_z`` with ``det S_z >= 0``.  A complex pair adds ``|det W_z|^2 > 0``,
+    so only a real block can hold the wrong parity.  Where such a block's
+    smallest singular value is at or below ``1e-12`` of ``max(||T||_2,
+    1)``, the sign of ``det W_z`` is compared with that of ``det T_z`` from
+    :func:`_block_det`, and a mismatch flips the smallest pair.  Where
+    that determinant's two terms may cancel, its sign is lost to rounding
+    as well: the gap may truly close, either parity is then a ground
+    state, and LAPACK's pairing stands.
+
+    Each block is checked before anything is returned: the residual
+    ``T_z V_z - U_z S_z`` from the bands may miss by ``1e-9 max(||T||_2,
+    1)``, the scale in which the SVD's backward error is stated, and
+    ``W_z W_z^H`` the identity by ``1e-10``.
     """
     # LAPACK may turn an inf into NaN output without reporting failure
     if not (np.isfinite(form.diagonal).all() and np.isfinite(form.bond_band).all()):
         raise SolverError("quadratic form has non-finite entries")
     N = form.N
     M = _translation_period(form.diagonal, form.bond_band)
-    try:
-        Phi, Psi, s, lead = _bloch_modes(form, M)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular value decomposition failed") from exc
-
-    # independent sign fixing of a Phi/Psi pair is only safe when the
-    # singular value is negligible: for any larger s it would desync the
-    # pairing by 2s and fail the residual check below
+    q = N // M
+    Om, w = form.diagonal[:M], form.bond_band[:M]
+    blocks, values = [], []
+    for paired in (False, True):
+        zs = np.array([z for z, p in _twists(form.sector, q) if p is paired])
+        if zs.size == 0:
+            continue
+        try:
+            U, s, Vh = np.linalg.svd(np.stack([_block_matrix(Om, w, z) for z in zs]))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular value decomposition failed") from exc
+        blocks.append((zs, paired, U, s, Vh))
+        values.append(np.tile(s.ravel(), 2 if paired else 1))
+    s = np.sort(np.concatenate(values))
     scale = max(s[-1], 1.0)
-    zero_tol = 1e-12 * scale
-    flip = _leading_signs(Phi)
-    Phi *= flip[:, None]
-    # relative sign of Psi_k to Phi_k, taken from the first row of its complex mode
-    relative = np.where(s > zero_tol, 1.0, flip * _leading_signs(Psi))
-    Psi *= (flip * relative[lead])[:, None]
 
-    resid = max(
-        np.max(np.abs(_times_T(Phi, form) - s[:, None] * Psi)),
-        np.max(np.abs(_times_T(Psi, form, transpose=True) - s[:, None] * Phi)),
-    )
-    ortho = max(
-        np.max(np.abs(Phi @ Phi.T - np.eye(N))),
-        np.max(np.abs(Psi @ Psi.T - np.eye(N))),
-    )
-    if resid > 1e-9 * scale or ortho > 1e-10:
-        raise SolverError(
-            f"decomposition lost consistency (residual {resid:.3e}, orthogonality {ortho:.3e})"
-        )
+    first = np.zeros((M, q, M))  # first[i, c, i'] = G[i, c M + i']
+    for zs, paired, U, sv, Vh in blocks:
+        W = U @ Vh
+        if not paired:
+            _match_parity(W, U, sv, Vh, Om, w, zs, 1e-12 * scale)
+        _check_block(W, U, sv, Vh, Om, w, zs, scale)
+        phase = (2.0 if paired else 1.0) / q * zs[:, None] ** np.arange(q)
+        first -= np.einsum("zc,zji->icj", phase, W).real
+    G = _tile_twisted(first.reshape(M, N), form.tau)
 
-    Phi.setflags(write=False)
-    Psi.setflags(write=False)
+    G.setflags(write=False)
     energies = 2.0 * s
     energies.setflags(write=False)
     return QuasiparticleSolution(
         energies=energies,
-        Phi=Phi,
-        Psi=Psi,
+        G=G,
         sector=form.sector,
         ground_energy_chain=-float(np.sum(s)),
         period=M,
     )
 
 
-def _bloch_modes(form: QuadraticForm, M: int):
-    """Mode matrices and ascending singular values of ``T`` from its blocks of M sites.
+def _match_parity(W, U, s, Vh, Om, w, zs, zero_tol) -> None:
+    """Give each real block with a zero mode the parity ``sign(det T_z)``, in place in ``W``."""
+    for k in np.flatnonzero(s[:, -1] <= zero_tol):
+        det = _block_det(Om, w, zs[k])
+        if det is not None and det[1] != 0.0 and np.linalg.slogdet(W[k])[0] != det[1]:
+            # LAPACK's values come descending: the smallest pair is the last
+            W[k] -= 2.0 * np.outer(U[k, :, -1], Vh[k, -1])
 
-    Returns ``(Phi, Psi, s, lead)``: the real rows of the Bloch modes of
-    every twist, sorted by their singular values, and for each row the row
-    of its complex mode that comes first (itself for a real twist).
-    ``M = N`` is the one block ``T_tau = T``: its rows are those of the
-    dense SVD of ``T`` reversed.
-    """
-    N = form.N
-    q = N // M
-    Om, w = form.diagonal[:M], form.bond_band[:M]
-    cells = np.arange(q)
-    phis, psis, values, modes = [], [], [], []
-    for paired in (False, True):
-        zs = np.array([z for z, p in _twists(form.sector, q) if p is paired])
-        if zs.size == 0:
-            continue
-        U, s, Vh = np.linalg.svd(np.stack([_block_matrix(Om, w, z) for z in zs]))
-        # LAPACK's values come descending: reversed, the stable sort below
-        # gives a one-block ring the rows of the dense SVD of T in ascending
-        # order, tied values included
-        U, s, Vh = U[:, :, ::-1], s[:, ::-1], Vh[:, ::-1]
-        # row k of a Bloch mode: x[k, c M + i] = z^c X[i, k] / sqrt(q)
-        phase = (zs[:, None] ** cells / math.sqrt(q))[:, None, :, None]
-        u = (phase * np.swapaxes(U, 1, 2)[:, :, None, :]).reshape(-1, N)
-        v = (phase * np.conj(Vh)[:, :, None, :]).reshape(-1, N)
-        s = s.ravel()
-        # one label per complex mode, shared by its two real rows
-        mode = sum(x.size for x in modes) + np.arange(s.size)
-        if paired:
-            root2 = math.sqrt(2.0)
-            u = np.concatenate([root2 * u.real, root2 * u.imag])
-            v = np.concatenate([root2 * v.real, root2 * v.imag])
-            s = np.concatenate([s, s])
-            mode = np.concatenate([mode, mode])
-        phis.append(u)
-        psis.append(v)
-        values.append(s)
-        modes.append(mode)
-    s = np.concatenate(values)
-    order = np.argsort(s, kind="stable")
-    mode = np.concatenate(modes)[order]
-    first = np.full(mode.max() + 1, N)
-    np.minimum.at(first, mode, np.arange(N))
-    Phi, Psi = np.concatenate(phis)[order], np.concatenate(psis)[order]
-    return Phi, Psi, s[order], first[mode]
+
+def _check_block(W, U, s, Vh, Om, w, zs, scale) -> None:
+    """Raise ``SolverError`` unless the stacked factors still solve their blocks."""
+    V = np.conj(np.swapaxes(Vh, 1, 2))
+    # T_z V from the bands: Om on the diagonal, w[:-1] below it, conj(z) w[-1] in the corner
+    TV = Om[:, None] * V
+    TV[:, 1:] += w[:-1, None] * V[:, :-1]
+    TV[:, 0] += (np.conj(zs) * w[-1])[:, None] * V[:, -1]
+    resid = np.max(np.abs(TV - U * s[:, None, :]))
+    ortho = np.max(np.abs(W @ np.conj(np.swapaxes(W, 1, 2)) - np.eye(Om.size)))
+    if resid > 1e-9 * scale or ortho > 1e-10:
+        raise SolverError(
+            f"decomposition lost consistency (residual {resid:.3e}, orthogonality {ortho:.3e})"
+        )
+
+
+def _tile_twisted(first: np.ndarray, tau: float) -> np.ndarray:
+    """The N x N matrix whose first M rows are ``first`` and that is twisted-periodic in M."""
+    M, N = first.shape
+    if M == N:
+        return first
+    G = np.empty((N, N))
+    for shift in range(0, N, M):
+        # rows shift + i: column y + shift, wrapped past N with the twist
+        G[shift : shift + M, shift:] = first[:, : N - shift]
+        G[shift : shift + M, :shift] = tau * first[:, N - shift :]
+    return G
 
 
 def _block_matrix(Om: np.ndarray, w: np.ndarray, twist) -> np.ndarray:
@@ -489,22 +483,6 @@ def _block_matrix(Om: np.ndarray, w: np.ndarray, twist) -> np.ndarray:
     T[np.arange(1, M), np.arange(M - 1)] = w[:-1]
     T[0, M - 1] += np.conj(twist) * w[-1]
     return T
-
-
-def _times_T(X: np.ndarray, form: QuadraticForm, transpose: bool = False) -> np.ndarray:
-    """``X @ T`` (or ``X @ T^T``) from the bands of ``T``, in O(N) per row."""
-    w = form.bond_band
-    corner = form.tau * w[-1]
-    out = X * form.diagonal
-    if transpose:
-        # (X T^T)[k, r] = Om(r) X[k, r] + T[r, r - 1] X[k, r - 1], and the corner at r = 0
-        out[:, 1:] += X[:, :-1] * w[:-1]
-        out[:, 0] += X[:, -1] * corner
-    else:
-        # (X T)[k, j] = Om(j) X[k, j] + T[j + 1, j] X[k, j + 1], and the corner at j = N - 1
-        out[:, :-1] += X[:, 1:] * w[:-1]
-        out[:, -1] += X[:, 0] * corner
-    return out
 
 
 def ground_sector(field, bonds) -> QuasiparticleSolution:

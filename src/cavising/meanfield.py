@@ -495,8 +495,8 @@ _POLISH_GTOL = 1e-8
 
 
 def _rotated_polarization(sol) -> np.ndarray:
-    """``<s^z_j>`` in the rotated frame, ``-diag(G)`` without forming ``G``."""
-    return np.einsum("kj,kj->j", sol.Psi, sol.Phi)
+    """``<s^z_j>`` in the rotated frame, ``-diag(G)``."""
+    return -np.diag(sol.G)
 
 
 def _energy_and_gradient(phi, chain: ChainSpec, modeset: ModeSet):

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from cavising.correlation import correlation_report, pair_contractions, yy_table
+from cavising.correlation import correlation_report, yy_table
 from cavising.fermion import (
     build_quadratic_form,
     ground_sector,
@@ -192,7 +192,7 @@ def test_criterion_1_small_rings_match_brute_force():
         e_ref, _ = exact_ground(problem)
         worst_e = max(worst_e, abs(sol.ground_energy_chain - e_ref) / abs(e_ref))
 
-        G = pair_contractions(sol)
+        G = sol.G
         _, state = exact_ground(problem, parity=+1)
         pairs = [(j, n) for j in range(8) for n in range(1, 5)]
         ref = exact_expectations(problem, state, pairs=pairs)

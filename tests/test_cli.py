@@ -354,6 +354,29 @@ class TestConfigsThatCannotRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command, block",
+        [("solve", "thresholds"), ("sweep", "thresholds"), ("correlations", "thresholds"),
+         ("validate", "thresholds"), ("validate", "search")],
+    )
+    def test_unread_block_stops_before_output(self, tmp_path, capsys, command, block):
+        # a thresholds block on any task but a phase diagram, or a search block on
+        # validate, once ran to the end with the block unread
+        raw = solve_config(tmp_path)
+        if command == "validate":
+            raw = validate_config(tmp_path, N=6, max_distance=2)
+        elif command == "sweep":
+            raw["task"] = {"kind": "sweep", "axis": "lambda0", "values": [0.1]}
+            del raw["model"]["lambda0"]
+        elif command == "correlations":
+            raw["task"] = {"kind": "correlations"}
+        raw[block] = {"xi": 7.0} if block == "thresholds" else {"phi_max": 0.5}
+        assert main([command, "--config", write_config(tmp_path, raw)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {block}: not read by a {command} run")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "thresholds",
         [{"critical_tol": 0}, {"slope_delta": 0.0}, {"critical_tol": math.inf},
          {"slope_delta": math.inf}],
@@ -397,13 +420,18 @@ def _number_paths(node, path=()):
 def small_runs(draw):
     """A sound solve, sweep, phase-diagram or correlations config at N <= 8, on grids of at
     most 3 points, with up to two of its numbers swapped for an edge value (NaN, +-inf, 0
-    or a negative); a phase diagram's thresholds are among them.  ``model.lambda0`` is set
-    only where the task reads it: not on a phase diagram or a sweep along lambda0."""
+    or a negative); a phase diagram's thresholds are among them.  Each sweep axis is drawn
+    as often as each other task, and a sweep along J_min on the bond windows it needs, so
+    sound sweeps of every axis run.  ``model.lambda0`` is set only where the task reads
+    it: not on a phase diagram or a sweep along lambda0."""
     J_min = draw(GOOD)
-    kind = draw(st.sampled_from(["solve", "sweep", "phase-diagram", "correlations"]))
+    kind, axis = draw(st.sampled_from(
+        [("phase-diagram", None), ("solve", None), ("correlations", None)]
+        + [("sweep", axis) for axis in READS]
+    ))
     rectangular = {"kind": "rectangular", "J_max": 2 * J_min, "J_min": J_min, "period": 2}
     ising = rectangular
-    if kind != "phase-diagram":
+    if kind != "phase-diagram" and axis != "J_min":
         ising = draw(st.sampled_from([{"kind": "uniform", "J": J_min}, rectangular]))
     model = {"N": draw(st.integers(1, 8)), "E_z": draw(GOOD), "E_c": draw(GOOD),
              "ising": ising, "modes": draw(st.lists(st.integers(1, 3), min_size=1, max_size=2,
@@ -412,7 +440,6 @@ def small_runs(draw):
     raw = {"model": model, "task": task,
            "search": {"phi_max": 1.5, "coarse_points": 21, "multi_coarse_points": 5}}
     grid = st.lists(GOOD, min_size=1, max_size=3)
-    axis = draw(st.sampled_from(list(READS))) if kind == "sweep" else None
     if kind in ("solve", "correlations") or axis in ("J_min", "E_z"):
         model["lambda0"] = draw(GOOD)
     if kind == "sweep":

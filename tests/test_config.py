@@ -42,6 +42,14 @@ def base_config():
     }
 
 
+def phase_diagram_config():
+    """A minimal phase-diagram config, the one task that reads a thresholds block."""
+    raw = base_config()
+    del raw["model"]["lambda0"]
+    raw["task"] = {"kind": "phase-diagram", "lambda0": [0.2], "J_min": [0.01], "delta_J": 0.1}
+    return raw
+
+
 def write_config(tmp_path, raw, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(raw), encoding="utf-8")
@@ -367,12 +375,35 @@ class TestOverridesAndOutput:
             load(tmp_path, raw)
 
     def test_thresholds_override(self, tmp_path):
-        raw = base_config()
+        raw = phase_diagram_config()
         raw["thresholds"] = {"xi": 7.0, "slope_ratio": 0.7}
         cfg = load(tmp_path, raw)
         assert cfg.thresholds.xi == 7.0
         assert cfg.thresholds.slope_ratio == 0.7
         assert cfg.thresholds.jump == 0.02
+
+    @pytest.mark.parametrize(
+        "task, block",
+        [
+            ({"kind": "solve"}, "thresholds"),
+            ({"kind": "sweep", "axis": "lambda0", "values": [0.1]}, "thresholds"),
+            ({"kind": "correlations"}, "thresholds"),
+            ({"kind": "validate"}, "thresholds"),
+            ({"kind": "validate"}, "search"),
+        ],
+    )
+    def test_unread_block_is_refused(self, tmp_path, task, block):
+        # thresholds steer a phase diagram's onsets and labels alone, and
+        # validate minimizes nothing: either block would be read by nothing
+        raw = base_config()
+        if task["kind"] == "validate":
+            del raw["model"]
+        raw["task"] = task
+        raw[block] = {"xi": 7.0} if block == "thresholds" else {"phi_max": 0.5}
+        with pytest.raises(ConfigError, match=rf"^{block}: not read by a {task['kind']} run"):
+            load(tmp_path, raw)
+        del raw[block]
+        load(tmp_path, raw)
 
     def test_output_format_is_checked(self, tmp_path):
         raw = base_config()
@@ -508,7 +539,7 @@ def _variant_config(cls, variant):
         keys[name]: list(value) if isinstance(value, tuple) else value
         for name, value in variant.items()
     }
-    raw = base_config()
+    raw = phase_diagram_config() if cls is Thresholds else base_config()
     if cls is ValidateTask:
         del raw["model"]
     if cls is SearchSpec:
@@ -612,9 +643,9 @@ REJECTED = {
             CHAIN, ModeSet(MODES, lambda0=0.3, N=12, E_c=8.0), [0.0], n_max=0
         ),
     ),
-    "thresholds-critical_tol": ({"thresholds": {"critical_tol": 0}},
+    "thresholds-critical_tol": ({**_pd_task(delta_J=0.1), "thresholds": {"critical_tol": 0}},
                                 lambda: Thresholds(critical_tol=0.0)),
-    "thresholds-slope_delta": ({"thresholds": {"slope_delta": 0.0}},
+    "thresholds-slope_delta": ({**_pd_task(delta_J=0.1), "thresholds": {"slope_delta": 0.0}},
                                lambda: Thresholds(slope_delta=0.0)),
     "validate-N": ({"model": None, **validate_config(N=1)}, lambda: ValidateTask(N=1)),
     "output-format": ({"output": {"format": "parquet"}}, lambda: _Output(format="parquet")),

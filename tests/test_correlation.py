@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cavising import correlation
 from cavising.correlation import (
     correlation_report,
-    pair_contractions,
     yy_correlation,
     yy_table,
 )
@@ -28,7 +27,7 @@ def flat_field(Omega):
 class TestContractions:
     def test_decoupled_chain_is_fully_polarized(self):
         sol = ground_sector(flat_field([0.9, 0.2, 0.5, 0.7]), np.zeros(4))
-        G = pair_contractions(sol)
+        G = sol.G
         np.testing.assert_allclose(G, -np.eye(4), atol=1e-14)
 
     def test_against_brute_force(self):
@@ -63,7 +62,7 @@ class TestContractions:
         # a uniform ring must give the same rho at every site, wrapped
         # blocks included; this is what the seam sign is for
         sol = ground_sector(flat_field(np.full(12, 0.4)), np.full(12, 0.3))
-        G = pair_contractions(sol)
+        G = sol.G
         for n in (1, 3, 5, 9, 11):
             vals = [yy_correlation(G, j, n) for j in range(12)]
             np.testing.assert_allclose(vals, vals[0], atol=1e-12)
@@ -73,7 +72,7 @@ class TestContractions:
         rng = np.random.default_rng(37)
         N = 7
         sol = ground_sector(flat_field(rng.uniform(0.2, 1.0, N)), rng.uniform(0.0, 0.9, N))
-        G = pair_contractions(sol)
+        G = sol.G
         for j in range(N):
             for n in range(1, N):
                 assert yy_correlation(G, j, n) == pytest.approx(
@@ -406,7 +405,7 @@ class TestOnePeriod:
     @pytest.mark.parametrize("tiles", [2, 3, 4])
     @pytest.mark.parametrize("cell", [8, 11])
     def test_report_takes_the_period_from_its_solution(self, monkeypatch, cell, tiles):
-        # the period pair_contractions built G with, not a search of G
+        # the period the solve built G with, not a search of G
         def no_search(G):
             raise AssertionError("the report searched G for its period")
 
@@ -475,7 +474,7 @@ class TestPanels:
     def test_matches_column_by_column(self, ring, n_max, stop_early):
         chain, ms, phi = ring
         sol = ground_sector(effective_field(chain, ms, phi), chain.bonds())
-        G = pair_contractions(sol)
+        G = sol.G
         R, depth = correlation._window_minors(G, n_max, sol.period, stop_early=stop_early)
         R_ref, depth_ref = column_minors(G, n_max, stop_early=stop_early)
         assert R.shape == R_ref.shape
@@ -490,7 +489,7 @@ class TestPanels:
         N, m = 48, 24
         J = np.where(np.arange(N) < N // 2, 0.9, 0.05)
         sol = ground_sector(flat_field(np.full(N, 0.4)), J)
-        G = pair_contractions(sol)
+        G = sol.G
         first = break_depths(G, m)
         assert {int(b) // PANEL for b in first if b % PANEL} == {0, 1, 2}
         R, _ = correlation._window_minors(G, m, sol.period)

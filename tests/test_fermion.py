@@ -1,9 +1,9 @@
 """Quadratic-form assembly and the quasiparticle solver.
 
 The structural tests pin the sign conventions (bond halving, the twisted
-wrap bond, the Phi/Psi orientation) that every downstream observable
-depends on; the cross-checks compare against closed forms and the
-brute-force solver.
+wrap bond, ``G = -W^T`` and the vacuum's parity) that every downstream
+observable depends on; the cross-checks compare against closed forms
+and the brute-force solver.
 """
 
 import math
@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cavising import fermion
-from cavising.correlation import pair_contractions
+from cavising.correlation import yy_correlation
 from cavising.fermion import (
     Sector,
     SolverError,
@@ -26,7 +26,7 @@ from cavising.fermion import (
 )
 from cavising.meanfield import SearchSpec
 from cavising.model import ChainSpec, EffectiveField, IsingProfile, ModeSet, effective_field
-from cavising.oracle import DenseSpinProblem, exact_ground
+from cavising.oracle import DenseSpinProblem, exact_expectations, exact_ground
 from cavising.phases import phase_diagram
 
 
@@ -384,7 +384,7 @@ class TestTranslationBlocks:
         s = fermion._block_singular_values(Om, w, twist)
         bar = fermion._SQUARED_EPS * s[-1] ** 2
         assume(np.count_nonzero(s**2 < bar) == 1)
-        assume(fermion._log_abs_det(Om, w, twist) is not None)
+        assume(fermion._block_det(Om, w, twist) is not None)
         ref = gk_smallest(Om, w, twist)
         # bisection resolves the mode only to a few eps of the block's scale
         assert abs(s[0] - ref) <= 1e-10 * ref + 8 * np.finfo(float).eps * 4.0
@@ -498,102 +498,6 @@ class TestHoppingNorm:
             assert np.array_equal(largest, cycle)
 
 
-def fix_signs_row_by_row(Phi, Psi, s, zero_tol, lead=None):
-    """The sign rule one row at a time: the oracle of the solver's batched rule.
-
-    A zero mode's ``Psi`` row takes its own leading sign, unless ``lead``
-    names an earlier row of the same complex mode: then it takes the sign
-    of ``Psi`` relative to ``Phi`` that the earlier row was given.
-    """
-
-    def sign(row):
-        idx = np.flatnonzero(np.abs(row) > fermion._SIGN_EPS)
-        i = idx[0] if idx.size else int(np.argmax(np.abs(row)))
-        return -1.0 if row[i] < 0 else 1.0
-
-    relative = np.ones(s.size)
-    for k in range(s.size):
-        flip = sign(Phi[k])
-        Phi[k] *= flip
-        if s[k] <= zero_tol:
-            if lead is None or lead[k] == k:
-                relative[k] = flip * sign(Psi[k])
-            else:
-                assert lead[k] < k and s[lead[k]] == s[k]
-                relative[k] = relative[lead[k]]
-        Psi[k] *= flip * relative[k]
-
-
-class TestModeMatrices:
-    def test_relations_and_orthogonality(self):
-        rng = np.random.default_rng(5)
-        for sector in (Sector.EVEN, Sector.ODD):
-            for _ in range(5):
-                N = int(rng.integers(2, 12))
-                Om = rng.uniform(0.05, 1.0, N)
-                J = rng.uniform(0.0, 1.0, N)
-                form = build_quadratic_form(flat_field(Om), J, sector)
-                sol = solve_quasiparticles(form)
-                T = form.T
-                half = 0.5 * sol.energies[:, None]
-                np.testing.assert_allclose(sol.Phi @ T, half * sol.Psi, atol=1e-10)
-                np.testing.assert_allclose(sol.Psi @ T.T, half * sol.Phi, atol=1e-10)
-                np.testing.assert_allclose(sol.Phi @ sol.Phi.T, np.eye(N), atol=1e-10)
-                np.testing.assert_allclose(sol.Psi @ sol.Psi.T, np.eye(N), atol=1e-10)
-
-    def test_sign_convention_deterministic(self):
-        form = build_quadratic_form(flat_field(np.full(6, 0.4)), np.full(6, 0.4), Sector.ODD)
-        a = solve_quasiparticles(form)
-        b = solve_quasiparticles(form)
-        np.testing.assert_array_equal(a.Phi, b.Phi)
-        np.testing.assert_array_equal(a.Psi, b.Psi)
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(rings())
-    @example((np.full(6, 0.4), np.full(6, 0.4), Sector.ODD))  # an exact zero mode
-    # every mode zero, every singular value tied
-    @example((np.zeros(1), np.zeros(1), Sector.EVEN))
-    @example((np.zeros(1), np.zeros(1), Sector.ODD))
-    @example((np.zeros(2), np.zeros(2), Sector.EVEN))
-    @example((np.zeros(2), np.zeros(2), Sector.ODD))
-    @example((np.zeros(3), np.zeros(3), Sector.EVEN))
-    @example((np.zeros(3), np.zeros(3), Sector.ODD))
-    def test_signs_match_the_row_by_row_rule(self, ring):
-        # one-block rings, solved as the block q = 1, against a dense SVD of T;
-        # its paired modes would be an arbitrary rotation of the Bloch modes a
-        # tiled ring is solved with
-        Om, J, sector = ring
-        form = build_quadratic_form(flat_field(Om), J, sector)
-        assume(period(form) == form.N)
-        U, s, Vh = np.linalg.svd(form.T)
-        Phi, Psi, s = U.T[::-1].copy(), Vh[::-1].copy(), s[::-1]
-        zero_tol = 1e-12 * max(s[-1], 1.0)
-        fix_signs_row_by_row(Phi, Psi, s, zero_tol)
-        sol = solve_quasiparticles(form)
-        assert np.array_equal(sol.Phi, Phi) and np.array_equal(sol.Psi, Psi)
-        assert not (np.signbit(sol.Phi) ^ np.signbit(Phi)).any()
-        assert not (np.signbit(sol.Psi) ^ np.signbit(Psi)).any()
-        # the dense SVD: energies too, bit for bit
-        assert np.array_equal(sol.energies, 2.0 * s) and sol.period == form.N
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(tiled_rings())
-    @example((np.full(48, 0.45), np.full(48, 0.45), Sector.ODD))  # an exact zero mode
-    @example(window_cut_off(2, Sector.EVEN))  # zero modes of a complex twist
-    @example(window_cut_off(4, Sector.ODD))
-    def test_bloch_signs_match_the_row_by_row_rule(self, ring):
-        Om, J, sector = ring
-        form = build_quadratic_form(flat_field(Om), J, sector)
-        M = period(form)
-        assume(M < form.N)
-        Phi, Psi, s, lead = fermion._bloch_modes(form, M)
-        fix_signs_row_by_row(Phi, Psi, s, 1e-12 * max(s[-1], 1.0), lead)
-        sol = solve_quasiparticles(form)
-        assert np.array_equal(sol.Phi, Phi) and np.array_equal(sol.Psi, Psi)
-        assert not (np.signbit(sol.Phi) ^ np.signbit(Phi)).any()
-        assert not (np.signbit(sol.Psi) ^ np.signbit(Psi)).any()
-
-
 class TestBlockFullSolve:
     """The full solve of a tiled ring by its translation blocks, against dense linear algebra."""
 
@@ -613,41 +517,53 @@ class TestBlockFullSolve:
         form = build_quadratic_form(flat_field(Om), J, sector)
         sol = solve_quasiparticles(form)
         assert sol.period == period(form)
-        # the solver's own checks, at its tolerances, on the dense T
-        T = form.T
-        tol = max(sol.energies[-1] / 2, 1.0)
-        half = 0.5 * sol.energies[:, None]
-        assert np.max(np.abs(sol.Phi @ T - half * sol.Psi)) <= 1e-9 * tol
-        assert np.max(np.abs(sol.Psi @ T.T - half * sol.Phi)) <= 1e-9 * tol
-        for X in (sol.Phi, sol.Psi):
-            assert np.max(np.abs(X @ X.T - np.eye(form.N))) <= 1e-10
         scale = max(1.0, Om.max() + J.max())
         np.testing.assert_allclose(
             sol.energies, quasiparticle_energies(form), rtol=0, atol=1e-12 * scale
         )
-        # the twisted-periodic G is the solution's own, zero modes and all
-        G = pair_contractions(sol)
-        np.testing.assert_allclose(G, -(sol.Psi.T @ sol.Phi), rtol=0, atol=1e-12)
-        # G is the polar factor of T, fixed by T alone while no mode is near zero
-        U, s, Vh = np.linalg.svd(T)
+        assert_twisted_orthogonal(sol)
+        # G is minus the transposed polar factor of T, fixed by T alone while no
+        # mode is near zero
+        U, s, Vh = np.linalg.svd(form.T)
         if s[-1] >= 1e-6 * s[0]:
-            dense = -(Vh.T @ U.T)
-            np.testing.assert_allclose(G, dense, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(sol.G, -(Vh.T @ U.T), rtol=0, atol=1e-9)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rings())
+    @example((np.full(6, 0.4), np.full(6, 0.4), Sector.ODD))  # an exact zero mode
+    @example((np.zeros(3), np.zeros(3), Sector.EVEN))  # every mode zero, every value tied
+    def test_one_block_energies_are_the_dense_svd(self, ring):
+        # a ring with no period is the one block T: its spectrum is the dense
+        # SVD's (with vectors) bit for bit
+        Om, J, sector = ring
+        form = build_quadratic_form(flat_field(Om), J, sector)
+        assume(period(form) == form.N)
+        sol = solve_quasiparticles(form)
+        _, s, _ = np.linalg.svd(form.T)
+        assert np.array_equal(sol.energies, 2.0 * np.sort(s)) and sol.period == form.N
+        assert_twisted_orthogonal(sol)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("sector", list(Sector))
     def test_zero_modes_of_complex_twists_keep_G_periodic(self, q, sector):
-        # each cell's edge-mode pair lies far below the zero bar, so Psi's
-        # signs are set apart from Phi's, yet a complex twist's two real
-        # rows must keep one relative sign for the copied G to be the true one
+        # each cell's edge-mode pair lies far below the zero bar, where LAPACK
+        # pairs the modes of a complex twist as it likes: G stays orthogonal and
+        # exactly twisted-periodic whatever it picks
         Om, J, sector = window_cut_off(q, sector)
         form = build_quadratic_form(flat_field(Om), J, sector)
         sol = solve_quasiparticles(form)
         zero_tol = 1e-12 * max(sol.energies[-1] / 2, 1.0)
         assert sol.period == 36 and np.count_nonzero(sol.energies / 2 <= zero_tol) == q
-        G = pair_contractions(sol)
-        np.testing.assert_allclose(G, -(sol.Psi.T @ sol.Phi), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(G @ G.T, np.eye(form.N), rtol=0, atol=1e-12)
+        assert_twisted_orthogonal(sol)
+
+
+def assert_twisted_orthogonal(sol):
+    """``G`` is read-only, orthogonal and exactly twisted-periodic in ``sol.period``."""
+    G, N, M = sol.G, sol.N, sol.period
+    assert not G.flags.writeable
+    np.testing.assert_allclose(G @ G.T, np.eye(N), rtol=0, atol=1e-12)
+    sigma = np.where(np.arange(N) + M >= N, sol.sector.tau, 1.0)
+    assert np.array_equal(np.roll(G, (-M, -M), axis=(0, 1)), sigma[:, None] * G * sigma)
 
 
 @st.composite
@@ -696,6 +612,55 @@ class TestAgainstTheOracle:
         assert sol.ground_energy_chain == pytest.approx(e_ref, rel=0, abs=1e-10)
 
 
+@st.composite
+def cut_rings(draw):
+    """Rings of 6 to 10 sites with weak fields, strong bonds and one bond cut to zero,
+    whose edge-mode splitting lies at or below the full solve's zero bar."""
+    N = draw(st.integers(6, 10))
+    Om = np.array(draw(st.lists(st.floats(0.001, 0.01), min_size=N, max_size=N)))
+    J = np.array(draw(st.lists(st.floats(0.5, 1.0), min_size=N, max_size=N)))
+    J[draw(st.integers(0, N - 1))] = 0.0
+    return Om, J
+
+
+def below_the_zero_bar(ring):
+    s = quasiparticle_energies(build_quadratic_form(flat_field(ring[0]), ring[1])) / 2
+    return s[0] <= 1e-12 * max(s[-1], 1.0)
+
+
+class TestVacuumParity:
+    """The even vacuum when its edge modes split below rounding.
+
+    With ``Omega > 0`` and ``J >= 0`` the even sector's ``det T = prod(Omega)
+    + prod(J) > 0``.  ``T = U S V^T`` gives ``det T = det U det S det V`` with
+    ``det S >= 0``, and the vacuum of the solution ``(U, V)`` has the parity
+    ``det(U V^T) = det W``; so the even vacuum is the one with ``det W > 0``.
+    A cut bond makes an open chain whose two edge modes split by about
+    ``prod(Omega) / prod(J)``, far below the rounding of an SVD: LAPACK then
+    pairs them with either relative sign, and half of its answers are the
+    odd vacuum, off by 2 in every string correlator.  The solver takes the
+    sign of ``det T`` from the product formula, exact in its relative
+    accuracy, and flips the pair to match.
+    """
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(cut_rings().filter(below_the_zero_bar))
+    @example((np.array([0.7]), np.array([0.0])))
+    @example((np.array([0.3, 0.8]), np.zeros(2)))
+    @example((np.array([0.3, 0.8, 0.5]), np.zeros(3)))
+    def test_ground_sector_is_the_even_ground_state(self, ring):
+        Om, J = ring
+        N = Om.size
+        sol = ground_sector(flat_field(Om), J)
+        problem = DenseSpinProblem(Omega=Om, J=J)
+        _, state = exact_ground(problem, parity=+1)
+        pairs = [(j, n) for j in range(N) for n in range(1, N)]
+        ref = exact_expectations(problem, state, pairs=pairs)
+        np.testing.assert_allclose(-np.diag(sol.G), ref["sigma_z"], rtol=0, atol=1e-8)
+        for j, n in pairs:
+            assert abs(yy_correlation(sol.G, j, n) - ref["yy"][j, n]) <= 1e-8, (j, n)
+
+
 class TestFailureModes:
     def test_nan_input_raises_solver_error(self):
         Om = np.array([0.4, np.nan, 0.4])
@@ -714,3 +679,22 @@ class TestFailureModes:
             solve_quasiparticles(form)
         with pytest.raises(SolverError):
             quasiparticle_energies(form)
+
+    @pytest.mark.parametrize("part", ["U", "s"])
+    def test_corrupted_factor_raises_solver_error(self, monkeypatch, part):
+        # a factor one part in a million off: U breaks the residual and the
+        # orthogonality of W, s the residual alone
+        real = np.linalg.svd
+
+        def corrupted(a, *args, **kwargs):
+            U, s, Vh = real(a, *args, **kwargs)
+            if part == "U":
+                U[..., 0, 0] += 1e-6
+            else:
+                s *= 1.0 + 1e-6
+            return U, s, Vh
+
+        monkeypatch.setattr(fermion.np.linalg, "svd", corrupted)
+        form = build_quadratic_form(flat_field(np.full(5, 0.4)), np.full(5, 0.3))
+        with pytest.raises(SolverError, match="decomposition lost consistency"):
+            solve_quasiparticles(form)

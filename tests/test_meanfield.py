@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavising import meanfield
-from cavising.correlation import pair_contractions
 from cavising.fermion import Sector, SolverError, build_quadratic_form, ground_sector
 from cavising.meanfield import (
     SearchSpec,
@@ -17,7 +16,6 @@ from cavising.meanfield import (
     _NormalPhase,
     _UnitCurve,
     _energy_and_gradient,
-    _rotated_polarization,
     energy_per_particle,
     minimize_phi,
     normal_phase_onset,
@@ -148,17 +146,6 @@ class TestGradient:
         assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd))))
 
 
-class TestRotatedPolarization:
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(mean_field_points())
-    def test_matches_contraction_diagonal(self, point):
-        chain, ms, phi = point
-        sol = ground_sector(effective_field(chain, ms, phi), chain.bonds())
-        np.testing.assert_allclose(
-            _rotated_polarization(sol), -np.diag(pair_contractions(sol)), rtol=0.0, atol=1e-13
-        )
-
-
 class TestResidual:
     """The self-consistency gap from one solve, against the gradient and ``-diag(G)``."""
 
@@ -180,7 +167,7 @@ class TestResidual:
         np.testing.assert_allclose(resid, np.abs(grad) / 2, rtol=0, atol=1e-15)
         # <s^z_j> as a correlation report reads it: -diag(G), G of the whole ring
         fld = effective_field(chain, ms, phi)
-        sz = -np.diag(pair_contractions(ground_sector(fld, chain.bonds())))
+        sz = -np.diag(ground_sector(fld, chain.bonds()).G)
         measured = (ms.couplings @ (np.sin(fld.theta) * sz)) / N
         implied = phi * (ms.frequencies + 4.0 * ms.D)
         np.testing.assert_allclose(resid, np.abs(measured - implied), rtol=0, atol=1e-15)
