@@ -62,21 +62,9 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=lambda v: v.tolist())
         fh.write("\n")
 
 
@@ -97,7 +85,7 @@ def _write_table(out_dir: Path, name: str, header, rows, fmt: str) -> Path:
     return path
 
 
-def _run_solve(cfg: RunConfig, task: SolveTask, out_dir: Path, fmt: str) -> None:
+def _run_solve(cfg: RunConfig, out_dir: Path) -> None:
     state = meanfield.minimize_phi(cfg.chain, cfg.modeset, cfg.search)
     fld = effective_field(cfg.chain, cfg.modeset, state.phi)
     _write_json(
@@ -116,14 +104,15 @@ def _run_solve(cfg: RunConfig, task: SolveTask, out_dir: Path, fmt: str) -> None
             "generated_at": _timestamp(),
         },
     )
-    if task.dump_spectrum:
+    if cfg.task.dump_spectrum:
         sol = fermion.ground_sector(fld, cfg.chain.bonds())
         rows = [(k, float(lam)) for k, lam in enumerate(sol.energies)]
-        _write_table(out_dir, "spectrum", ("k", "Lambda"), rows, fmt)
+        _write_table(out_dir, "spectrum", ("k", "Lambda"), rows, cfg.output_format)
     print(f"e_gg = {state.e_g:.10g}  phi_g = {np.array2string(state.phi, precision=6)}")
 
 
-def _run_sweep(cfg: RunConfig, task: SweepTask, out_dir: Path, fmt: str) -> None:
+def _run_sweep(cfg: RunConfig, out_dir: Path) -> None:
+    task = cfg.task
     result = phases.sweep(task.context(cfg), task.axis, task.values)
     rows = []
     for rec in result.records:
@@ -131,7 +120,7 @@ def _run_sweep(cfg: RunConfig, task: SweepTask, out_dir: Path, fmt: str) -> None
             continue
         for mode, phi in zip(cfg.modes, rec.phi):
             rows.append((rec.value, mode, float(phi)))
-    _write_table(out_dir, "sweep", (task.axis, "mode", "phi_g"), rows, fmt)
+    _write_table(out_dir, "sweep", (task.axis, "mode", "phi_g"), rows, cfg.output_format)
     _write_json(
         out_dir / "sweep_summary.json",
         {
@@ -145,7 +134,8 @@ def _run_sweep(cfg: RunConfig, task: SweepTask, out_dir: Path, fmt: str) -> None
     print(f"swept {task.axis} over {len(result.records)} points ({n_ok} ok)")
 
 
-def _run_correlations(cfg: RunConfig, task: CorrelationsTask, out_dir: Path, fmt: str) -> None:
+def _run_correlations(cfg: RunConfig, out_dir: Path) -> None:
+    task, fmt = cfg.task, cfg.output_format
     state = meanfield.minimize_phi(cfg.chain, cfg.modeset, cfg.search)
     report = correlation.correlation_report(cfg.chain, cfg.modeset, state.phi, n_max=task.n_max)
     rows = [
@@ -178,10 +168,10 @@ def _run_correlations(cfg: RunConfig, task: CorrelationsTask, out_dir: Path, fmt
     )
 
 
-def _run_phase_diagram(cfg: RunConfig, task: PhaseDiagramTask, out_dir: Path, fmt: str) -> None:
+def _run_phase_diagram(cfg: RunConfig, out_dir: Path) -> None:
     # the task's fields are phase_diagram's keywords
     diagram = phases.phase_diagram(
-        cfg.chain, cfg.modes, search=cfg.search, thresholds=cfg.thresholds, **asdict(task)
+        cfg.chain, cfg.modes, search=cfg.search, thresholds=cfg.thresholds, **asdict(cfg.task)
     )
     rows = [
         (
@@ -204,7 +194,7 @@ def _run_phase_diagram(cfg: RunConfig, task: PhaseDiagramTask, out_dir: Path, fm
         ("E_z", "J_min", "J_max", "lambda0", "label", "field_phase",
          "transition_order", "magnetic_order", "e_g", "status"),
         rows,
-        fmt,
+        cfg.output_format,
     )
     _write_json(
         out_dir / "boundary.json",
@@ -217,7 +207,8 @@ def _run_phase_diagram(cfg: RunConfig, task: PhaseDiagramTask, out_dir: Path, fm
     print(f"labeled {len(diagram.cells)} cells over {len(diagram.columns)} columns")
 
 
-def _run_validate(cfg: RunConfig, task: ValidateTask, out_dir: Path, fmt: str) -> None:
+def _run_validate(cfg: RunConfig, out_dir: Path) -> None:
+    task = cfg.task
     rng = np.random.default_rng(task.seed)
     worst = {"energy": 0.0, "sigma_z": 0.0, "rho": 0.0}
     instances = []
@@ -234,11 +225,10 @@ def _run_validate(cfg: RunConfig, task: ValidateTask, out_dir: Path, fmt: str) -
         pairs = [(j, n) for j in range(task.N) for n in range(1, task.max_distance + 1)]
         expect = oracle.exact_expectations(problem, vec, pairs=pairs)
 
-        G = sol.G
         d_energy = abs(e_chain - e_exact / task.N) / max(1.0, abs(e_exact / task.N))
-        d_sz = float(np.max(np.abs(-np.diag(G) - expect["sigma_z"])))
+        d_sz = float(np.max(np.abs(sol.sigma_z - expect["sigma_z"])))
         d_rho = max(
-            abs(correlation.yy_correlation(G, j, n) - expect["yy"][(j, n)]) for j, n in pairs
+            abs(correlation.yy_correlation(sol.G, j, n) - expect["yy"][(j, n)]) for j, n in pairs
         )
         worst["energy"] = max(worst["energy"], d_energy)
         worst["sigma_z"] = max(worst["sigma_z"], d_sz)
@@ -304,7 +294,7 @@ def main(argv=None) -> int:
     _, run = _COMMANDS[args.command]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        run(cfg, cfg.task, out_dir, cfg.output_format)
+        run(cfg, out_dir)
     except (
         fermion.SolverError,
         phases.NoTransitionError,

@@ -30,6 +30,7 @@ output directory.
 from __future__ import annotations
 
 import inspect
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -182,9 +183,12 @@ class ValidateTask(_Task):
             raise ValueError("instances must be at least 1")
         if not 2 <= self.N <= _HARD_MAX:
             raise ValueError(f"N must lie between 2 and {_HARD_MAX}")
+        if not 0 <= self.seed:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         for name in ("energy_tol", "expectation_tol"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must not be negative")
+            tol = getattr(self, name)
+            if not 0 <= tol < math.inf:
+                raise ValueError(f"{name} must not be negative or infinite, got {tol}")
         if not 1 <= self.max_distance <= self.N - 1:
             raise ValueError(f"max_distance must lie between 1 and N - 1 = {self.N - 1}")
 

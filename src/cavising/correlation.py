@@ -9,14 +9,14 @@ position-space Majorana pairs and ``W`` is the orthogonal polar factor
 of ``T``; the full solve returns it as
 :attr:`~cavising.fermion.QuasiparticleSolution.G`, in the vacuum whose
 parity ``det W`` is the sign of ``det T``.  The local rotated
-polarization is ``<sz_j> = -G_jj`` and the two-point function ``rho(j,
-n) = <sy_j sy_{j+n}>`` is an ``n x n`` determinant of a block of ``G``
-with periodically wrapped indices; a block that crosses the seam picks
-up an overall minus sign from the antiperiodicity of the even-sector
-solution.  Both the block orientation and the seam sign were pinned
-against brute-force diagonalization, and they hold for the even-sector
-vacuum only, which is the sector the ground-state pipeline always
-produces.
+polarization is the solution's ``sigma_z = -G_jj`` and the two-point
+function ``rho(j, n) = <sy_j sy_{j+n}>`` is an ``n x n`` determinant of a
+block of ``G`` with periodically wrapped indices; a block that crosses
+the seam picks up an overall minus sign from the antiperiodicity of the
+even-sector solution.  Both the block orientation and the seam sign were
+pinned against brute-force diagonalization, and they hold for the
+even-sector vacuum only, which is the sector the ground-state pipeline
+always produces.
 
 The blocks are windows of one matrix.  With ``H[a, b] = G[a, b + 1]``
 (indices mod N), ``rho(j, n) = seam * det H[j:j+n, j:j+n]``: the ``n``-th
@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fermion import QuasiparticleSolution, Sector, ground_sector
+from .fermion import QuasiparticleSolution, Sector, _tile_twisted, ground_sector
 from .model import ChainSpec, EffectiveField, ModeSet, effective_field
 
 __all__ = [
@@ -244,7 +244,8 @@ def _twisted_period(G: np.ndarray) -> int:
     """Smallest M dividing N with ``G[(x + M) % N, (y + M) % N] = sigma(x) sigma(y) G[x, y]``.
 
     Exactly, entry for entry, with ``sigma(x) = -1`` when ``x + M >= N``:
-    the even-sector translation that the full solve builds into ``G``.
+    the even-sector translation that the full solve builds into ``G``, so
+    ``G`` is its first M rows tiled as the solve tiles them.
     The windows starting at ``s + M`` are then ``D W_s D'`` with diagonal
     +-1 matrices whose sign flips are exact and cancel against the seam
     sign, so their minors repeat those of ``W_s`` bit for bit.  This search
@@ -255,8 +256,7 @@ def _twisted_period(G: np.ndarray) -> int:
     for M in range(1, N // 2 + 1):
         # the first entry rules out most candidates before a whole comparison
         if N % M == 0 and G[M, M] == G[0, 0]:
-            sigma = np.where(np.arange(N) + M >= N, -1.0, 1.0)
-            if np.array_equal(np.roll(G, (-M, -M), axis=(0, 1)), sigma[:, None] * G * sigma):
+            if np.array_equal(_tile_twisted(G[:M], Sector.EVEN.tau), G):
                 return M
     return N
 
@@ -331,7 +331,7 @@ def correlation_report(
     n_max = min(max(N // 2, 1) if n_max is None else n_max, N - 1)
 
     G = solution.G
-    sz_rot = -np.diag(G).copy()
+    sz_rot = solution.sigma_z
     sz_lab = np.cos(fld.theta) * sz_rot
     sx_lab = np.sin(fld.theta) * sz_rot
 

@@ -176,6 +176,11 @@ class QuasiparticleSolution:
     def N(self) -> int:
         return self.energies.shape[0]
 
+    @property
+    def sigma_z(self) -> np.ndarray:
+        """The vacuum's rotated polarization ``<s^z_j> = -G_jj``, a fresh array per call."""
+        return -np.diag(self.G)
+
 
 def build_quadratic_form(field, bonds, sector: Sector = Sector.EVEN) -> QuadraticForm:
     """Assemble ``T`` for the given effective field and bond pattern.

@@ -40,15 +40,15 @@ unit coupling serves a whole column of couplings (``_UnitCurve``): each
 minimization re-scores its samples and refines in ``s`` on the column's
 memoized unit energy, so couplings share their line-search probes, and
 where a condensate first ties ``phi = 0``, the onset of a first-order
-transition, is read off the same samples (``_crossing_onset``).  A
-single-mode :func:`minimize_phi` is such a curve with one coupling.
+transition, is read off the same samples (``_crossing_onset``).
 
 What the ``phi = 0`` solve tells, the onset and the ground state it solved
 or the error of that solve, is one record (``_NormalPhase``), made once per
 chain and modes.  A ``lambda0`` column (``_Column``) holds its memoized
-states, its record and, on one mode, its curve and the crossing onsets
-read off it; a sweep along ``lambda0`` and the onset searches on it share
-one column.
+states, its record and, on one mode, its curve and the last crossing onset
+read off it; it alone picks how a coupling is minimized.  A sweep along
+``lambda0`` and the onset searches on it share one column, and
+:func:`minimize_phi` is a column of one coupling.
 
 A single amplitude is searched on ``phi >= 0``: the energy is even under
 the joint flip of all amplitudes, so the nonnegative half covers the
@@ -152,7 +152,7 @@ def energy_per_particle(chain: ChainSpec, modeset: ModeSet, phi) -> float:
     fld = effective_field(chain, modeset, phi)
     lam = quasiparticle_energies(build_quadratic_form(fld, chain.bonds(), Sector.EVEN))
     phi = np.asarray(phi, dtype=float)
-    field_part = float(np.sum((modeset.frequencies + 4.0 * modeset.D) * phi * phi))
+    field_part = float(np.sum(modeset.stiffness * phi * phi))
     return field_part - float(np.sum(lam)) / (2.0 * chain.N)
 
 
@@ -322,7 +322,7 @@ def _cell_bounds(a: float, x: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 def _state(modeset: ModeSet, phi: np.ndarray, e_g: float, degenerate: bool) -> MeanFieldState:
     phi = np.where(np.abs(phi) < 1e-12, 0.0, phi)
-    Sigma_x = phi * (modeset.frequencies + 4.0 * modeset.D)
+    Sigma_x = phi * modeset.stiffness
     return MeanFieldState(phi=phi, Sigma_x=Sigma_x, e_g=float(e_g), degenerate=degenerate)
 
 
@@ -494,30 +494,26 @@ class _UnitCurve:
 _POLISH_GTOL = 1e-8
 
 
-def _rotated_polarization(sol) -> np.ndarray:
-    """``<s^z_j>`` in the rotated frame, ``-diag(G)``."""
-    return -np.diag(sol.G)
-
-
 def _energy_and_gradient(phi, chain: ChainSpec, modeset: ModeSet):
     """``e_g`` and, by Hellmann-Feynman, its gradient from one even-sector solve:
 
         d e_g / d phi_l = 2 (omega_l + 4 D_l) phi_l - (2/N) sum_j lambda_l(j) sin(theta_j) <s^z_j>
 
-    with ``<s^z_j>`` in the rotated frame, twice the signed residual.
+    with ``<s^z_j>`` in the rotated frame (the solution's ``sigma_z``), twice
+    the signed self-consistency gap.
     """
     fld = effective_field(chain, modeset, phi)
     sol = ground_sector(fld, chain.bonds())
-    sz = _rotated_polarization(sol)
-    stiffness = modeset.frequencies + 4.0 * modeset.D
-    e_g = float(np.sum(stiffness * phi * phi)) + sol.ground_energy_chain / chain.N
-    grad = 2.0 * stiffness * phi - (2.0 / chain.N) * (modeset.couplings @ (np.sin(fld.theta) * sz))
-    return e_g, grad
+    e_g = float(np.sum(modeset.stiffness * phi * phi)) + sol.ground_energy_chain / chain.N
+    drive = modeset.couplings @ (np.sin(fld.theta) * sol.sigma_z)
+    return e_g, 2.0 * modeset.stiffness * phi - (2.0 / chain.N) * drive
 
 
-def _minimize_multi(chain: ChainSpec, modeset: ModeSet, search: SearchSpec):
+def _minimize_multi(column: _Column, modeset: ModeSet):
+    """The multi-mode polish in ``column`` at ``modeset``: ``phi``, ``e_g`` and ``degenerate``."""
     from scipy import optimize
 
+    chain, search = column.chain, column.search
     f = lambda phi: energy_per_particle(chain, modeset, phi)
     n_modes = modeset.n_modes
     axis = np.linspace(0.0, search.phi_max, search.multi_coarse_points)
@@ -540,7 +536,10 @@ def _minimize_multi(chain: ChainSpec, modeset: ModeSet, search: SearchSpec):
             # the gradient vanishes at phi = 0, so an unstable origin would
             # hold the polish there; start one grid step down the direction
             # that softens first, which near a joint onset mixes the modes
-            Q = _origin_hessian(chain, modeset, _origin_state(chain, modeset))
+            normal = column.normal
+            if normal.error is not None:
+                raise normal.error
+            Q = _origin_hessian(chain, modeset, normal.solution)
             H = 2.0 * np.diag(modeset.frequencies) + Q
             w, v = np.linalg.eigh(H)
             if w[0] < 0.0:
@@ -580,36 +579,26 @@ def minimize_phi(
 ) -> MeanFieldState:
     """Global minimum of ``e_g``, sign-normalized as described above.
 
-    One mode is a :class:`_UnitCurve` of its own at ``lambda0``: the pruned
-    scan of ``[0, phi_max]`` on ``coarse_points`` samples, computing only
-    those that the bound ``(omega + 4 D) phi^2 - S(phi)`` of
-    :func:`_column_norm_mean` leaves in a live cell, then seeded line
-    searches, and the mode's spinodal (one full solve) only if the first
-    cell is live.  Several modes take the grid and the L-BFGS-B polish.
+    A :class:`_Column` of one coupling.  One mode is a :class:`_UnitCurve`
+    of its own at ``lambda0``: the pruned scan of ``[0, phi_max]`` on
+    ``coarse_points`` samples, computing only those that the bound ``(omega
+    + 4 D) phi^2 - S(phi)`` of :func:`_column_norm_mean` leaves in a live
+    cell, then seeded line searches, and the mode's spinodal (one full
+    solve) only if the first cell is live.  Several modes take the grid and
+    the L-BFGS-B polish, and the spinodal only if a seed is the origin.
     """
-    search = search or SearchSpec()
-    if modeset.n_modes == 1:
-        # one amplitude: phi >= 0 is exhaustive by the sign-flip symmetry; the
-        # curve reads E_c, which sets D, from its chain: give it the mode set's
-        if modeset.N != chain.N:
-            raise ValueError("mode set was built for a different chain size")
-        lam = modeset.lambda0
-        curve = _UnitCurve(replace(chain, E_c=modeset.E_c), modeset.modes[0], search, lam)
-        return curve.minimize(lam)
-    return _state(modeset, *_minimize_multi(chain, modeset, search))
-
-
-def _origin_state(chain: ChainSpec, modeset: ModeSet) -> QuasiparticleSolution:
-    """The ground state at ``phi = 0``, where the field is ``E_z / 2`` on every site."""
-    fld = effective_field(chain, modeset, np.zeros(modeset.n_modes))
-    return ground_sector(fld, chain.bonds())
+    # the column reads E_c, which sets D, from its chain: give it the mode set's
+    if modeset.N != chain.N:
+        raise ValueError("mode set was built for a different chain size")
+    lam = modeset.lambda0
+    return _Column(replace(chain, E_c=modeset.E_c), modeset.modes, search, [lam]).state(lam)
 
 
 def _origin_hessian(
     chain: ChainSpec, modeset: ModeSet, origin: QuasiparticleSolution
 ) -> np.ndarray:
     """``Q = H - 2 diag(omega)`` of :func:`normal_phase_onset`, at the modes' ``lambda0``."""
-    sz = _rotated_polarization(origin)
+    sz = origin.sigma_z
     response = (modeset.couplings * sz) @ modeset.couplings.T * (8.0 / (chain.N * chain.E_z))
     return 8.0 * np.diag(modeset.D) - response
 
@@ -670,7 +659,9 @@ def _normal_phase(chain: ChainSpec, modes) -> _NormalPhase:
     """The :class:`_NormalPhase` of ``chain`` under ``modes``, with a failed solve kept."""
     unit = ModeSet(modes=tuple(modes), lambda0=1.0, N=chain.N, E_c=chain.E_c)
     try:
-        origin = _origin_state(chain, unit)
+        # at phi = 0 the field is E_z / 2 on every site, whatever lambda0 is
+        fld = effective_field(chain, unit, np.zeros(unit.n_modes))
+        origin = ground_sector(fld, chain.bonds())
     except SolverError as exc:
         return _NormalPhase(error=exc)
     Q = _origin_hessian(chain, unit, origin)
@@ -735,21 +726,21 @@ def _crossing_onset(curve: _UnitCurve, s_max: float) -> float | None:
 class _Column:
     """The minimizations of one ``lambda0`` column, memoized, and its ``phi = 0`` record.
 
-    One mode: every coupling from ``lam_lo``, the smallest whose sample step
-    ``lam_lo phi_max / (coarse_points - 1)`` does not underflow to 0, re-scores
-    one :class:`_UnitCurve`, whose first cells read the column's
-    :class:`_NormalPhase`; the crossing onset is read off the same curve,
-    refined once per ``s_max``, and the last one read is kept as ``crossing``.
-    A coupling below ``lam_lo``, and every coupling of several modes, goes to
-    :func:`minimize_phi`.  Each state is solved once per coupling.
+    :meth:`state` alone picks how a coupling is minimized.  One mode: every
+    coupling from ``lam_lo``, the smallest whose sample step ``lam_lo
+    phi_max / (coarse_points - 1)`` does not underflow to 0, re-scores one
+    :class:`_UnitCurve`, whose first cells read the column's
+    :class:`_NormalPhase`, and the last crossing onset read off it is kept
+    as ``crossing``; a coupling below ``lam_lo`` takes a curve of its own.
+    Several modes take the multi-mode polish, whose origin seed reads the
+    record.  Each state is solved once per coupling.
     """
 
     def __init__(self, chain: ChainSpec, modes, search: SearchSpec | None, lams):
-        self.chain, self.modes, self.search = chain, modes, search
+        self.chain, self.modes = chain, modes
+        self.search = search = search or SearchSpec()
         self._states: dict[float, MeanFieldState] = {}
-        self._crossings: dict[float, float | None] = {}
         self.curve = self.crossing = None
-        search = search or SearchSpec()
         self.lam_lo = min(
             (v for v in lams if v * search.phi_max / (search.coarse_points - 1) > 0.0),
             default=0.0,
@@ -765,13 +756,18 @@ class _Column:
         return _normal_phase(self.chain, self.modes)
 
     def state(self, lam: float) -> MeanFieldState:
+        """The minimum at ``lam``, solved on first use."""
         if lam not in self._states:
+            chain = self.chain
             if self.curve is not None and lam >= self.lam_lo:
-                self._states[lam] = self.curve.minimize(lam)
+                state = self.curve.minimize(lam)
+            elif len(self.modes) == 1:
+                # one amplitude: phi >= 0 is exhaustive by the sign-flip symmetry
+                state = _UnitCurve(chain, self.modes[0], self.search, lam).minimize(lam)
             else:
-                chain = self.chain
                 modeset = ModeSet(modes=self.modes, lambda0=lam, N=chain.N, E_c=chain.E_c)
-                self._states[lam] = minimize_phi(chain, modeset, self.search)
+                state = _state(modeset, *_minimize_multi(self, modeset))
+            self._states[lam] = state
         return self._states[lam]
 
     def phi_norm(self, lam: float) -> float:
@@ -782,25 +778,18 @@ class _Column:
 
     def crossing_below(self, s_max: float) -> float | None:
         """:func:`_crossing_onset` of the curve up to ``s_max``, kept as ``crossing``."""
-        if s_max not in self._crossings:
-            self._crossings[s_max] = _crossing_onset(self.curve, s_max)
-        self.crossing = self._crossings[s_max]
+        self.crossing = _crossing_onset(self.curve, s_max)
         return self.crossing
 
 
 def order_parameter_residual(chain: ChainSpec, modeset: ModeSet, phi) -> np.ndarray:
     """Self-consistency gap of the amplitudes, mode by mode.
 
-    Measures ``Sigma_x_l`` from the correlated ground state at ``phi``
-    (the coupling-weighted average of the lab-frame transverse
-    polarization, ``<s^z_j>`` from one even-sector solve as in
-    :func:`_energy_and_gradient`, whose gradient is twice the signed gap)
-    and returns ``|Sigma_x_l - phi_l (omega_l + 4 D_l)|``.  Vanishes at any
-    stationary point of ``e_g``.
+    ``|Sigma_x_l - phi_l (omega_l + 4 D_l)|``, with ``Sigma_x_l`` measured
+    from the correlated ground state at ``phi`` (the coupling-weighted
+    average of the lab-frame transverse polarization): half the gradient of
+    :func:`_energy_and_gradient`, which is twice the signed gap, from one
+    even-sector solve.  Vanishes at any stationary point of ``e_g``.
     """
-    phi = np.asarray(phi, dtype=float)
-    fld = effective_field(chain, modeset, phi)
-    sz = _rotated_polarization(ground_sector(fld, chain.bonds()))
-    measured = (modeset.couplings @ (np.sin(fld.theta) * sz)) / chain.N
-    implied = phi * (modeset.frequencies + 4.0 * modeset.D)
-    return np.abs(measured - implied)
+    _, grad = _energy_and_gradient(np.asarray(phi, dtype=float), chain, modeset)
+    return 0.5 * np.abs(grad)

@@ -178,8 +178,9 @@ class ModeSet:
     """A selection of resonator modes with their site-resolved couplings.
 
     ``couplings`` has shape ``(n_modes, N)`` with row ``i`` holding
-    ``lambda_{modes[i]}(j)``; ``frequencies`` and ``D`` are the matching
-    mode frequencies and self-energies.  All derived arrays are read-only.
+    ``lambda_{modes[i]}(j)``; ``frequencies``, ``D`` and ``stiffness`` are the
+    matching mode frequencies, self-energies and ``omega_l + 4 D_l``.  All
+    derived arrays are read-only.
     """
 
     modes: tuple[int, ...]
@@ -189,6 +190,7 @@ class ModeSet:
     couplings: np.ndarray = field(init=False, repr=False)
     frequencies: np.ndarray = field(init=False, repr=False)
     D: np.ndarray = field(init=False, repr=False)
+    stiffness: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         modes = tuple(int(l) for l in self.modes)
@@ -210,6 +212,7 @@ class ModeSet:
         object.__setattr__(
             self, "D", _frozen([self_energy_D(l, self.lambda0, self.N, self.E_c) for l in modes])
         )
+        object.__setattr__(self, "stiffness", _frozen(self.frequencies + 4.0 * self.D))
 
     @property
     def n_modes(self) -> int:

@@ -528,7 +528,9 @@ def phase_diagram(
     A solver failure while locating one column's onset is recorded on
     that column (``status == "error"``) and does not stop the others; a
     failed sweep point above the column's first condensed one leaves the
-    onset alone and only its own cell unlabeled.
+    onset alone and only its own cell unlabeled.  A failed correlation report
+    leaves its cell, or the ``phi = 0`` cells that share it, unlabeled with
+    ``status == "error"``; the column and the other cells stand.
 
     Columns are solved serially.  ``threads`` accepts only 1 and goes at
     the next benchmark change; any other value raises ``ValueError``.
@@ -572,29 +574,35 @@ def phase_diagram(
                 )
             )
 
-            # at phi = 0 the field is E_z / 2 on every site whatever lambda0 is,
-            # so the column's cells there share one report and one label
-            magnetic_orders = {}
+            # at phi = 0 the field is E_z / 2 on every site whatever lambda0 is, so
+            # the column's cells there share one report, and its label or failure
+            orders = {}
             for rec, modeset in zip(result.records, modesets):
-                label = None
+                label, status, message = None, rec.status, rec.message
                 if rec.status == "ok":
                     field_phase = "superradiant" if _condensed(rec, thr) else "normal"
                     mag = "undetermined"
                     if magnetic:
                         key = rec.value if any(rec.phi) else None
-                        if key not in magnetic_orders:
-                            report = correlation_report(
-                                col_chain, modeset, np.array(rec.phi), n_max=n_max,
-                                solution=solver.normal.solution if key is None else None,
-                            )
-                            magnetic_orders[key] = classify_magnetic_order(report, col_chain, thr)
-                        mag = magnetic_orders[key]
-                    label = PhaseLabel(field_phase, t_order, mag)
+                        if key not in orders:
+                            try:
+                                report = correlation_report(
+                                    col_chain, modeset, np.array(rec.phi), n_max=n_max,
+                                    solution=solver.normal.solution if key is None else None,
+                                )
+                                orders[key] = classify_magnetic_order(report, col_chain, thr)
+                            except SolverError as exc:
+                                orders[key] = exc
+                        mag = orders[key]
+                    if isinstance(mag, SolverError):
+                        status, message = "error", str(mag)
+                    else:
+                        label = PhaseLabel(field_phase, t_order, mag)
                 cells.append(
                     PhaseCell(
                         E_z=E_z, J_min=J_min, J_max=col_chain.ising.J_max,
                         lambda0=rec.value, phi=rec.phi, e_g=rec.e_g, label=label,
-                        status=rec.status, message=rec.message,
+                        status=status, message=message,
                     )
                 )
 

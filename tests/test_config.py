@@ -1,6 +1,7 @@
 """Config-file parsing: strict keys, defaults, grids and overrides."""
 
 import json
+import math
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -461,6 +462,11 @@ class TestRanges:
             ({"instances": 0}, r"task: instances must be at least 1"),
             ({"energy_tol": -1e-9}, r"task: energy_tol must not be negative"),
             ({"expectation_tol": -1e-8}, r"task: expectation_tol must not be negative"),
+            # a negative seed failed in the run, an infinite tolerance passed any deviation
+            ({"seed": -1}, r"task: seed must not be negative, got -1"),
+            ({"energy_tol": math.inf}, r"task: energy_tol must not be negative or infinite"),
+            ({"expectation_tol": math.inf}, r"task: expectation_tol must not be negative or inf"),
+            ({"energy_tol": math.nan}, r"task: energy_tol must not be negative or infinite"),
         ],
     )
     def test_validate_ranges(self, tmp_path, task, match):
@@ -470,9 +476,10 @@ class TestRanges:
 
     def test_validate_range_ends_are_accepted(self, tmp_path):
         raw = validate_config(instances=1, N=_HARD_MAX, max_distance=_HARD_MAX - 1,
-                              energy_tol=0.0, expectation_tol=0.0)
+                              energy_tol=0.0, expectation_tol=0.0, seed=0)
         task = load(tmp_path, raw).task
         assert (task.instances, task.N, task.max_distance) == (1, _HARD_MAX, _HARD_MAX - 1)
+        assert task.seed == 0
         raw["task"] = {"kind": "validate", "N": 2, "max_distance": 1}
         assert load(tmp_path, raw).task.N == 2
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -84,11 +85,13 @@ def small_rings(draw):
     return draw(st.floats(0.2, 1.5)), J, draw(st.integers(1, 4)), draw(st.floats(0.0, 2.0))
 
 
-def oracle_energy(chain, ms, x):
-    """``(omega + 4 D) x^2 + E_oracle(x) / N``: ``e_g`` at amplitude ``x`` by brute force."""
-    fld = effective_field(chain, ms, np.array([x]))
+def oracle_energy(chain, ms, phi):
+    """``sum_l (omega_l + 4 D_l) phi_l^2 + E_oracle(phi) / N``: ``e_g`` at amplitudes ``phi``
+    (a number for one mode) by brute force."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    fld = effective_field(chain, ms, phi)
     e_spin, _ = exact_ground(DenseSpinProblem(Omega=fld.Omega, J=chain.bonds()), parity=+1)
-    return float((ms.frequencies[0] + 4.0 * ms.D[0]) * x * x) + e_spin / chain.N
+    return float(np.sum((ms.frequencies + 4.0 * ms.D) * phi * phi)) + e_spin / chain.N
 
 
 class TestMinimizerAgainstTheOracle:
@@ -112,6 +115,41 @@ class TestMinimizerAgainstTheOracle:
             state = minimize_phi(chain, ms, QUICK)
         assert state.e_g == pytest.approx(oracle_energy(chain, ms, state.phi[0]), abs=1e-10)
         assert state.e_g <= min(oracle_energy(chain, ms, x) for x in self.SCAN) + 1e-12
+
+
+@st.composite
+def two_mode_rings(draw):
+    """``(E_z, bonds, lambda0)`` of a ring of up to 6 sites under modes 1 and 2."""
+    N = draw(st.integers(1, 6))
+    bond = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+    J = [0.0] * N if draw(st.booleans()) else draw(st.lists(bond, min_size=N, max_size=N))
+    return draw(st.floats(0.2, 1.5)), J, draw(st.floats(0.0, 2.0))
+
+
+class TestMultiModeMinimizerAgainstTheOracle:
+    """The multi-mode polish of ``minimize_phi`` on rings small enough to diagonalize in full."""
+
+    SEARCH = SearchSpec(multi_coarse_points=7, n_seeds=2)
+    # twice as fine as the search's 7-point axes; the joint flip leaves phi_1 >= 0 to scan
+    SCAN = list(
+        product(np.linspace(0.0, SEARCH.phi_max, 13), np.linspace(-1.0, 1.0, 25) * SEARCH.phi_max)
+    )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(two_mode_rings())
+    @example((0.8, [0.0], 0.9))
+    @example((0.8, [0.3, 0.0], 1.5))
+    @example((0.6, [0.2, 0.5, 0.1], 1.2))
+    @example((0.8, [0.0] * 4, 0.9))
+    def test_minimum_is_the_oracle_minimum(self, ring):
+        E_z, J, lam = ring
+        chain = ChainSpec(N=len(J), E_z=E_z, E_c=8.0, ising=IsingProfile.explicit(J))
+        ms = ModeSet(modes=(1, 2), lambda0=lam, N=chain.N, E_c=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a minimizer at phi_max
+            state = minimize_phi(chain, ms, self.SEARCH)
+        assert state.e_g == pytest.approx(oracle_energy(chain, ms, state.phi), abs=1e-10)
+        assert state.e_g <= min(oracle_energy(chain, ms, phi) for phi in self.SCAN) + 1e-12
 
 
 @st.composite
@@ -667,7 +705,7 @@ class TestUnitCurve:
         def failing(*args):
             raise SolverError("injected failure")
 
-        monkeypatch.setattr(meanfield, "_origin_state", failing)
+        monkeypatch.setattr(meanfield, "ground_sector", failing)
         curve = _UnitCurve(desk_chain(), 2, QUICK, 0.15)
         for lam in (0.15, 0.2254, 0.2255, 0.3):
             state = curve.minimize(lam)
@@ -805,7 +843,7 @@ class TestPrunedScan:
         def failing(*args):
             raise SolverError("injected failure")
 
-        monkeypatch.setattr(meanfield, "_origin_state", failing)
+        monkeypatch.setattr(meanfield, "ground_sector", failing)
         lams = (0.15, 0.2254, 0.2255, 0.3)
         self.assert_column(desk_chain(), 2, QUICK, lams, lambda lam: None)
 
@@ -960,6 +998,15 @@ class TestMinimize:
         state = minimize_phi(chain, above, search)
         assert np.all(state.phi > 1e-3)
         assert float(np.max(order_parameter_residual(chain, above, state.phi))) < 1e-4
+
+    def test_failed_phi_zero_solve_raises_in_the_polish(self, monkeypatch):
+        # the origin seed's Hessian reads the column's phi = 0 record, failure and all
+        chain = ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.05))
+        failed = _NormalPhase(error=SolverError("injected failure"))
+        monkeypatch.setattr(meanfield, "_normal_phase", lambda *args: failed)
+        ms = ModeSet(modes=(1, 2, 3), lambda0=0.6207, N=40, E_c=8.0)
+        with pytest.raises(SolverError, match="injected failure"):
+            minimize_phi(chain, ms, SearchSpec(multi_coarse_points=7, n_seeds=1))
 
     def test_single_mode_reads_the_mode_set(self):
         # D comes from the mode set's E_c, whatever the chain's

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavising import fermion, meanfield, phases
+from cavising import correlation, fermion, meanfield, phases
 from cavising.correlation import CorrelationReport
 from cavising.fermion import SolverError
 from cavising.meanfield import SearchSpec, energy_per_particle, minimize_phi
@@ -537,10 +537,10 @@ class TestPhaseDiagram:
         # the spinodal's phi = 0 ground state is handed to the column's phi = 0
         # report, which then holds what a report solving afresh holds
         origins, reports = [], []
-        real_origin, real_report = meanfield._origin_state, phases.correlation_report
+        real_origin, real_report = meanfield.ground_sector, phases.correlation_report
 
-        def recorded_origin(chain, modeset):
-            origin = real_origin(chain, modeset)
+        def recorded_origin(field, bonds):
+            origin = real_origin(field, bonds)
             origins.append(origin)
             return origin
 
@@ -549,7 +549,7 @@ class TestPhaseDiagram:
             reports.append((chain, modeset, phi, kwargs.get("solution"), report))
             return report
 
-        monkeypatch.setattr(meanfield, "_origin_state", recorded_origin)
+        monkeypatch.setattr(meanfield, "ground_sector", recorded_origin)
         monkeypatch.setattr(phases, "correlation_report", recorded_report)
         diagram = phase_diagram(
             desk_chain(), (2,), np.linspace(0.15, 0.3, 7), (0.001, 0.004), delta_J=0.025,
@@ -651,7 +651,7 @@ class TestPhaseDiagram:
             calls.append(args)
             raise SolverError("injected failure")
 
-        monkeypatch.setattr(meanfield, "_origin_state", failing)
+        monkeypatch.setattr(meanfield, "ground_sector", failing)
         diagram = phase_diagram(desk_chain(), (2,), grid, (0.001,), **kwargs)
         (col,) = diagram.columns
         assert (col.status, col.message, col.lambda_c) == ("error", "injected failure", None)
@@ -674,6 +674,58 @@ class TestPhaseDiagram:
         assert (col.status, col.lambda_c, col.message) == ("error", None, "injected failure")
         assert [c.status for c in diagram.cells] == ["ok"] * len(grid)
         assert diagram.crossover == ((0.1, None),)
+
+    # two cells at phi = 0, sharing the spinodal's ground state, and two condensed
+    SMALL_GRID = (0.15, 0.2, 0.25, 0.3)
+
+    def _small_diagram(self):
+        chain = replace(desk_chain(), N=24)
+        return phase_diagram(
+            chain, (2,), self.SMALL_GRID, (0.001,), delta_J=0.025, search=QUICK, n_max=6
+        )
+
+    def test_failed_cell_report_is_isolated_to_its_cell(self, monkeypatch):
+        good = self._small_diagram()
+        assert [bool(any(c.phi)) for c in good.cells] == [False, False, True, True]
+        calls = []
+        real = correlation.ground_sector
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise SolverError("injected failure")
+            return real(*args)
+
+        monkeypatch.setattr(correlation, "ground_sector", flaky)
+        diagram = self._small_diagram()
+        assert len(calls) == 2  # one per condensed cell
+        assert diagram.columns == good.columns
+        *kept, failed = diagram.cells
+        assert kept == list(good.cells[:-1])
+        assert (failed.status, failed.message, failed.label) == ("error", "injected failure", None)
+        assert (failed.phi, failed.e_g) == (good.cells[-1].phi, good.cells[-1].e_g)
+
+    def test_failed_shared_report_fails_the_cells_that_share_it(self, monkeypatch):
+        good = self._small_diagram()
+        calls = []
+        real = phases.correlation_report
+
+        def flaky(chain, modeset, phi, **kwargs):
+            calls.append(phi)
+            if not any(phi):
+                raise SolverError("injected failure")
+            return real(chain, modeset, phi, **kwargs)
+
+        monkeypatch.setattr(phases, "correlation_report", flaky)
+        diagram = self._small_diagram()
+        assert len(calls) == 3  # the failure is shared, not solved again
+        assert diagram.columns == good.columns
+        for cell, ref in zip(diagram.cells, good.cells, strict=True):
+            if any(cell.phi):
+                assert cell == ref
+            else:
+                assert (cell.status, cell.message) == ("error", "injected failure")
+                assert cell.label is None
 
 
 class TestThresholds:
