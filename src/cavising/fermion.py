@@ -64,10 +64,14 @@ block, to the sign of ``det T``.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy import linalg
+import scipy
 
 __all__ = [
     "Sector",
@@ -85,8 +89,44 @@ __all__ = [
 # about eps * s_max^2 / s, which above the bar stays near 1e-14 * s_max
 _SQUARED_EPS = 1e-4
 # a translation block shorter than this costs more in the call overhead of its
-# banded eigensolve (~20 us) than it saves
+# banded eigensolve than it saves: ~11 us at n = 4, half of it folding the band
+# (~20 us through scipy.linalg.eigvals_banded; one 2-core Xeon, one BLAS thread)
 _MIN_BLOCK = 8
+
+
+def _load_lapack():
+    """scipy's f2py LAPACK wrappers, loaded without importing ``scipy.linalg``.
+
+    ``import scipy.linalg`` costs some 0.27 s and 24 MB of resident memory
+    (2-core Xeon, scipy 1.17), mostly in modules the banded eigensolve
+    never touches, ``numpy.f2py`` and ``numpy.testing`` among them.  The
+    wrapper module is registered under its own name, so a later ``import
+    scipy.linalg`` (the multi-mode polish's ``scipy.optimize`` makes one)
+    reuses this very object rather than loading the extension twice.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / ("_flapack" + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no LAPACK wrapper _flapack in {directory} (scipy {scipy.__version__})")
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader)
+    )
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_lapack = _load_lapack()
+# the absolute tolerance scipy's eig_banded gives the bisection: twice the
+# smallest normal number, where it converges most accurately
+_ABSTOL = 2.0 * _lapack.dlamch("s")
 
 
 class SolverError(RuntimeError):
@@ -329,17 +369,45 @@ def _cycle_eigvals(
 
     ``edge[i]`` is the entry ``H[(i + 1) % n, i]`` and ``node`` the real
     diagonal (zero when omitted); for ``n = 2`` the two edges land on
-    the same entry, ``H[1, 0] = edge[0] + conj(edge[1])``.  Visiting the
-    rows as ``0, n-1, 1, n-2, ...`` puts every edge within distance 2 of
-    the diagonal, so the matrix folds into a Hermitian band of width 2;
-    the edges of the back half and the wrap then sit above the diagonal
-    of the fold and enter conjugated.  Real edges make a real band.  With
-    ``select_range = (lo, hi)`` only the eigenvalues of those ascending
-    indices are computed, by bisection.
+    the same entry, ``H[1, 0] = edge[0] + conj(edge[1])``.  The cycle is
+    folded by :func:`_cycle_band` and handed to LAPACK with the calls and
+    arguments of ``scipy.linalg.eigvals_banded(band, lower=True)``, so
+    every value is theirs bit for bit.  With ``select_range = (lo, hi)``
+    only the eigenvalues of those ascending indices are computed, by
+    bisection.
+    """
+    band = _cycle_band(edge, node)
+    # LAPACK may turn an inf into NaN output without reporting failure
+    if not np.isfinite(band).all():
+        raise SolverError("banded eigenvalue computation failed: non-finite band")
+    hermitian = band.dtype.kind == "c"
+    if select_range is None:
+        solve = _lapack.zhbevd if hermitian else _lapack.dsbevd
+        ev, _, info = solve(band, compute_v=0, lower=1, overwrite_ab=1)
+    else:
+        solve = _lapack.zhbevx if hermitian else _lapack.dsbevx
+        lo, hi = select_range
+        ev, _, found, _, info = solve(
+            band, 0.0, 1.0, lo + 1, hi + 1,
+            compute_v=0, mmax=1, range=2, lower=1, overwrite_ab=1, abstol=_ABSTOL,
+        )
+        ev = ev[:found]
+    if info != 0:
+        raise SolverError(f"banded eigenvalue computation failed (LAPACK info {info})")
+    return ev
+
+
+def _cycle_band(edge: np.ndarray, node: np.ndarray | None) -> np.ndarray:
+    """The Hermitian n-cycle of :func:`_cycle_eigvals` folded into LAPACK's lower band storage.
+
+    Visiting the rows as ``0, n-1, 1, n-2, ...`` puts every edge within
+    distance 2 of the diagonal, so the matrix folds into a Hermitian band
+    of width 2; the edges of the back half and the wrap then sit above the
+    diagonal of the fold and enter conjugated.  ``band[d, i]`` holds the
+    entry ``(i + d, i)`` of the fold.  Real edges make a real band.
     """
     n = edge.size
     m = (n + 1) // 2
-    # lower band storage: band[d, i] holds the entry (i + d, i)
     band = np.zeros((3, n), dtype=edge.dtype)
     if node is not None:
         band[0, 0::2] = node[:m]
@@ -353,13 +421,7 @@ def _cycle_eigvals(
     # complex band of unit scale); zeroing them moves no eigenvalue by more
     # than the smallest normal number
     band[np.abs(band) < np.finfo(float).tiny] = 0.0
-    select = "a" if select_range is None else "i"
-    try:
-        return linalg.eigvals_banded(
-            band, lower=True, overwrite_a_band=True, select=select, select_range=select_range
-        )
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SolverError("banded eigenvalue computation failed") from exc
+    return band
 
 
 def solve_quasiparticles(form: QuadraticForm) -> QuasiparticleSolution:

@@ -60,8 +60,10 @@ whose dominant amplitude is nonnegative.
 
 ``scipy.optimize`` is imported by the multi-mode polish alone, on first
 use: energies, onsets, the spectrum and every single-mode search need
-only ``scipy.linalg``; on top of it, the optimizer's import costs more
-than a large-ring energy (0.16 s and 21 MB, scipy 1.17 on 2 cores).
+only scipy's LAPACK wrappers, which :mod:`cavising.fermion` loads
+without ``scipy.linalg``; the optimizer's import brings ``scipy.linalg``
+and ``scipy.sparse`` with it and costs more than a large-ring energy
+(0.4 to 0.55 s and 43 MB, scipy 1.17 on 2 cores).
 """
 
 from __future__ import annotations

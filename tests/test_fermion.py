@@ -7,6 +7,7 @@ and the brute-force solver.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -99,14 +100,19 @@ class TestSpectrum:
         form = build_quadratic_form(flat_field(Om), np.zeros(3))
         np.testing.assert_allclose(quasiparticle_energies(form), 2.0 * np.sort(Om), atol=1e-15)
 
-    def test_uniform_dispersion(self):
-        # even-sector spectrum of a uniform ring lives on the antiperiodic
-        # momenta k = (2m+1) pi / N
-        N, Om, J = 16, 0.45, 0.3
-        form = build_quadratic_form(flat_field(np.full(N, Om)), np.full(N, J))
-        k = (2.0 * np.arange(N) + 1.0) * math.pi / N
-        expected = np.sort(2.0 * np.sqrt(Om**2 + J**2 - 2.0 * Om * J * np.cos(k)))
-        np.testing.assert_allclose(quasiparticle_energies(form), expected, atol=1e-12)
+    # 997 is prime: one real block of 997 sites; 998 = 2 * 499: one complex
+    # block of 499 sites in the even sector, two real ones in the odd sector
+    @pytest.mark.parametrize("N", [16, 997, 998, 2000])
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_uniform_dispersion(self, N, sector):
+        # a uniform ring's spectrum is 2 |h - J e^{ik}| (Lieb, Schultz and
+        # Mattis 1961) on the antiperiodic momenta k = (2m+1) pi / N in the
+        # even sector and on the periodic ones k = 2 pi m / N in the odd one
+        Om, J = 0.45, 0.3
+        form = build_quadratic_form(flat_field(np.full(N, Om)), np.full(N, J), sector)
+        k = (2.0 * np.arange(N) + (1.0 if sector is Sector.EVEN else 0.0)) * math.pi / N
+        expected = np.sort(2.0 * np.abs(Om - J * np.exp(1j * k)))
+        np.testing.assert_allclose(quasiparticle_energies(form), expected, rtol=0, atol=1e-12)
 
     def test_two_site_closed_form(self):
         Om, J0, J1 = 0.37, 0.21, 0.53
@@ -239,13 +245,13 @@ class TestBandedSpectrum:
 
     def test_correction_runs_only_below_the_bar(self, monkeypatch):
         selects = []
-        real = fermion.linalg.eigvals_banded
+        real = fermion._cycle_eigvals
 
-        def spy(*args, **kwargs):
-            selects.append(kwargs.get("select", "a"))
-            return real(*args, **kwargs)
+        def spy(edge, node=None, select_range=None):
+            selects.append("a" if select_range is None else "i")
+            return real(edge, node, select_range)
 
-        monkeypatch.setattr(fermion.linalg, "eigvals_banded", spy)
+        monkeypatch.setattr(fermion, "_cycle_eigvals", spy)
 
         def run(J):
             selects.clear()
@@ -452,6 +458,45 @@ class TestTranslationBlocks:
         chain = ChainSpec(N=N, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.35, 0.05, 2))
         fld = effective_field(chain, ModeSet(modes=(2,), lambda0=0.7, N=N, E_c=8.0), [phi])
         assert period(build_quadratic_form(fld, chain.bonds(), sector)) == N // 2
+
+
+class TestLapackRoute:
+    """The banded eigensolve calls scipy's LAPACK wrappers without ``scipy.linalg``.
+
+    ``scipy.linalg.eigvals_banded``, the route those calls replace, is the
+    reference: on the same folded band every eigenvalue must agree bit for
+    bit, which is what a scipy upgrade that changes the wrappers would break.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 33, 200, 997, 1200])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    @pytest.mark.parametrize("with_node", [False, True])
+    def test_bit_for_bit_against_eigvals_banded(self, n, hermitian, with_node):
+        from scipy import linalg
+
+        rng = np.random.default_rng(n)
+        edge = rng.normal(size=n) + (1j * rng.normal(size=n) if hermitian else 0.0)
+        node = rng.uniform(0.0, 3.0, n) if with_node else None
+        for select_range in (None, (0, 0), (n // 2, n // 2), (n // 2, n - 1)):
+            got = fermion._cycle_eigvals(edge, node, select_range)
+            ref = linalg.eigvals_banded(
+                fermion._cycle_band(edge, node),
+                lower=True,
+                select="a" if select_range is None else "i",
+                select_range=select_range,
+            )
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert (got == ref).all(), select_range
+
+    def test_missing_wrappers_name_the_directory_and_version(self, monkeypatch, tmp_path):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        with pytest.raises(ImportError) as info:
+            fermion._load_lapack()
+        assert str(tmp_path / "linalg") in str(info.value)
+        assert scipy.__version__ in str(info.value)
 
 
 class TestHoppingNorm:

@@ -1,9 +1,12 @@
-"""Energy-only and single-mode work must not load the optimizer or the sparse solver.
+"""Energy-only and single-mode work must load neither ``scipy.linalg``, nor the
+optimizer, nor the sparse solver.
 
-``import cavising`` needs numpy and ``scipy.linalg``; ``scipy.optimize``
-loads with the first multi-mode polish and ``scipy.sparse`` with the
-oracle's Lanczos path.  The check runs in a fresh interpreter, since the
-test process has long since imported both.
+``import cavising`` needs numpy, the top-level ``scipy`` package and
+scipy's LAPACK wrapper module, which :mod:`cavising.fermion` loads on its
+own; ``scipy.optimize``, and ``scipy.linalg`` with it, loads with the first
+multi-mode polish, and ``scipy.sparse`` with the oracle's Lanczos path.
+The check runs in a fresh interpreter, since the test process has long
+since imported all three.
 """
 
 import json
@@ -18,7 +21,7 @@ SCRIPT = """
 import json, sys
 
 def loaded():
-    return [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
+    return [m for m in ("scipy.linalg", "scipy.optimize", "scipy.sparse") if m in sys.modules]
 
 import cavising
 from cavising.correlation import correlation_report
@@ -55,6 +58,10 @@ minimize_phi(
     SearchSpec(multi_coarse_points=5, n_seeds=1),
 )
 after["multi-mode"] = loaded()
+# the optimizer's scipy.linalg takes up the wrapper module the spectrum loaded
+from cavising import fermion
+from scipy.linalg import lapack
+after["shared"] = lapack._flapack is fermion._lapack
 print(json.dumps(after))
 """
 
@@ -74,3 +81,4 @@ def test_energy_only_calls_load_neither_optimizer_nor_sparse():
     assert after["transition"] in ("first", "second")
     assert after["phase_diagram"] == []
     assert "scipy.optimize" in after["multi-mode"]
+    assert after["shared"]
