@@ -24,7 +24,7 @@ leading principal minor of the window of ``H`` that starts at site ``j``.
 The leftward correlator ``rho(j - n, n)`` is the same kind of minor, of the
 window that starts at ``j - n``.  So one table ``R[s, n - 1]`` of leading
 minors, one row per window start ``s``, serves every correlator.  It comes
-from one pivot-free LU of all windows at once, by panels of a few columns:
+from one pivot-free LU of many windows at once, by panels of a few columns:
 within a panel, one rank-1 step per column of every window; each later
 panel first takes one batched matrix product per earlier panel, window by
 window.  The running product of the pivots is the ``n``-th leading minor
@@ -37,17 +37,30 @@ digits to cancellation (a minor that vanishes exactly comes out as
 rounding noise), and its window takes the rest of its row from
 :func:`yy_correlation`, LAPACK's pivoted LU determinant.
 
+The LU keeps each window's multipliers, about half its entries: ``4 m^2``
+bytes for windows of ``m`` columns, which would be 256 MB for the 400
+windows of ``m = 400`` on an N = 800 ring of period 400.  So the windows
+are eliminated in chunks of consecutive starts, each small enough that
+its multipliers fit ``_CHUNK_BYTES`` (16 MB), one chunk after another;
+a window's arithmetic does not depend on which others share its chunk,
+so the table is the same bit for bit.  With its solve, that N = 800
+report grows the peak memory by about 30 MB where all windows at once
+took 300 MB (one BLAS thread on a 2-core x86 VM).  A report whose
+multipliers fit the budget, as every shipped config's does, is one chunk.
+
 Each site has a rightward and a leftward decay length: how far ``|rho|``
-walks outward before it falls to ``|rho(j, 1)|/e``, with the crossing
-interpolated on a log scale.  All 2N walks advance in lockstep with the
-elimination, which records the depth at which each one closes and stops
-at the first depth by which all of them have; short-ranged rings pay a
-step or two, and a panel is eliminated only once a walk reaches it.  The
-report then reads every length off the table at those depths.  Sites
-whose nearest-neighbour correlator is already negligible are flagged
-``uncorrelated`` (length 0); sites where no crossing occurs within the
-probed range are flagged ``saturated`` and get the range itself as their
-length.
+walks outward before it falls to ``|rho(1)|/e``, with the crossing
+interpolated on a log scale.  The walks advance with the elimination,
+which records the depth at which each one closes and stops at the first
+depth by which all of them have; short-ranged rings pay a step or two,
+and a panel is eliminated only once a walk reaches it.  A chunk can read
+only its own windows' rightward walks, so it runs until those close; the
+leftward walks are then read off the whole table, and the chunks go
+deeper again if one is still open.  The report reads every length off
+the table at the walks' closing depths.  Sites whose nearest-neighbour
+correlator is already negligible are flagged ``uncorrelated`` (length 0);
+sites where no crossing occurs within the probed range are flagged
+``saturated`` and get the range itself as their length.
 """
 
 from __future__ import annotations
@@ -55,7 +68,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,6 +86,7 @@ _NEGLIGIBLE = 1e-12
 _LOG_FLOOR = 1e-300
 _PIVOT_BAR = 1e-5
 _PANEL = 8
+_CHUNK_BYTES = 16 * 2**20
 
 
 def yy_correlation(G: np.ndarray, j: int, n: int) -> float:
@@ -107,13 +121,12 @@ def yy_table(G: np.ndarray, n_max: int) -> dict[tuple[int, int], float]:
     """
     _check_n_max(n_max)
     R = _window_minors(G, n_max, _twisted_period(G))[0]
-    return _as_dict(R, R.shape[1])
+    return _as_dict(R)
 
 
-def _as_dict(R: np.ndarray, n_max: int) -> dict[tuple[int, int], float]:
-    """``{(j, n): R[j, n - 1]}`` in row order, for a table of at most ``n_max`` columns."""
-    depth = R.shape[1]
-    keys = itertools.chain.from_iterable(row[:depth] for row in _key_rows(R.shape[0], n_max))
+def _as_dict(R: np.ndarray) -> dict[tuple[int, int], float]:
+    """``{(j, n): R[j, n - 1]}`` in row order."""
+    keys = itertools.chain.from_iterable(_key_rows(*R.shape))
     return dict(zip(keys, R.ravel().tolist()))
 
 
@@ -142,39 +155,107 @@ def _window_minors(
     ``|rho(1)|/e`` or below, and at ``k = 0`` if ``|rho(1)|`` is already
     negligible; a walk open at every depth closes at ``min(n_max, N - 1)``.
     With ``stop_early`` the table ends at the first depth by which every
-    walk has closed, and no panel past it is eliminated.  The panels and
-    their products are fixed by ``n_max`` alone, so tables of one ``n_max``
-    agree bit for bit with and without the early stop where they overlap.
+    walk has closed.
+
+    The windows are eliminated in chunks of consecutive starts, as many as
+    keep their multipliers within ``_CHUNK_BYTES``, one chunk after
+    another.  A chunk that holds every window is eliminated in lockstep and
+    stops at the first depth by which every walk has closed.  Otherwise a
+    chunk reads only its own rightward walks: it stops once they have closed
+    and it is as deep as every chunk before it, and the chunks it stopped
+    short of are eliminated again to the common depth.  The leftward walks
+    read across chunks, so they are checked on the common-depth table; while
+    one is open there, every chunk is eliminated again to twice the depth.
+    The panels and their products are fixed by ``n_max`` alone, so tables of
+    one ``n_max`` agree bit for bit with and without the early stop where
+    they overlap, and whatever the chunks.
     """
     N = G.shape[0]
     m = max(min(n_max, N - 1), 0)
     R = np.empty((N, m))
     periods = R.reshape(N // M, M, m)  # R[c M + s] = periods[c, s]
+    width = max(_CHUNK_BYTES // max(_window_bytes(m), 1), 1)
     walks = np.arange(2 * N)
-    depth = np.zeros(2 * N, dtype=int)
-    minor = np.ones(M)
-    for k, (pivot, broken) in enumerate(_pivots(G, m, M)):
+    if width >= M:  # one chunk, in lockstep with every walk
+        state = _Walks(R, walks)
+        for k in _eliminate(G, periods, range(M)):
+            if not state.step(k) and stop_early:
+                return R[:, : k + 1].copy(), state.depth  # not a view that keeps all m columns
+        return R, state.depth
+    chunks = [range(a, min(a + width, M)) for a in range(0, M, width)]
+    d = 0 if stop_early else m  # no chunk stops short of d columns
+    reached = []
+    for starts in chunks:
+        state = _Walks(R, walks[starts.start : starts.stop])  # the chunk's rightward walks
+        for k in _eliminate(G, periods, starts):
+            if not state.step(k) and k + 1 >= d:
+                break
+        reached.append(k + 1)
+        d = max(d, k + 1)
+    while True:
+        for starts, r in zip(chunks, reached):
+            if r < d:
+                for _ in itertools.islice(_eliminate(G, periods, starts), d):
+                    pass
+        state = _Walks(R, walks)
+        for k in range(d):
+            if not state.step(k) and stop_early:
+                return R[:, : k + 1].copy(), state.depth
+        if d == m:
+            return R, state.depth
+        d, reached = min(2 * d, m), [0] * len(chunks)
+
+
+def _window_bytes(m: int) -> int:
+    """Bytes of the multipliers :func:`_pivots` keeps for one window of ``m`` columns."""
+    return 4 * m * (m + _PANEL)
+
+
+class _Walks:
+    """Decay-length walks advanced one depth at a time by the crossing rule.
+
+    A walk stays open while ``|rho|`` exceeds ``|rho(1)|/e`` and ``|rho(1)|``
+    is not negligible; ``depth`` counts the depths at which each was open.
+    """
+
+    def __init__(self, R: np.ndarray, walks: np.ndarray):
+        self.R, self.walks = R, walks
+        self.depth = np.zeros(walks.size, dtype=int)
+
+    def step(self, k: int) -> bool:
+        """Read column ``k`` of the table; whether any walk is still open."""
+        r = _walk_reads(self.R, self.walks, k)
+        if k == 0:
+            self.target = r / math.e
+            self.open = r > _NEGLIGIBLE
+        else:
+            self.open &= r > self.target
+        self.depth += self.open
+        return bool(self.open.any())
+
+
+def _eliminate(G: np.ndarray, periods: np.ndarray, starts: range):
+    """Fill the table's rows of the windows at ``starts`` in every period, a column per step.
+
+    Yields ``k`` once column ``k`` is written: the running product of the
+    pivots, with the seam sign of the windows that wrap past site ``N - 1``,
+    and :func:`yy_correlation` for a broken window.
+    """
+    N = G.shape[0]
+    m = periods.shape[2]
+    minor = np.ones(len(starts))
+    for k, (pivot, broken) in enumerate(_pivots(G, m, starts)):
         minor *= np.where(broken, 1.0, pivot)
         row = minor.copy()
-        row[N - k - 1 :] *= -1.0  # the seam sign of the windows that wrap past site N - 1
-        for s in np.flatnonzero(broken):
-            row[s] = yy_correlation(G, s, k + 1)
-        periods[:, :, k] = row
-        # the crossing rule: a walk stays open while |rho| exceeds its target
-        r = _walk_reads(R, walks, k)
-        if k == 0:
-            target = r / math.e
-            open_ = r > _NEGLIGIBLE
-        else:
-            open_ &= r > target
-        depth += open_
-        if stop_early and not open_.any():
-            return R[:, : k + 1], depth
-    return R, depth
+        row[max(N - k - 1 - starts.start, 0) :] *= -1.0
+        for i in np.flatnonzero(broken):
+            row[i] = yy_correlation(G, starts[i], k + 1)
+        periods[:, starts.start : starts.stop, k] = row
+        yield k
 
 
-def _pivots(G: np.ndarray, m: int, M: int):
-    """Pivots of the pivot-free LU of the ``m x m`` windows of ``H`` starting at ``0 .. M - 1``.
+def _pivots(G: np.ndarray, m: int, starts: range):
+    """Pivots of the pivot-free LU of the ``m x m`` windows of ``H`` starting at ``starts``.
 
     Yields ``(pivot, broken)`` for ``k = 0 .. m - 1``: the ``k``-th pivot of
     every window, and which windows have had a pivot at or below
@@ -190,12 +271,17 @@ def _pivots(G: np.ndarray, m: int, M: int):
     pivot, and kept, its multipliers below it laid out window by window for
     the products of later panels.  Every window's arithmetic depends on
     ``m`` and its own entries only, so any set of windows gives each of them
-    the same pivots bit for bit; the factors kept take about half the
-    memory of all windows.
+    the same pivots bit for bit.  The multipliers kept grow with the depth
+    reached, to :func:`_window_bytes` per window at full depth, about half
+    of its entries; beside them are two panels of temporaries and the
+    ``len(starts) + m - 1`` square of ``H`` that the windows read.
     """
-    # H[a, b] = G[a, b + 1] padded periodically: window s is the diagonal
-    # block P[s:s + m, s:s + m]; columns[c, i, s] is its entry (i, c)
-    P = np.pad(np.roll(G, -1, axis=1), ((0, m), (0, m)), mode="wrap")
+    N = G.shape[0]
+    M = len(starts)
+    # H[a, b] = G[a, b + 1] on the sites the windows read: window starts[s]
+    # is the diagonal block P[s:s + m, s:s + m]; columns[c, i, s] is its entry (i, c)
+    sites = np.arange(starts.start, starts.stop + m - 1) % N
+    P = G[np.ix_(sites, (sites + 1) % N)]
     rs, cs = P.strides
     columns = np.lib.stride_tricks.as_strided(P, shape=(m, m, M), strides=(cs, rs, rs + cs))
     broken = np.zeros(M, dtype=bool)
@@ -275,21 +361,23 @@ def _walk_reads(R: np.ndarray, walks: np.ndarray, k) -> np.ndarray:
 class CorrelationReport:
     """Site-resolved observables of one ground-state solution.
 
-    ``rho`` holds every window minor the decay-length walks read, keyed by
-    ``(j, n)`` with ``j`` already reduced mod N: all sites, for ``n`` up to
-    the depth at which the last walk closed.  Its values equal
-    :func:`yy_table`'s bit for bit; use that for an exhaustive grid.
-    ``xi_r``/``flags_r`` and ``xi_l``/``flags_l`` are the rightward and
-    leftward decay lengths and their flags (``ok``, ``uncorrelated`` or
-    ``saturated``), computed from ``rho`` and the walks' closing depths;
-    ``xi_rl`` is their mean.
+    ``minors`` is the read-only table ``minors[j, n - 1] = rho(j, n)`` of
+    every window minor the decay-length walks read: all sites, for ``n`` up
+    to the depth at which the last walk closed.  ``rho`` holds the same
+    values as a dict keyed by ``(j, n)``, with ``j`` already reduced mod N,
+    in row order; it is built on first read, so a caller that needs only
+    the lengths never pays for it.  Both equal :func:`yy_table`'s values
+    bit for bit; use that for an exhaustive grid.  ``xi_r``/``flags_r``
+    and ``xi_l``/``flags_l`` are the rightward and leftward decay lengths
+    and their flags (``ok``, ``uncorrelated`` or ``saturated``), computed
+    from the table and the walks' closing depths; ``xi_rl`` is their mean.
     """
 
     G: np.ndarray
     sigma_z_rot: np.ndarray
     sigma_z_lab: np.ndarray
     sigma_x_lab: np.ndarray
-    rho: dict
+    minors: np.ndarray
     xi_r: np.ndarray
     xi_l: np.ndarray
     xi_rl: np.ndarray
@@ -302,6 +390,10 @@ class CorrelationReport:
     @property
     def N(self) -> int:
         return self.G.shape[0]
+
+    @cached_property
+    def rho(self) -> dict[tuple[int, int], float]:
+        return _as_dict(self.minors)
 
 
 def correlation_report(
@@ -353,14 +445,14 @@ def correlation_report(
     xi_r, xi_l = xi[:N], xi[N:]
     xi_rl = 0.5 * (xi_r + xi_l)
 
-    for a in (G, sz_rot, sz_lab, sx_lab, xi_r, xi_l, xi_rl):
+    for a in (G, sz_rot, sz_lab, sx_lab, R, xi_r, xi_l, xi_rl):
         a.setflags(write=False)
     return CorrelationReport(
         G=G,
         sigma_z_rot=sz_rot,
         sigma_z_lab=sz_lab,
         sigma_x_lab=sx_lab,
-        rho=_as_dict(R, n_max),
+        minors=R,
         xi_r=xi_r,
         xi_l=xi_l,
         xi_rl=xi_rl,

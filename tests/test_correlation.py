@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavising import correlation
@@ -345,7 +345,7 @@ def all_window_minors(G, n_max, stop_early=False):
     walks = np.arange(2 * N)
     depth = np.zeros(2 * N, dtype=int)
     minor = np.ones(N)
-    for k, (pivot, broken) in enumerate(correlation._pivots(G, m, N)):
+    for k, (pivot, broken) in enumerate(correlation._pivots(G, m, range(N))):
         minor *= np.where(broken, 1.0, pivot)
         R[:, k] = np.where(np.arange(N) + k + 1 >= N, -minor, minor)
         for s in np.flatnonzero(broken):
@@ -365,7 +365,7 @@ def all_window_minors(G, n_max, stop_early=False):
 def break_depths(G, m):
     """The depth ``k`` at which each window's pivot first fell to the bar (``m`` if never)."""
     first = np.full(G.shape[0], m)
-    for k, (_, broken) in enumerate(correlation._pivots(G, m, G.shape[0])):
+    for k, (_, broken) in enumerate(correlation._pivots(G, m, range(G.shape[0]))):
         first[broken & (first == m)] = k
     return first
 
@@ -613,3 +613,142 @@ class TestEdgeCases:
         assert rep.flags_r == rep.flags_l == ("uncorrelated",) * 12
         np.testing.assert_array_equal(rep.xi_rl, 0.0)
         assert max(abs(v) for v in table.values()) <= 1e-12
+
+
+@st.composite
+def chunk_cases(draw):
+    """A ring of up to 120 sites, tiled or not, a table size and a pivot bar.
+
+    A tiled ring repeats its bonds ``tiles`` times under a drive of the same
+    period, so its solve has a period below N; an untiled one has none.  A
+    run of strong bonds among weak ones makes the walks on its two sides
+    close at different depths.  A high bar breaks windows partway, and they
+    take the fallback.
+    """
+    tiles = draw(st.sampled_from([1, 1, 2, 3, 4]))
+    # the solve finds no period below 8 sites
+    cell = draw(st.integers(2 if tiles == 1 else 8, 120 // tiles))
+    N = cell * tiles
+    E_z = draw(st.floats(0.4, 1.2))
+    regime = draw(st.sampled_from(["P", "F", "FP"]))
+    lo, hi = REGIMES["F" if regime == "F" else "P"]
+    J = np.array(draw(st.lists(st.floats(lo, hi), min_size=cell, max_size=cell)))
+    if regime == "FP":
+        start, run = draw(st.integers(0, cell - 1)), draw(st.integers(1, max(cell // 2, 1)))
+        J[start : start + run] = draw(st.floats(*REGIMES["F"]))
+    bonds = np.tile(J * E_z, tiles)
+    phi = draw(st.floats(-0.5, 0.5))
+    n_max = draw(st.integers(1, N - 1))
+    bar = draw(st.sampled_from([correlation._PIVOT_BAR, 0.3]))
+    return N, tiles, bonds.tolist(), E_z, phi, n_max, bar
+
+
+def chunk_ring(N, tiles, bonds, E_z, phi):
+    chain = ChainSpec(N=N, E_z=E_z, E_c=8.0, ising=IsingProfile.explicit(bonds))
+    ms = ModeSet(modes=(2 * tiles,), lambda0=0.5, N=N, E_c=8.0)
+    return chain, ms, [phi]
+
+
+def assert_chunks_match_one_chunk(case, stop_early, width):
+    """Chunks of ``width`` windows give the one-chunk table, depths and report.
+
+    Returns the chunked table and depths.
+    """
+    N, tiles, bonds, E_z, phi, n_max, bar = case
+    chain, ms, phi = chunk_ring(N, tiles, bonds, E_z, phi)
+    sol = ground_sector(effective_field(chain, ms, phi), chain.bonds())
+    M, m = sol.period, min(n_max, N - 1)
+    assert M < N or tiles == 1
+    runs = []
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(correlation, "_PIVOT_BAR", bar)
+        for windows in (M, width):
+            patched.setattr(correlation, "_CHUNK_BYTES", windows * correlation._window_bytes(m))
+            R, depth = correlation._window_minors(sol.G, n_max, M, stop_early=stop_early)
+            rep = correlation_report(chain, ms, phi, n_max=n_max, solution=sol)
+            runs.append((R, depth, rep))
+    (R_one, depth_one, rep_one), (R, depth, rep) = runs
+    assert R.shape == R_one.shape and np.array_equal(R, R_one)
+    assert np.array_equal(depth, depth_one)
+    assert np.array_equal(rep.minors, rep_one.minors)
+    assert set(rep.rho) == set(rep_one.rho)
+    for name in ("xi_r", "xi_l", "xi_rl"):
+        assert np.array_equal(getattr(rep, name), getattr(rep_one, name))
+    assert (rep.flags_r, rep.flags_l) == (rep_one.flags_r, rep_one.flags_l)
+    return R, depth
+
+
+# half strong and half weak bonds: under a bar of 0.3 the window at s < 24
+# breaks at depth 24 - s (see TestPanels)
+BROKEN_CASE = (48, 1, (np.where(np.arange(48) < 24, 0.9, 0.05)).tolist(), 0.8, 0.0, 24, 0.3)
+# a run of four strong bonds: the deepest leftward walk closes a site after
+# the deepest rightward one
+LEFT_J = [0.01, 0.07, 0.02, 0.07, 0.0, 1.0, 1.0, 1.0, 1.0, 0.08]
+LEFT_J += [0.07, 0.13, 0.01, 0.14, 0.01, 0.01, 0.14, 0.02, 0.07]
+LEFT_CASE = (19, 1, (0.8 * np.array(LEFT_J)).tolist(), 0.8, -0.2, 18, correlation._PIVOT_BAR)
+
+
+class TestChunks:
+    """Windows eliminated a few starts at a time give the one-chunk table bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=chunk_cases(), stop_early=st.booleans(), width=st.integers(1, 7))
+    @example(case=BROKEN_CASE, stop_early=True, width=3)
+    @example(case=BROKEN_CASE, stop_early=False, width=5)
+    @example(case=LEFT_CASE, stop_early=True, width=3)
+    def test_chunks_match_one_chunk(self, case, stop_early, width):
+        assert_chunks_match_one_chunk(case, stop_early, width)
+
+    def test_broken_case_takes_the_fallback_in_chunks(self, monkeypatch):
+        # the example above breaks windows in several chunks, each of which
+        # takes the rest of its broken rows from yy_correlation
+        N, tiles, bonds, E_z, phi, n_max, bar = BROKEN_CASE
+        chain, ms, phi = chunk_ring(N, tiles, bonds, E_z, phi)
+        sol = ground_sector(effective_field(chain, ms, phi), chain.bonds())
+        monkeypatch.setattr(correlation, "_PIVOT_BAR", bar)
+        monkeypatch.setattr(correlation, "_CHUNK_BYTES", 3 * correlation._window_bytes(n_max))
+        starts = []
+        real = correlation.yy_correlation
+
+        def counted(G, j, n):
+            starts.append(j)
+            return real(G, j, n)
+
+        monkeypatch.setattr(correlation, "yy_correlation", counted)
+        R, _ = correlation._window_minors(sol.G, n_max, sol.period)
+        assert len({j // 3 for j in starts}) > 1
+        np.testing.assert_allclose(R, column_minors(sol.G, n_max)[0], rtol=0, atol=1e-13)
+
+    def test_leftward_walk_outlasting_every_chunk_goes_deeper(self):
+        # each chunk stops once its own rightward walks close; a leftward walk
+        # still open there sends every chunk deeper, to the one-chunk table
+        R, depth = assert_chunks_match_one_chunk(LEFT_CASE, stop_early=True, width=3)
+        N = LEFT_CASE[0]
+        assert depth[N:].max() > depth[:N].max()
+        assert R.shape[1] == depth.max() + 1 < LEFT_CASE[5]
+
+
+class TestPfeuty:
+    """Long-range order of the uniform ring at phi = 0 against Pfeuty's closed form.
+
+    A uniform ring at ``phi = 0`` is the transverse-field Ising chain with
+    field ``h = E_z/2`` and bond ``J``; for ``J > h``, ``rho(j, n)`` tends to
+    ``(1 - (h/J)^2)^(1/4)`` (Pfeuty, Ann. Phys. 57, 79 (1970)), at sizes
+    brute force cannot reach.
+    """
+
+    @pytest.mark.parametrize(
+        "N, J, windows", [(400, 0.6, None), (400, 0.6, 7), (2000, 0.5, None)]
+    )
+    def test_far_window_order(self, monkeypatch, N, J, windows):
+        h, n = 0.4, 100
+        chain = ChainSpec(N=N, E_z=2 * h, E_c=8.0, ising=IsingProfile.uniform(J))
+        ms = ModeSet(modes=(1,), lambda0=0.5, N=N, E_c=8.0)
+        G = ground_sector(effective_field(chain, ms, [0.0]), chain.bonds()).G
+        if windows is not None:
+            monkeypatch.setattr(correlation, "_CHUNK_BYTES", windows * correlation._window_bytes(n))
+        # every window as if the ring had no period: the default budget takes
+        # them in one chunk at N = 400 and in six at N = 2000
+        R, depth = correlation._window_minors(G, n, N, stop_early=True)
+        assert R.shape == (N, n) and np.all(depth == n)
+        np.testing.assert_allclose(R[:, n - 1], (1 - (h / J) ** 2) ** 0.25, rtol=0, atol=1e-12)

@@ -61,7 +61,7 @@ def synthetic_report(xi, sz):
         sigma_z_rot=sz,
         sigma_z_lab=sz,
         sigma_x_lab=np.zeros(N),
-        rho={},
+        minors=np.zeros((N, 0)),
         xi_r=xi,
         xi_l=xi,
         xi_rl=xi,
@@ -503,6 +503,37 @@ class TestPhaseDiagram:
             expected = "NP" if cell.lambda0 < col.lambda_c else "SP"
             assert cell.label.code == expected
         assert diagram.crossover == ((0.1, None),)
+
+    def test_labels_build_no_rho(self, monkeypatch):
+        # a label reads decay lengths and polarizations only, so no report
+        # builds its rho dict; one read afterwards holds yy_table's values
+        built, reports = [], []
+        real_as_dict, real_report = correlation._as_dict, phases.correlation_report
+
+        def spied(R):
+            built.append(R.shape)
+            return real_as_dict(R)
+
+        def recorded(*args, **kwargs):
+            reports.append(real_report(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(correlation, "_as_dict", spied)
+        monkeypatch.setattr(phases, "correlation_report", recorded)
+        diagram = phase_diagram(
+            desk_chain(), (2,), [0.15, 0.3], (0.001,), delta_J=0.025, search=QUICK, n_max=10,
+            magnetic=True, order=False,
+        )
+        assert len(reports) == 2
+        assert all(c.status == "ok" and c.label.magnetic_order for c in diagram.cells)
+        assert built == []
+        for report in reports:
+            table = correlation.yy_table(report.G, report.n_max)
+            built.clear()
+            rho = report.rho
+            assert rho and all(table[key] == value for key, value in rho.items())
+            # built once, on the first read
+            assert report.rho is rho and built == [report.minors.shape]
 
     def test_phi_zero_cells_share_one_report(self, monkeypatch):
         # at phi = 0 the field is E_z / 2 on every site whatever lambda0 is
