@@ -157,10 +157,13 @@ def _run_correlations(cfg: RunConfig, out_dir: Path) -> None:
         rows,
         fmt,
     )
-    # walks that went all the way down left the full table in the report
+    # walks that went all the way down left the full table in the report;
+    # its rows are in (j, n) order already
     full = report.minors.shape[1] == report.n_max
-    table = report.rho if full else correlation.yy_table(report.G, report.n_max)
-    rho_rows = [(j, n, float(v)) for (j, n), v in sorted(table.items())]
+    table = report.minors if full else correlation._yy_minors(report.G, report.n_max)
+    rho_rows = (
+        (j, n, v) for j in range(table.shape[0]) for n, v in enumerate(table[j].tolist(), 1)
+    )
     _write_table(out_dir, "rho", ("j", "n", "rho"), rho_rows, fmt)
     print(
         f"phi_g = {np.array2string(state.phi, precision=6)}  "

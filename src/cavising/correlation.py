@@ -119,9 +119,13 @@ def yy_table(G: np.ndarray, n_max: int) -> dict[tuple[int, int], float]:
     The full batched elimination, without the early stop of the report,
     over one period of ``G`` as :func:`_twisted_period` finds it.
     """
+    return _as_dict(_yy_minors(G, n_max))
+
+
+def _yy_minors(G: np.ndarray, n_max: int) -> np.ndarray:
+    """:func:`yy_table`'s values as the table ``R[j, n - 1] = rho(j, n)``."""
     _check_n_max(n_max)
-    R = _window_minors(G, n_max, _twisted_period(G))[0]
-    return _as_dict(R)
+    return _window_minors(G, n_max, _twisted_period(G))[0]
 
 
 def _as_dict(R: np.ndarray) -> dict[tuple[int, int], float]:

@@ -18,15 +18,21 @@ only then, starting from an even fit whose curvature the spinodal gives,
 or where the origin's stability is not known (a failed spinodal solve),
 and otherwise yields an endpoint.
 
-The single-amplitude grid is pruned by a lower bound that costs O(N):
+The single-amplitude grid is pruned by two lower bounds.  One costs O(N):
 the singular values of the fermion matrix sum to at most its column
 norms, so ``e_g(phi) >= (omega + 4 D) phi^2 - S(phi)`` with ``S`` the mean
 column norm (:func:`_column_norm_mean`), some 0.02-0.07 below ``e_g`` on
-the rings of a phase diagram.  A sample is computed, and a cell refined,
-only where the bound leaves room for a minimum within ``degeneracy_tol``
-of the lowest energy found, so every cell that could win is refined as
-the full scan would refine it: the degeneracy flag and the boundary
-warning are the full scan's, and the minimizer is, to ``refine_tol``.
+the rings of a phase diagram.  The other is free: the chain part ``e_g -
+(omega + 4 D) phi^2`` is concave (``TestChainEnergyConcavity`` in the tests
+proves it), so between two computed samples it lies above their chord,
+and ``e_g`` above a parabola, within some ``(omega + 4 D) h^2 / 4`` of it
+over a step ``h``.  Samples are computed coarse to fine (``_STRIDES``), so
+that most lie between computed ones.  A sample is computed, and a cell
+refined, only where the larger bound leaves room for a minimum within
+``degeneracy_tol`` of the lowest energy found, so every cell that could win
+is refined as the full scan would refine it: the degeneracy flag and the
+boundary warning are the full scan's, and the minimizer is, to
+``refine_tol``.
 
 Where ``phi = 0`` stops being a minimum follows from linear response
 alone: the chain sees ``phi`` only through ``Omega(j) = E_z/2 +
@@ -309,6 +315,15 @@ def _column_norm_mean(chain: ChainSpec, coupling: np.ndarray, x: np.ndarray) -> 
     return np.sqrt(c[:, None] + 4.0 * (coupling**2)[:, None] * x**2).mean(axis=0)
 
 
+def _parabola_floor(a: float, x: np.ndarray, f: np.ndarray, lo: np.ndarray, up: np.ndarray):
+    """Least value of ``a y^2`` plus the line through ``(x[lo], f[lo])`` and ``(x[up],
+    f[up])`` over ``y`` in ``[x[lo], x[up]]``: at the parabola's vertex or an end."""
+    width = x[up] - x[lo]
+    slope = np.divide(f[up] - f[lo], width, out=np.zeros_like(width), where=width > 0.0)
+    y = np.clip(-0.5 * slope / a, x[lo], x[up])
+    return a * y * y + f[lo] + slope * (y - x[lo])
+
+
 def _cell_bounds(a: float, x: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Lower bounds of ``a x^2 - S(x)`` on the cells ``[x[max(k - 1, 0)], x[k + 1]]``.
 
@@ -316,10 +331,58 @@ def _cell_bounds(a: float, x: np.ndarray, S: np.ndarray) -> np.ndarray:
     minus the chord is a parabola, least at its vertex or an end.
     """
     k = np.arange(x.size - 1)
-    lo, up = np.maximum(k - 1, 0), k + 1
-    slope = (S[up] - S[lo]) / (x[up] - x[lo])
-    y = np.clip(0.5 * slope / a, x[lo], x[up])
-    return a * y * y - S[lo] - slope * (y - x[lo])
+    return _parabola_floor(a, x, -S, np.maximum(k - 1, 0), k + 1)
+
+
+def _chords(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The interpolant through the known (not NaN) values of ``g`` at ``x``, NaN off
+    their hull: a concave ``g`` lies on or above it."""
+    known = ~np.isnan(g)
+    xk = x[known]
+    line = np.interp(x, xk, g[known])
+    line[(x < xk[0]) | (x > xk[-1])] = np.nan
+    return line
+
+
+def _chord_bounds(a: float, x: np.ndarray, line: np.ndarray) -> np.ndarray:
+    """Lower bounds of ``a x^2 + g(x)`` on :func:`_cell_bounds`' cells, given at ``x``
+    a piecewise-linear ``line <= g`` (:func:`_chords`), NaN where not known.
+
+    On each step ``[x[m], x[m + 1]]`` with both ends known, ``a x^2`` plus
+    the line is a parabola; a cell holds the two steps either side of its
+    sample, and is NaN if either is.
+    """
+    m = np.arange(x.size - 1)
+    steps = _parabola_floor(a, x, line, m, m + 1)
+    return np.minimum(steps, np.concatenate(([np.inf], steps[:-1])))
+
+
+# samples are computed coarse to fine, every 8th first, then every 4th, 2nd and
+# the rest, so that most lie between computed ones, where the chords bound them
+_STRIDES = (8, 4, 2, 1)
+
+
+def _fill(vals: np.ndarray, order: np.ndarray, numbers: np.ndarray, floors, compute) -> float:
+    """Compute the entries of ``vals`` (NaN where not known) that can undercut the least
+    known one; returns the least value then known.
+
+    Entry ``i`` is sample ``numbers[i]`` of its scan.  Each pass of
+    ``_STRIDES`` takes the entries whose sample number is a multiple of its
+    stride, in ``order``, and computes ``vals[i] = compute(i)`` where
+    ``floors()``, a lower bound of each entry less a rounding allowance from
+    what was known when the pass began, is not above the least value so far.
+    """
+    low = np.fmin.reduce(vals, initial=np.inf)
+    for stride in _STRIDES:
+        todo = order[(numbers[order] % stride == 0) & np.isnan(vals[order])]
+        if not todo.size:
+            continue
+        floor = floors()
+        for i in todo:
+            if floor[i] <= low:
+                vals[i] = compute(i)
+                low = min(low, vals[i])
+    return low
 
 
 def _state(modeset: ModeSet, phi: np.ndarray, e_g: float, degenerate: bool) -> MeanFieldState:
@@ -336,9 +399,13 @@ class _UnitCurve:
     (coarse_points - 1)`` re-score into a grid on ``[0, phi_max]`` at every
     ``lambda0 >= lam_lo`` at least as fine as ``coarse_points`` even steps.
     Every ``e_1(s)`` is memoized by ``s`` and computed only when a coupling
-    needs it: a sample only where the lower bound ``(omega + 4 D_1
-    lambda0^2) phi^2 - S(s)`` (:func:`_column_norm_mean` at unit coupling)
-    leaves its cell live, and refined in ``s``, the couplings of a column
+    needs it: a sample only where the larger of two lower bounds leaves its
+    cell live, ``(omega + 4 D_1 lambda0^2) phi^2 - S(s)``
+    (:func:`_column_norm_mean` at unit coupling) and, between samples
+    already computed at this or any earlier coupling, that parabola's
+    ``a phi^2`` plus the chord of the concave chain part
+    (:func:`_chord_bounds`), the samples taken coarse to fine
+    (:func:`_fill`); and refined in ``s``, the couplings of a column
     share their cells, so a probe of the same ``s`` is paid once, and every
     line search (:func:`_line_min`) starts from the memoized values in and
     around its cell.  The first cell ``[0, s_1]`` needs a line search only
@@ -380,6 +447,11 @@ class _UnitCurve:
         s = np.arange(n + 1) * self.step
         return s, np.array([self._memo.get(x, np.nan) for x in s.tolist()])
 
+    def chords(self, s: np.ndarray, chain: np.ndarray) -> np.ndarray:
+        """:func:`_chords` of the chain part ``e_1(s) - (omega + 4 D) s^2``, known at ``s``
+        where ``chain`` is not NaN: it is concave, so it lies on or above them."""
+        return _chords(s, chain)
+
     def bound(self, s: np.ndarray) -> np.ndarray:
         """:func:`_column_norm_mean` at unit coupling: ``e_1 >= (omega + 4 D) s^2 - bound``."""
         return _column_norm_mean(self.chain, self._unit.couplings[0], s)
@@ -393,12 +465,17 @@ class _UnitCurve:
         """``phi``, ``e_g`` and the degeneracy flag at ``lam``: the best of the
         origin and :meth:`_refine`'s minima.
 
-        ``e_g >= a phi^2 - S(s)`` with ``a = omega + 4 D_1 lam^2``.  The
-        samples are computed lowest point bound first, and only those of a
-        cell whose bound is within ``degeneracy_tol`` plus a rounding
-        allowance of the lowest value computed so far.  Only such cells are
-        refined.  Every candidate a dead cell could give then lies above the
-        best one by more than ``degeneracy_tol``, which leaves the minimizer
+        ``e_g >= a phi^2 - S(s)`` with ``a = omega + 4 D_1 lam^2``, and
+        ``e_g - a phi^2`` is concave, so on a cell between computed samples
+        ``e_g`` is at least ``a phi^2`` plus their chord.  The samples are
+        computed coarse to fine, each pass lowest point bound first, and
+        only those of a cell whose larger bound, from the samples known when
+        the pass began, is within ``degeneracy_tol`` plus a rounding
+        allowance of the lowest value computed so far.  Only such cells, by
+        the bounds from every sample computed, are refined; a cell's bounds
+        only rise as samples are computed, so each of its samples was.
+        Every candidate a dead cell could give then lies above the best one
+        by more than ``degeneracy_tol``, which leaves the minimizer
         and the degeneracy flag those of the full scan: the lowest value
         computed is a sample at an interior minimum of the samples, the
         origin, a falling last sample or a probe of a line search, and every
@@ -416,13 +493,20 @@ class _UnitCurve:
         phi = ends / lam
         S = self.bound(ends)
         a = omega + 4.0 * self.D * lam * lam
-        cells = _cell_bounds(a, phi, S)
-        rounding = _ROUND_RTOL * (a * phi[-1] ** 2 + S[-1])
-        padded = np.concatenate(([np.inf], cells, [np.inf]))
-        near = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+        margin = search.degeneracy_tol + 2.0 * _ROUND_RTOL * (a * phi[-1] ** 2 + S[-1])
         if np.isnan(vals[0]):
             vals[0] = self.energy(0.0)
-        low = np.nanmin(vals)
+        col = _cell_bounds(a, phi, S)
+        # the chain part vals - a phi^2 lies above the chords of its samples
+        chain = lambda: self.chords(ends, np.append(vals - a * phi[:-1] ** 2, np.nan))
+        bounds = lambda: np.fmax(col, _chord_bounds(a, phi, chain()))
+
+        def floors():
+            padded = np.concatenate(([np.inf], bounds(), [np.inf]))
+            return np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:]) - margin
+
+        order = np.argsort(a * phi[:-1] ** 2 - S[:-1], kind="stable")
+        low = _fill(vals, order, order, floors, lambda i: rescore(s[i], self.energy(s[i])))
 
         def value(x):
             nonlocal low
@@ -431,10 +515,7 @@ class _UnitCurve:
             return v
 
         seen = lambda: {x: rescore(x, ex) for x, ex in self._memo.items()}
-        margin = search.degeneracy_tol + 2.0 * rounding
-        for i in np.argsort(a * phi[:-1] ** 2 - S[:-1], kind="stable"):
-            if np.isnan(vals[i]) and near[i] <= low + margin:
-                vals[i] = value(s[i])
+        cells = bounds()
         live = lambda k: cells[k] <= low + margin
         minima = self._refine(value, seen, lam, ends, vals, live)
         candidates = [(0.0, vals[0]), *minima]
@@ -683,12 +764,15 @@ def _crossing_onset(curve: _UnitCurve, s_max: float) -> float | None:
     u(s)))``, and the global minimizer leaves ``phi = 0`` at the smallest
     such value over ``s``: the samples of ``u`` on ``(0, s_max]``, the
     best one refined, with no loop over ``lambda0``.  The curve's bound
-    gives ``u(s) / s^2 >= omega + 4 D_1 - (S(s) + e_1(0)) / s^2``, so only
-    the samples whose floor does not lie above the lowest ratio found are
-    computed, lowest floor first; the least ratio and its sample are those
-    of the full scan.  Chain, mode and search come from ``curve``, and so
-    do the samples, so the onset search of a sweep reuses the column's
-    curve; only when ``curve`` is coarser there than ``s_max /
+    gives ``u(s) / s^2 >= omega + 4 D_1 - (S(s) + e_1(0)) / s^2``, and
+    between computed samples the concave ``e_1 - (omega + 4 D_1) s^2`` lies
+    above their chord, which gives ``u(s) / s^2 >= omega + 4 D_1 +
+    (chord(s) - e_1(0)) / s^2``; only the samples whose larger floor does
+    not lie above the lowest ratio found are computed, coarse to fine and
+    lowest column-norm floor first (:func:`_fill`); the least ratio and its
+    sample are those of the full scan.  Chain, mode and search come from
+    ``curve``, and so do the samples, so the onset search of a sweep reuses
+    the column's curve; only when ``curve`` is coarser there than ``s_max /
     (coarse_points - 1)`` does a finer fresh curve sample ``(0, s_max]``.
     Returns ``None`` when ``omega s^2 - u(s) <= 0`` at every sample.
 
@@ -707,15 +791,18 @@ def _crossing_onset(curve: _UnitCurve, s_max: float) -> float | None:
     ratio = lambda x: (curve.energy(x) - e[0]) / (x * x)
     S = curve.bound(s)
     a = curve.omega + 4.0 * curve.D
-    s, S, s2 = s[1:], S[1:], s[1:] ** 2
+    grid, s, S, s2 = s, s[1:], S[1:], s[1:] ** 2
     vals = (e[1:] - e[0]) / s2
     floor = a - (S + e[0]) / s2
     slack = 2.0 * _ROUND_RTOL * (a * s2[-1] + S[-1]) / s2
-    low = np.fmin.reduce(vals, initial=np.inf)
-    for i in np.argsort(floor, kind="stable"):
-        if np.isnan(vals[i]) and floor[i] <= low + slack[i]:
-            vals[i] = (curve.energy(s[i]) - e[0]) / s2[i]
-            low = min(low, vals[i])
+
+    def floors():
+        # the chain part e_1 - a s^2 lies above the chords of its samples
+        chain = curve.chords(grid, np.concatenate(([e[0]], (vals - a) * s2 + e[0])))[1:]
+        return np.fmax(floor, a + (chain - e[0]) / s2) - slack
+
+    order = np.argsort(floor, kind="stable")
+    _fill(vals, order, order + 1, floors, lambda i: (curve.energy(s[i]) - e[0]) / s2[i])
     i = int(np.nanargmin(vals))
     if vals[i] >= curve.omega:
         return None

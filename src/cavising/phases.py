@@ -6,12 +6,13 @@ the classifiers condense the results into labels:
 
 * field phase: ``normal`` vs ``superradiant`` by the condensate norm;
 * transition order along the coupling axis: a jump test at the critical
-  coupling, found by bisection seeded with two guesses, the
+  coupling, probed either side of the lower of two exact onsets, the
   linear-response onset or spinodal (exact on a second-order transition)
   and, for a single mode, the crossing onset where a condensate first ties
-  ``phi = 0`` (exact on a first-order one), corroborated by a one-sided
-  slope-ratio probe of the energy envelope and by hysteresis, a crossing
-  below the spinodal;
+  ``phi = 0`` (exact on a first-order one), and bisected only if those
+  probes miss it; on one mode hysteresis, a crossing below the spinodal,
+  corroborates the jump, and on several a one-sided slope-ratio probe of
+  the energy envelope does;
 * magnetic order of the qubit ring from a correlation report:
   paramagnetic ``P``, ferromagnetic ``F``, or the spatially alternating
   ``FP`` pattern that strong-bond windows imprint.
@@ -71,7 +72,8 @@ class AlreadyCondensedError(NoTransitionError):
 class Thresholds:
     """Classifier knobs, shared by the transition and magnetic labels; each is finite
     and not negative, and the bisection's bracket width and the slope probe's step
-    are positive."""
+    are positive.  ``slope_delta`` and ``slope_ratio`` are read by multi-mode
+    columns only: a one-mode column's order needs no slope probe."""
 
     field: float = 1e-5
     critical_tol: float = 1e-4
@@ -283,13 +285,13 @@ def _refine_onset(result: SweepResult, thr: Thresholds):
     if result.axis != "lambda0":
         raise ValueError("transition refinement is defined along the lambda0 axis")
     solver = result._solver
-    lo, hi = _probe_guess(solver, solver.normal.onset, lo, hi, thr)
+    guesses = [solver.normal.onset]
     if solver.curve is not None:
         # a first-order onset lies below the linear-response one; the
         # condensates in the bracket have s = lambda0 phi <= hi phi_max
-        crossing = solver.crossing_below(hi * solver.curve.search.phi_max)
-        if hi - lo > thr.critical_tol:
-            lo, hi = _probe_guess(solver, crossing, lo, hi, thr)
+        guesses.append(solver.crossing_below(hi * solver.curve.search.phi_max))
+    guess = min((g for g in guesses if g is not None), default=None)
+    lo, hi = _probe_guess(solver, guess, lo, hi, thr)
     while hi - lo > thr.critical_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # a bracket one ulp wide
@@ -302,23 +304,23 @@ def _refine_onset(result: SweepResult, thr: Thresholds):
 
 
 def critical_coupling(result: SweepResult, thresholds: Thresholds | None = None) -> float:
-    """Onset coupling of the condensate, refined by bisection.
+    """Onset coupling of the condensate, refined to ``critical_tol``.
 
     The sweep must run along ``lambda0`` and must straddle the onset:
     :class:`NoTransitionError` or :class:`AlreadyCondensedError` report
-    the two ways a grid can miss it.  The bisection reuses the sweep's
-    solver (and, on one mode, its unit-coupling curve), and first probes
-    just either side of :func:`~cavising.meanfield.normal_phase_onset`
-    when it falls inside the bracket; on a second-order transition those
-    two solves already close the bracket to ``critical_tol``.  When they
-    do not and the context has one mode, it next probes either side of the
-    coupling at which a condensate first ties ``phi = 0``, read off the
-    column's curve up to the bracket's upper edge times ``phi_max``; on a
-    first-order transition those two solves close it.  Every probe is a
+    the two ways a grid can miss it.  The search reuses the sweep's
+    solver (and, on one mode, its unit-coupling curve).  It takes two
+    exact onsets, :func:`~cavising.meanfield.normal_phase_onset` and, on
+    one mode, the coupling at which a condensate first ties ``phi = 0``,
+    read off the column's curve up to the bracket's upper edge times
+    ``phi_max``, and probes just either side of the lower one when it falls
+    inside the bracket: the spinodal on a second-order transition, the
+    crossing on a first-order one, and either way those two solves close
+    the bracket.  Only when they do not does it bisect.  Every probe is a
     full minimization (on one mode, the curve re-scored and then refined
     in ``s = lambda0 phi`` on its memoized unit energy), so the result
-    does not rest on either guess, and a wrong guess costs one solve
-    before the bisection goes on.
+    does not rest on the guess, and a wrong guess costs one solve before
+    the bisection goes on.
     """
     lo, hi = _refine_onset(result, thresholds or Thresholds())
     return 0.5 * (lo + hi)
@@ -340,25 +342,27 @@ def classify_transition_order(
 
     Primary signal: the condensate amplitude at the upper edge of the
     bisection bracket; a second-order onset has barely left zero there
-    while a first-order one arrives with a finite jump.  Two
-    corroborators back it:
+    while a first-order one arrives with a finite jump.  One corroborator
+    backs it:
 
-    * the ratio of one-sided difference quotients of the energy envelope
-      at shrinking offsets above the onset (a kink gives ratio ~1, a
-      smooth quadratic departure gives ~1/2);
-    * hysteresis (single-mode contexts only): the crossing onset lies
-      more than ``critical_tol`` below the spinodal, so between the two
-      ``phi = 0`` is a local minimum while a condensate is global.
+    * one mode: hysteresis, the crossing onset more than ``critical_tol``
+      below the spinodal, so between the two ``phi = 0`` is a local minimum
+      while a condensate is global; ``slope_ratio`` is ``None``;
+    * several modes, which have no crossing onset: the ratio of one-sided
+      difference quotients of the energy envelope at offsets
+      ``slope_delta`` and half that above the onset (a kink gives ratio ~1,
+      a smooth quadratic departure ~1/2), against ``slope_ratio``; the
+      probe costs two more minimizations, and ``hysteresis`` is ``None``.
 
-    When the corroborators contradict the jump verdict the label is
-    ``ambiguous`` rather than a coin flip.
+    The label is ``first`` or ``second`` when the jump and the corroborator
+    agree, and ``ambiguous`` rather than a coin flip when they do not.
 
-    The bracket comes from the bisection of :func:`critical_coupling` on
-    the sweep's own solver, seeded by the linear-response onset and then,
-    for one mode, by the energy-crossing onset; the probe ``0.4
-    critical_tol`` above whichever guess closed the bracket (the first on
-    a second-order transition, the second on a first-order one) is the
-    upper edge where the jump is read.
+    The bracket comes from :func:`critical_coupling`'s search on the
+    sweep's own solver: the probes ``0.4 critical_tol`` either side of the
+    lower of the linear-response onset and, for one mode, the
+    energy-crossing onset (the spinodal on a second-order transition, the
+    crossing on a first-order one), bisection only if they do not close
+    it; the upper edge is where the jump is read.
     """
     thr = thresholds or Thresholds()
     try:
@@ -370,28 +374,21 @@ def classify_transition_order(
     solver = result._solver
     lambda_c = 0.5 * (lo + hi)
     jump = solver.phi_norm(hi)
-    jump_first = jump > thr.jump
-
-    delta = thr.slope_delta
-    e0 = solver.energy(hi)
-    g_full = (solver.energy(hi + delta) - e0) / delta
-    g_half = (solver.energy(hi + 0.5 * delta) - e0) / (0.5 * delta)
-    ratio = 0.5 if abs(g_full) < 1e-15 else g_half / g_full
-    slope_first = ratio > thr.slope_ratio
-
-    hysteresis: bool | None = None
+    ratio = hysteresis = None
     if len(result.context.modes) == 1:
         # between crossing and spinodal phi = 0 is local, a condensate global
         lam_s, lam_x = solver.normal.onset, solver.crossing
         hysteresis = lam_x is not None and (lam_s is None or lam_s - lam_x > thr.critical_tol)
-
-    corroborators = [slope_first] if hysteresis is None else [slope_first, hysteresis]
-    if jump_first and any(corroborators):
-        order = "first"
-    elif not jump_first and not any(corroborators):
-        order = "second"
+        first = hysteresis
     else:
-        order = "ambiguous"
+        delta = thr.slope_delta
+        e0 = solver.energy(hi)
+        g_full = (solver.energy(hi + delta) - e0) / delta
+        g_half = (solver.energy(hi + 0.5 * delta) - e0) / (0.5 * delta)
+        ratio = 0.5 if abs(g_full) < 1e-15 else g_half / g_full
+        first = ratio > thr.slope_ratio
+
+    order = ("first" if first else "second") if (jump > thr.jump) == first else "ambiguous"
     return TransitionClassification(
         order=order, lambda_c=lambda_c, jump=jump, slope_ratio=ratio, hysteresis=hysteresis
     )

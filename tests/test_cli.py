@@ -184,14 +184,14 @@ class TestCorrelations:
         raw["task"] = {"kind": "correlations", "n_max": 4}
         raw["output"]["format"] = "json"  # exact floats, where CSV keeps 12 digits
         cfg = write_config(tmp_path, raw)
-        real = correlation.yy_table
+        real = correlation._yy_minors
         tables = []
 
         def spied(G, n_max):
             tables.append(n_max)
             return real(G, n_max)
 
-        monkeypatch.setattr(correlation, "yy_table", spied)
+        monkeypatch.setattr(correlation, "_yy_minors", spied)
         assert main(["correlations", "--config", cfg]) == 0
         assert tables == ([] if saturated else [4])
 
@@ -199,7 +199,7 @@ class TestCorrelations:
         modeset = ModeSet(modes=(2,), lambda0=0.3, N=12, E_c=8.0)
         state = minimize_phi(chain, modeset, SearchSpec(coarse_points=41))
         report = correlation.correlation_report(chain, modeset, state.phi, n_max=4)
-        expected = real(report.G, 4)
+        expected = correlation.yy_table(report.G, 4)
         written = load_json(tmp_path / "out" / "rho.json")
         assert {(r["j"], r["n"]): r["rho"] for r in written} == expected
         assert [(r["j"], r["n"]) for r in written] == sorted(expected)
@@ -486,7 +486,8 @@ def _csv_numbers(path):
 
 def probed_phase_diagram(**thresholds):
     """The phase diagram of the CI's bad-config step, whose one column has its spinodal at
-    lambda0 = 0.644, inside the grid, so its slope is probed."""
+    lambda0 = 0.644, inside the grid, so its onset is probed there; a one-mode column
+    probes no slope, so ``slope_delta`` is only validated."""
     return {"model": {"N": 8, "ising": WINDOWS, "modes": [1]},
             "task": {"kind": "phase-diagram", "lambda0": [0.1, 0.9], "J_min": [0.01],
                      "delta_J": 0.1},

@@ -6,6 +6,7 @@ observable depends on; the cross-checks compare against closed forms
 and the brute-force solver.
 """
 
+import importlib.machinery
 import math
 import sys
 from fractions import Fraction
@@ -489,14 +490,20 @@ class TestLapackRoute:
             assert (got == ref).all(), select_range
 
     def test_missing_wrappers_name_the_directory_and_version(self, monkeypatch, tmp_path):
-        import scipy
-
+        # a scipy package without the wrapper, beside its install's metadata:
+        # the version comes from that path, not from an import of scipy
+        (tmp_path / "scipy").mkdir()
+        dist_info = tmp_path / "scipy-0.0.1.dist-info"
+        dist_info.mkdir()
+        (dist_info / "METADATA").write_text("Metadata-Version: 2.1\nName: scipy\nVersion: 0.0.1\n")
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path / "scipy")]
+        monkeypatch.setattr(fermion.importlib.util, "find_spec", lambda name: spec)
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
         with pytest.raises(ImportError) as info:
             fermion._load_lapack()
-        assert str(tmp_path / "linalg") in str(info.value)
-        assert scipy.__version__ in str(info.value)
+        assert str(tmp_path / "scipy" / "linalg") in str(info.value)
+        assert "(scipy 0.0.1)" in str(info.value)
 
 
 class TestHoppingNorm:

@@ -1,12 +1,13 @@
-"""Energy-only and single-mode work must load neither ``scipy.linalg``, nor the
-optimizer, nor the sparse solver.
+"""Energy-only and single-mode work must load neither ``scipy`` itself, nor
+``scipy.linalg``, nor the optimizer, nor the sparse solver.
 
-``import cavising`` needs numpy, the top-level ``scipy`` package and
-scipy's LAPACK wrapper module, which :mod:`cavising.fermion` loads on its
-own; ``scipy.optimize``, and ``scipy.linalg`` with it, loads with the first
-multi-mode polish, and ``scipy.sparse`` with the oracle's Lanczos path.
-The check runs in a fresh interpreter, since the test process has long
-since imported all three.
+``import cavising`` needs numpy and scipy's LAPACK wrapper module, which
+:mod:`cavising.fermion` finds on scipy's package path and loads on its own,
+without running the ``scipy`` package's ``__init__``; ``scipy.optimize``,
+and ``scipy`` and ``scipy.linalg`` with it, loads with the first multi-mode
+polish, and ``scipy.sparse`` with the oracle's Lanczos path.  The check
+runs in a fresh interpreter, since the test process has long since
+imported them all.
 """
 
 import json
@@ -21,7 +22,8 @@ SCRIPT = """
 import json, sys
 
 def loaded():
-    return [m for m in ("scipy.linalg", "scipy.optimize", "scipy.sparse") if m in sys.modules]
+    names = ("scipy", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+    return [m for m in names if m in sys.modules]
 
 import cavising
 from cavising.correlation import correlation_report

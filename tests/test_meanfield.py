@@ -646,14 +646,20 @@ class TestUnitCurve:
         assert len(calls) == after
 
     @pytest.mark.parametrize(
-        "chain, lam_lo, lams",
-        [(desk_chain(), 0.15, (0.25, 0.3, 0.275)), (first_order_chain(), 0.9, (1.05, 1.1))],
+        "chain, lam_lo, lams, probes",
+        [
+            (desk_chain(), 0.15, (0.23, 0.2367, 0.233), 1),
+            (desk_chain(), 0.15, (0.25, 0.3, 0.275), 0),
+            (first_order_chain(), 0.9, (1.05, 1.1), 0),
+        ],
     )
     def test_falling_condensed_couplings_share_one_first_cell_probe(
-        self, monkeypatch, chain, lam_lo, lams
+        self, monkeypatch, chain, lam_lo, lams, probes
     ):
         # above the spinodal a curve still falling just below s_1 ends the
-        # first cell there; the probe sits at the same s for every coupling
+        # first cell there; the probe sits at the same s for every coupling,
+        # and it is not made where the chord over [0, s_1] leaves the cell
+        # no room for a winning minimum, as for condensates far from s_1
         curve = _UnitCurve(chain, 2, QUICK, lam_lo)
         assert curve.normal.onset < min(lams)
         energies = CountedEnergy(monkeypatch)
@@ -663,7 +669,8 @@ class TestUnitCurve:
             assert curve.energy(s_1) + curve.omega * s_1**2 * tilt < curve.energy(0.0)
             assert curve.minimize(lam).phi[0] > 0.02
         s_1 = curve.step
-        assert [x for x in energies.s if 0.0 < x < s_1] == [s_1 - lam_lo * QUICK.refine_tol]
+        probe = s_1 - lam_lo * QUICK.refine_tol
+        assert [x for x in energies.s if 0.0 < x < s_1] == [probe] * probes
 
     @pytest.mark.parametrize("chain, lam_lo", [(desk_chain(), 0.15), (first_order_chain(), 0.9)])
     @pytest.mark.parametrize("offset", [-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2])
@@ -750,7 +757,8 @@ class SyntheticCurve(_UnitCurve):
     """A unit curve over a given energy ``f``, read at ``lam = 1``, where the
     re-scoring is exact: the scan sees ``f`` itself, bounded by ``a x^2 -
     chain_bound(x)``, on ``coarse_points`` samples of ``[0, phi_max]``, with
-    the origin's stability not known."""
+    the origin's stability not known.  ``f - a x^2`` need not be concave, as
+    a chain's is, so no chord bounds it."""
 
     normal = _NormalPhase(error=SolverError("a synthetic curve has no chain"))
 
@@ -768,10 +776,35 @@ class SyntheticCurve(_UnitCurve):
     def bound(self, s):
         return self._bound(s)
 
+    def chords(self, s, chain):
+        return np.full(s.shape, np.nan)
+
 
 def as_state(phi, e_g, degenerate, boundary):
     """A :func:`full_scan` result the way the state rounds it."""
     return 0.0 if abs(phi) < 1e-12 else phi, float(e_g), degenerate, bool(boundary)
+
+
+@st.composite
+def pruned_columns(draw):
+    """``(chain, mode, factors, search, tie)``: a ring of up to 12 sites under one mode, a
+    column of couplings as factors of its spinodal (of 1/2 where that is above 1 or none),
+    so that no coupling exceeds 2, where the line search's 1e-12 on ``e_g`` can fail (a
+    stronger coupling curves ``e_g`` more within ``refine_tol`` of its minimizer), sampled
+    on 21 points of ``[0, phi_max]``, and whether the column also takes its crossing onset, where
+    a condensate ties ``phi = 0``.  N = 1, 2, 3 and J = 0 come up often, and so does a
+    ``phi_max`` of 0.05, whose boundary every condensate reaches.  Couplings within 1% of
+    the spinodal are left out: there ``e_g`` can be flat to rounding over more than
+    ``refine_tol`` around its minimizer, which no search then pins down."""
+    chain, ms = draw(bound_points(max_N=12))
+    factor = st.floats(0.5, 2.0).filter(lambda f: abs(f - 1.0) >= 0.01)
+    factors = draw(st.lists(factor, min_size=1, max_size=4))
+    search = SearchSpec(phi_max=draw(st.sampled_from([1.5, 0.05])), coarse_points=21)
+    return chain, ms.modes[0], factors, search, draw(st.booleans())
+
+
+def rectangular(N, J_max, J_min, mode):
+    return ChainSpec(N=N, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(J_max, J_min, 2)), mode
 
 
 class TestPrunedScan:
@@ -890,9 +923,62 @@ class TestPrunedScan:
         expected = as_state(*phi_scan(chain, ms, search, stable))
         assert_same_minimum(outcome(minimize_phi, chain, ms, search), expected, search)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(pruned_columns())
+    @example((*rectangular(12, 0.8, 0.5, 2), [0.8, 0.95, 1.3], SearchSpec(coarse_points=21), True))
+    @example((*rectangular(12, 0.8, 0.5, 2), [1.3, 2.0],
+              SearchSpec(phi_max=0.05, coarse_points=21), False))
+    @example((ChainSpec(N=1, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.3)), 1, [0.9, 1.2],
+              SearchSpec(coarse_points=21), True))
+    @example((ChainSpec(N=3, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.0)), 1, [0.9, 1.5],
+              SearchSpec(coarse_points=21), True))
+    def test_random_columns_match_the_full_scan(self, point):
+        # the couplings of a column share one curve, whose samples and probes
+        # each later coupling re-scores and bounds its cells by; the crossing
+        # onset is read off the same curve afterwards.  The first example is
+        # a first-order ring whose crossing is a near-tie of two minima
+        chain, mode, factors, search, tie = point
+        lam_s = normal_phase_onset(chain, (mode,))
+        lams = [(lam_s if lam_s is not None and lam_s <= 1.0 else 0.5) * f for f in factors]
+        if tie:
+            # a first-order crossing, clear of the spinodal: two distinct minima tie
+            lam_x = _crossing_onset(
+                _UnitCurve(chain, mode, search, min(lams)), max(lams) * search.phi_max
+            )
+            lams += [lam_x] if lam_x is not None and lam_x < 0.995 * (lam_s or math.inf) else []
+        curve = _UnitCurve(chain, mode, search, min(lams))
+        for lam in lams:
+            oracle = _UnitCurve(chain, mode, search, min(lams))
+            stable = lam_s is None or lam < lam_s
+            expected = as_state(*curve_scan(oracle, lam, stable))
+            got = outcome(curve.minimize, lam)
+            if expected[3]:
+                # at phi_max one probe confirms the end itself, where scipy
+                # stops up to refine_tol short of it, higher by about that
+                # times the slope of the last step
+                h = search.phi_max / (search.coarse_points - 1)
+                e = [oracle.energy(lam * p) + oracle.omega * p * p * (1.0 - lam * lam)
+                     for p in (search.phi_max - h, search.phi_max)]
+                assert 0.0 <= expected[1] - got[1] <= 2.0 * search.refine_tol * (e[0] - e[1]) / h
+                got = (got[0], expected[1], *got[2:])
+            if expected[2]:
+                # a tie: either minimizer is the answer
+                got = (expected[0], *got[1:])
+            assert_same_minimum(got, expected, search)
+        s_max = max(lams) * search.phi_max
+        expected = crossing_scan(_UnitCurve(chain, mode, search, min(lams)), s_max)
+        got = _crossing_onset(curve, s_max)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            # the ratio (e(s) - e(0)) / s^2 carries the rounding of two energies
+            # over s^2, and lambda = sqrt(omega / (omega - ratio)) magnifies it
+            s_1 = min(curve.step, s_max / (search.coarse_points - 1))
+            noise = 8.0 * np.finfo(float).eps * abs(curve.energy(0.0)) / s_1**2
+            assert got == pytest.approx(expected, abs=1e-12 + got**3 / curve.omega * noise)
+
     def test_pinned_count_of_a_column(self, monkeypatch):
         # the first-order column of the bisection tests: 8 sweep points, a
-        # crossing, the bisection and its slope probes
+        # crossing and the two probes either side of it
         calls = []
         real = meanfield.quasiparticle_energies
 
@@ -904,9 +990,11 @@ class TestPrunedScan:
         ctx = SweepContext(chain=first_order_chain(), modes=(2,), search=QUICK)
         cls = classify_transition_order(sweep(ctx, "lambda0", np.linspace(0.9, 1.1, 8)))
         assert cls.order == "first"
-        # 82 before the couplings' exact antiperiodicity moved their last bits,
-        # 104 with scipy's bounded Brent, 148 with every sample of the scan computed
-        assert len(calls) == 81
+        # 81 with the slope probe and the spinodal's probes and no chord
+        # bounds, 82 before the couplings' exact antiperiodicity moved their
+        # last bits, 104 with scipy's bounded Brent, 148 with every sample of
+        # the scan computed
+        assert len(calls) == 65
 
 
 class TestMinimize:

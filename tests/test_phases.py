@@ -237,17 +237,17 @@ class TestOnsetGuess:
         calls = self._count_solves(monkeypatch)
         cls = classify_transition_order(res)
         assert cls.order == "second"
-        # two probes around the onset, then the two slope probes above it
-        assert len(calls) <= 4
+        # two probes around the onset (four with the slope probes that went)
+        assert len(calls) == 2
 
     def test_first_order_bisection_needs_few_solves(self, monkeypatch):
         res = sweep(first_order_ctx(), "lambda0", FIRST_ORDER_GRID)
         calls = self._count_solves(monkeypatch)
         cls = classify_transition_order(res)
         assert cls.order == "first"
-        # two probes around the crossing, two slope probes, one spare for
-        # the linear-response probe when the spinodal falls in the bracket
-        assert len(calls) <= 5
+        # two probes around the crossing, the lower onset (five with the
+        # slope probes and a spinodal probe)
+        assert len(calls) == 2
 
     def test_crossing_matches_pure_bisection(self, monkeypatch):
         res = sweep(first_order_ctx(), "lambda0", FIRST_ORDER_GRID)
@@ -335,11 +335,13 @@ class TestSharedSolver:
         condensed = [any(c.phi) for c in diagram.cells]
         assert condensed == [False, True, True, True, False, False, False, True]
         assert len(solves) == 6
-        # line searches seeded from the samples and probes already computed
-        # (147 before the couplings' exact antiperiodicity moved their last
-        # bits): 211 with scipy's bounded Brent, 348 without the energy bound's
-        # pruning
-        assert len(energies) == 148
+        # samples pruned by the chords of the concave chain part, computed
+        # coarse to fine, and no slope probe: 148 before them (125 without the
+        # slope probe alone); line searches seeded from the samples and probes
+        # already computed (147 before the couplings' exact antiperiodicity
+        # moved their last bits): 211 with scipy's bounded Brent, 348 without
+        # the energy bound's pruning
+        assert len(energies) == 99
 
     @pytest.mark.parametrize(
         "chain, delta_J, grid",
@@ -434,6 +436,89 @@ class TestTransitionOrder:
         res = sweep(desk_ctx(), "lambda0", np.linspace(0.26, 0.3, 3))
         with pytest.raises(AlreadyCondensedError):
             classify_transition_order(res)
+
+
+def criterion_5_ctx(J_min):
+    # the mode-2 columns of acceptance criterion 5
+    chain = ChainSpec(
+        N=200, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(J_min + 0.3, J_min, 2)
+    )
+    return SweepContext(chain=chain, modes=(2,), search=QUICK)
+
+
+class TestOneModeOrder:
+    """A one-mode column's order is its jump corroborated by hysteresis: no slope probe."""
+
+    @staticmethod
+    def spy_energy(monkeypatch):
+        # the slope probe reads the column's energy at two couplings above the onset
+        calls = []
+        real = meanfield._Column.energy
+
+        def spied(column, lam):
+            calls.append(lam)
+            return real(column, lam)
+
+        monkeypatch.setattr(meanfield._Column, "energy", spied)
+        return calls
+
+    # order, lambda_c, jump and hysteresis as the classifier with the slope
+    # probe gave them; the jump is a minimizer's amplitude, so it may move
+    # within refine_tol with the samples its line search starts from
+    @pytest.mark.parametrize(
+        "make_ctx, grid, order, lambda_c, jump, hysteresis",
+        [
+            (lambda: criterion_5_ctx(0.25), np.linspace(0.3, 1.0, 15), "second",
+             0.7173861500871382, 0.003911241683499814, False),
+            (lambda: criterion_5_ctx(0.30), np.linspace(0.3, 1.0, 15), "second",
+             0.7440952235468385, 0.004330721328227488, False),
+            (lambda: criterion_5_ctx(0.35), np.linspace(0.3, 1.0, 15), "second",
+             0.7841088171273213, 0.009498177222243918, False),
+            (lambda: criterion_5_ctx(0.40), np.linspace(0.3, 1.0, 15), "first",
+             0.8442937144824662, 0.12557991436433275, True),
+            (lambda: criterion_5_ctx(0.45), np.linspace(0.3, 1.0, 15), "first",
+             0.9062574137303853, 0.17902247050307507, True),
+            (lambda: criterion_5_ctx(0.50), np.linspace(0.3, 1.0, 15), "first",
+             0.9633223143960428, 0.21392617435754055, True),
+            (desk_ctx, np.linspace(0.15, 0.3, 7), "second",
+             0.22542588174701675, 0.0024126423450107452, False),
+            (first_order_ctx, FIRST_ORDER_GRID, "first",
+             0.994378388964333, 0.22710791295973265, True),
+        ],
+    )
+    def test_answers_of_the_slope_probe_classifier(
+        self, monkeypatch, make_ctx, grid, order, lambda_c, jump, hysteresis
+    ):
+        res = sweep(make_ctx(), "lambda0", grid)
+        calls = self.spy_energy(monkeypatch)
+        cls = classify_transition_order(res)
+        assert calls == []
+        assert cls.slope_ratio is None
+        assert (cls.order, cls.lambda_c, cls.hysteresis) == (order, lambda_c, hysteresis)
+        assert cls.jump == pytest.approx(jump, abs=QUICK.refine_tol)
+
+    def test_lambda_c_is_the_lower_exact_onset(self):
+        # the two probes either side of min(spinodal, crossing) close the bracket
+        for make_ctx, grid in ((desk_ctx, np.linspace(0.15, 0.3, 7)),
+                               (first_order_ctx, FIRST_ORDER_GRID)):
+            res = sweep(make_ctx(), "lambda0", grid)
+            lam_c = critical_coupling(res)
+            solver = res._solver
+            guess = min(solver.normal.onset, solver.crossing)
+            d = 0.4 * Thresholds().critical_tol
+            assert lam_c == 0.5 * ((guess - d) + (guess + d))
+
+    def test_several_modes_keep_the_slope_probe(self, monkeypatch):
+        chain = ChainSpec(N=8, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.2, 0.1, 2))
+        search = SearchSpec(multi_coarse_points=5, n_seeds=1)
+        res = sweep(SweepContext(chain=chain, modes=(1, 2), search=search), "lambda0",
+                    [0.5, 0.7, 0.9])
+        calls = self.spy_energy(monkeypatch)
+        cls = classify_transition_order(res)
+        assert cls.order == "second"
+        assert len(calls) == 3
+        assert cls.slope_ratio == pytest.approx(0.5, abs=0.05)
+        assert cls.hysteresis is None
 
 
 class TestMagneticOrder:
