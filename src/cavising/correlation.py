@@ -51,16 +51,19 @@ multipliers fit the budget, as every shipped config's does, is one chunk.
 Each site has a rightward and a leftward decay length: how far ``|rho|``
 walks outward before it falls to ``|rho(1)|/e``, with the crossing
 interpolated on a log scale.  The walks advance with the elimination,
-which records the depth at which each one closes and stops at the first
-depth by which all of them have; short-ranged rings pay a step or two,
-and a panel is eliminated only once a walk reaches it.  A chunk can read
-only its own windows' rightward walks, so it runs until those close; the
-leftward walks are then read off the whole table, and the chunks go
-deeper again if one is still open.  The report reads every length off
-the table at the walks' closing depths.  Sites whose nearest-neighbour
-correlator is already negligible are flagged ``uncorrelated`` (length 0);
-sites where no crossing occurs within the probed range are flagged
-``saturated`` and get the range itself as their length.
+one depth at a time, and a walk's length is fixed the moment it closes;
+one still open at depth ``d`` will end somewhere in ``[d, n_max]``.  The
+caller says when to stop: a report stops at the first depth by which
+every walk has closed, so short-ranged rings pay a step or two, and a
+magnetic label (:mod:`~cavising.phases`) stops as soon as those bounds
+fix it.  A panel is eliminated only once a walk reaches it.  A chunk can
+read only its own windows' rightward walks, so it runs until those
+close; the stop rule is then read off the whole table, and the chunks go
+deeper again, to twice the depth, while it does not hold.  Sites whose
+nearest-neighbour correlator is already negligible are flagged
+``uncorrelated`` (length 0); sites where no crossing occurs within the
+probed range are flagged ``saturated`` and get the range itself as their
+length.
 """
 
 from __future__ import annotations
@@ -140,9 +143,7 @@ def _key_rows(N: int, n_max: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((j, n) for n in range(1, n_max + 1)) for j in range(N))
 
 
-def _window_minors(
-    G: np.ndarray, n_max: int, M: int, stop_early: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _window_minors(G: np.ndarray, n_max: int, M: int, stop=None) -> tuple[np.ndarray, _Walks]:
     """Table ``R[s, n - 1] = rho(s, n)`` of every window minor up to ``n_max``.
 
     ``M`` is a twisted period of ``G`` as :func:`_twisted_period` defines it
@@ -153,26 +154,24 @@ def _window_minors(
     pivot falls below ``_PIVOT_BAR`` in size takes the rest of its row from
     :func:`yy_correlation`.
 
-    Alongside the table come the closing depths of the ``2N`` decay-length
-    walks, indexed as in :func:`_walk_reads`: a walk closes at the first
-    depth ``k`` (column ``k`` of ``R``) where its ``|rho|`` falls to
-    ``|rho(1)|/e`` or below, and at ``k = 0`` if ``|rho(1)|`` is already
-    negligible; a walk open at every depth closes at ``min(n_max, N - 1)``.
-    With ``stop_early`` the table ends at the first depth by which every
-    walk has closed.
+    Alongside the table come the ``2N`` decay-length walks of
+    :class:`_Walks`, indexed as in :func:`_walk_reads`, at the table's last
+    depth.  ``stop(walks)``, when given, is asked after each depth of the
+    whole table, and the table ends at the first depth at which it holds;
+    :func:`_all_closed` is the report's rule.  Without it the table runs to
+    ``min(n_max, N - 1)``.
 
     The windows are eliminated in chunks of consecutive starts, as many as
     keep their multipliers within ``_CHUNK_BYTES``, one chunk after
-    another.  A chunk that holds every window is eliminated in lockstep and
-    stops at the first depth by which every walk has closed.  Otherwise a
-    chunk reads only its own rightward walks: it stops once they have closed
-    and it is as deep as every chunk before it, and the chunks it stopped
-    short of are eliminated again to the common depth.  The leftward walks
-    read across chunks, so they are checked on the common-depth table; while
-    one is open there, every chunk is eliminated again to twice the depth.
-    The panels and their products are fixed by ``n_max`` alone, so tables of
-    one ``n_max`` agree bit for bit with and without the early stop where
-    they overlap, and whatever the chunks.
+    another.  A chunk that holds every window is eliminated in lockstep
+    with the walks.  Otherwise a chunk reads only its own rightward walks:
+    it stops once they have closed and it is as deep as every chunk before
+    it, and the chunks it stopped short of are eliminated again to the
+    common depth.  The stop rule reads across chunks, so it is asked on the
+    common-depth table; while it does not hold there, every chunk is
+    eliminated again to twice the depth.  The panels and their products
+    are fixed by ``n_max`` alone, so tables of one ``n_max`` agree bit for
+    bit whatever the stop rule, where they overlap, and whatever the chunks.
     """
     N = G.shape[0]
     m = max(min(n_max, N - 1), 0)
@@ -183,16 +182,18 @@ def _window_minors(
     if width >= M:  # one chunk, in lockstep with every walk
         state = _Walks(R, walks)
         for k in _eliminate(G, periods, range(M)):
-            if not state.step(k) and stop_early:
-                return R[:, : k + 1].copy(), state.depth  # not a view that keeps all m columns
-        return R, state.depth
+            state.step(k)
+            if stop is not None and stop(state):
+                return R[:, : k + 1].copy(), state  # not a view that keeps all m columns
+        return R, state
     chunks = [range(a, min(a + width, M)) for a in range(0, M, width)]
-    d = 0 if stop_early else m  # no chunk stops short of d columns
+    d = 0 if stop is not None else m  # no chunk stops short of d columns
     reached = []
     for starts in chunks:
         state = _Walks(R, walks[starts.start : starts.stop])  # the chunk's rightward walks
         for k in _eliminate(G, periods, starts):
-            if not state.step(k) and k + 1 >= d:
+            state.step(k)
+            if _all_closed(state) and k + 1 >= d:
                 break
         reached.append(k + 1)
         d = max(d, k + 1)
@@ -203,10 +204,11 @@ def _window_minors(
                     pass
         state = _Walks(R, walks)
         for k in range(d):
-            if not state.step(k) and stop_early:
-                return R[:, : k + 1].copy(), state.depth
+            state.step(k)
+            if stop is not None and stop(state):
+                return R[:, : k + 1].copy(), state
         if d == m:
-            return R, state.depth
+            return R, state
         d, reached = min(2 * d, m), [0] * len(chunks)
 
 
@@ -219,15 +221,25 @@ class _Walks:
     """Decay-length walks advanced one depth at a time by the crossing rule.
 
     A walk stays open while ``|rho|`` exceeds ``|rho(1)|/e`` and ``|rho(1)|``
-    is not negligible; ``depth`` counts the depths at which each was open.
+    is not negligible; ``depth`` counts the depths at which each was open,
+    and ``read`` the depths read.  A walk that closed at depth 0 has length
+    0; one that closed later crossed ``|rho(1)|/e`` between its last two
+    reads, and its length, its depth plus the crossing interpolated on a log
+    scale, lies in ``(depth, depth + 1]``.  A walk still open after ``d``
+    depths ends in ``[d, m]`` for a table of ``m`` columns, at ``m`` if it
+    never closes.
     """
 
     def __init__(self, R: np.ndarray, walks: np.ndarray):
         self.R, self.walks = R, walks
         self.depth = np.zeros(walks.size, dtype=int)
+        self.open = np.ones(walks.size, dtype=bool)
+        self.read = 0
+        self.xi = np.zeros(walks.size)
+        self._fixed = np.zeros(walks.size, dtype=bool)  # closed, and xi holds the length
 
-    def step(self, k: int) -> bool:
-        """Read column ``k`` of the table; whether any walk is still open."""
+    def step(self, k: int) -> None:
+        """Read column ``k`` of the table."""
         r = _walk_reads(self.R, self.walks, k)
         if k == 0:
             self.target = r / math.e
@@ -235,7 +247,35 @@ class _Walks:
         else:
             self.open &= r > self.target
         self.depth += self.open
-        return bool(self.open.any())
+        self.read = k + 1
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Least and greatest length each walk can end with: its own once it has closed,
+        and both the same once every depth of the table has been read.
+
+        A closed walk's length is computed once, here, from the table's reads
+        at its last two depths; ``math.log``, not ``np.log``, which differs
+        from it in the last bit on rare inputs.
+        """
+        closed = np.flatnonzero(~self.open & ~self._fixed)
+        self._fixed[closed] = True
+        closed = closed[self.depth[closed] > 0]
+        if closed.size:
+            k, walks = self.depth[closed], self.walks[closed]
+            r_prev = _walk_reads(self.R, walks, k - 1)
+            r = np.maximum(_walk_reads(self.R, walks, k), _LOG_FLOOR)
+            log_prev, log_target, log_r = (
+                np.array([math.log(x) for x in v.tolist()])
+                for v in (r_prev, self.target[closed], r)
+            )
+            self.xi[closed] = k + (log_prev - log_target) / (log_prev - log_r)
+        m = float(self.R.shape[1])
+        return np.where(self.open, float(self.read), self.xi), np.where(self.open, m, self.xi)
+
+
+def _all_closed(walks: _Walks) -> bool:
+    """A report's stop rule: every walk has closed."""
+    return not walks.open.any()
 
 
 def _eliminate(G: np.ndarray, periods: np.ndarray, starts: range):
@@ -400,6 +440,25 @@ class CorrelationReport:
         return _as_dict(self.minors)
 
 
+def _ground_state(chain: ChainSpec, modeset: ModeSet, phi, n_max, solution):
+    """What a report reads: the field at ``phi``, the even-sector solution (``solution``
+    when given, else solved) and ``n_max`` resolved to ``min(n_max or max(N // 2, 1), N - 1)``.
+
+    Raises ``ValueError`` on an ``n_max`` below 1, a ``solution`` of another
+    ring size (before any work) or one in the odd sector.
+    """
+    _check_n_max(n_max)
+    if solution is not None and solution.N != chain.N:
+        raise ValueError(f"solution has N = {solution.N} sites but the chain has N = {chain.N}")
+    fld = effective_field(chain, modeset, phi)
+    if solution is None:
+        solution = ground_sector(fld, chain.bonds())
+    if solution.sector is not Sector.EVEN:
+        raise ValueError("string correlators are defined on the even-sector solution")
+    N = chain.N
+    return fld, solution, min(max(N // 2, 1) if n_max is None else n_max, N - 1)
+
+
 def correlation_report(
     chain: ChainSpec,
     modeset: ModeSet,
@@ -415,36 +474,16 @@ def correlation_report(
     pre-computed ``solution`` of the same field short-circuits the fermion
     solve; one of another ring size is refused before any work.
     """
-    _check_n_max(n_max)
-    if solution is not None and solution.N != chain.N:
-        raise ValueError(f"solution has N = {solution.N} sites but the chain has N = {chain.N}")
-    fld = effective_field(chain, modeset, phi)
-    if solution is None:
-        solution = ground_sector(fld, chain.bonds())
-    if solution.sector is not Sector.EVEN:
-        raise ValueError("string correlators are defined on the even-sector solution")
+    fld, solution, n_max = _ground_state(chain, modeset, phi, n_max, solution)
     N = chain.N
-    n_max = min(max(N // 2, 1) if n_max is None else n_max, N - 1)
-
     G = solution.G
     sz_rot = solution.sigma_z
     sz_lab = np.cos(fld.theta) * sz_rot
     sx_lab = np.sin(fld.theta) * sz_rot
 
-    R, depth = _window_minors(G, n_max, solution.period, stop_early=True)
-    # a walk that closed at depth k in [1, n_max) crossed rho(1)/e between
-    # n = k and n = k + 1: interpolate on a log scale.  math.log, not np.log,
-    # which differs from it in the last bit on rare inputs
-    crossed = np.flatnonzero((depth > 0) & (depth < n_max))
-    k = depth[crossed]
-    r_prev = _walk_reads(R, crossed, k - 1)
-    target = _walk_reads(R, crossed, np.zeros_like(k)) / math.e
-    r = np.maximum(_walk_reads(R, crossed, k), _LOG_FLOOR)
-    log_prev, log_target, log_r = (
-        np.array([math.log(x) for x in v.tolist()]) for v in (r_prev, target, r)
-    )
-    xi = np.where(depth == 0, 0.0, float(n_max))
-    xi[crossed] = k + (log_prev - log_target) / (log_prev - log_r)
+    R, walks = _window_minors(G, n_max, solution.period, stop=_all_closed)
+    xi, _ = walks.bounds()  # every walk has closed or saturated: the bounds meet
+    depth = walks.depth
     flags = np.where(depth == 0, "uncorrelated", np.where(depth == n_max, "saturated", "ok"))
     xi_r, xi_l = xi[:N], xi[N:]
     xi_rl = 0.5 * (xi_r + xi_l)

@@ -424,6 +424,7 @@ class _UnitCurve:
         self.omega, self.D = float(self._unit.frequencies[0]), float(self._unit.D[0])
         self.step = lam_lo * search.phi_max / (search.coarse_points - 1)
         self._memo: dict[float, float] = {}
+        self._norms: dict[float, float] = {}
 
     @cached_property
     def normal(self) -> _NormalPhase:
@@ -453,8 +454,15 @@ class _UnitCurve:
         return _chords(s, chain)
 
     def bound(self, s: np.ndarray) -> np.ndarray:
-        """:func:`_column_norm_mean` at unit coupling: ``e_1 >= (omega + 4 D) s^2 - bound``."""
-        return _column_norm_mean(self.chain, self._unit.couplings[0], s)
+        """:func:`_column_norm_mean` at unit coupling: ``e_1 >= (omega + 4 D) s^2 - bound``,
+        computed once per ``s``."""
+        new = [x for x in dict.fromkeys(s.tolist()) if x not in self._norms]
+        if new:
+            # numpy sums a lone column pairwise but several site by site, each
+            # whatever the others are: a spare column keeps every value the same
+            S = _column_norm_mean(self.chain, self._unit.couplings[0], np.array(new + [0.0]))
+            self._norms.update(zip(new, S.tolist()))
+        return np.array([self._norms[x] for x in s.tolist()])
 
     def minimize(self, lam: float) -> MeanFieldState:
         """:func:`minimize_phi` at ``lam >= lam_lo``, refined in ``s`` on the memoized ``e_1``."""

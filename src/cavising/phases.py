@@ -13,9 +13,11 @@ the classifiers condense the results into labels:
   probes miss it; on one mode hysteresis, a crossing below the spinodal,
   corroborates the jump, and on several a one-sided slope-ratio probe of
   the energy envelope does;
-* magnetic order of the qubit ring from a correlation report:
-  paramagnetic ``P``, ferromagnetic ``F``, or the spatially alternating
-  ``FP`` pattern that strong-bond windows imprint.
+* magnetic order of the qubit ring from its decay lengths and
+  polarizations: paramagnetic ``P``, ferromagnetic ``F``, or the spatially
+  alternating ``FP`` pattern that strong-bond windows imprint.  A phase
+  diagram's cell walks the lengths only until bounds on them settle its
+  label, which is the label of the full correlation report.
 
 Labels compose as ``N``/``S`` prefix plus magnetic order, e.g. ``SFP``.
 
@@ -35,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlation import _check_n_max, correlation_report
+from .correlation import _check_n_max, _ground_state, _window_minors
 from .fermion import SolverError
 from .meanfield import SearchSpec, _Column, minimize_phi
 from .model import ChainSpec, IsingProfile, ModeSet
@@ -404,30 +406,90 @@ def classify_magnetic_order(
     every site.  ``FP``: both the length and the polarization oscillate
     strongly; for rectangular profiles the pattern must also align with
     the bond windows (longer lengths and weaker polarization on the
-    strong bonds).  Anything else: ``undetermined``.
+    strong bonds).  Anything else: ``undetermined``.  The rules are
+    :func:`_magnetic_order`'s on lengths known exactly; :func:`phase_diagram`
+    applies them to bounds on lengths still being walked.
     """
-    thr = thresholds or Thresholds()
-    xi = np.asarray(report.xi_rl)
-    sz = np.asarray(report.sigma_z_rot)
-    if xi.max() <= thr.xi and sz.min() >= thr.sigma_z:
-        return "P"
-    if xi.min() >= thr.xi:
+    xi, sz = np.asarray(report.xi_rl), np.asarray(report.sigma_z_rot)
+    return _magnetic_order(xi, xi, sz, chain, thresholds or Thresholds())
+
+
+# (max - min) / max(max, 1e-300), a ratio of at most 1, falls as min grows
+# under any rounding, but as max grows it may dip by an ulp or two (in 1.6%
+# of adjacent float pairs at lengths up to 40): a bound on max decides the
+# oscillation test only clear of that
+_OSC_SLACK = 4 * np.finfo(float).eps
+
+
+def _oscillation(top: float, bottom: float) -> float:
+    return (top - bottom) / max(top, 1e-300)
+
+
+def _magnetic_order(xi_lo, xi_hi, sz, chain: ChainSpec, thr: Thresholds) -> str | None:
+    """The label :func:`classify_magnetic_order` gives every ``xi_rl`` with
+    ``xi_lo <= xi_rl <= xi_hi`` site by site, or ``None`` while those differ.
+
+    Each test is the classifier's expression on the side of the bounds
+    that could still fail it: ``max``, ``min``, ``0.5 (xi_r + xi_l)`` and the
+    strong/weak means only rise as any length does, under any rounding, so
+    a test settled on the bounds is settled on the final lengths; the
+    oscillation of the lengths, only up to ``_OSC_SLACK``.  With
+    ``xi_lo == xi_hi`` every test is settled.
+    """
+    lo_max, lo_min, hi_max, hi_min = xi_lo.max(), xi_lo.min(), xi_hi.max(), xi_hi.min()
+    sz_max, sz_min = sz.max(), sz.min()
+    if sz_min >= thr.sigma_z:
+        if hi_max <= thr.xi:
+            return "P"
+        if lo_max <= thr.xi:
+            return None
+    if lo_min >= thr.xi:
         return "F"
-    osc_xi = (xi.max() - xi.min()) / max(xi.max(), 1e-300)
-    osc_sz = (sz.max() - sz.min()) / max(abs(sz.max()), 1e-300)
-    if osc_xi > thr.oscillation and osc_sz > thr.oscillation:
-        if chain.ising.kind == "rectangular":
-            bonds = chain.bonds()
-            strong = bonds == bonds.max()
-            if strong.any() and (~strong).any():
-                aligned = (
-                    xi[strong].mean() > xi[~strong].mean()
-                    and sz[strong].mean() < sz[~strong].mean()
-                )
-                if not aligned:
-                    return "undetermined"
-        return "FP"
-    return "undetermined"
+    if hi_min >= thr.xi:
+        return None
+    slack = 0.0 if lo_max == hi_max else _OSC_SLACK
+    osc_sz = (sz_max - sz_min) / max(abs(sz_max), 1e-300)
+    if not (_oscillation(hi_max, lo_min) + slack > thr.oscillation and osc_sz > thr.oscillation):
+        return "undetermined"
+    if not _oscillation(lo_max, hi_min) - slack > thr.oscillation:
+        return None
+    if chain.ising.kind == "rectangular":
+        bonds = chain.bonds()
+        strong = bonds == bonds.max()
+        if strong.any() and (~strong).any():
+            # aligned: longer lengths and weaker polarization on the strong bonds
+            aligned = (
+                xi_hi[strong].mean() > xi_lo[~strong].mean()
+                and sz[strong].mean() < sz[~strong].mean()
+            )
+            if not aligned:
+                return "undetermined"
+            if not xi_lo[strong].mean() > xi_hi[~strong].mean():
+                return None
+    return "FP"
+
+
+def _magnetic_label(
+    chain: ChainSpec, modeset: ModeSet, phi, thr: Thresholds, *, n_max=None, solution=None
+) -> str:
+    """``classify_magnetic_order(correlation_report(chain, modeset, phi, n_max=n_max,
+    solution=solution), chain, thr)``, with the decay-length walks taken only
+    until the label is settled.
+
+    The walks read the report's table, column for column, so each length
+    that closes is the report's; the walks still open only bound theirs.
+    """
+    _, solution, n_max = _ground_state(chain, modeset, phi, n_max, solution)
+    sz, N = solution.sigma_z, chain.N
+
+    def label(walks):
+        lo, hi = walks.bounds()
+        return _magnetic_order(0.5 * (lo[:N] + lo[N:]), 0.5 * (hi[:N] + hi[N:]), sz, chain, thr)
+
+    _, walks = _window_minors(
+        solution.G, n_max, solution.period, stop=lambda walks: label(walks) is not None
+    )
+    return label(walks)
 
 
 @dataclass(frozen=True)
@@ -511,11 +573,13 @@ def phase_diagram(
     ``order`` is set, :func:`classify_transition_order` refines and
     classifies; both reuse the sweep's solver.  Cell labels combine the
     local field phase with (when ``magnetic`` is set) the magnetic order
-    of the solved ground state, whose correlation report probes
-    separations up to ``n_max``; the cells of a column at ``phi = 0``,
-    whose field is ``E_z/2`` on every site at any ``lambda0``, share one
-    report, on the ground state the column's spinodal solved (solved
-    afresh if that failed).
+    of the solved ground state: :func:`classify_magnetic_order` of its
+    correlation report with separations up to ``n_max``, reached without
+    the report, by walking the decay lengths only until their bounds settle
+    the label.  The cells of a column at ``phi = 0``, whose field is
+    ``E_z/2`` on every site at any ``lambda0``, share one label, on the
+    ground state the column's spinodal solved (solved afresh if that
+    failed).
     The per-``E_z`` crossover is the midpoint between the largest
     ``J_min`` column labeled second order and the smallest labeled first
     order, provided the two groups do not interleave.  A profile, contrast,
@@ -525,9 +589,9 @@ def phase_diagram(
     A solver failure while locating one column's onset is recorded on
     that column (``status == "error"``) and does not stop the others; a
     failed sweep point above the column's first condensed one leaves the
-    onset alone and only its own cell unlabeled.  A failed correlation report
-    leaves its cell, or the ``phi = 0`` cells that share it, unlabeled with
-    ``status == "error"``; the column and the other cells stand.
+    onset alone and only its own cell unlabeled.  A failed ground-state solve
+    for a label leaves its cell, or the ``phi = 0`` cells that share it,
+    unlabeled with ``status == "error"``; the column and the other cells stand.
 
     Columns are solved serially.  ``threads`` accepts only 1 and goes at
     the next benchmark change; any other value raises ``ValueError``.
@@ -572,7 +636,7 @@ def phase_diagram(
             )
 
             # at phi = 0 the field is E_z / 2 on every site whatever lambda0 is, so
-            # the column's cells there share one report, and its label or failure
+            # the column's cells there share one ground state, and its label or failure
             orders = {}
             for rec, modeset in zip(result.records, modesets):
                 label, status, message = None, rec.status, rec.message
@@ -583,11 +647,10 @@ def phase_diagram(
                         key = rec.value if any(rec.phi) else None
                         if key not in orders:
                             try:
-                                report = correlation_report(
-                                    col_chain, modeset, np.array(rec.phi), n_max=n_max,
+                                orders[key] = _magnetic_label(
+                                    col_chain, modeset, np.array(rec.phi), thr, n_max=n_max,
                                     solution=solver.normal.solution if key is None else None,
                                 )
-                                orders[key] = classify_magnetic_order(report, col_chain, thr)
                             except SolverError as exc:
                                 orders[key] = exc
                         mag = orders[key]

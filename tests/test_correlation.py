@@ -279,6 +279,14 @@ def det_walks(G, n_max):
     return walks, {(j, n) for j in range(G.shape[0]) for n in range(1, depth + 1)}
 
 
+def window_minors(G, n_max, M, stop_early=False):
+    """``correlation._window_minors`` under the report's stop rule, or none: the table and
+    the depths at which the walks were open."""
+    stop = correlation._all_closed if stop_early else None
+    R, walks = correlation._window_minors(G, n_max, M, stop=stop)
+    return R, walks.depth
+
+
 def column_minors(G, n_max, stop_early=False):
     """Column-by-column elimination of all N windows: the independent reference of the table.
 
@@ -374,7 +382,7 @@ def assert_one_period_is_the_oracle(G, n_max, period):
     """One period of windows, tiled, equals the all-window elimination bit for bit."""
     assert correlation._twisted_period(G) == period
     for stop_early in (False, True):
-        R, depth = correlation._window_minors(G, n_max, period, stop_early=stop_early)
+        R, depth = window_minors(G, n_max, period, stop_early=stop_early)
         R_ref, depth_ref = all_window_minors(G, n_max, stop_early=stop_early)
         assert np.array_equal(R, R_ref) and np.array_equal(depth, depth_ref)
 
@@ -442,7 +450,7 @@ class TestOnePeriod:
             return real(G, j, n)
 
         monkeypatch.setattr(correlation, "yy_correlation", counted)
-        R, _ = correlation._window_minors(rep.G, 12, rep.solution.period)
+        R, _ = window_minors(rep.G, 12, rep.solution.period)
         assert starts and max(starts) < 8
         assert np.array_equal(R, R_ref)
 
@@ -475,7 +483,7 @@ class TestPanels:
         chain, ms, phi = ring
         sol = ground_sector(effective_field(chain, ms, phi), chain.bonds())
         G = sol.G
-        R, depth = correlation._window_minors(G, n_max, sol.period, stop_early=stop_early)
+        R, depth = window_minors(G, n_max, sol.period, stop_early=stop_early)
         R_ref, depth_ref = column_minors(G, n_max, stop_early=stop_early)
         assert R.shape == R_ref.shape
         assert np.array_equal(depth, depth_ref)
@@ -492,7 +500,7 @@ class TestPanels:
         G = sol.G
         first = break_depths(G, m)
         assert {int(b) // PANEL for b in first if b % PANEL} == {0, 1, 2}
-        R, _ = correlation._window_minors(G, m, sol.period)
+        R, _ = window_minors(G, m, sol.period)
         for s, b in enumerate(first.tolist()):
             for n in range(1, m + 1):
                 ref = yy_correlation(G, s, n)
@@ -544,7 +552,7 @@ class TestWindowMinors:
         # the closing depths end the table: one column past the deepest,
         # unless a walk saturated and the table runs to n_max
         for n_max in (rep.n_max, rep_1.n_max):
-            R, depth = correlation._window_minors(
+            R, depth = window_minors(
                 rep.G, n_max, rep.solution.period, stop_early=True
             )
             assert R.shape[1] == min(1 + depth.max(), n_max)
@@ -664,7 +672,7 @@ def assert_chunks_match_one_chunk(case, stop_early, width):
         patched.setattr(correlation, "_PIVOT_BAR", bar)
         for windows in (M, width):
             patched.setattr(correlation, "_CHUNK_BYTES", windows * correlation._window_bytes(m))
-            R, depth = correlation._window_minors(sol.G, n_max, M, stop_early=stop_early)
+            R, depth = window_minors(sol.G, n_max, M, stop_early=stop_early)
             rep = correlation_report(chain, ms, phi, n_max=n_max, solution=sol)
             runs.append((R, depth, rep))
     (R_one, depth_one, rep_one), (R, depth, rep) = runs
@@ -715,7 +723,7 @@ class TestChunks:
             return real(G, j, n)
 
         monkeypatch.setattr(correlation, "yy_correlation", counted)
-        R, _ = correlation._window_minors(sol.G, n_max, sol.period)
+        R, _ = window_minors(sol.G, n_max, sol.period)
         assert len({j // 3 for j in starts}) > 1
         np.testing.assert_allclose(R, column_minors(sol.G, n_max)[0], rtol=0, atol=1e-13)
 
@@ -749,6 +757,6 @@ class TestPfeuty:
             monkeypatch.setattr(correlation, "_CHUNK_BYTES", windows * correlation._window_bytes(n))
         # every window as if the ring had no period: the default budget takes
         # them in one chunk at N = 400 and in six at N = 2000
-        R, depth = correlation._window_minors(G, n, N, stop_early=True)
+        R, depth = window_minors(G, n, N, stop_early=True)
         assert R.shape == (N, n) and np.all(depth == n)
         np.testing.assert_allclose(R[:, n - 1], (1 - (h / J) ** 2) ** 0.25, rtol=0, atol=1e-12)

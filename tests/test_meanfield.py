@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cavising import meanfield
@@ -1384,3 +1384,82 @@ class TestSearchSpec:
             with pytest.raises(ValueError):
                 SearchSpec(**bad)
         assert SearchSpec(n_seeds=1, degeneracy_tol=0.0).degeneracy_tol == 0.0
+
+
+@st.composite
+def envelope_columns(draw):
+    """``(chain, mode, lams)``: a ring of up to 10 sites under one mode and 3 to 6
+    couplings in rising order, as factors of its spinodal (of 1/2 where that is above 1
+    or none) from 0.3 to 1.6, none within 1% of the spinodal, where ``e_g`` is flat to
+    rounding over more than ``refine_tol`` around its minimizer."""
+    chain, ms = draw(bound_points(max_N=10))
+    mode = ms.modes[0]
+    lam_s = normal_phase_onset(chain, (mode,))
+    scale = lam_s if lam_s is not None and lam_s <= 1.0 else 0.5
+    factor = st.floats(0.3, 1.6).filter(lambda f: abs(f - 1.0) >= 0.01)
+    factors = draw(st.lists(factor, min_size=3, max_size=6, unique=True))
+    return chain, mode, sorted(scale * f for f in factors)
+
+
+class TestEnvelope:
+    """A one-mode column's minima against the envelope they must form.
+
+    With ``x = 1/lambda0^2`` and ``s = lambda0 phi`` the energy at ``s`` is ``x omega s^2 +
+    g(s)``, with ``g`` free of ``lambda0``, so the column's minimum ``e*(x)`` is a
+    minimum of functions affine in ``x``: concave, with slope ``t = omega s*^2``, which
+    is ``d e_g / d lambda0 = -(2 / lambda0) omega phi*^2``.  So along a column ``e_g``
+    never rises, ``lambda0 |phi*|`` never falls, and no state lies above the line
+    ``e_j + t_j (x - x_j)`` of another: that line is the energy of state ``j``'s own
+    ``s`` at every coupling, an upper bound on the minimum.  Columns whose minimizer
+    reaches ``phi_max`` are left out: there ``s <= lambda0 phi_max`` binds, and the
+    bound moves with ``lambda0``.
+    """
+
+    SEARCH = SearchSpec(coarse_points=21)
+
+    def column(self, chain, mode, lams):
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "error", "minimizer sits at the phi_max boundary", RuntimeWarning
+            )
+            try:
+                result = sweep(SweepContext(chain=chain, modes=(mode,), search=self.SEARCH),
+                               "lambda0", lams)
+            except RuntimeWarning:
+                return None
+        assert all(r.status == "ok" for r in result.records)
+        return result.records
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(envelope_columns())
+    def test_minima_form_a_concave_envelope(self, case):
+        chain, mode, lams = case
+        records = self.column(chain, mode, lams)
+        assume(records is not None)
+        omega, tol = float(mode), self.SEARCH.refine_tol
+        lam = np.array(lams)
+        e = np.array([r.e_g for r in records])
+        s = lam * np.array([abs(r.phi[0]) for r in records])
+        x, t = 1.0 / lam**2, omega * s**2
+        scale = np.abs(e).max() + (t * x).max()
+        assert np.all(np.diff(e) <= 1e-12 * scale)
+        assert np.all(np.diff(s) >= -10.0 * tol * lam[1:])
+        tangents = e[None, :] + t[None, :] * (x[:, None] - x[None, :])  # [i, j]: line j at x_i
+        assert np.all(e[:, None] <= tangents + 1e-11 * scale)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(envelope_columns())
+    def test_slope_is_the_envelope_theorem(self, case):
+        # central differences at lambda0 -+ h, where the minimizer does not jump
+        chain, mode, lams = case
+        h = 1e-4
+        for lam in lams:
+            records = self.column(chain, mode, [lam - h, lam, lam + h])
+            if records is None:
+                continue
+            phis = [abs(r.phi[0]) for r in records]
+            if (min(phis) == 0.0) != (max(phis) == 0.0) or max(phis) - min(phis) > 0.01:
+                continue
+            exact = -(2.0 / lam) * mode * phis[1] ** 2
+            central = (records[2].e_g - records[0].e_g) / (2.0 * h)
+            assert central == pytest.approx(exact, rel=1e-5, abs=1e-7)

@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavising import correlation, fermion, meanfield, phases
-from cavising.correlation import CorrelationReport
+from cavising.correlation import CorrelationReport, correlation_report
 from cavising.fermion import SolverError
 from cavising.meanfield import SearchSpec, energy_per_particle, minimize_phi
 from cavising.model import ChainSpec, IsingProfile, ModeSet
@@ -555,6 +557,148 @@ class TestMagneticOrder:
         assert classify_magnetic_order(rep, desk_chain(), loose) == "P"
 
 
+@st.composite
+def label_rings(draw):
+    """A ring of up to 24 sites, its state and the ``n_max`` a report would take."""
+    N = draw(st.integers(1, 24))
+    E_z = draw(st.floats(0.4, 1.2))
+    kind = draw(st.sampled_from(["uniform", "rectangular", "explicit", "J = 0"]))
+    if kind == "uniform":
+        ising = IsingProfile.uniform(draw(st.floats(0.0, 1.5)) * E_z)
+    elif kind == "rectangular":
+        # ferromagnetic windows between paramagnetic ones
+        J_max, J_min = draw(st.floats(0.7, 1.5)) * E_z, draw(st.floats(0.0, 0.15)) * E_z
+        ising = IsingProfile.rectangular(J_max, J_min, draw(st.integers(1, 3)))
+    elif kind == "explicit":
+        J = draw(st.lists(st.floats(0.0, 1.5), min_size=N, max_size=N))
+        ising = IsingProfile.explicit(np.array(J) * E_z)
+    else:
+        ising = IsingProfile.uniform(0.0)
+    chain = ChainSpec(N=N, E_z=E_z, E_c=8.0, ising=ising)
+    lambda0 = draw(st.floats(0.0, 0.8))
+    ms = ModeSet(modes=(draw(st.integers(1, 2)),), lambda0=lambda0, N=N, E_c=8.0)
+    phi = np.array([draw(st.floats(-0.5, 0.5))])
+    n_max = draw(st.one_of(st.none(), st.integers(1, max(N - 1, 1))))
+    return chain, ms, phi, n_max
+
+
+def thresholds_at(data, report):
+    """The default thresholds, or ones that make the label walk deep: ``xi`` at or near
+    ``n_max`` or at one of the report's lengths, ``sigma_z`` at the default or the least
+    polarization, and ``oscillation`` 0, the default, near 1 or at the report's own
+    oscillation of the lengths."""
+    xi, sz, m = report.xi_rl, report.sigma_z_rot, report.n_max
+    lengths = [0.0, float(m), max(m - 0.5, 0.0), *xi.tolist()]
+    oscillations = [0.0, 0.3, 0.999, phases._oscillation(xi.max(), xi.min())]
+    deep = st.builds(
+        Thresholds,
+        xi=st.one_of(st.sampled_from(lengths), st.floats(0.0, m + 1.0)),
+        sigma_z=st.one_of(st.sampled_from([0.0, 0.8, max(float(sz.min()), 0.0)]),
+                          st.floats(0.0, 1.0)),
+        oscillation=st.one_of(st.sampled_from(oscillations), st.floats(0.9, 1.0)),
+    )
+    return data.draw(st.one_of(st.just(Thresholds()), deep))
+
+
+def assert_early_label_is_the_reports(ring, thr, windows=None):
+    """The label walked until settled is the classification of the full report,
+    with the walks' windows eliminated ``windows`` at a time (unset: the default budget)."""
+    chain, ms, phi, n_max = ring
+    report = correlation_report(chain, ms, phi, n_max=n_max)
+    with pytest.MonkeyPatch.context() as patched:
+        if windows is not None:
+            budget = windows * correlation._window_bytes(report.n_max)
+            patched.setattr(correlation, "_CHUNK_BYTES", budget)
+        label = phases._magnetic_label(chain, ms, phi, thr, n_max=n_max)
+    assert label == classify_magnetic_order(report, chain, thr)
+
+
+class TestEarlyLabel:
+    """A cell's label from decay lengths walked only until it is settled."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ring=label_rings(), data=st.data())
+    def test_label_is_the_reports(self, ring, data):
+        chain, ms, phi, n_max = ring
+        report = correlation_report(chain, ms, phi, n_max=n_max)
+        assert_early_label_is_the_reports(ring, thresholds_at(data, report))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ring=label_rings(), windows=st.integers(1, 3), data=st.data())
+    def test_label_is_the_reports_in_chunks(self, ring, windows, data):
+        # a few windows per chunk: rings without a short period take several
+        chain, ms, phi, n_max = ring
+        report = correlation_report(chain, ms, phi, n_max=n_max)
+        assert_early_label_is_the_reports(ring, thresholds_at(data, report), windows)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "thr", [Thresholds(), Thresholds(xi=0.0, sigma_z=0.0), Thresholds(oscillation=0.0)]
+    )
+    def test_smallest_rings(self, N, thr):
+        # N = 1 has no separation at all: every walk is uncorrelated at once
+        ising = IsingProfile.explicit([0.9, 0.1, 0.5][:N])
+        chain = ChainSpec(N=N, E_z=0.8, E_c=8.0, ising=ising)
+        ms = ModeSet(modes=(1,), lambda0=0.5, N=N, E_c=8.0)
+        for n_max in (None, 1):
+            assert_early_label_is_the_reports((chain, ms, np.array([0.2]), n_max), thr)
+
+    # a condensed cell of the benchmark's phase-column workload, an FP ring
+    COLUMN_CELL = (
+        ChainSpec(N=200, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.5007, 0.2007, 2)),
+        ModeSet(modes=(2,), lambda0=0.9128831922543927, N=200, E_c=8.0),
+        np.array([0.2856021645667419]),
+    )
+
+    def test_label_stops_walking_once_settled(self, monkeypatch):
+        # its report walks until its longest walk closes, its label a few depths
+        chain, ms, phi = self.COLUMN_CELL
+        depths = []
+        real = correlation._eliminate
+
+        def counted(*args):
+            for k in real(*args):
+                depths.append(k)
+                yield k
+
+        monkeypatch.setattr(correlation, "_eliminate", counted)
+        report = correlation_report(chain, ms, phi, n_max=40)
+        assert len(depths) == report.minors.shape[1] == 32
+        depths.clear()
+        label = phases._magnetic_label(chain, ms, phi, Thresholds(), n_max=40)
+        assert label == classify_magnetic_order(report, chain) == "FP"
+        assert 0 < len(depths) <= 5
+
+    def test_oscillation_at_the_reports_own(self):
+        # an FP ring whose polarization oscillates more than its lengths: just
+        # below the lengths' oscillation it is FP, at it undetermined, and the
+        # label waits for the lengths themselves
+        chain = ChainSpec(N=40, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(1.2, 0.01, 2))
+        ms = ModeSet(modes=(2,), lambda0=0.7, N=40, E_c=8.0)
+        phi = np.array([0.2])
+        report = correlation_report(chain, ms, phi, n_max=15)
+        osc = phases._oscillation(report.xi_rl.max(), report.xi_rl.min())
+        for at, expected in ((np.nextafter(osc, 0.0), "FP"), (osc, "undetermined")):
+            thr = Thresholds(oscillation=at)
+            assert classify_magnetic_order(report, chain, thr) == expected
+            assert phases._magnetic_label(chain, ms, phi, thr, n_max=15) == expected
+
+    def test_oscillation_bound_clears_the_rounding(self):
+        # (max - min) / max is one ulp lower at the larger of two adjacent
+        # maxima here, so the lower bound's oscillation passes a threshold the
+        # final lengths do not: the label waits
+        lo_max, hi_max, low = 38.26660796077016, 38.266607960770166, 3.3496645157512184
+        osc = phases._oscillation
+        assert osc(lo_max, low) > osc(hi_max, low)
+        chain = ChainSpec(N=2, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(0.1))
+        thr = Thresholds(xi=5.0, oscillation=osc(hi_max, low))
+        sz = np.array([0.05, 0.9])
+        lo, hi = np.array([low, lo_max]), np.array([low, hi_max])
+        assert phases._magnetic_order(lo, lo, sz, chain, thr) == "FP"
+        assert phases._magnetic_order(hi, hi, sz, chain, thr) == "undetermined"
+        assert phases._magnetic_order(lo, hi, sz, chain, thr) is None
+
+
 class TestPhaseLabel:
     def test_codes(self):
         assert PhaseLabel("normal", "second", "P").code == "NP"
@@ -590,29 +734,31 @@ class TestPhaseDiagram:
         assert diagram.crossover == ((0.1, None),)
 
     def test_labels_build_no_rho(self, monkeypatch):
-        # a label reads decay lengths and polarizations only, so no report
-        # builds its rho dict; one read afterwards holds yy_table's values
-        built, reports = [], []
-        real_as_dict, real_report = correlation._as_dict, phases.correlation_report
+        # a label reads decay lengths and polarizations only, so no walk
+        # builds a rho dict; the report of the same state holds yy_table's values
+        built, labels = [], []
+        real_as_dict, real_label = correlation._as_dict, phases._magnetic_label
 
         def spied(R):
             built.append(R.shape)
             return real_as_dict(R)
 
         def recorded(*args, **kwargs):
-            reports.append(real_report(*args, **kwargs))
-            return reports[-1]
+            labels.append((args, kwargs, real_label(*args, **kwargs)))
+            return labels[-1][2]
 
         monkeypatch.setattr(correlation, "_as_dict", spied)
-        monkeypatch.setattr(phases, "correlation_report", recorded)
+        monkeypatch.setattr(phases, "_magnetic_label", recorded)
         diagram = phase_diagram(
             desk_chain(), (2,), [0.15, 0.3], (0.001,), delta_J=0.025, search=QUICK, n_max=10,
             magnetic=True, order=False,
         )
-        assert len(reports) == 2
+        assert len(labels) == 2
         assert all(c.status == "ok" and c.label.magnetic_order for c in diagram.cells)
         assert built == []
-        for report in reports:
+        for (chain, modeset, phi, thr), kwargs, label in labels:
+            report = correlation_report(chain, modeset, phi, **kwargs)
+            assert label == classify_magnetic_order(report, chain, thr)
             table = correlation.yy_table(report.G, report.n_max)
             built.clear()
             rho = report.rho
@@ -622,67 +768,69 @@ class TestPhaseDiagram:
 
     def test_phi_zero_cells_share_one_report(self, monkeypatch):
         # at phi = 0 the field is E_z / 2 on every site whatever lambda0 is
-        reports = []
-        real = phases.correlation_report
+        labels = []
+        real = phases._magnetic_label
 
-        def counted(chain, modeset, phi, **kwargs):
-            reports.append((chain.ising.J_min, tuple(phi)))
-            return real(chain, modeset, phi, **kwargs)
+        def counted(chain, modeset, phi, thr, **kwargs):
+            labels.append((chain.ising.J_min, tuple(phi)))
+            return real(chain, modeset, phi, thr, **kwargs)
 
-        monkeypatch.setattr(phases, "correlation_report", counted)
+        monkeypatch.setattr(phases, "_magnetic_label", counted)
         chain = desk_chain()
         grid = np.linspace(0.15, 0.3, 7)
         diagram = phase_diagram(
             chain, (2,), grid, (0.001, 0.004), delta_J=0.025, search=QUICK, n_max=10,
             order=False,
         )
-        # one report per column with phi = 0 cells, plus one per condensed cell
+        # one label per column with phi = 0 cells, plus one per condensed cell
         zero = [c for c in diagram.cells if not any(c.phi)]
         condensed = [c for c in diagram.cells if any(c.phi)]
         assert len(zero) >= 4 and len(condensed) >= 4
-        assert len(reports) == len({c.J_min for c in zero}) + len(condensed)
-        assert len(set(reports)) == len(reports)
+        assert len(labels) == len({c.J_min for c in zero}) + len(condensed)
+        assert len(set(labels)) == len(labels)
         # the labels of a fresh report per cell
         for cell in diagram.cells:
             col_chain = replace(chain, ising=IsingProfile.rectangular(cell.J_max, cell.J_min, 2))
             modeset = ModeSet(modes=(2,), lambda0=cell.lambda0, N=chain.N, E_c=chain.E_c)
-            report = real(col_chain, modeset, np.array(cell.phi), n_max=10)
+            report = correlation_report(col_chain, modeset, np.array(cell.phi), n_max=10)
             assert cell.label.magnetic_order == classify_magnetic_order(report, col_chain)
 
     def test_phi_zero_report_reads_the_spinodal_solution(self, monkeypatch):
         # the spinodal's phi = 0 ground state is handed to the column's phi = 0
-        # report, which then holds what a report solving afresh holds
-        origins, reports = [], []
-        real_origin, real_report = meanfield.ground_sector, phases.correlation_report
+        # label, which is then the label of a report solving afresh
+        origins, labels = [], []
+        real_origin, real_label = meanfield.ground_sector, phases._magnetic_label
 
         def recorded_origin(field, bonds):
             origin = real_origin(field, bonds)
             origins.append(origin)
             return origin
 
-        def recorded_report(chain, modeset, phi, **kwargs):
-            report = real_report(chain, modeset, phi, **kwargs)
-            reports.append((chain, modeset, phi, kwargs.get("solution"), report))
-            return report
+        def recorded_label(chain, modeset, phi, thr, **kwargs):
+            label = real_label(chain, modeset, phi, thr, **kwargs)
+            labels.append((chain, modeset, phi, kwargs.get("solution"), label))
+            return label
 
         monkeypatch.setattr(meanfield, "ground_sector", recorded_origin)
-        monkeypatch.setattr(phases, "correlation_report", recorded_report)
+        monkeypatch.setattr(phases, "_magnetic_label", recorded_label)
         diagram = phase_diagram(
             desk_chain(), (2,), np.linspace(0.15, 0.3, 7), (0.001, 0.004), delta_J=0.025,
             search=QUICK, n_max=10,
         )
-        at_zero = [r for r in reports if not any(r[2])]
+        at_zero = [r for r in labels if not any(r[2])]
         assert len(origins) == len(at_zero) == 2
         assert all(r[3] is origin for r, origin in zip(at_zero, origins))
-        assert all(r[3] is None for r in reports if any(r[2]))
-        for chain, modeset, phi, _, shared in at_zero:
-            fresh = real_report(chain, modeset, phi, n_max=10)
+        assert all(r[3] is None for r in labels if any(r[2]))
+        for chain, modeset, phi, solution, walked in at_zero:
+            shared = correlation_report(chain, modeset, phi, n_max=10, solution=solution)
+            fresh = correlation_report(chain, modeset, phi, n_max=10)
             assert fresh.solution is not shared.solution
             for name in ("sigma_z_rot", "xi_r", "xi_l", "xi_rl"):
                 np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
             assert (shared.flags_r, shared.flags_l) == (fresh.flags_r, fresh.flags_l)
             assert list(shared.rho.items()) == list(fresh.rho.items())
             label = classify_magnetic_order(fresh, chain)
+            assert walked == label
             cells = [c for c in diagram.cells if c.J_min == chain.ising.J_min and not any(c.phi)]
             assert cells and all(c.label.magnetic_order == label for c in cells)
 
@@ -824,15 +972,15 @@ class TestPhaseDiagram:
     def test_failed_shared_report_fails_the_cells_that_share_it(self, monkeypatch):
         good = self._small_diagram()
         calls = []
-        real = phases.correlation_report
+        real = phases._magnetic_label
 
-        def flaky(chain, modeset, phi, **kwargs):
+        def flaky(chain, modeset, phi, thr, **kwargs):
             calls.append(phi)
             if not any(phi):
                 raise SolverError("injected failure")
-            return real(chain, modeset, phi, **kwargs)
+            return real(chain, modeset, phi, thr, **kwargs)
 
-        monkeypatch.setattr(phases, "correlation_report", flaky)
+        monkeypatch.setattr(phases, "_magnetic_label", flaky)
         diagram = self._small_diagram()
         assert len(calls) == 3  # the failure is shared, not solved again
         assert diagram.columns == good.columns
