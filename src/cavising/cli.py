@@ -159,8 +159,9 @@ def _run_correlations(cfg: RunConfig, out_dir: Path) -> None:
     )
     # walks that went all the way down left the full table in the report;
     # its rows are in (j, n) order already
-    full = report.minors.shape[1] == report.n_max
-    table = report.minors if full else correlation._yy_minors(report.G, report.n_max)
+    table = report.minors
+    if table.shape[1] < report.n_max:
+        table, _ = correlation._window_minors(report.G, report.n_max, report.solution.period)
     rho_rows = (
         (j, n, v) for j in range(table.shape[0]) for n, v in enumerate(table[j].tolist(), 1)
     )

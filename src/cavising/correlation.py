@@ -56,10 +56,11 @@ one still open at depth ``d`` will end somewhere in ``[d, n_max]``.  The
 caller says when to stop: a report stops at the first depth by which
 every walk has closed, so short-ranged rings pay a step or two, and a
 magnetic label (:mod:`~cavising.phases`) stops as soon as those bounds
-fix it.  A panel is eliminated only once a walk reaches it.  A chunk can
-read only its own windows' rightward walks, so it runs until those
-close; the stop rule is then read off the whole table, and the chunks go
-deeper again, to twice the depth, while it does not hold.  Sites whose
+fix it.  A panel is eliminated only once a walk reaches it.  Several
+chunks go to a common depth and the stop rule is read off the whole
+table, and they go deeper again, to twice the depth, while it does not
+hold: for a report the first depth is the one at which each chunk's own
+rightward walks have closed, for a label ``_PANEL``.  Sites whose
 nearest-neighbour correlator is already negligible are flagged
 ``uncorrelated`` (length 0); sites where no crossing occurs within the
 probed range are flagged ``saturated`` and get the range itself as their
@@ -122,13 +123,8 @@ def yy_table(G: np.ndarray, n_max: int) -> dict[tuple[int, int], float]:
     The full batched elimination, without the early stop of the report,
     over one period of ``G`` as :func:`_twisted_period` finds it.
     """
-    return _as_dict(_yy_minors(G, n_max))
-
-
-def _yy_minors(G: np.ndarray, n_max: int) -> np.ndarray:
-    """:func:`yy_table`'s values as the table ``R[j, n - 1] = rho(j, n)``."""
     _check_n_max(n_max)
-    return _window_minors(G, n_max, _twisted_period(G))[0]
+    return _as_dict(_window_minors(G, n_max, _twisted_period(G))[0])
 
 
 def _as_dict(R: np.ndarray) -> dict[tuple[int, int], float]:
@@ -164,14 +160,17 @@ def _window_minors(G: np.ndarray, n_max: int, M: int, stop=None) -> tuple[np.nda
     The windows are eliminated in chunks of consecutive starts, as many as
     keep their multipliers within ``_CHUNK_BYTES``, one chunk after
     another.  A chunk that holds every window is eliminated in lockstep
-    with the walks.  Otherwise a chunk reads only its own rightward walks:
-    it stops once they have closed and it is as deep as every chunk before
-    it, and the chunks it stopped short of are eliminated again to the
-    common depth.  The stop rule reads across chunks, so it is asked on the
-    common-depth table; while it does not hold there, every chunk is
-    eliminated again to twice the depth.  The panels and their products
-    are fixed by ``n_max`` alone, so tables of one ``n_max`` agree bit for
-    bit whatever the stop rule, where they overlap, and whatever the chunks.
+    with the walks.  Otherwise the chunks go to a common depth, and the
+    stop rule, which reads across chunks, is asked on that table; while it
+    does not hold there, every chunk is eliminated again to twice the
+    depth.  The first depth is the report's own: each chunk reads its own
+    rightward walks and stops once they have closed and it is as deep as
+    every chunk before it, and the chunks it stopped short of are
+    eliminated again to it.  Any other rule starts at ``_PANEL``, so a
+    label settled in a few depths pays for a few.  The panels and their
+    products are fixed by ``n_max`` alone, so tables of one ``n_max`` agree
+    bit for bit whatever the stop rule, where they overlap, and whatever
+    the chunks.
     """
     N = G.shape[0]
     m = max(min(n_max, N - 1), 0)
@@ -187,16 +186,18 @@ def _window_minors(G: np.ndarray, n_max: int, M: int, stop=None) -> tuple[np.nda
                 return R[:, : k + 1].copy(), state  # not a view that keeps all m columns
         return R, state
     chunks = [range(a, min(a + width, M)) for a in range(0, M, width)]
-    d = 0 if stop is not None else m  # no chunk stops short of d columns
-    reached = []
-    for starts in chunks:
-        state = _Walks(R, walks[starts.start : starts.stop])  # the chunk's rightward walks
-        for k in _eliminate(G, periods, starts):
-            state.step(k)
-            if _all_closed(state) and k + 1 >= d:
-                break
-        reached.append(k + 1)
-        d = max(d, k + 1)
+    if stop is not _all_closed:
+        d, reached = (m if stop is None else min(_PANEL, m)), [0] * len(chunks)
+    else:
+        d, reached = 0, []  # no chunk stops short of d columns
+        for starts in chunks:
+            state = _Walks(R, walks[starts.start : starts.stop])  # the chunk's rightward walks
+            for k in _eliminate(G, periods, starts):
+                state.step(k)
+                if _all_closed(state) and k + 1 >= d:
+                    break
+            reached.append(k + 1)
+            d = max(d, k + 1)
     while True:
         for starts, r in zip(chunks, reached):
             if r < d:

@@ -14,9 +14,8 @@ Brent line searches seeded from the samples and probes already computed
 Hellmann-Feynman gradient.  A single-amplitude condensate smaller than
 one grid step can hide only in the first cell, off an unstable origin and
 below a first sample that lies higher again; that cell is line-searched
-only then, starting from an even fit whose curvature the spinodal gives,
-or where the origin's stability is not known (a failed spinodal solve),
-and otherwise yields an endpoint.
+only then, or where the origin's stability is not known (a failed
+spinodal solve), and otherwise yields an endpoint.
 
 The single-amplitude grid is pruned by two lower bounds.  One costs O(N):
 the singular values of the fermion matrix sum to at most its column
@@ -181,10 +180,12 @@ def _line_min(f, lo: float, hi: float, known: dict, tol: float, pinned=False):
     Derivatives*, 1973), seeded from ``known``, a map of points already
     computed to their values, at least one of them in the cell.  It starts
     from the best known point in the cell, bracketed by the nearest known
-    points on either side; the first step is the vertex of the parabola
-    through it and its two nearest known neighbours.  A best point within
-    ``tol`` of a cell end is confirmed with one probe ``tol`` inside, and an
-    end that no known point separates from the best one is computed.
+    points on either side that lie higher (one that ties it may owe the tie
+    to rounding, as over ``tol`` on a flat stretch); the first step is the
+    vertex of the parabola through it and its two nearest known neighbours.
+    A best point within ``tol`` of a cell end is confirmed with one probe
+    ``tol`` inside that lies higher, and an end that no known point
+    separates from the best one is computed.
     Parabolic steps are taken down to a hundredth of ``tol``; the search
     stops only once the best point ``x`` and its bracket ``[a, b]`` satisfy
     ``max(x - a, b - x) <= tol``, so for ``f`` unimodal on the cell the
@@ -218,7 +219,7 @@ def _line_min(f, lo: float, hi: float, known: dict, tol: float, pinned=False):
             end = None
         if end is not None and end not in probed:
             probed.add(end)
-            if value(u) >= pts[x]:
+            if value(u) > pts[x]:
                 return x, pts[x]
             x = u
             continue
@@ -233,8 +234,8 @@ def _line_min(f, lo: float, hi: float, known: dict, tol: float, pinned=False):
         x = best()
 
     fx = pts[x]
-    a = max((p for p in pts if lo <= p < x), default=lo)
-    b = min((p for p in pts if x < p <= hi), default=hi)
+    a = max((p for p in pts if lo <= p < x and pts[p] > fx), default=lo)
+    b = min((p for p in pts if x < p <= hi and pts[p] > fx), default=hi)
     near = sorted((p for p in pts if p != x), key=lambda p: abs(p - x))[:2]
     w, v = sorted(near + [x] * (2 - len(near)), key=pts.__getitem__)
     fw, fv = pts[w], pts[v]
@@ -412,10 +413,7 @@ class _UnitCurve:
     where ``phi = 0`` is unstable, ``lambda0 >= spinodal``, and the curve
     rises again by ``s_1``; where it still falls, one probe at the column's
     fixed ``s_1 - lam_lo refine_tol`` tells, and every other coupling takes
-    an endpoint.  That line search starts from the vertex of ``e(0) + c_2
-    s^2 + c_4 s^4``, an even fit with ``c_2 = omega (1/lambda0^2 -
-    1/spinodal^2)``, the curvature the spinodal gives, and ``c_4`` through
-    ``s_1``.
+    an endpoint.
     """
 
     def __init__(self, chain: ChainSpec, mode: int, search: SearchSpec, lam_lo: float):
@@ -563,13 +561,6 @@ class _UnitCurve:
             ):
                 minima.append((s[1], vals[1]))
             else:
-                if stable is False:
-                    # e is even in s: start from the vertex of e(0) + c2 s^2 + c4 s^4
-                    t1 = s[1] * s[1]
-                    c2 = self.omega * ((1.0 / lam) ** 2 - (1.0 / self.normal.lam_s) ** 2)
-                    c4 = (vals[1] - vals[0] - c2 * t1) / (t1 * t1)
-                    if c2 < 0.0 < c4 and -c2 < 2.0 * c4 * t1:
-                        f(math.sqrt(-0.5 * c2 / c4))
                 minima.append(_line_min(f, 0.0, s[1], seen(), tol, pinned=stable is False))
         for i in _interior_minima(vals):
             if live(i):
@@ -869,9 +860,6 @@ class _Column:
 
     def phi_norm(self, lam: float) -> float:
         return float(np.max(np.abs(self.state(lam).phi)))
-
-    def energy(self, lam: float) -> float:
-        return float(self.state(lam).e_g)
 
     def crossing_below(self, s_max: float) -> float | None:
         """:func:`_crossing_onset` of the curve up to ``s_max``, kept as ``crossing``."""

@@ -10,9 +10,9 @@ the classifiers condense the results into labels:
   linear-response onset or spinodal (exact on a second-order transition)
   and, for a single mode, the crossing onset where a condensate first ties
   ``phi = 0`` (exact on a first-order one), and bisected only if those
-  probes miss it; on one mode hysteresis, a crossing below the spinodal,
-  corroborates the jump, and on several a one-sided slope-ratio probe of
-  the energy envelope does;
+  probes miss it; hysteresis, an onset below the spinodal (on one mode
+  the crossing, on several the bisection's upper edge), corroborates the
+  jump;
 * magnetic order of the qubit ring from its decay lengths and
   polarizations: paramagnetic ``P``, ferromagnetic ``F``, or the spatially
   alternating ``FP`` pattern that strong-bond windows imprint.  A phase
@@ -73,22 +73,18 @@ class AlreadyCondensedError(NoTransitionError):
 @dataclass(frozen=True)
 class Thresholds:
     """Classifier knobs, shared by the transition and magnetic labels; each is finite
-    and not negative, and the bisection's bracket width and the slope probe's step
-    are positive.  ``slope_delta`` and ``slope_ratio`` are read by multi-mode
-    columns only: a one-mode column's order needs no slope probe."""
+    and not negative, and the bisection's bracket width is positive."""
 
     field: float = 1e-5
     critical_tol: float = 1e-4
     jump: float = 0.02
-    slope_delta: float = 4e-3
-    slope_ratio: float = 0.75
     xi: float = 5.0
     sigma_z: float = 0.8
     oscillation: float = 0.3
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            strict = name in ("critical_tol", "slope_delta")
+            strict = name == "critical_tol"
             if not (0 < value < math.inf if strict else 0 <= value < math.inf):
                 raise ValueError(
                     f"{name} must be {'> 0' if strict else '>= 0'} and finite, got {value}"
@@ -333,7 +329,6 @@ class TransitionClassification:
     order: str  # "first" | "second" | "ambiguous" | "none"
     lambda_c: float | None = None
     jump: float | None = None
-    slope_ratio: float | None = None
     hysteresis: bool | None = None
 
 
@@ -344,20 +339,17 @@ def classify_transition_order(
 
     Primary signal: the condensate amplitude at the upper edge of the
     bisection bracket; a second-order onset has barely left zero there
-    while a first-order one arrives with a finite jump.  One corroborator
-    backs it:
+    while a first-order one arrives with a finite jump.  Hysteresis
+    corroborates it: a condensate onset more than ``critical_tol`` below the
+    spinodal, so between the two ``phi = 0`` is a local minimum while a
+    condensate is global.  On one mode that onset is the crossing, where a
+    condensate first ties ``phi = 0``, read off the column's curve; on
+    several it is the bracket's upper edge, the lowest coupling at which the
+    minimizer holds a condensate.  Either way the order costs no solve
+    beyond the onset search.
 
-    * one mode: hysteresis, the crossing onset more than ``critical_tol``
-      below the spinodal, so between the two ``phi = 0`` is a local minimum
-      while a condensate is global; ``slope_ratio`` is ``None``;
-    * several modes, which have no crossing onset: the ratio of one-sided
-      difference quotients of the energy envelope at offsets
-      ``slope_delta`` and half that above the onset (a kink gives ratio ~1,
-      a smooth quadratic departure ~1/2), against ``slope_ratio``; the
-      probe costs two more minimizations, and ``hysteresis`` is ``None``.
-
-    The label is ``first`` or ``second`` when the jump and the corroborator
-    agree, and ``ambiguous`` rather than a coin flip when they do not.
+    The label is ``first`` or ``second`` when the jump and hysteresis agree,
+    and ``ambiguous`` rather than a coin flip when they do not.
 
     The bracket comes from :func:`critical_coupling`'s search on the
     sweep's own solver: the probes ``0.4 critical_tol`` either side of the
@@ -374,25 +366,16 @@ def classify_transition_order(
     except NoTransitionError:
         return TransitionClassification(order="none")
     solver = result._solver
-    lambda_c = 0.5 * (lo + hi)
     jump = solver.phi_norm(hi)
-    ratio = hysteresis = None
-    if len(result.context.modes) == 1:
-        # between crossing and spinodal phi = 0 is local, a condensate global
-        lam_s, lam_x = solver.normal.onset, solver.crossing
-        hysteresis = lam_x is not None and (lam_s is None or lam_s - lam_x > thr.critical_tol)
-        first = hysteresis
-    else:
-        delta = thr.slope_delta
-        e0 = solver.energy(hi)
-        g_full = (solver.energy(hi + delta) - e0) / delta
-        g_half = (solver.energy(hi + 0.5 * delta) - e0) / (0.5 * delta)
-        ratio = 0.5 if abs(g_full) < 1e-15 else g_half / g_full
-        first = ratio > thr.slope_ratio
-
-    order = ("first" if first else "second") if (jump > thr.jump) == first else "ambiguous"
+    lam_s = solver.normal.onset
+    lam_x = solver.crossing if len(result.context.modes) == 1 else hi
+    # between the condensate's onset and the spinodal phi = 0 is local, a condensate global
+    hysteresis = lam_x is not None and (lam_s is None or lam_s - lam_x > thr.critical_tol)
+    order = "first" if hysteresis else "second"
+    if (jump > thr.jump) != hysteresis:
+        order = "ambiguous"
     return TransitionClassification(
-        order=order, lambda_c=lambda_c, jump=jump, slope_ratio=ratio, hysteresis=hysteresis
+        order=order, lambda_c=0.5 * (lo + hi), jump=jump, hysteresis=hysteresis
     )
 
 

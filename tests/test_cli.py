@@ -184,21 +184,25 @@ class TestCorrelations:
         raw["task"] = {"kind": "correlations", "n_max": 4}
         raw["output"]["format"] = "json"  # exact floats, where CSV keeps 12 digits
         cfg = write_config(tmp_path, raw)
-        real = correlation._yy_minors
+        real = correlation._window_minors
         tables = []
 
-        def spied(G, n_max):
-            tables.append(n_max)
-            return real(G, n_max)
+        def spied(G, n_max, M, stop=None):
+            if stop is None:  # the report's own walks pass their stop rule
+                tables.append((n_max, M))
+            return real(G, n_max, M, stop)
 
-        monkeypatch.setattr(correlation, "_yy_minors", spied)
+        monkeypatch.setattr(correlation, "_window_minors", spied)
         assert main(["correlations", "--config", cfg]) == 0
-        assert tables == ([] if saturated else [4])
+        monkeypatch.undo()
 
         chain = ChainSpec(N=12, E_z=0.8, E_c=8.0, ising=IsingProfile.uniform(J))
         modeset = ModeSet(modes=(2,), lambda0=0.3, N=12, E_c=8.0)
         state = minimize_phi(chain, modeset, SearchSpec(coarse_points=41))
         report = correlation.correlation_report(chain, modeset, state.phi, n_max=4)
+        # the second pass reads the solve's period, and does not search G for it
+        assert tables == ([] if saturated else [(4, report.solution.period)])
+        assert report.solution.period == correlation._twisted_period(report.G)
         expected = correlation.yy_table(report.G, 4)
         written = load_json(tmp_path / "out" / "rho.json")
         assert {(r["j"], r["n"]): r["rho"] for r in written} == expected
@@ -377,14 +381,17 @@ class TestConfigsThatCannotRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "thresholds",
-        [{"critical_tol": 0}, {"slope_delta": 0.0}, {"critical_tol": math.inf},
-         {"slope_delta": math.inf}],
+        "thresholds, message",
+        [({"critical_tol": 0}, "critical_tol must be > 0"),
+         ({"critical_tol": math.inf}, "critical_tol must be > 0"),
+         ({"jump": -1.0}, "jump must be >= 0"),
+         ({"slope_delta": math.inf}, "unknown key(s) 'slope_delta'")],
     )
-    def test_bad_thresholds_stop_before_output(self, tmp_path, capsys, thresholds):
+    def test_bad_thresholds_stop_before_output(self, tmp_path, capsys, thresholds, message):
         # critical_tol = 0 bisected forever and an infinite one wrote the bracket's
-        # midpoint as the onset; slope_delta = 0 divided by zero and an infinite one
-        # raised from ModeSet after the output directory was made
+        # midpoint as the onset; slope_delta, the step of the multi-mode slope
+        # probe that went, once raised from ModeSet after the output directory was
+        # made when infinite, and is now an unknown key
         raw = solve_config(tmp_path)
         raw["model"]["ising"] = WINDOWS
         raw["task"] = {"kind": "phase-diagram", "lambda0": [0.1, 0.6], "J_min": [0.01],
@@ -392,7 +399,7 @@ class TestConfigsThatCannotRun:
         raw["thresholds"] = thresholds
         assert main(["phase-diagram", "--config", write_config(tmp_path, raw)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: thresholds: {next(iter(thresholds))} must be > 0")
+        assert err.startswith(f"config error: thresholds: {message}")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -450,8 +457,7 @@ def small_runs(draw):
     elif kind == "phase-diagram":
         task.update(lambda0=draw(grid), J_min=draw(grid), n_max=draw(st.integers(1, 3)))
         task[draw(st.sampled_from(["delta_J", "delta_J_factor"]))] = draw(GOOD)
-        raw["thresholds"] = {"critical_tol": 1e-3, "slope_delta": 4e-3, "jump": 0.02,
-                             "xi": 5.0}
+        raw["thresholds"] = {"critical_tol": 1e-3, "jump": 0.02, "xi": 5.0}
     elif kind == "correlations":
         task["n_max"] = draw(st.integers(1, 3))
     paths = _number_paths(raw)
@@ -486,8 +492,7 @@ def _csv_numbers(path):
 
 def probed_phase_diagram(**thresholds):
     """The phase diagram of the CI's bad-config step, whose one column has its spinodal at
-    lambda0 = 0.644, inside the grid, so its onset is probed there; a one-mode column
-    probes no slope, so ``slope_delta`` is only validated."""
+    lambda0 = 0.644, inside the grid, so its onset is probed there."""
     return {"model": {"N": 8, "ising": WINDOWS, "modes": [1]},
             "task": {"kind": "phase-diagram", "lambda0": [0.1, 0.9], "J_min": [0.01],
                      "delta_J": 0.1},
@@ -497,8 +502,9 @@ def probed_phase_diagram(**thresholds):
 class TestEveryConfigFailsUpFrontOrRuns:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(raw=small_runs())
-    # an infinite probe step once raised after the output directory was made; an
-    # infinite bracket width wrote the bracket's midpoint, finite, as the onset
+    # an infinite slope-probe step once raised after the output directory was made,
+    # and the probe's key is now unknown; an infinite bracket width wrote the
+    # bracket's midpoint, finite, as the onset
     @example(raw=probed_phase_diagram(slope_delta=math.inf))
     @example(raw=probed_phase_diagram(critical_tol=math.inf))
     def test_config_error_or_finite_files(self, raw):

@@ -377,10 +377,10 @@ class TestOverridesAndOutput:
 
     def test_thresholds_override(self, tmp_path):
         raw = phase_diagram_config()
-        raw["thresholds"] = {"xi": 7.0, "slope_ratio": 0.7}
+        raw["thresholds"] = {"xi": 7.0, "oscillation": 0.2}
         cfg = load(tmp_path, raw)
         assert cfg.thresholds.xi == 7.0
-        assert cfg.thresholds.slope_ratio == 0.7
+        assert cfg.thresholds.oscillation == 0.2
         assert cfg.thresholds.jump == 0.02
 
     @pytest.mark.parametrize(
@@ -530,8 +530,8 @@ VARIANTS = {
     ],
     Thresholds: [
         {
-            "field": 1e-4, "critical_tol": 1e-3, "jump": 0.05, "slope_delta": 1e-3,
-            "slope_ratio": 0.5, "xi": 7.0, "sigma_z": 0.7, "oscillation": 0.2,
+            "field": 1e-4, "critical_tol": 1e-3, "jump": 0.05, "xi": 7.0, "sigma_z": 0.7,
+            "oscillation": 0.2,
         }
     ],
 }
@@ -652,8 +652,8 @@ REJECTED = {
     ),
     "thresholds-critical_tol": ({**_pd_task(delta_J=0.1), "thresholds": {"critical_tol": 0}},
                                 lambda: Thresholds(critical_tol=0.0)),
-    "thresholds-slope_delta": ({**_pd_task(delta_J=0.1), "thresholds": {"slope_delta": 0.0}},
-                               lambda: Thresholds(slope_delta=0.0)),
+    "thresholds-jump": ({**_pd_task(delta_J=0.1), "thresholds": {"jump": -1.0}},
+                        lambda: Thresholds(jump=-1.0)),
     "validate-N": ({"model": None, **validate_config(N=1)}, lambda: ValidateTask(N=1)),
     "output-format": ({"output": {"format": "parquet"}}, lambda: _Output(format="parquet")),
 }

@@ -408,12 +408,17 @@ def smooth_cells(draw):
         if c2 + c4 < 1e-3:
             c2 = 1.0
     c0 = draw(st.floats(-1.0, 1.0))
-    f = lambda x: c0 + c2 * (x - m) ** 2 + c4 * (x - m) ** 4
     if draw(st.booleans()):
         points = [lo, 0.5 * (lo + hi), hi]
     else:
         points = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=4))
     tol = draw(st.sampled_from([1e-6, 1e-7])) * draw(st.sampled_from([0.2, 1.0, 1.5]))
+    return quartic_cell(lo, hi, where, m, c0, c2, c4, points, tol)
+
+
+def quartic_cell(lo, hi, where, m, c0, c2, c4, points, tol):
+    """:func:`smooth_cells`' cell of ``c0 + c2 (x - m)^2 + c4 (x - m)^4`` on ``[lo, hi]``."""
+    f = lambda x: c0 + c2 * (x - m) ** 2 + c4 * (x - m) ** 4
     # how far from m the energy stays within rounding of its minimum: no
     # search can place the minimizer closer than that
     noise = 8.0 * np.finfo(float).eps * max(1.0, abs(c0))
@@ -430,6 +435,13 @@ class TestLineSearch:
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(smooth_cells())
+    # flat within rounding over tol at the cell's end (a drop of 1e-16 against
+    # values near 1), far from flat across the cell: the end is not the minimum
+    @example(quartic_cell(1.0, 1.001, "inside", 1.0005, 1.0, 0.0, 1.0, [1.0], 2e-7))
+    # two known points that tie in rounding 1e-96 apart do not bracket the minimum
+    @example(quartic_cell(0.0, 0.5, "inside", 0.01, 0.0, 1.0, 0.0, [0.0, 1e-96], 2e-7))
+    # a minimum at the cell's end that scipy's bounded method stops short of
+    @example(quartic_cell(0.0, 0.5, "right", 0.5, 1.0, 0.0, 1 / 32, [0.0, 0.25, 0.5], 2e-7))
     def test_matches_scipy_on_smooth_cells(self, cell):
         lo, hi, f, exact, known, tol, where, blur = cell
         calls = []
@@ -447,6 +459,9 @@ class TestLineSearch:
         if where == "flat":
             return
         oracle, _ = bounded_min(f, lo, hi, tol)
+        # scipy's bounded method never evaluates the cell's ends: on 1 + (x - 0.5)^4 / 32
+        # over [0, 0.5] it stops at 0.49933, beyond the blur of the minimizer at 0.5
+        oracle = min((oracle, lo, hi), key=f)
         assert abs(x - oracle) <= tol + blur
         assert abs(x - exact) <= tol + blur
 

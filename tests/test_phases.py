@@ -1,7 +1,7 @@
 """Sweeps, transition orders, and phase labels."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -339,11 +339,12 @@ class TestSharedSolver:
         assert len(solves) == 6
         # samples pruned by the chords of the concave chain part, computed
         # coarse to fine, and no slope probe: 148 before them (125 without the
-        # slope probe alone); line searches seeded from the samples and probes
+        # slope probe alone), 99 with the first cell's line search started
+        # from an even fit; line searches seeded from the samples and probes
         # already computed (147 before the couplings' exact antiperiodicity
         # moved their last bits): 211 with scipy's bounded Brent, 348 without
         # the energy bound's pruning
-        assert len(energies) == 99
+        assert len(energies) == 92
 
     @pytest.mark.parametrize(
         "chain, delta_J, grid",
@@ -448,21 +449,19 @@ def criterion_5_ctx(J_min):
     return SweepContext(chain=chain, modes=(2,), search=QUICK)
 
 
+def spy_solves(monkeypatch):
+    """The energies and full solves the minimizers make from here on."""
+    # every minimization reads energies, and the multi-mode polish full solves
+    calls = []
+    for name in ("quasiparticle_energies", "ground_sector"):
+        real = getattr(meanfield, name)
+        monkeypatch.setattr(meanfield, name, lambda *a, real=real: calls.append(a) or real(*a))
+    return calls
+
+
 class TestOneModeOrder:
-    """A one-mode column's order is its jump corroborated by hysteresis: no slope probe."""
-
-    @staticmethod
-    def spy_energy(monkeypatch):
-        # the slope probe reads the column's energy at two couplings above the onset
-        calls = []
-        real = meanfield._Column.energy
-
-        def spied(column, lam):
-            calls.append(lam)
-            return real(column, lam)
-
-        monkeypatch.setattr(meanfield._Column, "energy", spied)
-        return calls
+    """A one-mode column's order is its jump corroborated by hysteresis, the crossing
+    onset below the spinodal: no solve beyond the onset search."""
 
     # order, lambda_c, jump and hysteresis as the classifier with the slope
     # probe gave them; the jump is a minimizer's amplitude, so it may move
@@ -492,10 +491,10 @@ class TestOneModeOrder:
         self, monkeypatch, make_ctx, grid, order, lambda_c, jump, hysteresis
     ):
         res = sweep(make_ctx(), "lambda0", grid)
-        calls = self.spy_energy(monkeypatch)
+        assert critical_coupling(res) == lambda_c
+        calls = spy_solves(monkeypatch)
         cls = classify_transition_order(res)
         assert calls == []
-        assert cls.slope_ratio is None
         assert (cls.order, cls.lambda_c, cls.hysteresis) == (order, lambda_c, hysteresis)
         assert cls.jump == pytest.approx(jump, abs=QUICK.refine_tol)
 
@@ -510,17 +509,36 @@ class TestOneModeOrder:
             d = 0.4 * Thresholds().critical_tol
             assert lam_c == 0.5 * ((guess - d) + (guess + d))
 
-    def test_several_modes_keep_the_slope_probe(self, monkeypatch):
-        chain = ChainSpec(N=8, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(0.2, 0.1, 2))
-        search = SearchSpec(multi_coarse_points=5, n_seeds=1)
-        res = sweep(SweepContext(chain=chain, modes=(1, 2), search=search), "lambda0",
-                    [0.5, 0.7, 0.9])
-        calls = self.spy_energy(monkeypatch)
+
+class TestSeveralModesOrder:
+    """On several modes hysteresis is the bisection bracket's upper edge below the
+    spinodal: the one-mode rule, with no solve beyond the onset search."""
+
+    # the slope probe, two more minimizations, gave the same orders
+    @pytest.mark.parametrize(
+        "N, J_max, J_min, grid, search, order, hysteresis",
+        [
+            (40, 0.8, 0.5, [0.9, 0.95, 1.0, 1.05], SearchSpec(multi_coarse_points=11, n_seeds=2),
+             "first", True),
+            (8, 0.2, 0.1, [0.5, 0.7, 0.9], SearchSpec(multi_coarse_points=5, n_seeds=1),
+             "second", False),
+        ],
+    )
+    def test_several_modes_read_hysteresis_off_the_bracket(
+        self, monkeypatch, N, J_max, J_min, grid, search, order, hysteresis
+    ):
+        chain = ChainSpec(N=N, E_z=0.8, E_c=8.0, ising=IsingProfile.rectangular(J_max, J_min, 2))
+        res = sweep(SweepContext(chain=chain, modes=(1, 2), search=search), "lambda0", grid)
+        lam_c = critical_coupling(res)
+        calls = spy_solves(monkeypatch)
         cls = classify_transition_order(res)
-        assert cls.order == "second"
-        assert len(calls) == 3
-        assert cls.slope_ratio == pytest.approx(0.5, abs=0.05)
-        assert cls.hysteresis is None
+        assert calls == []
+        assert (cls.order, cls.lambda_c, cls.hysteresis) == (order, lam_c, hysteresis)
+        # hysteresis: the bracket's upper edge holds a condensate below the spinodal
+        _, hi = phases._refine_onset(res, Thresholds())
+        assert cls.jump == res._solver.phi_norm(hi)
+        assert (cls.jump > Thresholds().jump) == hysteresis
+        assert (res._solver.normal.onset - hi > Thresholds().critical_tol) == hysteresis
 
 
 class TestMagneticOrder:
@@ -650,9 +668,9 @@ class TestEarlyLabel:
         np.array([0.2856021645667419]),
     )
 
-    def test_label_stops_walking_once_settled(self, monkeypatch):
-        # its report walks until its longest walk closes, its label a few depths
-        chain, ms, phi = self.COLUMN_CELL
+    @staticmethod
+    def count_depths(monkeypatch):
+        """The depths of window minors eliminated from here on, one per chunk and depth."""
         depths = []
         real = correlation._eliminate
 
@@ -662,12 +680,30 @@ class TestEarlyLabel:
                 yield k
 
         monkeypatch.setattr(correlation, "_eliminate", counted)
+        return depths
+
+    def test_label_stops_walking_once_settled(self, monkeypatch):
+        # its report walks until its longest walk closes, its label a few depths
+        chain, ms, phi = self.COLUMN_CELL
+        depths = self.count_depths(monkeypatch)
         report = correlation_report(chain, ms, phi, n_max=40)
         assert len(depths) == report.minors.shape[1] == 32
         depths.clear()
         label = phases._magnetic_label(chain, ms, phi, Thresholds(), n_max=40)
         assert label == classify_magnetic_order(report, chain) == "FP"
         assert 0 < len(depths) <= 5
+
+    def test_label_in_chunks_stops_walking_once_settled(self, monkeypatch):
+        # ten windows a chunk: the chunks go to a common depth of _PANEL, which
+        # settles the label, not each to where its own rightward walks close
+        chain, ms, phi = self.COLUMN_CELL
+        report = correlation_report(chain, ms, phi, n_max=40)
+        depths = self.count_depths(monkeypatch)
+        monkeypatch.setattr(correlation, "_CHUNK_BYTES", 10 * correlation._window_bytes(40))
+        label = phases._magnetic_label(chain, ms, phi, Thresholds(), n_max=40)
+        assert label == classify_magnetic_order(report, chain) == "FP"
+        assert report.solution.period == 100
+        assert len(depths) == 10 * correlation._PANEL
 
     def test_oscillation_at_the_reports_own(self):
         # an FP ring whose polarization oscillates more than its lengths: just
@@ -999,9 +1035,7 @@ class TestThresholds:
             ({"critical_tol": 0}, "critical_tol must be > 0 and finite, got 0"),
             ({"critical_tol": -1}, "critical_tol must be > 0 and finite, got -1"),
             ({"critical_tol": math.inf}, "critical_tol must be > 0 and finite, got inf"),
-            ({"slope_delta": 0.0}, "slope_delta must be > 0"),
-            ({"slope_delta": math.inf}, "slope_delta must be > 0 and finite, got inf"),
-            ({"slope_delta": -math.inf}, "slope_delta must be > 0 and finite, got -inf"),
+            ({"critical_tol": -math.inf}, "critical_tol must be > 0 and finite, got -inf"),
             ({"field": -1e-5}, "field must be >= 0"),
             ({"jump": float("nan")}, "jump must be >= 0"),
             ({"xi": math.inf}, "xi must be >= 0 and finite, got inf"),
@@ -1010,14 +1044,19 @@ class TestThresholds:
     )
     def test_out_of_range_knobs_are_rejected(self, knobs, match):
         # critical_tol = 0 bisected forever and an infinite one stopped at the
-        # bracket's midpoint; slope_delta = 0 divided by zero and an infinite
-        # one made an infinite coupling
+        # bracket's midpoint
         with pytest.raises(ValueError, match=match):
             Thresholds(**knobs)
 
+    def test_slope_probe_knobs_are_gone(self):
+        assert len(fields(Thresholds)) == 6
+        for knob in ("slope_delta", "slope_ratio"):
+            with pytest.raises(TypeError, match=knob):
+                Thresholds(**{knob: 0.5})
+
     def test_range_ends_are_accepted(self):
-        ends = dict(field=0.0, jump=0.0, slope_ratio=0.0, xi=0.0, sigma_z=0.0, oscillation=0.0)
-        assert Thresholds(**ends, critical_tol=1e-300, slope_delta=1e-300).xi == 0.0
+        ends = dict(field=0.0, jump=0.0, xi=0.0, sigma_z=0.0, oscillation=0.0)
+        assert Thresholds(**ends, critical_tol=1e-300).xi == 0.0
 
     def test_bisection_finer_than_a_float_ends(self):
         # the bracket stops one ulp wide, where its midpoint rounds onto an end
